@@ -69,11 +69,13 @@ def parse_libsvm(path) -> learn.Dataset:
     """Read ``label idx:value ...`` lines into a dense dataset.
 
     Indices are 1-based and densified to the maximum index seen anywhere
-    in the file; absent indices are zero.  Malformed lines raise
-    :class:`ParseError` carrying the 1-based line number.
+    in the file; absent indices are zero.  Malformed lines, and NaN or
+    infinite feature values, raise :class:`ParseError` carrying the 1-based
+    line number.
     """
     labels = []
     rows = []
+    linenos = []
     width = 0
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -109,12 +111,20 @@ def parse_libsvm(path) -> learn.Dataset:
                 width = max(width, idx)
             labels.append(label)
             rows.append(entries)
+            linenos.append(lineno)
     if not labels:
         raise ParseError(f"no data lines in {path}")
     points = np.zeros((len(labels), width))
     for i, entries in enumerate(rows):
         for j, val in entries.items():
             points[i, j] = val
+    bad = np.argwhere(~np.isfinite(points))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(
+            f"feature {j + 1} is {points[i, j]}; values must be finite",
+            line=linenos[i],
+        )
     return learn.Dataset.full(points, np.asarray(labels))
 
 
@@ -286,15 +296,25 @@ def _config_from_metadata(meta: dict) -> FeatureMapConfig:
 
 
 def _vocabulary_to_json(state) -> list:
+    """``[copy, [bins...], column]`` per column, in column order."""
     return [
-        [copy, list(map(int, bins)), column]
-        for (copy, bins), column in state.vocabulary.items()
+        [row[0], row[1:], column]
+        for column, row in enumerate(state.vocabulary.rows.tolist())
     ]
 
 
 def _restore_vocabulary(state, blob) -> None:
-    for copy, bins, column in blob:
-        state.vocabulary[(int(copy), tuple(int(b) for b in bins))] = int(column)
+    if [entry[2] for entry in blob] != list(range(len(blob))):
+        raise ParseError("bundle vocabulary columns must run 0, 1, 2, ... in order")
+    if not blob:
+        return
+    bins = np.array([entry[1] for entry in blob], dtype=np.int64)
+    if bins.shape[1:] != (state.cfg.dim,):
+        raise ParseError(f"bundle vocabulary rows must hold {state.cfg.dim} bins")
+    copies = np.array([entry[0] for entry in blob], dtype=np.int64)
+    state.vocabulary.assign(np.column_stack([copies, bins]))
+    if len(state.vocabulary) != len(blob):
+        raise ParseError("bundle vocabulary repeats a (copy, bins) key")
 
 
 def save_model(path, task, cfg, state, normalizer, models, classes=None) -> None:
@@ -487,8 +507,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     task, state, normalizer, models, classes = load_model(args.model)
-    ds = parse_libsvm(args.data)
-    X = normalizer.apply(ds.points)
+    points = parse_libsvm(args.data).points
+    width, dim = points.shape[1], state.cfg.dim
+    if width > dim:
+        raise ValueError(
+            f"{args.data} has feature index {width}; the model has {dim} features"
+        )
+    # LIBSVM omits trailing zeros, so a narrower file is zero-padded
+    X = normalizer.apply(np.pad(points, ((0, 0), (0, dim - width))))
     if task == "regression":
         preds = learn.predict(models[0], X)
     else:
@@ -621,9 +647,6 @@ def run_experiment(cfg: ExperimentConfig) -> str:
                     copies=copies, seed=seed,
                 )
                 state = build_map(map_cfg)
-                errors.append(
-                    float(np.sum((gram(featurize(state, probe)) - K) ** 2))
-                )
                 if cfg.task == "regression":
                     batch = featurize(state, X_train)
                     model = learn.fit(state, batch, y_train, lam=cfg.lam)
@@ -635,6 +658,11 @@ def run_experiment(cfg: ExperimentConfig) -> str:
                     )
                     preds = learn.predict_labels(clf, X_test)
                     metrics.append(float(np.mean(preds == y_test)))
+                # after a regression fit the probe, a prefix of the training
+                # rows, reads the vocabulary those rows filled
+                errors.append(
+                    float(np.sum((gram(featurize(state, probe)) - K) ** 2))
+                )
             mean_sq = float(np.mean(errors))
             stderr_sq = (
                 float(np.std(errors, ddof=1) / math.sqrt(len(errors)))

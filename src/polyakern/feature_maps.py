@@ -16,6 +16,11 @@ catalog: spacings are drawn from the generating law and divided by rho,
 offsets are uniform within each spacing, and two points contribute to the
 same feature column exactly when every coordinate lands in the same bin.
 
+A binning map's vocabulary of (copy, bin tuple) -> column is filled by the
+first ``featurize`` call on the map, which is the training data, and is
+read-only afterwards: a bin that training never saw gets the sentinel
+column ``width`` and no feature.
+
 Copy l always draws from the stream child (seed, l), so maps are
 deterministic, copies are independent, and enlarging D keeps the first
 copies unchanged.
@@ -132,12 +137,59 @@ class FourierMapState:
     offsets: np.ndarray  # copies, in [0, 2*pi); None for the complex map
 
 
+def _as_void(rows):
+    """One opaque scalar per row of a 2-D int64 array; equal scalars mean
+    equal rows, so sorting and searching them is exact."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+class BinVocabulary:
+    """The (copy, bin tuple) -> column table of a binning map, in arrays.
+
+    ``rows[j]`` is the key of column j: the copy index, then one bin per
+    coordinate.  The same keys, sorted as opaque scalars, sit next to their
+    column ids for read-only lookups by ``np.searchsorted``.
+    """
+
+    def __init__(self):
+        self.rows = np.empty((0, 0), dtype=np.int64)
+        self._keys = _as_void(np.empty((0, 1), dtype=np.int64))
+        self._columns = np.empty(0, dtype=np.int64)
+
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def assign(self, rows):
+        """Number the distinct rows by first appearance, fill the empty table
+        with them, and return the column of every row."""
+        if len(self):
+            raise ValueError("the vocabulary is already filled")
+        keys, first, inverse = np.unique(
+            _as_void(rows), return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        columns = np.empty(keys.shape[0], dtype=np.int64)
+        columns[order] = np.arange(keys.shape[0])
+        self._keys, self._columns = keys, columns
+        self.rows = rows[first[order]]  # last: len(self) > 0 means filled
+        return columns[inverse]
+
+    def lookup(self, rows):
+        """The column of every row, or ``len(self)`` for a row not in the
+        table.  The table is not changed."""
+        width = len(self)
+        keys = _as_void(rows)
+        pos = np.minimum(np.searchsorted(self._keys, keys), width - 1)
+        return np.where(self._keys[pos] == keys, self._columns[pos], width)
+
+
 @dataclass(frozen=True)
 class BinningMapState:
     cfg: FeatureMapConfig
     spacings: np.ndarray  # copies x dim, positive
     offsets: np.ndarray  # copies x dim, 0 <= offset < spacing
-    vocabulary: dict = field(default_factory=dict)  # (copy, bin tuple) -> column
+    vocabulary: BinVocabulary = field(default_factory=BinVocabulary)
 
 
 @dataclass(frozen=True)
@@ -181,7 +233,20 @@ def _check_points(state, X):
         raise ValueError(
             f"points must be n x {state.cfg.dim}, got array of shape {X.shape}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points must be finite, got NaN or infinite coordinates")
     return X
+
+
+def _bin_keys(state, X):
+    """copies x n x (1 + dim) int64 keys: the copy index, then the bin of
+    each coordinate."""
+    t = X[None, :, :] - state.offsets[:, None, :]
+    t /= state.spacings[:, None, :]
+    keys = np.empty(t.shape[:2] + (t.shape[2] + 1,), dtype=np.int64)
+    keys[:, :, 0] = np.arange(t.shape[0])[:, None]
+    keys[:, :, 1:] = np.floor(t, out=t)
+    return keys
 
 
 def _stable_bucket(copy, bins, buckets):
@@ -191,9 +256,12 @@ def _stable_bucket(copy, bins, buckets):
 
 
 def featurize(state, X):
-    """Map points to features. For binning, unseen bin tuples extend the
-    vocabulary (at train or test time alike); inner products against
-    columns absent from another batch are zero either way."""
+    """Map points to features.
+
+    For binning, the first call on a map fills its vocabulary: columns are
+    numbered by first appearance, copy by copy and point by point.  Later
+    calls only read it; a bin it does not hold gets the sentinel index
+    ``width`` (the vocabulary size), which has no column and no feature."""
     X = _check_points(state, X)
     n = X.shape[0]
     cfg = state.cfg
@@ -209,27 +277,20 @@ def featurize(state, X):
         return FeatureBatch(
             kind=cfg.kind, n=n, copies=cfg.copies, data=scale * np.cos(phases)
         )
-    bins = np.floor(
-        (X[None, :, :] - state.offsets[:, None, :]) / state.spacings[:, None, :]
-    ).astype(np.int64)
-    indices = np.empty((cfg.copies, n), dtype=np.int64)
+    keys = _bin_keys(state, X)
     if cfg.hash_buckets is not None:
+        indices = np.empty((cfg.copies, n), dtype=np.int64)
         for l in range(cfg.copies):
             for i in range(n):
                 indices[l, i] = _stable_bucket(
-                    l, tuple(bins[l, i].tolist()), cfg.hash_buckets
+                    l, tuple(keys[l, i, 1:].tolist()), cfg.hash_buckets
                 )
         width = cfg.hash_buckets
     else:
+        rows = keys.reshape(-1, cfg.dim + 1)  # copy-major
         vocab = state.vocabulary
-        for l in range(cfg.copies):
-            for i in range(n):
-                key = (l, tuple(bins[l, i].tolist()))
-                idx = vocab.get(key)
-                if idx is None:
-                    idx = len(vocab)
-                    vocab[key] = idx
-                indices[l, i] = idx
+        found = vocab.lookup(rows) if len(vocab) else vocab.assign(rows)
+        indices = found.reshape(cfg.copies, n)
         width = len(vocab)
     return FeatureBatch(
         kind=cfg.kind, n=n, copies=cfg.copies, indices=indices, width=width
@@ -237,24 +298,40 @@ def featurize(state, X):
 
 
 def to_sparse(batch):
-    """Binning batch as a sparse width x n matrix with entries 1/sqrt(D)."""
+    """Binning batch as a sparse width x n matrix with entries 1/sqrt(D);
+    sentinel (unseen-bin) entries are dropped."""
     if batch.kind != BINNING:
         raise ValueError("to_sparse applies to binning batches only")
     n, copies = batch.n, batch.copies
     cols = np.repeat(np.arange(n), copies)
     rows = batch.indices.T.reshape(-1)
-    vals = np.full(n * copies, 1.0 / math.sqrt(copies))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(batch.width, n))
+    seen = rows < batch.width
+    vals = np.full(int(seen.sum()), 1.0 / math.sqrt(copies))
+    return sp.csr_matrix((vals, (rows[seen], cols[seen])), shape=(batch.width, n))
 
 
 def gram(batch):
-    """Approximate kernel matrix Z^T Z (real part for the complex map)."""
+    """Approximate kernel matrix Z^T Z (real part for the complex map).
+
+    For binning, entry (i, j) is the fraction of copies that put i and j in
+    the same column; a sentinel (unseen-bin) index matches nothing."""
     if batch.kind == FOURIER_COMPLEX:
         return (batch.data.conj().T @ batch.data).real
     if batch.kind == FOURIER_REAL:
         return batch.data.T @ batch.data
-    eq = batch.indices[:, :, None] == batch.indices[:, None, :]
-    return eq.sum(axis=0) / float(batch.copies)
+    idx = batch.indices
+    seen = idx < batch.width
+    # hashed columns can be shared across copies, so a match is counted on
+    # (copy, column) pairs; their 0/1 incidence U gives counts U^T U
+    copy = np.broadcast_to(np.arange(batch.copies)[:, None], idx.shape)
+    point = np.broadcast_to(np.arange(batch.n), idx.shape)
+    pairs, rows = np.unique(
+        _as_void(np.column_stack([copy[seen], idx[seen]])), return_inverse=True
+    )
+    U = sp.csr_matrix(
+        (np.ones(rows.shape[0]), (rows, point[seen])), shape=(pairs.shape[0], batch.n)
+    )
+    return (U.T @ U).toarray() / float(batch.copies)
 
 
 def complex_gram(batch):
@@ -280,10 +357,8 @@ def per_copy_inner_products(state, x, xp):
         phases = state.frequencies @ X.T + state.offsets[:, None]
         c = np.cos(phases)
         return 2.0 * c[:, 0] * c[:, 1]
-    bins = np.floor(
-        (X[None, :, :] - state.offsets[:, None, :]) / state.spacings[:, None, :]
-    ).astype(np.int64)
-    return np.all(bins[:, 0, :] == bins[:, 1, :], axis=1).astype(float)
+    keys = _bin_keys(state, X)
+    return np.all(keys[:, 0, :] == keys[:, 1, :], axis=1).astype(float)
 
 
 def variance_theory(kind, k_value, k_2r_value=None):

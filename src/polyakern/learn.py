@@ -153,7 +153,8 @@ class RidgeModel:
     """Linear model over feature-map columns.
 
     ``weights`` has one entry per feature column seen at training time;
-    binning columns created later (unseen bins) contribute zero score.
+    a bin unseen in training has the sentinel index ``len(weights)`` and
+    contributes zero score.
     """
 
     state: object

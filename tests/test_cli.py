@@ -64,6 +64,13 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="line 2"):
             cli.parse_libsvm(f)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "d.txt"
+        write_lines(path, ["1 1:0.5", f"2 1:0.1 2:{value}"])
+        with pytest.raises(ParseError, match="line 2: feature 2"):
+            cli.parse_libsvm(path)
+
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("\n\n")
@@ -367,6 +374,65 @@ class TestFitPredict:
         ])
         assert np.all(np.isfinite(got))
         assert got.std() > 0.0
+
+    def test_predict_pads_narrow_file_and_rejects_wide(self, tmp_path, capsys):
+        train = tmp_path / "train.txt"
+        write_lines(train, ["1 1:0.5 3:0.2", "2 2:0.1 3:-0.4", "0 1:-0.3 2:0.9 3:0.7"])
+        model_path = tmp_path / "model.json"
+        assert cli.main([
+            "fit", str(train), "--task", "regression", "--map", "binning",
+            "--kernel", "gamma:s=2,theta=1", "--copies", "8", "--lambda", "0.1",
+            "--seed", "5", "--out", str(model_path),
+        ]) == 0
+        # trailing zero columns omitted: the same rows as explicit zeros
+        narrow = tmp_path / "narrow.txt"
+        write_lines(narrow, ["0 1:0.5", "0 2:0.1", "0", "0 1:-0.3 2:0.9", "0 2:2.0"])
+        full = tmp_path / "full.txt"
+        write_lines(full, ["0 1:0.5 3:0", "0 2:0.1 3:0", "0 3:0", "0 1:-0.3 2:0.9 3:0",
+                           "0 2:2.0 3:0"])
+        outputs = []
+        for data in (narrow, full):
+            out = tmp_path / (data.stem + ".csv")
+            assert cli.main(["predict", str(data), "--model", str(model_path),
+                             "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].strip().splitlines()) == 6
+        capsys.readouterr()
+        wide = tmp_path / "wide.txt"
+        write_lines(wide, ["0 1:0.5 4:1.0"])
+        assert cli.main(["predict", str(wide), "--model", str(model_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "model has 3 features" in json.loads(err[0])["error"]
+
+    @pytest.mark.parametrize("kind,kernel", [
+        ("binning", "gamma:s=2,theta=1"), ("fourier_real", "cauchy:scale=1"),
+    ])
+    def test_non_finite_points_are_json_errors(self, tmp_path, capsys, kind, kernel):
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=23, n=20)
+        model_path = tmp_path / "model.json"
+        assert cli.main([
+            "fit", str(data), "--task", "regression", "--map", kind,
+            "--kernel", kernel, "--copies", "8", "--lambda", "0.1",
+            "--seed", "2", "--out", str(model_path),
+        ]) == 0
+        for value in ("nan", "inf"):
+            bad = tmp_path / f"{value}.txt"
+            write_lines(bad, ["0 1:0.1 2:0.2", f"0 1:{value} 2:0.3"])
+            capsys.readouterr()
+            assert cli.main(["predict", str(bad), "--model", str(model_path)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert "finite" in json.loads(err[0])["error"]
+            code = cli.main([
+                "fit", str(bad), "--task", "regression", "--map", kind,
+                "--kernel", kernel, "--copies", "8", "--lambda", "0.1",
+                "--out", str(tmp_path / "never.json"),
+            ])
+            assert code == 1
+            assert "finite" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
 class TestCv:

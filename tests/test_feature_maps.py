@@ -5,11 +5,13 @@ against Monte Carlo with seeded streams; tolerances are stated in standard
 errors or relative terms.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from polyakern import cli, learn
 from polyakern import distributions as dist
 from polyakern import feature_maps as fm
 from polyakern.polya_kernels import KernelSpec, eval_kernel
@@ -100,7 +102,7 @@ class TestBuildMap:
         assert st.spacings.shape == (4, 2) and st.offsets.shape == (4, 2)
         assert np.all(st.spacings > 0)
         assert np.all(st.offsets >= 0) and np.all(st.offsets < st.spacings)
-        assert st.vocabulary == {}
+        assert len(st.vocabulary) == 0
         fr = fm.build_map(cfg(fm.FOURIER_REAL, 4, dim=2))
         assert fr.frequencies.shape == (4, 2)
         assert fr.offsets.shape == (4,)
@@ -163,15 +165,29 @@ class TestFeaturize:
             else:
                 assert np.array_equal(a.data, b.data)
 
-    def test_vocabulary_grows_at_test_time(self):
+    def test_inference_leaves_vocabulary_unchanged(self):
         state = fm.build_map(cfg(fm.BINNING, 3, dim=1))
-        train = fm.featurize(state, np.array([[0.0], [0.1]]))
-        size_after_train = len(state.vocabulary)
-        test = fm.featurize(state, np.array([[500.0]]))
-        assert len(state.vocabulary) > size_after_train
-        assert test.width == len(state.vocabulary)
-        # far-away point shares no bins: inner products with train are zero
-        assert not np.any(test.indices[:, 0:1] == train.indices)
+        train_X = np.array([[0.0], [0.1]])
+        train = fm.featurize(state, train_X)
+        width = len(state.vocabulary)
+        rows = state.vocabulary.rows.copy()
+        model = learn.fit(state, train, np.array([1.0, 2.0]), lam=0.1)
+        a = np.array([[500.0], [0.0]])
+        b = np.array([[-700.0], [0.1], [900.0]])
+        first_a = learn.predict(model, a)
+        first_b = learn.predict(model, b)
+        test = fm.featurize(state, a)
+        assert len(state.vocabulary) == width
+        assert np.array_equal(state.vocabulary.rows, rows)
+        # the far point's bins are unseen: sentinel index, zero score
+        assert test.width == width
+        assert np.all(test.indices[:, 0] == width)
+        assert np.array_equal(test.indices[:, 1], train.indices[:, 0])
+        assert first_a[0] == model.y_mean
+        # B then A scores as A then B did
+        assert np.array_equal(learn.predict(model, b), first_b)
+        assert np.array_equal(learn.predict(model, a), first_a)
+        assert len(state.vocabulary) == width
 
     def test_vocabulary_order_deterministic(self):
         X = np.random.default_rng(9).uniform(-1, 1, size=(30, 2))
@@ -179,7 +195,14 @@ class TestFeaturize:
         s2 = fm.build_map(cfg(fm.BINNING, 4, dim=2))
         fm.featurize(s1, X)
         fm.featurize(s2, X)
-        assert list(s1.vocabulary.items()) == list(s2.vocabulary.items())
+        assert np.array_equal(s1.vocabulary.rows, s2.vocabulary.rows)
+
+    def test_non_finite_points_rejected(self):
+        for kind in (fm.FOURIER_COMPLEX, fm.FOURIER_REAL, fm.BINNING):
+            state = fm.build_map(cfg(kind, 4, dim=2))
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    fm.featurize(state, np.array([[0.0, 0.0], [bad, 0.5]]))
 
 
 class TestGram:
@@ -198,6 +221,25 @@ class TestGram:
     def test_single_point_binning(self):
         batch = fm.featurize(fm.build_map(cfg(fm.BINNING, 4, dim=1)), np.zeros((1, 1)))
         assert fm.gram(batch).tolist() == [[1.0]]
+
+    def test_binning_gram_equals_copy_count(self):
+        # exact, also for hashed columns that several copies share
+        X = np.random.default_rng(17).uniform(-2, 2, size=(15, 2))
+        for buckets in (None, 3):
+            state = fm.build_map(cfg(fm.BINNING, 8, dim=2, hash_buckets=buckets))
+            batch = fm.featurize(state, X)
+            eq = batch.indices[:, :, None] == batch.indices[:, None, :]
+            assert np.array_equal(fm.gram(batch), eq.sum(axis=0) / 8.0), buckets
+
+    def test_sentinel_never_matches(self):
+        state = fm.build_map(cfg(fm.BINNING, 5, dim=1))
+        fm.featurize(state, np.array([[0.0], [0.2]]))
+        batch = fm.featurize(state, np.array([[0.0], [800.0], [800.0]]))
+        g = fm.gram(batch)
+        assert g[0, 0] == 1.0
+        assert np.array_equal(g[1:, :], np.zeros((2, 3)))
+        Z = fm.to_sparse(batch)
+        assert Z.shape == (batch.width, 3) and Z.nnz == 5
 
     def test_gram_is_average_of_copies(self):
         X = np.random.default_rng(13).normal(size=(5, 1))
@@ -233,9 +275,7 @@ class TestBinGeometry:
             c = cfg(fm.BINNING, copies)
             spacings = np.full((copies, 1), w)
             offsets = rng.uniform(0.0, w, size=(copies, 1))
-            state = fm.BinningMapState(
-                cfg=c, spacings=spacings, offsets=offsets, vocabulary={}
-            )
+            state = fm.BinningMapState(cfg=c, spacings=spacings, offsets=offsets)
             batch = fm.featurize(state, np.array([[0.0], [r]]))
             hits = float(np.mean(batch.indices[:, 0] == batch.indices[:, 1]))
             p = max(0.0, 1.0 - r / w)
@@ -303,3 +343,61 @@ class TestHashedVariant:
             fm.build_map(cfg(fm.BINNING, 4, seed=31, hash_buckets=1 << 20)), X
         )
         assert np.array_equal(fm.gram(exact), fm.gram(hashed))
+
+
+def dict_featurize(state, X, vocab):
+    """Reference: the dict loop that numbered binning columns before the
+    array vocabulary.  Unseen (copy, bin tuple) keys extend ``vocab``."""
+    bins = np.floor(
+        (X[None, :, :] - state.offsets[:, None, :]) / state.spacings[:, None, :]
+    ).astype(np.int64)
+    indices = np.empty(bins.shape[:2], dtype=np.int64)
+    for l in range(bins.shape[0]):
+        for i in range(bins.shape[1]):
+            indices[l, i] = vocab.setdefault((l, tuple(bins[l, i].tolist())), len(vocab))
+    return indices
+
+
+def dict_vocabulary_json(vocab):
+    return json.dumps([[copy, list(map(int, bins)), column]
+                       for (copy, bins), column in vocab.items()])
+
+
+def oracle_cases():
+    rng = np.random.default_rng(2016)
+    dup = rng.uniform(-1, 1, size=(5, 3))
+    far = np.array([[1e9, 0.0], [-1e12, 3.0], [0.5, -4e15], [0.2, 0.1], [1e9, 0.0]])
+    cases = {
+        "d=1": (rng.uniform(-1, 1, (40, 1)), rng.uniform(-3, 3, (25, 1))),
+        "n=1": (rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2))),
+        "duplicates": (dup[[0, 1, 0, 2, 2, 3, 4, 4, 0]], dup[[4, 0, 0, 1]]),
+        "negative bins": (rng.uniform(-60, -10, (30, 3)), rng.uniform(-60, -10, (30, 3))),
+        "far outside": (rng.uniform(-1, 1, (50, 2)), far),
+        "mixed": (rng.normal(size=(60, 4)), rng.normal(scale=2.0, size=(60, 4))),
+    }
+    return [pytest.param(train, test, id=name) for name, (train, test) in cases.items()]
+
+
+class TestDictOracle:
+    @pytest.mark.parametrize("train_X,test_X", oracle_cases())
+    def test_matches_dict_loop(self, train_X, test_X):
+        c = cfg(fm.BINNING, 16, seed=4, dim=train_X.shape[1])
+        state = fm.build_map(c)
+        vocab = {}
+        train = fm.featurize(state, train_X)
+        assert np.array_equal(train.indices, dict_featurize(state, train_X, vocab))
+        assert train.width == len(vocab)
+        # bundle JSON, and a bundle reload that looks bins up the same way
+        blob = json.dumps(cli._vocabulary_to_json(state))
+        assert blob == dict_vocabulary_json(vocab)
+        loaded = fm.build_map(c)
+        cli._restore_vocabulary(loaded, json.loads(blob))
+        assert json.dumps(cli._vocabulary_to_json(loaded)) == blob
+        # at inference the dict grew; the sentinel stands for every new key
+        width = len(vocab)
+        grown = dict_featurize(state, test_X, vocab)
+        expected = np.where(grown < width, grown, width)
+        for s in (state, loaded):
+            test = fm.featurize(s, test_X)
+            assert np.array_equal(test.indices, expected)
+            assert test.width == width == len(s.vocabulary)
