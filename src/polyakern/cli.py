@@ -68,9 +68,10 @@ from .rng import RandomStream, default_seed
 def parse_libsvm(path) -> learn.Dataset:
     """Read ``label idx:value ...`` lines into a dense dataset.
 
-    Indices are 1-based and densified to the maximum index seen anywhere
-    in the file; absent indices are zero.  Malformed lines, and NaN or
-    infinite feature values, raise :class:`ParseError` carrying the 1-based
+    Indices are 1-based, strictly increasing within a line, and densified
+    to the maximum index seen anywhere in the file; absent indices are
+    zero.  Malformed lines, repeated or out-of-order indices, and NaN or
+    infinite feature values raise :class:`ParseError` carrying the 1-based
     line number.
     """
     labels = []
@@ -90,6 +91,7 @@ def parse_libsvm(path) -> learn.Dataset:
                     f"label {tokens[0]!r} is not numeric", line=lineno
                 ) from None
             entries = {}
+            last = 0
             for token in tokens[1:]:
                 idx_text, sep, val_text = token.partition(":")
                 if not sep:
@@ -103,10 +105,14 @@ def parse_libsvm(path) -> learn.Dataset:
                     raise ParseError(
                         f"could not parse index:value pair {token!r}", line=lineno
                     ) from None
-                if idx < 1:
+                if idx <= last:
                     raise ParseError(
-                        f"feature indices are 1-based, got {idx}", line=lineno
+                        f"feature indices are 1-based, got {idx}" if idx < 1 else
+                        f"feature indices must increase strictly, got {idx} "
+                        f"after {last}",
+                        line=lineno,
                     )
+                last = idx
                 entries[idx - 1] = val
                 width = max(width, idx)
             labels.append(label)
@@ -361,7 +367,33 @@ def load_model(path):
         for m in bundle["models"]
     )
     classes = bundle.get("classes")
+    _check_models(bundle["task"], state, models, classes)
     return bundle["task"], state, normalizer, models, classes
+
+
+def _check_models(task, state, models, classes) -> None:
+    """Reject a bundle whose models do not fit its map or its classes."""
+    cfg = state.cfg
+    if cfg.kind != BINNING:
+        width = cfg.copies
+    elif cfg.hash_buckets is not None:
+        width = cfg.hash_buckets
+    else:
+        width = len(state.vocabulary)
+        if not width:
+            raise ParseError("binning bundle has an empty vocabulary")
+    for m in models:
+        if m.weights.shape != (width,):
+            raise ParseError(
+                f"bundle weights have {m.weights.size} entries; the map has "
+                f"{width} feature columns"
+            )
+    wanted = 1 if task == "regression" else len(classes or ())
+    if len(models) != wanted or (task != "regression" and wanted < 2):
+        raise ParseError(
+            f"bundle holds {len(models)} models for task {task!r} with "
+            f"{len(classes or ())} classes"
+        )
 
 
 # ---------------------------------------------------------------------------

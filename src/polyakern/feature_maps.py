@@ -15,6 +15,9 @@ with the Gaussian kernel). The binning map accepts any KernelSpec from the
 catalog: spacings are drawn from the generating law and divided by rho,
 offsets are uniform within each spacing, and two points contribute to the
 same feature column exactly when every coordinate lands in the same bin.
+``rescale_map`` moves a binning map to another scale of the same law
+without drawing again. A point whose bin index would not fit in int64 is
+rejected.
 
 A binning map's vocabulary of (copy, bin tuple) -> column is filled by the
 first ``featurize`` call on the map, which is the training data, and is
@@ -28,7 +31,7 @@ copies unchanged.
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse as sp
@@ -227,6 +230,26 @@ def build_map(cfg):
     return FourierMapState(cfg=cfg, frequencies=frequencies, offsets=offsets)
 
 
+def rescale_map(state, kernel):
+    """The binning map ``state`` carried over to ``kernel``, a KernelSpec of
+    the same law at another scale, with an empty vocabulary.
+
+    A spacing is a draw from the law divided by rho, and its offset is a
+    uniform fraction of the spacing, so both scale by rho_old / rho_new; on
+    a map built at rho = 1 this is the map ``build_map`` draws for
+    ``kernel`` from the same seed, up to rounding."""
+    cfg = state.cfg
+    if cfg.kind != BINNING:
+        raise ValueError("rescale_map applies to binning maps only")
+    if not (isinstance(kernel, KernelSpec) and kernel.dist == cfg.kernel.dist):
+        raise ValueError("rescale_map needs a KernelSpec of the map's own law")
+    return BinningMapState(
+        cfg=replace(cfg, kernel=kernel),
+        spacings=state.spacings * cfg.kernel.rho / kernel.rho,
+        offsets=state.offsets * cfg.kernel.rho / kernel.rho,
+    )
+
+
 def _check_points(state, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != state.cfg.dim:
@@ -245,7 +268,13 @@ def _bin_keys(state, X):
     t /= state.spacings[:, None, :]
     keys = np.empty(t.shape[:2] + (t.shape[2] + 1,), dtype=np.int64)
     keys[:, :, 0] = np.arange(t.shape[0])[:, None]
-    keys[:, :, 1:] = np.floor(t, out=t)
+    np.floor(t, out=t)
+    if t.min(initial=0.0) < -2.0 ** 63 or t.max(initial=0.0) >= 2.0 ** 63:
+        raise ValueError(
+            "points lie too far from the origin for this map: a bin index "
+            "exceeds the int64 range"
+        )
+    keys[:, :, 1:] = t
     return keys
 
 

@@ -8,14 +8,19 @@ regression (the mean is restored at prediction time); classification fits
 uncentered ±1 indicator targets, one model per class, and predicts the
 class with the largest score.
 
+``fit_path`` fits one batch for several penalties, sharing the feature
+matrix and its Gram matrix; ``fit`` is its one-penalty case.
+
 ``cross_validate`` grid-searches a binning map's distribution shape, its
 area parameter τ, and the ridge penalty λ by k-fold validation, breaking
-exact score ties toward the larger λ and then the larger τ.
+exact score ties toward the larger λ and then the larger τ.  It draws one
+unit-scale map per (shape, fold): τ only rescales that map's spacings and
+offsets, and λ does not touch the features, so each (shape, τ, fold)
+featurizes its rows once and fits every λ from one Gram matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
@@ -27,12 +32,10 @@ from .distributions import Distribution, Gamma, Nakagami, ShiftedPoisson, Weibul
 from .errors import NumericalError
 from .feature_maps import (
     BINNING,
-    FOURIER_REAL,
-    BinningMapState,
     FeatureMapConfig,
-    FourierMapState,
     build_map,
     featurize,
+    rescale_map,
     to_sparse,
 )
 from .polya_kernels import KernelSpec
@@ -187,14 +190,31 @@ def _solve_spd(A, b):
     return x
 
 
-def fit(state, batch, y, lam: float, center: bool = True) -> RidgeModel:
-    """Ridge-fit targets ``y`` against featurized points ``batch``.
+def _dense(M):
+    return np.asarray(M.todense()) if scipy.sparse.issparse(M) else np.asarray(M)
 
-    Solves the smaller of the two regularized normal-equation systems by a
-    Cholesky factorization and verifies the residual.
+
+def _ridge_systems(M, lams):
+    """Yield M + λI for each λ in turn, written into M itself: the diagonal
+    is reset from a saved copy, so no second matrix of M's size is made."""
+    diag = M.diagonal().copy()
+    for lam in lams:
+        np.fill_diagonal(M, diag + lam)
+        yield M
+
+
+def fit_path(state, batch, y, lams, center: bool = True) -> Tuple[RidgeModel, ...]:
+    """Ridge-fit targets ``y`` against featurized points ``batch`` once per
+    penalty in ``lams``, in that order.
+
+    The feature matrix and the Gram matrix of the smaller of the two
+    regularized normal-equation systems are built once; each penalty then
+    gets its own Cholesky solve with a residual check.
     """
-    if not lam > 0.0:
-        raise ValueError(f"ridge penalty must be positive, got {lam}")
+    lams = tuple(float(lam) for lam in lams)
+    for lam in lams:
+        if not lam > 0.0:
+            raise ValueError(f"ridge penalty must be positive, got {lam}")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != batch.n:
         raise ValueError(
@@ -203,7 +223,8 @@ def fit(state, batch, y, lam: float, center: bool = True) -> RidgeModel:
         )
     if not np.all(np.isfinite(y)):
         raise NumericalError("targets contain non-finite values")
-    if np.iscomplexobj(_feature_matrix(batch)):
+    Z = _feature_matrix(batch)
+    if np.iscomplexobj(Z):
         raise ValueError(
             "complex feature maps are for spectral analysis; fit on the "
             "real map or the binning map"
@@ -211,31 +232,32 @@ def fit(state, batch, y, lam: float, center: bool = True) -> RidgeModel:
 
     y_mean = float(y.mean()) if center else 0.0
     y_c = y - y_mean
-    Z = _feature_matrix(batch)
     p, n = Z.shape
 
     if p <= n:
-        A = Z @ Z.T
-        A = np.asarray(A.todense()) if scipy.sparse.issparse(A) else np.asarray(A)
-        A = A + lam * np.eye(p)
         b = np.asarray(Z @ y_c).ravel()
-        weights = _solve_spd(A, b)
+        systems = _ridge_systems(_dense(Z @ Z.T), lams)
+        weights = [_solve_spd(A, b) for A in systems]
         route = "primal"
     else:
-        G = Z.T @ Z
-        G = np.asarray(G.todense()) if scipy.sparse.issparse(G) else np.asarray(G)
-        G = G + lam * np.eye(n)
-        alpha = _solve_spd(G, y_c)
-        weights = np.asarray(Z @ alpha).ravel()
+        systems = _ridge_systems(_dense(Z.T @ Z), lams)
+        weights = [np.asarray(Z @ _solve_spd(G, y_c)).ravel() for G in systems]
         route = "dual"
 
-    return RidgeModel(state=state, weights=weights, lam=float(lam),
-                      y_mean=y_mean, route=route)
+    return tuple(
+        RidgeModel(state=state, weights=w, lam=lam, y_mean=y_mean, route=route)
+        for w, lam in zip(weights, lams)
+    )
 
 
-def predict(model: RidgeModel, X) -> np.ndarray:
-    """Scores ⟨weights, z(x)⟩ plus the restored target mean."""
-    batch = featurize(model.state, X)
+def fit(state, batch, y, lam: float, center: bool = True) -> RidgeModel:
+    """Ridge-fit targets ``y`` against featurized points ``batch``: the
+    one-penalty case of ``fit_path``."""
+    return fit_path(state, batch, y, (lam,), center=center)[0]
+
+
+def _scores(model: RidgeModel, batch) -> np.ndarray:
+    """Scores of featurized points: ⟨weights, z(x)⟩ plus the target mean."""
     w = model.weights
     p = w.shape[0]
     if batch.kind == BINNING:
@@ -246,6 +268,11 @@ def predict(model: RidgeModel, X) -> np.ndarray:
     else:
         scores = w @ batch.data
     return scores + model.y_mean
+
+
+def predict(model: RidgeModel, X) -> np.ndarray:
+    """Scores ⟨weights, z(x)⟩ plus the restored target mean."""
+    return _scores(model, featurize(model.state, X))
 
 
 def fit_regression(X, y, cfg: FeatureMapConfig, lam: float,
@@ -262,28 +289,38 @@ def fit_regression(X, y, cfg: FeatureMapConfig, lam: float,
 
 @dataclass(frozen=True)
 class OneVsAllModel:
-    """One ridge model per class, fitted on ±1 indicator targets."""
+    """One ridge model per class, fitted on ±1 indicator targets; the
+    models share one feature map state."""
 
     classes: Tuple[float, ...]
     models: Tuple[RidgeModel, ...]
 
 
-def one_vs_all(train: Dataset, cfg: FeatureMapConfig, lam: float) -> OneVsAllModel:
-    """Fit one uncentered ridge model per class; all share one feature map."""
-    X = train.train_points
-    labels = train.train_targets
+def _one_vs_all_path(state, batch, labels, lams) -> Tuple[OneVsAllModel, ...]:
+    """One-vs-all classifiers on one featurized batch, one per penalty."""
     classes = tuple(float(c) for c in np.unique(labels))
     if len(classes) < 2:
         raise ValueError(
             f"one-vs-all needs at least two classes, got {len(classes)}"
         )
-    state = build_map(cfg)
-    batch = featurize(state, X)
-    models = tuple(
-        fit(state, batch, np.where(labels == c, 1.0, -1.0), lam, center=False)
+    paths = [
+        fit_path(state, batch, np.where(labels == c, 1.0, -1.0), lams, center=False)
         for c in classes
-    )
-    return OneVsAllModel(classes=classes, models=models)
+    ]
+    return tuple(OneVsAllModel(classes=classes, models=models) for models in zip(*paths))
+
+
+def one_vs_all(train: Dataset, cfg: FeatureMapConfig, lam: float) -> OneVsAllModel:
+    """Fit one uncentered ridge model per class; all share one feature map."""
+    state = build_map(cfg)
+    batch = featurize(state, train.train_points)
+    return _one_vs_all_path(state, batch, train.train_targets, (lam,))[0]
+
+
+def _labels(clf: OneVsAllModel, batch) -> np.ndarray:
+    """Class labels with the largest one-vs-all score on featurized points."""
+    scores = np.column_stack([_scores(m, batch) for m in clf.models])
+    return np.asarray(clf.classes, dtype=float)[np.argmax(scores, axis=1)]
 
 
 def decision_scores(clf: OneVsAllModel, X) -> np.ndarray:
@@ -293,8 +330,7 @@ def decision_scores(clf: OneVsAllModel, X) -> np.ndarray:
 
 def predict_labels(clf: OneVsAllModel, X) -> np.ndarray:
     """Class labels with the largest one-vs-all score."""
-    scores = decision_scores(clf, X)
-    return np.asarray(clf.classes, dtype=float)[np.argmax(scores, axis=1)]
+    return _labels(clf, featurize(clf.models[0].state, X))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +375,34 @@ def _is_better(candidate, incumbent) -> bool:
     return tau > inc_tau
 
 
-def _combo_seed(base_seed: int, combo: int, fold: int) -> int:
-    return int(RandomStream(base_seed, path=(combo, fold)).integers(0, 2 ** 63 - 1, 1)[0])
+def _map_seed(base_seed: int, shape_index: int, fold: int) -> int:
+    return int(
+        RandomStream(base_seed, path=(shape_index, fold)).integers(0, 2 ** 63 - 1, 1)[0]
+    )
+
+
+def _fold_scores(state, task, X_fit, y_fit, X_hold, y_hold, lams):
+    """Validation score of each penalty in ``lams`` for one map and fold:
+    mean-squared error for regression, error rate for classification."""
+    batch = featurize(state, X_fit)  # fills the vocabulary
+    hold = featurize(state, X_hold)
+    if task == "regression":
+        models = fit_path(state, batch, y_fit, lams)
+        return [float(np.mean((_scores(m, hold) - y_hold) ** 2)) for m in models]
+    classifiers = _one_vs_all_path(state, batch, y_fit, lams)
+    return [float(np.mean(_labels(clf, hold) != y_hold)) for clf in classifiers]
 
 
 def cross_validate(train: Dataset, space: CvSearchSpace) -> CvResult:
     """k-fold grid search over (distribution shape, τ, λ) for a binning map.
 
     Regression minimizes mean-squared validation error; classification
-    minimizes the validation error rate.  Deterministic given
-    ``space.seed``.
+    minimizes the validation error rate.  Each (shape, fold) draws one
+    binning map at unit scale, with a seed derived from ``space.seed``, the
+    shape's index and the fold; every τ rescales that map (``rescale_map``)
+    and every λ reuses the τ's featurized rows and Gram matrix
+    (``fit_path``).  All grid points thus share common random numbers.
+    Deterministic given ``space.seed``.
     """
     if space.task not in ("regression", "classification"):
         raise ValueError(f"unknown task {space.task!r}")
@@ -376,29 +430,28 @@ def cross_validate(train: Dataset, space: CvSearchSpace) -> CvResult:
 
     best = None  # (score, lam, tau, shape)
     rows = []
-    combos = itertools.product(shapes, space.taus, space.lambdas)
-    for combo_index, (shape, tau, lam) in enumerate(combos):
-        kernel = KernelSpec(make_dist(shape), tau=tau)
-        fold_scores = []
+    for shape_index, shape in enumerate(shapes):
+        dist = make_dist(shape)
+        kernels = [KernelSpec(dist, tau=tau) for tau in space.taus]
+        fold_scores = np.empty((len(kernels), len(space.lambdas), space.folds))
         for fold in range(space.folds):
             hold = fold_of == fold
-            cfg = FeatureMapConfig(
-                kind=BINNING, kernel=kernel, dim=dim, copies=space.copies,
-                seed=_combo_seed(space.seed, combo_index, fold),
-            )
-            if space.task == "regression":
-                model = fit_regression(X[~hold], y[~hold], cfg, lam)
-                preds = predict(model, X[hold])
-                fold_scores.append(float(np.mean((preds - y[hold]) ** 2)))
-            else:
-                clf = one_vs_all(Dataset.full(X[~hold], y[~hold]), cfg, lam)
-                preds = predict_labels(clf, X[hold])
-                fold_scores.append(float(np.mean(preds != y[hold])))
-        score = float(np.mean(fold_scores))
-        rows.append((float(shape), float(tau), float(lam), score))
-        key = (score, float(lam), float(tau))
-        if best is None or _is_better(key, best[:3]):
-            best = (score, float(lam), float(tau), float(shape))
+            unit = build_map(FeatureMapConfig(
+                kind=BINNING, kernel=KernelSpec(dist), dim=dim, copies=space.copies,
+                seed=_map_seed(space.seed, shape_index, fold),
+            ))
+            for t, kernel in enumerate(kernels):
+                fold_scores[t, :, fold] = _fold_scores(
+                    rescale_map(unit, kernel), space.task,
+                    X[~hold], y[~hold], X[hold], y[hold], space.lambdas,
+                )
+        for t, tau in enumerate(space.taus):
+            for j, lam in enumerate(space.lambdas):
+                score = float(np.mean(fold_scores[t, j]))
+                rows.append((float(shape), float(tau), float(lam), score))
+                key = (score, float(lam), float(tau))
+                if best is None or _is_better(key, best[:3]):
+                    best = (score, float(lam), float(tau), float(shape))
 
     score, lam, tau, shape = best
     return CvResult(family=space.family, shape=shape, tau=tau, lam=lam,

@@ -71,6 +71,17 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="line 2: feature 2"):
             cli.parse_libsvm(path)
 
+    @pytest.mark.parametrize("line,message", [
+        ("1 1:3 1:4", "got 1 after 1"),
+        ("1 2:3 1:4", "got 1 after 2"),
+        ("1 1:1 3:2 2:5", "got 2 after 3"),
+    ])
+    def test_repeated_or_decreasing_index_reports_line(self, tmp_path, line, message):
+        f = tmp_path / "d.txt"
+        write_lines(f, ["1 1:1 2:2", line])
+        with pytest.raises(ParseError, match=f"line 2: .*increase strictly, {message}"):
+            cli.parse_libsvm(f)
+
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("\n\n")
@@ -433,6 +444,88 @@ class TestFitPredict:
             ])
             assert code == 1
             assert "finite" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+    def test_bin_index_overflow_is_json_error(self, tmp_path, capsys):
+        # min-max normalization keeps training points in [0, 1]; a test
+        # point at 1e300 lands beyond the int64 range of bin indices
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=24, n=20)
+        model_path = tmp_path / "model.json"
+        assert cli.main([
+            "fit", str(data), "--task", "regression", "--map", "binning",
+            "--kernel", "gamma:s=2,theta=1", "--copies", "8", "--lambda", "0.1",
+            "--seed", "2", "--out", str(model_path),
+        ]) == 0
+        for value in ("1e300", "-1e300"):
+            far = tmp_path / "far.txt"
+            write_lines(far, ["0 1:0.1 2:0.2", f"0 1:{value} 2:0.3"])
+            capsys.readouterr()
+            assert cli.main(["predict", str(far), "--model", str(model_path)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert "int64" in json.loads(err[0])["error"]
+
+
+def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,theta=1"):
+    data = tmp_path / "train.txt"
+    if task == "regression":
+        make_regression_file(data, seed=25, n=20)
+    else:
+        make_classification_file(data, classes=3, per_class=6)
+    model_path = tmp_path / "model.json"
+    assert cli.main([
+        "fit", str(data), "--task", task, "--map", kind, "--kernel", kernel,
+        "--copies", "8", "--lambda", "0.1", "--seed", "2", "--out", str(model_path),
+    ]) == 0
+    return data, model_path
+
+
+def predict_error(data, model_path, capsys):
+    capsys.readouterr()
+    assert cli.main(["predict", str(data), "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])["error"]
+
+
+def rewrite_bundle(model_path, edit):
+    bundle = json.loads(model_path.read_text())
+    edit(bundle)
+    model_path.write_text(json.dumps(bundle))
+
+
+class TestBundleChecks:
+    def test_binning_weights_cut_short(self, tmp_path, capsys):
+        data, model_path = fit_bundle(tmp_path)
+        width = len(json.loads(model_path.read_text())["vocabulary"])
+        rewrite_bundle(model_path, lambda b: b["models"][0].update(
+            weights=b["models"][0]["weights"][:2]))
+        message = predict_error(data, model_path, capsys)
+        assert f"weights have 2 entries; the map has {width} feature columns" in message
+
+    def test_fourier_weights_not_one_per_copy(self, tmp_path, capsys):
+        data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")
+        rewrite_bundle(model_path, lambda b: b["models"][0]["weights"].append(0.5))
+        message = predict_error(data, model_path, capsys)
+        assert "weights have 9 entries; the map has 8 feature columns" in message
+
+    def test_classes_do_not_match_models(self, tmp_path, capsys):
+        data, model_path = fit_bundle(tmp_path, task="multiclass")
+        rewrite_bundle(model_path, lambda b: b["classes"].pop())
+        message = predict_error(data, model_path, capsys)
+        assert "3 models for task 'multiclass' with 2 classes" in message
+
+    def test_empty_binning_vocabulary(self, tmp_path, capsys):
+        data, model_path = fit_bundle(tmp_path)
+
+        def empty(bundle):
+            bundle["vocabulary"] = []
+            bundle["models"][0]["weights"] = []
+
+        rewrite_bundle(model_path, empty)
+        message = predict_error(data, model_path, capsys)
+        assert "empty vocabulary" in message
 
 
 class TestCv:

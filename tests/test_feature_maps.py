@@ -204,6 +204,52 @@ class TestFeaturize:
                 with pytest.raises(ValueError, match="finite"):
                     fm.featurize(state, np.array([[0.0, 0.0], [bad, 0.5]]))
 
+    def test_bin_index_beyond_int64_rejected(self):
+        # floor((x - offset) / spacing) of x = +-1e300 lies outside int64;
+        # a cast would send both points to INT64_MIN and the same columns
+        state = fm.build_map(cfg(fm.BINNING, 4, dim=1))
+        for X in ([[0.0], [1e300]], [[-1e300], [0.0]], [[1e300], [-1e300]]):
+            with pytest.raises(ValueError, match="int64"):
+                fm.featurize(state, np.array(X))
+            with pytest.raises(ValueError, match="int64"):
+                fm.per_copy_inner_products(state, X[0], X[1])
+        assert len(state.vocabulary) == 0
+        # 4e15 still bins exactly, as the dict oracle cases show
+        assert fm.featurize(state, np.array([[4e15], [-4e15]])).width == 8
+
+
+class TestRescaleMap:
+    @pytest.mark.parametrize("law", [dist.Gamma(2.0, 1.0), dist.Weibull(1.0, 3.0),
+                                     dist.ShiftedPoisson(1.5)])
+    def test_matches_build_map_at_tau(self, law):
+        unit = fm.build_map(cfg(fm.BINNING, 16, seed=5, dim=3, kernel=KernelSpec(law)))
+        for tau in (0.12, 1.0, 7.3, 40.0):
+            spec = KernelSpec(law, tau=tau)
+            direct = fm.build_map(cfg(fm.BINNING, 16, seed=5, dim=3, kernel=spec))
+            scaled = fm.rescale_map(unit, spec)
+            assert scaled.cfg == direct.cfg
+            np.testing.assert_allclose(scaled.spacings, direct.spacings, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(scaled.offsets, direct.offsets, rtol=1e-15, atol=0)
+            assert np.all(scaled.offsets < scaled.spacings)
+
+    def test_fresh_vocabulary_and_unit_map_untouched(self):
+        unit = fm.build_map(cfg(fm.BINNING, 4, dim=2))
+        X = np.random.default_rng(3).normal(size=(10, 2))
+        fm.featurize(unit, X)
+        rows = unit.vocabulary.rows.copy()
+        scaled = fm.rescale_map(unit, KernelSpec(LAPLACE_SPEC.dist, tau=3.0))
+        assert len(scaled.vocabulary) == 0
+        fm.featurize(scaled, X)
+        assert np.array_equal(unit.vocabulary.rows, rows)
+        assert scaled.vocabulary is not unit.vocabulary
+
+    def test_rejects_other_law_or_map_kind(self):
+        unit = fm.build_map(cfg(fm.BINNING, 4))
+        with pytest.raises(ValueError, match="law"):
+            fm.rescale_map(unit, KernelSpec(dist.Gamma(3.0, 1.0), tau=1.0))
+        with pytest.raises(ValueError, match="binning"):
+            fm.rescale_map(fm.build_map(cfg(fm.FOURIER_REAL, 4)), LAPLACE_SPEC)
+
 
 class TestGram:
     def test_symmetric_and_diagonals(self):

@@ -165,6 +165,41 @@ class TestFit:
             learn.fit(state, batch, np.zeros(3), lam=0.1)
 
 
+class TestFitPath:
+    LAMS = (0.01, 0.1, 1.0, 5.0)
+
+    @pytest.mark.parametrize("make_cfg,n,route", [
+        (lambda: binning_cfg(dim=2, copies=8), 30, "dual"),
+        (lambda: binning_cfg(dim=1, copies=4, tau=50.0), 200, "primal"),
+        (lambda: fourier_cfg(copies=12), 40, "primal"),
+        (lambda: fourier_cfg(copies=40), 12, "dual"),
+    ])
+    @pytest.mark.parametrize("center", [True, False])
+    def test_bit_equal_to_separate_fits(self, make_cfg, n, route, center):
+        stream = RandomStream(71)
+        X = stream.uniform(2 * n).reshape(n, 2)[:, : make_cfg().dim] * 3.0
+        y = np.sin(2.0 * X[:, 0]) + 0.1 * stream.child(1).normal(n)
+        state = build_map(make_cfg())
+        batch = featurize(state, X)
+        path = learn.fit_path(state, batch, y, self.LAMS, center=center)
+        assert [m.lam for m in path] == list(self.LAMS)
+        for lam, model in zip(self.LAMS, path):
+            single = learn.fit(state, batch, y, lam, center=center)
+            assert model.route == single.route == route
+            assert model.y_mean == single.y_mean
+            assert model.state is single.state is state
+            assert np.array_equal(model.weights, single.weights)
+            assert model.weights.tobytes() == single.weights.tobytes()
+
+    def test_rejects_any_bad_penalty(self):
+        X = np.linspace(0.0, 1.0, 6).reshape(6, 1)
+        state = build_map(binning_cfg(dim=1, copies=4))
+        batch = featurize(state, X)
+        with pytest.raises(ValueError, match="positive"):
+            learn.fit_path(state, batch, X[:, 0], (0.1, 0.0))
+        assert learn.fit_path(state, batch, X[:, 0], ()) == ()
+
+
 class TestSolveRoutes:
     """The solver picks the smaller SPD system (feature-count vs point-count);
     either route must match the Gram-matrix oracle."""
@@ -380,6 +415,28 @@ class TestCrossValidate:
         assert 0.0 <= result.score <= 1.0
         # Well-separated blobs: the chosen setting should classify well.
         assert result.score <= 0.2
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_one_map_per_shape_and_fold(self, monkeypatch, task):
+        X, labels = make_blobs(seed=95, per_class=10)
+        y = labels if task == "classification" else np.sin(X[:, 0]) + X[:, 1]
+        calls = []
+        real_build_map = learn.build_map
+
+        def counting_build_map(cfg):
+            calls.append(cfg)
+            return real_build_map(cfg)
+
+        monkeypatch.setattr(learn, "build_map", counting_build_map)
+        space = learn.CvSearchSpace(
+            family="gamma", shapes=(1.0, 2.0, 3.0), taus=(0.5, 1.0, 4.0),
+            lambdas=(0.01, 0.1), copies=8, folds=3, seed=4, task=task,
+        )
+        result = learn.cross_validate(learn.Dataset.full(X, y), space)
+        assert len(calls) == 3 * 3
+        assert len(result.table) == 3 * 3 * 2
+        assert all(cfg.kernel.rho == 1.0 for cfg in calls)
+        assert len({cfg.seed for cfg in calls}) == len(calls)
 
     def test_validation_errors(self):
         X = np.zeros((8, 1))
