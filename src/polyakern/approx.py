@@ -117,6 +117,23 @@ class ErrorStats:
     def empirical_rel(self):
         return math.sqrt(self.mean_sq / self.norm_k_sq)
 
+    @property
+    def stderr_rel(self):
+        """Delta-method standard error of empirical_rel."""
+        if self.mean_sq <= 0.0:
+            return 0.0
+        return self.stderr_sq / (2.0 * math.sqrt(self.mean_sq * self.norm_k_sq))
+
+    @classmethod
+    def from_errors(cls, kind, copies, errs, theory_sq, norm_k_sq):
+        """Summary of per-trial squared Frobenius errors, in trial order."""
+        trials = len(errs)
+        stderr = float(np.std(errs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        return cls(
+            kind=kind, copies=copies, trials=trials, mean_sq=float(np.mean(errs)),
+            stderr_sq=stderr, theory_sq=theory_sq, norm_k_sq=norm_k_sq,
+        )
+
 
 def _trial_seed(base, t):
     return int(RandomStream(base, path=(t,)).integers(0, 2 ** 63 - 1, 1)[0])
@@ -142,14 +159,6 @@ def empirical_error(kernel, X, cfg, trials):
         else:
             diff = fm.gram(batch) - K.values
             errs[t] = float(np.sum(diff * diff))
-    mean = float(np.mean(errs))
-    stderr = float(np.std(errs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return ErrorStats(
-        kind=cfg.kind,
-        copies=cfg.copies,
-        trials=trials,
-        mean_sq=mean,
-        stderr_sq=stderr,
-        theory_sq=theory,
-        norm_k_sq=float(np.sum(K.values * K.values)),
+    return ErrorStats.from_errors(
+        cfg.kind, cfg.copies, errs, theory, float(np.sum(K.values * K.values))
     )

@@ -468,13 +468,6 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _stderr_rel(stats) -> float:
-    """Delta-method standard error for sqrt(mean_sq / ||K||_F^2)."""
-    if stats.mean_sq <= 0.0:
-        return 0.0
-    return stats.stderr_sq / (2.0 * math.sqrt(stats.mean_sq * stats.norm_k_sq))
-
-
 def _synthetic_points(seed: int, n: int = 50, dim: int = 3) -> np.ndarray:
     return 2.0 * RandomStream(seed, path=(9,)).uniform(n * dim).reshape(n, dim) - 1.0
 
@@ -502,7 +495,7 @@ def _cmd_approx_error(args) -> int:
             stats = approx.empirical_error(kernel, points, cfg, trials=args.trials)
             lines.append(
                 f"{kind},{copies},{_fmt(stats.theory_rel)},"
-                f"{_fmt(stats.empirical_rel)},{_fmt(_stderr_rel(stats))}"
+                f"{_fmt(stats.empirical_rel)},{_fmt(stats.stderr_rel)}"
             )
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -695,21 +688,10 @@ def run_experiment(cfg: ExperimentConfig) -> str:
                 errors.append(
                     float(np.sum((gram(featurize(state, probe)) - K) ** 2))
                 )
-            mean_sq = float(np.mean(errors))
-            stderr_sq = (
-                float(np.std(errors, ddof=1) / math.sqrt(len(errors)))
-                if len(errors) > 1
-                else 0.0
-            )
-            emp_rel = math.sqrt(mean_sq / norm_k_sq) if mean_sq > 0 else 0.0
-            stderr_rel = (
-                stderr_sq / (2.0 * math.sqrt(mean_sq * norm_k_sq))
-                if mean_sq > 0
-                else 0.0
-            )
+            stats = approx.ErrorStats.from_errors(kind, copies, errors, theory_sq, norm_k_sq)
             lines.append(
-                f"{kind},{copies},{_fmt(math.sqrt(theory_sq / norm_k_sq))},"
-                f"{_fmt(emp_rel)},{_fmt(stderr_rel)},{_fmt(np.mean(metrics))}"
+                f"{kind},{copies},{_fmt(stats.theory_rel)},{_fmt(stats.empirical_rel)},"
+                f"{_fmt(stats.stderr_rel)},{_fmt(np.mean(metrics))}"
             )
     return "\n".join(lines) + "\n"
 

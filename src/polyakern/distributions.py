@@ -1,30 +1,27 @@
 """Catalog of positively supported distributions that generate kernels.
 
-Each family carries closed-form density, cdf, and mean, an exact sampler
-built on :class:`~polyakern.rng.RandomStream`, and - where the
-reciprocal-moment integral C = int f(x)/x dx converges - a decomposition
-into (C, tilted law) with tilted density f(x)/(C x). The tilted law is a
-catalog member when the family is closed under tilting, a plain Poisson for
-shifted counts, and a quadrature-backed cdf otherwise.
+Each family carries closed-form density, cdf, survival function (sf) and
+mean, an exact sampler built on :class:`~polyakern.rng.RandomStream`, and -
+where the reciprocal-moment integral C = int f(x)/x dx converges - a
+decomposition into (C, tilted law) with tilted density f(x)/(C x). The
+tilted law is a catalog member when the family is closed under tilting, a
+plain Poisson for shifted counts, and a generalized gamma law otherwise
+(Weibull, and Nakagami with m < 1). Every tilted law has a closed sf and,
+except a tilted Weibull law with exponent other than 2, a closed real part
+of its characteristic function, re_cf.
+Special functions come from ``math`` and ``scipy.special``; values are
+returned as Python floats.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import gammainc, gammaincc, hyp1f1
 
 from .errors import ConvergenceError, InfiniteTiltError, ParseError
-from .specfun import (
-    erf,
-    gamma_fn,
-    log_gamma,
-    reg_lower_inc_gamma,
-    reg_upper_inc_gamma,
-)
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -41,36 +38,35 @@ class TiltDecomposition:
     tilted: object
 
 
-class QuadratureCdf:
-    """Distribution function computed by integrating a density numerically.
+@dataclass(frozen=True)
+class GeneralizedGamma:
+    """Law of scale * Y**(1/power) with Y ~ Gamma(shape, 1).
 
-    Evaluations are cached as anchor points; a new query integrates only the
-    panel from the nearest anchor below, so sweeps over a grid cost one
-    short quadrature per point. Absolute accuracy target 1e-10.
+    Only produced as the tilted half of a Weibull law (power alpha) and of a
+    Nakagami law with 1/2 < m < 1 (power 2), whose tilted shapes leave their
+    own families.
     """
 
-    def __init__(self, density, lower=0.0):
-        self._density = density
-        self.lower = lower
-        self._anchors = [(lower, 0.0)]
-
-    def density(self, x):
-        if x <= self.lower:
-            return 0.0
-        return self._density(x)
+    shape: float
+    scale: float
+    power: float
 
     def cdf(self, x):
-        if x <= self.lower:
+        if x <= 0.0:
             return 0.0
-        keys = [a for a, _ in self._anchors]
-        i = bisect_right(keys, x) - 1
-        x0, f0 = self._anchors[i]
-        if x == x0:
-            return f0
-        inc, _ = quad(self._density, x0, x, epsabs=1e-12, epsrel=1e-10, limit=200)
-        f = min(f0 + inc, 1.0)
-        insort(self._anchors, (x, f))
-        return f
+        return float(gammainc(self.shape, (x / self.scale) ** self.power))
+
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        return float(gammaincc(self.shape, (x / self.scale) ** self.power))
+
+    def re_cf(self, a):
+        """E cos(aX), in closed form for power 2 only (a Nakagami law with
+        m = shape); None otherwise."""
+        if self.power != 2.0:
+            return None
+        return float(hyp1f1(self.shape, 0.5, -0.25 * (self.scale * a) ** 2))
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,20 @@ class Poisson:
         k = round(float(x))
         if abs(x - k) > 1e-9 or k < 0:
             return 0.0
-        return math.exp(-self.mu + k * math.log(self.mu) - log_gamma(k + 1.0))
+        return math.exp(-self.mu + k * math.log(self.mu) - math.lgamma(k + 1.0))
 
     def cdf(self, x):
         if x < 0.0:
             return 0.0
-        return reg_upper_inc_gamma(math.floor(x) + 1.0, self.mu)
+        return float(gammaincc(math.floor(x) + 1.0, self.mu))
+
+    def sf(self, x):
+        if x < 0.0:
+            return 1.0
+        return float(gammainc(math.floor(x) + 1.0, self.mu))
+
+    def re_cf(self, a):
+        return math.exp(self.mu * (math.cos(a) - 1.0)) * math.cos(self.mu * math.sin(a))
 
     def mean(self):
         return self.mu
@@ -221,12 +225,17 @@ class ShiftedPoisson(Distribution):
         k = round(float(x))
         if abs(x - k) > 1e-9 or k < 1:
             return 0.0
-        return math.exp(-self.mu + (k - 1) * math.log(self.mu) - log_gamma(float(k)))
+        return math.exp(-self.mu + (k - 1) * math.log(self.mu) - math.lgamma(float(k)))
 
     def cdf(self, x):
         if x < 1.0:
             return 0.0
-        return reg_upper_inc_gamma(math.floor(x), self.mu)
+        return float(gammaincc(math.floor(x), self.mu))
+
+    def sf(self, x):
+        if x < 1.0:
+            return 1.0
+        return float(gammainc(math.floor(x), self.mu))
 
     def mean(self):
         return self.mu + 1.0
@@ -260,14 +269,24 @@ class Gamma(Distribution):
         return math.exp(
             (self.s - 1.0) * math.log(x)
             - x / self.theta
-            - log_gamma(self.s)
+            - math.lgamma(self.s)
             - self.s * math.log(self.theta)
         )
 
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
-        return reg_lower_inc_gamma(self.s, x / self.theta)
+        return float(gammainc(self.s, x / self.theta))
+
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        return float(gammaincc(self.s, x / self.theta))
+
+    def re_cf(self, a):
+        x = self.theta * a
+        cosw = 1.0 / math.sqrt(1.0 + x * x)
+        return cosw ** self.s * math.cos(self.s * math.atan(x))
 
     def mean(self):
         return self.s * self.theta
@@ -303,6 +322,11 @@ class Exponential(Distribution):
             return 0.0
         return -math.expm1(-x / self.theta)
 
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        return math.exp(-x / self.theta)
+
     def mean(self):
         return self.theta
 
@@ -337,8 +361,13 @@ class Weibull(Distribution):
             return 0.0
         return -math.expm1(-((x / self.theta) ** self.alpha))
 
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        return math.exp(-((x / self.theta) ** self.alpha))
+
     def mean(self):
-        return self.theta * gamma_fn(1.0 + 1.0 / self.alpha)
+        return self.theta * math.gamma(1.0 + 1.0 / self.alpha)
 
     def sample_many(self, stream, size):
         return self.theta * (-np.log(stream.uniform_open(size))) ** (1.0 / self.alpha)
@@ -348,9 +377,10 @@ class Weibull(Distribution):
             raise InfiniteTiltError(
                 f"{self!r}: tilting requires alpha > 1 (density at zero kills 1/x)"
             )
-        c = gamma_fn(1.0 - 1.0 / self.alpha) / self.theta
-        tilted = QuadratureCdf(lambda x, d=self, cc=c: d.density(x) / (cc * x))
-        return TiltDecomposition(c, tilted)
+        shape = 1.0 - 1.0 / self.alpha
+        return TiltDecomposition(
+            math.gamma(shape) / self.theta, GeneralizedGamma(shape, self.theta, self.alpha)
+        )
 
 
 @dataclass(frozen=True)
@@ -369,6 +399,9 @@ class ChiSquare(Distribution):
 
     def cdf(self, x):
         return self._as_gamma().cdf(x)
+
+    def sf(self, x):
+        return self._as_gamma().sf(x)
 
     def mean(self):
         return float(self.nu)
@@ -399,16 +432,24 @@ class Chi(Distribution):
             (1.0 - self.nu / 2.0) * math.log(2.0)
             + (self.nu - 1.0) * math.log(x)
             - x * x / 2.0
-            - log_gamma(self.nu / 2.0)
+            - math.lgamma(self.nu / 2.0)
         )
 
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
-        return reg_lower_inc_gamma(self.nu / 2.0, x * x / 2.0)
+        return float(gammainc(self.nu / 2.0, x * x / 2.0))
+
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        return float(gammaincc(self.nu / 2.0, x * x / 2.0))
+
+    def re_cf(self, a):
+        return float(hyp1f1(self.nu / 2.0, 0.5, -0.5 * a * a))
 
     def mean(self):
-        return _SQRT_2 * math.exp(log_gamma((self.nu + 1.0) / 2.0) - log_gamma(self.nu / 2.0))
+        return _SQRT_2 * math.exp(math.lgamma((self.nu + 1.0) / 2.0) - math.lgamma(self.nu / 2.0))
 
     def sample_many(self, stream, size):
         return np.sqrt(2.0 * _gamma_shape_draws(stream, self.nu / 2.0, size))
@@ -416,7 +457,7 @@ class Chi(Distribution):
     def decompose(self):
         if self.nu < 2:
             raise InfiniteTiltError(f"{self!r}: tilting requires nu >= 2")
-        c = math.exp(log_gamma((self.nu - 1.0) / 2.0) - log_gamma(self.nu / 2.0)) / _SQRT_2
+        c = math.exp(math.lgamma((self.nu - 1.0) / 2.0) - math.lgamma(self.nu / 2.0)) / _SQRT_2
         return TiltDecomposition(c, Chi(self.nu - 1))
 
 
@@ -438,7 +479,16 @@ class HalfNormal(Distribution):
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
-        return erf(x / (self.sigma * _SQRT_2))
+        return math.erf(x / (self.sigma * _SQRT_2))
+
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        return math.erfc(x / (self.sigma * _SQRT_2))
+
+    def re_cf(self, a):
+        x = self.sigma * a
+        return math.exp(-0.5 * x * x)
 
     def mean(self):
         return self.sigma * _SQRT_2 / _SQRT_PI
@@ -465,6 +515,11 @@ class Rayleigh(Distribution):
         if x <= 0.0:
             return 0.0
         return -math.expm1(-x * x / (2.0 * self.sigma * self.sigma))
+
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        return math.exp(-x * x / (2.0 * self.sigma * self.sigma))
 
     def mean(self):
         return self.sigma * math.sqrt(math.pi / 2.0)
@@ -500,17 +555,25 @@ class Nakagami(Distribution):
             self.m * math.log(self.m)
             + (2.0 * self.m - 1.0) * math.log(x)
             - self.m * x * x / self.omega
-            - log_gamma(self.m)
+            - math.lgamma(self.m)
             - self.m * math.log(self.omega)
         )
 
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
-        return reg_lower_inc_gamma(self.m, self.m * x * x / self.omega)
+        return float(gammainc(self.m, self.m * x * x / self.omega))
+
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        return float(gammaincc(self.m, self.m * x * x / self.omega))
+
+    def re_cf(self, a):
+        return float(hyp1f1(self.m, 0.5, -self.omega * a * a / (4.0 * self.m)))
 
     def mean(self):
-        return math.exp(log_gamma(self.m + 0.5) - log_gamma(self.m)) * math.sqrt(
+        return math.exp(math.lgamma(self.m + 0.5) - math.lgamma(self.m)) * math.sqrt(
             self.omega / self.m
         )
 
@@ -521,9 +584,13 @@ class Nakagami(Distribution):
         if self.m <= 0.5:
             raise InfiniteTiltError(f"{self!r}: tilting requires m > 1/2")
         c = math.sqrt(self.m / self.omega) * math.exp(
-            log_gamma(self.m - 0.5) - log_gamma(self.m)
+            math.lgamma(self.m - 0.5) - math.lgamma(self.m)
         )
         m2 = self.m - 0.5
+        if m2 < 0.5:  # below the family's bound: X^2 is still gamma-distributed
+            return TiltDecomposition(
+                c, GeneralizedGamma(m2, math.sqrt(self.omega / self.m), 2.0)
+            )
         return TiltDecomposition(c, Nakagami(m2, self.omega * m2 / self.m))
 
 

@@ -317,15 +317,21 @@ def one_vs_all(train: Dataset, cfg: FeatureMapConfig, lam: float) -> OneVsAllMod
     return _one_vs_all_path(state, batch, train.train_targets, (lam,))[0]
 
 
+def _class_scores(clf: OneVsAllModel, batch) -> np.ndarray:
+    """Per-class scores of featurized points, one column per class."""
+    return np.column_stack([_scores(m, batch) for m in clf.models])
+
+
 def _labels(clf: OneVsAllModel, batch) -> np.ndarray:
     """Class labels with the largest one-vs-all score on featurized points."""
-    scores = np.column_stack([_scores(m, batch) for m in clf.models])
+    scores = _class_scores(clf, batch)
     return np.asarray(clf.classes, dtype=float)[np.argmax(scores, axis=1)]
 
 
 def decision_scores(clf: OneVsAllModel, X) -> np.ndarray:
-    """Per-class scores, one column per class in ``clf.classes`` order."""
-    return np.column_stack([predict(m, X) for m in clf.models])
+    """Per-class scores, one column per class in ``clf.classes`` order; the
+    points are featurized once, through the map the models share."""
+    return _class_scores(clf, featurize(clf.models[0].state, X))
 
 
 def predict_labels(clf: OneVsAllModel, X) -> np.ndarray:

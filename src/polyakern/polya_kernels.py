@@ -12,9 +12,14 @@ even function whose value at zero equals the mean of F divided by rho, and
 the generating cdf can be recovered from the kernel and its one-sided
 derivative: F(x) = 1 - k(x) + x * k'(x).
 
-Closed forms are provided for the whole catalog except gamma with shape
-below one, Weibull with exponent below one, and chi-square with one degree
-of freedom; those fall back to direct quadrature of the mixture integral.
+Closed forms come from the tilt decomposition of F (constant C, tilted law
+G): k(r) = S_F(r) - r C S_G(r) with survival functions S, and the
+transform is 2 C (1 - Re phi_G(a)) / a^2 with G's characteristic function
+phi_G. The exponential and half-normal laws (C infinite) have their own
+forms in the exponential integral E1. Gamma with shape below one, Weibull
+with exponent below one, and chi-square with one degree of freedom fall
+back to direct quadrature of the mixture integral, as do the transforms of
+Weibull laws with exponent other than 1 or 2.
 """
 
 import math
@@ -24,9 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from scipy.special import exp1
+
 from . import distributions as dists
-from . import specfun as sf
-from .errors import ConvergenceError, ParseError, QuadratureError, SpectralMismatchError
+from .errors import (
+    ConvergenceError,
+    InfiniteTiltError,
+    ParseError,
+    QuadratureError,
+    SpectralMismatchError,
+)
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -99,129 +111,67 @@ def _unit_floor(r):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms: kernel values, one-sided kernel derivatives, spectra.
-# Each returns None when the family/parameter combination has no closed form.
+# Closed forms from the tilt decomposition. With C and the tilted law G of
+# d.decompose(), the tilted tail T(r) = integral over x > r of f(x)/x dx
+# equals C S_G(r), and for r > 0
+#
+#     k(r) = S_F(r) - r T(r),   k'(r) = -T(r),   FT(a) = 2 C (1 - Re phi_G(a)) / a^2.
+#
+# Where C diverges, the exponential and half-normal laws have T in terms of
+# E1; gamma with shape below one, Weibull with exponent below one, and
+# chi-square with one degree of freedom have no closed form.
 
 
-def _exp_kernel(theta, r):
-    if r == 0.0:
-        return 1.0
-    x = r / theta
-    return math.exp(-x) - x * sf.exp_integral_e1(x)
+def _tilt(d):
+    try:
+        return d.decompose()
+    except InfiniteTiltError:
+        return None
 
 
-def _half_normal_kernel(sigma, r):
-    if r == 0.0:
-        return 1.0
-    u = r / (sigma * _SQRT_2)
-    return sf.erfc(u) - (u / _SQRT_PI) * sf.exp_integral_e1(u * u)
-
-
-def _closed_kernel(d, r):
-    """Closed-form k(r) for r >= 0 at the unscaled distribution, or None."""
-    if isinstance(d, dists.ShiftedPoisson):
-        n = _unit_floor(r)
-        if n < 1:
-            return 1.0 - (r / d.mu) * (1.0 - sf.reg_upper_inc_gamma(1.0, d.mu))
-        return (1.0 - sf.reg_upper_inc_gamma(float(n), d.mu)) - (r / d.mu) * (
-            1.0 - sf.reg_upper_inc_gamma(float(n + 1), d.mu)
-        )
-    if isinstance(d, dists.Gamma):
-        if d.s == 1.0:
-            return _exp_kernel(d.theta, r)
-        if d.s < 1.0:
-            return None
-        x = r / d.theta
-        return sf.reg_upper_inc_gamma(d.s, x) - x / (d.s - 1.0) * sf.reg_upper_inc_gamma(
-            d.s - 1.0, x
-        )
-    if isinstance(d, dists.Exponential):
-        return _exp_kernel(d.theta, r)
-    if isinstance(d, dists.Weibull):
-        if d.alpha == 1.0:
-            return _exp_kernel(d.theta, r)
-        if d.alpha < 1.0:
-            return None
-        if r == 0.0:
-            return 1.0
-        x = r / d.theta
-        z = x ** d.alpha
-        return math.exp(-z) - x * sf.upper_inc_gamma(1.0 - 1.0 / d.alpha, z)
-    if isinstance(d, dists.ChiSquare):
-        if d.nu < 2:
-            return None
-        return _closed_kernel(dists.Gamma(d.nu / 2.0, 2.0), r)
-    if isinstance(d, dists.Chi):
-        if d.nu == 1:
-            return _half_normal_kernel(1.0, r)
-        y = 0.5 * r * r
-        coef = math.exp(sf.log_gamma((d.nu - 1) / 2.0) - sf.log_gamma(d.nu / 2.0))
-        return sf.reg_upper_inc_gamma(d.nu / 2.0, y) - (r / _SQRT_2) * coef * (
-            sf.reg_upper_inc_gamma((d.nu - 1) / 2.0, y)
-        )
+def _e1_form(d):
+    """("exp", theta) or ("half_normal", sigma) when d is that law in
+    another parameterization, else (None, None)."""
+    if (
+        isinstance(d, dists.Exponential)
+        or (isinstance(d, dists.Gamma) and d.s == 1.0)
+        or (isinstance(d, dists.Weibull) and d.alpha == 1.0)
+    ):
+        return "exp", d.theta
+    if isinstance(d, dists.ChiSquare) and d.nu == 2:
+        return "exp", 2.0
     if isinstance(d, dists.HalfNormal):
-        return _half_normal_kernel(d.sigma, r)
-    if isinstance(d, dists.Rayleigh):
-        u = r / (d.sigma * _SQRT_2)
-        return math.exp(-u * u) - _SQRT_PI * u * sf.erfc(u)
-    if isinstance(d, dists.Nakagami):
-        if d.m == 0.5:
-            return _half_normal_kernel(math.sqrt(d.omega), r)
-        y = d.m * r * r / d.omega
-        coef = math.sqrt(d.m / d.omega) * math.exp(
-            sf.log_gamma(d.m - 0.5) - sf.log_gamma(d.m)
-        )
-        return sf.reg_upper_inc_gamma(d.m, y) - r * coef * sf.reg_upper_inc_gamma(
-            d.m - 0.5, y
-        )
+        return "half_normal", d.sigma
+    if isinstance(d, dists.Chi) and d.nu == 1:
+        return "half_normal", 1.0
+    if isinstance(d, dists.Nakagami) and d.m == 0.5:
+        return "half_normal", math.sqrt(d.omega)
+    return None, None
+
+
+def _tilted_tail(d, r):
+    """T(r) at r > 0 in closed form, or None."""
+    t = _tilt(d)
+    if t is not None:
+        return t.c * t.tilted.sf(r)
+    kind, scale = _e1_form(d)
+    if kind == "exp":
+        return float(exp1(r / scale)) / scale
+    if kind == "half_normal":
+        return float(exp1(r * r / (2.0 * scale * scale))) / (scale * _SQRT_2PI)
     return None
 
 
-def _closed_kernel_deriv(d, r):
-    """Closed-form one-sided derivative k'(r) for r > 0, or None."""
-    if isinstance(d, dists.ShiftedPoisson):
-        n = _unit_floor(r)
-        return -(1.0 - sf.reg_upper_inc_gamma(float(max(n, 0) + 1), d.mu)) / d.mu
-    if isinstance(d, dists.Gamma):
-        if d.s == 1.0:
-            return -sf.exp_integral_e1(r / d.theta) / d.theta
-        if d.s < 1.0:
-            return None
-        return -sf.reg_upper_inc_gamma(d.s - 1.0, r / d.theta) / ((d.s - 1.0) * d.theta)
-    if isinstance(d, dists.Exponential):
-        return -sf.exp_integral_e1(r / d.theta) / d.theta
-    if isinstance(d, dists.Weibull):
-        if d.alpha == 1.0:
-            return -sf.exp_integral_e1(r / d.theta) / d.theta
-        if d.alpha < 1.0:
-            return None
-        return -sf.upper_inc_gamma(1.0 - 1.0 / d.alpha, (r / d.theta) ** d.alpha) / d.theta
-    if isinstance(d, dists.ChiSquare):
-        if d.nu < 2:
-            return None
-        return _closed_kernel_deriv(dists.Gamma(d.nu / 2.0, 2.0), r)
-    if isinstance(d, dists.Chi):
-        if d.nu == 1:
-            return _closed_kernel_deriv(dists.HalfNormal(1.0), r)
-        coef = math.exp(sf.log_gamma((d.nu - 1) / 2.0) - sf.log_gamma(d.nu / 2.0)) / _SQRT_2
-        return -coef * sf.reg_upper_inc_gamma((d.nu - 1) / 2.0, 0.5 * r * r)
-    if isinstance(d, dists.HalfNormal):
-        return -sf.exp_integral_e1(r * r / (2.0 * d.sigma * d.sigma)) / (d.sigma * _SQRT_2PI)
-    if isinstance(d, dists.Rayleigh):
-        return -math.sqrt(math.pi / 2.0) / d.sigma * sf.erfc(r / (d.sigma * _SQRT_2))
-    if isinstance(d, dists.Nakagami):
-        if d.m == 0.5:
-            return _closed_kernel_deriv(dists.HalfNormal(math.sqrt(d.omega)), r)
-        coef = math.sqrt(d.m / d.omega) * math.exp(
-            sf.log_gamma(d.m - 0.5) - sf.log_gamma(d.m)
-        )
-        return -coef * sf.reg_upper_inc_gamma(d.m - 0.5, d.m * r * r / d.omega)
-    return None
-
-
-def _exp_ft(theta, a):
-    x = theta * a
-    return math.log1p(x * x) / (theta * a * a)
+def _tilt_kernel(d, r):
+    """(k(r), k'(r)) at r > 0 in closed form, or None. A count law is read
+    at the knot at or below r, so a scaled input a hair below a knot takes
+    the slope of the segment that starts there."""
+    x = float(_unit_floor(r)) if d.discrete else r
+    tail = _tilted_tail(d, x)
+    if tail is None:
+        return None
+    # r T(r) -> 0 as r -> 0; T is infinite only where the E1 argument underflows
+    return d.sf(x) - (r * tail if tail < math.inf else 0.0), -tail
 
 
 def _half_normal_ft(sigma, a):
@@ -239,7 +189,7 @@ def _half_normal_ft(sigma, a):
         vv = v * v
         if vv == 0.0:
             return 0.0
-        return sf.exp_integral_e1(vv) * math.sin(big_t * v)
+        return float(exp1(vv)) * math.sin(big_t * v)
 
     width = math.pi / big_t
     total = 0.0
@@ -254,65 +204,20 @@ def _half_normal_ft(sigma, a):
     )
 
 
-def _closed_ft(d, a):
-    """Closed-form transform at frequency a > 0 for the unscaled law, or None."""
-    if isinstance(d, dists.ShiftedPoisson):
-        damp = math.exp(d.mu * (math.cos(a) - 1.0))
-        return 2.0 * (1.0 - damp * math.cos(d.mu * math.sin(a))) / (d.mu * a * a)
-    if isinstance(d, dists.Gamma):
-        if d.s == 1.0:
-            return _exp_ft(d.theta, a)
-        if d.s < 1.0:
-            return None
-        x = d.theta * a
-        w = math.atan(x)
-        cosw = 1.0 / math.sqrt(1.0 + x * x)
-        return (
-            2.0
-            * (1.0 - cosw ** (d.s - 1.0) * math.cos((d.s - 1.0) * w))
-            / ((d.s - 1.0) * d.theta * a * a)
-        )
-    if isinstance(d, dists.Exponential):
-        return _exp_ft(d.theta, a)
-    if isinstance(d, dists.Weibull):
-        if d.alpha == 1.0:
-            return _exp_ft(d.theta, a)
-        return None
-    if isinstance(d, dists.ChiSquare):
-        if d.nu < 2:
-            return None
-        return _closed_ft(dists.Gamma(d.nu / 2.0, 2.0), a)
-    if isinstance(d, dists.Chi):
-        if d.nu == 1:
-            return _half_normal_ft(1.0, a)
-        coef = _SQRT_2 * math.exp(sf.log_gamma((d.nu - 1) / 2.0) - sf.log_gamma(d.nu / 2.0))
-        return coef * (1.0 - sf.kummer_m((d.nu - 1) / 2.0, 0.5, -0.5 * a * a)) / (a * a)
-    if isinstance(d, dists.HalfNormal):
-        return _half_normal_ft(d.sigma, a)
-    if isinstance(d, dists.Rayleigh):
-        x = d.sigma * a
-        return _SQRT_2PI * (-math.expm1(-0.5 * x * x)) / (d.sigma * a * a)
-    if isinstance(d, dists.Nakagami):
-        if d.m == 0.5:
-            return _half_normal_ft(math.sqrt(d.omega), a)
-        coef = 2.0 * math.sqrt(d.m / d.omega) * math.exp(
-            sf.log_gamma(d.m - 0.5) - sf.log_gamma(d.m)
-        )
-        arg = -d.omega * a * a / (4.0 * d.m)
-        return coef * (1.0 - sf.kummer_m(d.m - 0.5, 0.5, arg)) / (a * a)
+def _tilt_ft(d, a):
+    """Transform at frequency a > 0 for the unscaled law in closed form (by
+    panel quadrature for the half-normal form), or None."""
+    t = _tilt(d)
+    if t is not None:
+        re_cf = t.tilted.re_cf(a)
+        return None if re_cf is None else 2.0 * t.c * (1.0 - re_cf) / (a * a)
+    kind, scale = _e1_form(d)
+    if kind == "exp":
+        x = scale * a
+        return math.log1p(x * x) / (scale * a * a)
+    if kind == "half_normal":
+        return _half_normal_ft(scale, a)
     return None
-
-
-def _kernel_evaluator(d):
-    """Callable r -> k(r) using the closed form when one exists."""
-
-    def k(r):
-        v = _closed_kernel(d, r)
-        if v is None:
-            v = eval_kernel_numeric(d, r)
-        return v
-
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +232,8 @@ def eval_kernel(spec, r):
     u = spec.rho * abs(r)
     if u == 0.0:
         return 1.0
-    v = _closed_kernel(spec.dist, u)
-    if v is None:
-        v = eval_kernel_numeric(spec.dist, u)
+    closed = _tilt_kernel(spec.dist, u)
+    v = eval_kernel_numeric(spec.dist, u) if closed is None else closed[0]
     return min(1.0, max(0.0, v))
 
 
@@ -381,7 +285,7 @@ def eval_ft(spec, t):
     if t == 0.0:
         return SpectralValue(0.0, spec.dist.mean() / spec.rho)
     a = abs(t) / spec.rho
-    v = _closed_ft(spec.dist, a)
+    v = _tilt_ft(spec.dist, a)
     if v is None:
         v = eval_ft_numeric(spec.dist, a)
     return SpectralValue(t, _nonneg(v) / spec.rho)
@@ -434,10 +338,10 @@ def _ft_from_law(d, a):
 
 
 def _ft_from_kernel(d, a):
-    kern = _kernel_evaluator(d)
+    spec = KernelSpec(d)
 
     def f(r):
-        return kern(r) * math.cos(a * r)
+        return eval_kernel(spec, r) * math.cos(a * r)
 
     cutoff = d.upper_tail_cutoff(1e-14)
     return 2.0 * _panel_sum(f, cutoff, a)
@@ -472,22 +376,17 @@ def kernel_to_cdf(spec, x):
         return 0.0
     u = spec.rho * x
     d = spec.dist
-    kv = _closed_kernel(d, u)
-    gv = _closed_kernel_deriv(d, u)
-    if kv is None or gv is None:
-        kv = eval_kernel_numeric(d, u)
-        gv = _kernel_deriv_numeric(d, u)
+    closed = _tilt_kernel(d, u)
+    if closed is None:
+        closed = eval_kernel_numeric(d, u), _kernel_deriv_numeric(d, u)
+    kv, gv = closed
     return min(1.0, max(0.0, 1.0 - kv + u * gv))
 
 
 def _kernel_deriv_numeric(d, u):
     """Right derivative of the kernel by quadrature of its exact form,
-    k'(r) = -integral of density(x)/x over x > r (continuous case)."""
-    if d.discrete:
-        # Piecewise linear: the slope on [n, n+1) is k(n+1) - k(n).
-        n = _unit_floor(u)
-        kern = _kernel_evaluator(d)
-        return kern(float(n + 1)) - kern(float(n))
+    k'(r) = -integral of density(x)/x over x > r; only continuous laws lack
+    a closed slope."""
     cutoff = d.upper_tail_cutoff(1e-16)
     mid = min(cutoff, max(d.mean(), 1.5 * u))
     total = 0.0
@@ -509,18 +408,18 @@ def area_under_curve(spec):
     """Integral of the scaled kernel over the whole line; equals mean / rho
     (and the transform's value at frequency zero)."""
     d = spec.dist
+    unit = KernelSpec(d)
     if d.discrete:
         # exact trapezoid over the unit segments of the piecewise-linear kernel
         total = 0.0
         prev = 1.0
         for n in range(1, 10 ** 6):
-            cur = _closed_kernel(d, float(n))
+            cur = eval_kernel(unit, float(n))
             total += 0.5 * (prev + cur)
             if cur < 1e-15:
                 return 2.0 * total / spec.rho
             prev = cur
         raise ConvergenceError(f"kernel of {d!r} did not decay")
-    kern = _kernel_evaluator(d)
     cutoff = d.upper_tail_cutoff(1e-14)
     mid = min(d.mean(), cutoff)
     total = 0.0
@@ -528,7 +427,8 @@ def area_under_curve(spec):
     for hi in sorted({mid, cutoff}):
         if hi <= lo:
             continue
-        v, _ = _quad(kern, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=300)
+        v, _ = _quad(lambda r: eval_kernel(unit, r), lo, hi, epsabs=1e-10,
+                     epsrel=1e-10, limit=300)
         total += v
         lo = hi
     return 2.0 * total / spec.rho

@@ -610,6 +610,29 @@ class TestBench:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_csv_bytes_pinned(self, tmp_path):
+        # frozen output of a fixed seed and file: the error summary
+        # (mean, standard error, relative errors) must not move by a bit
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=47, n=40)
+        out = tmp_path / "bench.csv"
+        assert cli.main([
+            "bench", str(data), "--task", "regression", "--map", "fourier_real,binning",
+            "--kernel", "rayleigh:sigma=1", "--copies", "4,16", "--trials", "3",
+            "--lambda", "0.1", "--seed", "23", "--out", str(out),
+        ]) == 0
+        assert out.read_text() == (
+            "method,copies,theory_rel_error,empirical_rel_error,empirical_stderr,metric\n"
+            "fourier_real,4,1.2366347856529336,1.2996020847542988,"
+            "0.15140801504007592,0.13369394159784823\n"
+            "fourier_real,16,0.6183173928264668,0.6001097704747064,"
+            "0.09643091205701756,0.05849196901684193\n"
+            "binning,4,0.5402271307721223,0.5372194597375959,"
+            "0.027247408310382335,0.05896907587706393\n"
+            "binning,16,0.2701135653860611,0.24714532927786437,"
+            "0.020491333238256706,0.027205431809022823\n"
+        )
+
     def test_subsample_and_descending_sizes_rejected(self, tmp_path):
         data = tmp_path / "train.txt"
         make_regression_file(data, seed=44, n=40)

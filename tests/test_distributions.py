@@ -1,9 +1,10 @@
 """Oracle tests for the distribution catalog.
 
-Densities, cdfs, and means are checked against adaptive quadrature of the
-defining integrals; samplers are checked with Kolmogorov-Smirnov tests at a
-1% critical value; decompositions are checked against quadrature of the
-reciprocal-moment integral.
+Densities, cdfs, survival functions, and means are checked against
+adaptive quadrature of the defining integrals; samplers are checked with
+Kolmogorov-Smirnov tests at a 1% critical value; decompositions are checked
+against quadrature of the reciprocal-moment integral, of its upper tail,
+and of the tilted law's cosine transform.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from polyakern import distributions as dist
 from polyakern.errors import InfiniteTiltError, ParseError
@@ -60,6 +62,18 @@ def integral_0_inf(f, mid=1.0):
     a, ea = quad(f, 0.0, mid, epsabs=1e-12, epsrel=1e-11, limit=200)
     b, eb = quad(f, mid, np.inf, epsabs=1e-12, epsrel=1e-11, limit=200)
     return a + b
+
+
+def integral_to_cutoff(f, d, lo=0.0):
+    """Quadrature of f over (lo, inf) for a law d, split at its mean and cut
+    where its upper tail falls below 1e-15."""
+    cutoff = d.upper_tail_cutoff(1e-15)
+    total = 0.0
+    for hi in sorted({max(d.mean(), lo), cutoff}):
+        if hi > lo:
+            total += quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+            lo = hi
+    return total
 
 
 def pmf_series_sum(d, f):
@@ -185,6 +199,28 @@ class TestCdf:
             assert vals[0] >= 0.0 and vals[-1] <= 1.0 + 1e-12, d
 
 
+class TestSurvival:
+    def test_complements_cdf(self):
+        for d in ALL_SETTINGS:
+            for x in [-1.0, 0.0, 0.3, 1.0, 2.5, 6.0]:
+                assert d.sf(x) + d.cdf(x) == pytest.approx(1.0, abs=1e-14), (d, x)
+
+    def test_far_tail_matches_quadrature(self):
+        # 1 - cdf would have no correct digits this far out
+        for d in ALL_SETTINGS:
+            if d.discrete:
+                continue
+            x = 8.0 * d.mean()
+            ref, _ = quad(d.density, x, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+            assert d.sf(x) == pytest.approx(ref, rel=1e-8), (d, x)
+
+    def test_discrete_tail_matches_pmf_sum(self):
+        for d in SETTINGS["shifted_poisson"]:
+            for x in [0.5, 1, 2.5, int(d.mean()) + 3]:
+                ref = pmf_series_sum(d, lambda k, p: p if k > x else 0.0)
+                assert d.sf(x) == pytest.approx(ref, rel=1e-10), (d, x)
+
+
 class TestMean:
     def test_frozen_values(self):
         assert dist.ShiftedPoisson(2.0).mean() == pytest.approx(3.0, rel=1e-12)
@@ -248,9 +284,7 @@ class TestAuxSamplers:
     def test_normal_ks(self):
         sd = 0.8
         draws = dist.sample_normal(RandomStream(22).child(0), sd, 4000)
-        from polyakern.specfun import erf
-
-        cdf = lambda x: 0.5 * (1.0 + erf(x / (sd * math.sqrt(2.0))))
+        cdf = lambda x: 0.5 * (1.0 + math.erf(x / (sd * math.sqrt(2.0))))
         assert ks_statistic(draws, cdf) < KS_CRIT_1PCT
 
 
@@ -294,15 +328,56 @@ class TestDecompose:
         assert t.c == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert t.tilted == dist.Gamma(1.5, 2.0)
 
+    @pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
+    def test_nakagami_below_one_tilts(self, m):
+        # the tilted shape m - 1/2 is below the family's bound of 1/2
+        d = dist.Nakagami(m, 1.3)
+        t = d.decompose()
+        ref = integral_0_inf(lambda x: d.density(x) / x, mid=d.mean())
+        assert t.c == pytest.approx(ref, rel=1e-9)
+        for x in [0.1, 0.5, 1.0, 2.0]:
+            tail = integral_to_cutoff(lambda u: d.density(u) / u, d, lo=x)
+            assert t.tilted.sf(x) == pytest.approx(tail / t.c, rel=1e-9), x
+
+    def test_tilted_tail_and_cosine_transform(self):
+        # C S_G(x) is the tail of f(x)/x; Re phi_G(a) the cosine transform
+        # of the tilted density f(x)/(C x)
+        cases = [
+            dist.Gamma(3.5, 0.7), dist.ChiSquare(5), dist.Chi(2), dist.Chi(4),
+            dist.Rayleigh(1.0), dist.Nakagami(0.75, 1.0), dist.Nakagami(2.5, 1.3),
+            dist.Weibull(1.5, 2.0), dist.Weibull(1.0, 3.5),
+        ]
+        for d in cases:
+            t = d.decompose()
+            for x in [0.3, 1.0, 2.5]:
+                tail = integral_to_cutoff(lambda u: d.density(u) / u, d, lo=x)
+                assert t.c * t.tilted.sf(x) == pytest.approx(tail, rel=1e-9), (d, x)
+            if isinstance(d, dist.Weibull) and d.alpha != 2.0:
+                assert t.tilted.re_cf(1.0) is None  # no closed form
+                continue
+            for a in [0.4, 1.0, 2.7]:
+                ref = integral_to_cutoff(
+                    lambda u: math.cos(a * u) * d.density(u) / (t.c * u), d
+                )
+                assert t.tilted.re_cf(a) == pytest.approx(ref, abs=1e-9), (d, a)
+
+    def test_poisson_tail_and_cosine_transform(self):
+        d = dist.ShiftedPoisson(2.5)
+        t = d.decompose()
+        for x in [0.0, 1.5, 4.0]:
+            tail = pmf_series_sum(d, lambda k, p: p / k if k > x else 0.0)
+            assert t.c * t.tilted.sf(x) == pytest.approx(tail, rel=1e-12), x
+        for a in [0.4, 1.0, 2.7]:
+            ref = pmf_series_sum(d, lambda k, p: math.cos(a * (k - 1)) * p)
+            assert t.tilted.re_cf(a) == pytest.approx(ref, abs=1e-12), a
+
     def test_weibull_numeric_tilt(self):
         d = dist.Weibull(1.0, 2.0)
         t = d.decompose()
         assert t.c == pytest.approx(SQRT_PI, rel=1e-10)
-        # numeric cdf against the analytic tilted cdf for this case
-        from polyakern.specfun import reg_upper_inc_gamma
-
+        # tilted cdf against the analytic tilted cdf for this case
         for x in [0.2, 0.7, 1.5, 3.0]:
-            ref = 1.0 - reg_upper_inc_gamma(0.5, x * x)
+            ref = 1.0 - gammaincc(0.5, x * x)
             assert t.tilted.cdf(x) == pytest.approx(ref, abs=1e-8)
 
     def test_c_matches_quadrature(self):

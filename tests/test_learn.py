@@ -296,6 +296,26 @@ class TestOneVsAll:
         by_sign = np.where(scores[:, 1] > scores[:, 0], 1.0, 0.0)
         np.testing.assert_array_equal(learn.predict_labels(clf, X[mask]), by_sign)
 
+    @pytest.mark.parametrize("cfg", [binning_cfg(2, 32, seed=21), fourier_cfg(64, seed=22)])
+    def test_decision_scores_featurize_once(self, monkeypatch, cfg):
+        X, labels = make_blobs(seed=94, per_class=20)
+        clf = learn.one_vs_all(learn.Dataset.full(X, labels), cfg, lam=0.1)
+        queries = X + 0.3
+        # one column per class, as scoring each model on its own gives
+        expected = np.column_stack([learn.predict(m, queries) for m in clf.models])
+        calls = []
+        featurize = learn.featurize
+
+        def counting_featurize(state, points):
+            calls.append(len(points))
+            return featurize(state, points)
+
+        monkeypatch.setattr(learn, "featurize", counting_featurize)
+        scores = learn.decision_scores(clf, queries)
+        assert calls == [len(queries)]
+        assert scores.shape == (len(queries), 3)
+        np.testing.assert_array_equal(scores, expected)
+
     def test_original_label_values_are_returned(self):
         X, labels = make_blobs(seed=92, per_class=20)
         relabeled = np.choose(labels.astype(int), [3.0, 7.0, -2.0])

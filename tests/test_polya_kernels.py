@@ -102,6 +102,12 @@ class TestEvalKernel:
         for d in CLOSED_FORM_SETTINGS + NUMERIC_ONLY_SETTINGS:
             assert kernels.eval_kernel(spec(d), 0.0) == 1.0, d
 
+    def test_tiny_distance_is_near_one(self):
+        # the half-normal E1 argument r^2 / (2 sigma^2) underflows to zero here
+        for d in CLOSED_FORM_SETTINGS + NUMERIC_ONLY_SETTINGS:
+            for r in [1e-300, 1e-170]:
+                assert kernels.eval_kernel(spec(d), r) == pytest.approx(1.0, abs=1e-12), (d, r)
+
     def test_even_in_r(self):
         for d in [dist.Gamma(2.0, 1.0), dist.Rayleigh(1.0), dist.ShiftedPoisson(2.0)]:
             k = spec(d)

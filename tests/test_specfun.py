@@ -1,6 +1,9 @@
-"""Oracle tests for the special-function evaluators.
+"""Oracle tests for the special functions the kernel and distribution
+catalogs evaluate: ``math.gamma``, ``math.lgamma``, ``math.erf``/``erfc``
+and ``scipy.special``'s regularized incomplete gamma, ``exp1`` and
+``hyp1f1``, on the argument ranges the catalogs reach.
 
-Every evaluator is checked against an independent route: adaptive
+Every function is checked against an independent route: adaptive
 quadrature of the defining integral for a handful of anchor points, and a
 high-precision reference (mpmath) on a sweep of random in-domain points.
 Frozen decimal constants below were computed with mpmath at 30 digits.
@@ -11,11 +14,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-
-from polyakern import specfun
-from polyakern.errors import ConvergenceError
+from scipy.special import exp1, gammaincc, hyp1f1
 
 mpmath.mp.dps = 30
 
@@ -30,42 +31,43 @@ def mp_float(x):
     return float(x)
 
 
+def upper_inc_gamma(s, t):
+    """Unregularized upper incomplete gamma, as the Weibull kernel's slope
+    C * S_G(r) evaluates it: Gamma(s) times the regularized Q(s, t)."""
+    return math.gamma(s) * float(gammaincc(s, t))
+
+
 class TestGammaFn:
     def test_half_integer_value(self):
-        assert specfun.gamma_fn(0.5) == pytest.approx(SQRT_PI, rel=1e-13)
+        assert math.gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-13)
 
     def test_small_integers(self):
         for n, fact in [(1, 1.0), (2, 1.0), (3, 2.0), (5, 24.0), (8, 5040.0)]:
-            assert specfun.gamma_fn(n) == pytest.approx(fact, rel=1e-13)
+            assert math.gamma(n) == pytest.approx(fact, rel=1e-13)
 
     def test_quadrature_of_defining_integral(self):
         # gamma(s) = int_0^inf x^(s-1) exp(-x) dx
         for s in [0.3, 0.75, 1.5, 2.2, 4.8]:
             ref, err = quad(lambda x: x ** (s - 1) * math.exp(-x), 0, np.inf)
-            assert specfun.gamma_fn(s) == pytest.approx(ref, rel=1e-9)
+            assert math.gamma(s) == pytest.approx(ref, rel=1e-9)
 
     def test_random_sweep_against_reference(self):
         pts = np.exp(RNG.uniform(np.log(0.05), np.log(60.0), size=100))
         for s in pts:
             ref = mp_float(mpmath.gamma(s))
-            assert specfun.gamma_fn(s) == pytest.approx(ref, rel=1e-12)
-
-    def test_domain_error(self):
-        for bad in [0.0, -1.0, -3.5]:
-            with pytest.raises(ValueError):
-                specfun.gamma_fn(bad)
+            assert math.gamma(s) == pytest.approx(ref, rel=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=50.0))
     def test_recurrence(self, s):
-        assert specfun.gamma_fn(s + 1) == pytest.approx(
-            s * specfun.gamma_fn(s), rel=1e-11
+        assert math.gamma(s + 1) == pytest.approx(
+            s * math.gamma(s), rel=1e-11
         )
 
 
 class TestLogGamma:
     def test_matches_reference(self):
         for s in [0.1, 0.9, 1.0, 7.5, 40.0, 150.0, 400.0]:
-            assert specfun.log_gamma(s) == pytest.approx(
+            assert math.lgamma(s) == pytest.approx(
                 mp_float(mpmath.loggamma(s)), rel=1e-12, abs=1e-12
             )
 
@@ -74,56 +76,42 @@ class TestUpperIncGamma:
     def test_exponential_special_case(self):
         # gamma(1, t) = exp(-t)
         for t in [0.0, 0.4, 2.0, 9.0]:
-            assert specfun.upper_inc_gamma(1.0, t) == pytest.approx(
+            assert upper_inc_gamma(1.0, t) == pytest.approx(
                 math.exp(-t), rel=1e-12
             )
 
     def test_shape_two_special_case(self):
         # gamma(2, t) = (1 + t) exp(-t)
         for t in [0.0, 0.7, 3.3, 12.0]:
-            assert specfun.upper_inc_gamma(2.0, t) == pytest.approx(
+            assert upper_inc_gamma(2.0, t) == pytest.approx(
                 (1 + t) * math.exp(-t), rel=1e-12
             )
 
     def test_at_zero_equals_complete(self):
         for s in [0.4, 1.0, 2.5, 6.0]:
-            assert specfun.upper_inc_gamma(s, 0.0) == pytest.approx(
-                specfun.gamma_fn(s), rel=1e-13
+            assert upper_inc_gamma(s, 0.0) == pytest.approx(
+                math.gamma(s), rel=1e-13
             )
 
     def test_quadrature_of_defining_integral(self):
         for s, t in [(0.5, 0.25), (1.5, 2.0), (3.0, 1.0), (2.5, 8.0)]:
             ref, err = quad(lambda x: x ** (s - 1) * math.exp(-x), t, np.inf)
-            assert specfun.upper_inc_gamma(s, t) == pytest.approx(ref, rel=1e-9)
+            assert upper_inc_gamma(s, t) == pytest.approx(ref, rel=1e-9)
 
     def test_random_sweep_against_reference(self):
         s_pts = np.exp(RNG.uniform(np.log(0.05), np.log(40.0), size=100))
         t_pts = np.exp(RNG.uniform(np.log(1e-3), np.log(60.0), size=100))
         for s, t in zip(s_pts, t_pts):
             ref = mp_float(mpmath.gammainc(s, t))
-            assert specfun.upper_inc_gamma(s, t) == pytest.approx(ref, rel=1e-10)
+            assert upper_inc_gamma(s, t) == pytest.approx(ref, rel=1e-10)
 
     def test_regularized_sweep(self):
         s_pts = np.exp(RNG.uniform(np.log(0.05), np.log(200.0), size=100))
         t_pts = np.exp(RNG.uniform(np.log(1e-3), np.log(300.0), size=100))
         for s, t in zip(s_pts, t_pts):
             ref = mp_float(mpmath.gammainc(s, t, regularized=True))
-            got = specfun.reg_upper_inc_gamma(s, t)
+            got = gammaincc(s, t)
             assert got == pytest.approx(ref, rel=1e-10, abs=1e-300)
-
-    def test_s_zero_reduces_to_e1(self):
-        for t in [0.2, 1.0, 5.0]:
-            assert specfun.upper_inc_gamma(0.0, t) == pytest.approx(
-                specfun.exp_integral_e1(t), rel=1e-10
-            )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            specfun.upper_inc_gamma(0.0, 0.0)
-        with pytest.raises(ValueError):
-            specfun.upper_inc_gamma(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            specfun.upper_inc_gamma(1.0, -0.5)
 
     @given(
         st.floats(min_value=0.1, max_value=30.0),
@@ -132,54 +120,49 @@ class TestUpperIncGamma:
     @settings(deadline=None)
     def test_recurrence(self, s, t):
         # gamma(s+1, t) = s gamma(s, t) + t^s exp(-t)
-        lhs = specfun.upper_inc_gamma(s + 1, t)
-        rhs = s * specfun.upper_inc_gamma(s, t) + t ** s * math.exp(-t)
+        lhs = upper_inc_gamma(s + 1, t)
+        rhs = s * upper_inc_gamma(s, t) + t ** s * math.exp(-t)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 class TestExpIntegralE1:
     def test_frozen_anchor(self):
-        assert specfun.exp_integral_e1(1.0) == pytest.approx(E1_AT_1, abs=1e-12)
+        assert exp1(1.0) == pytest.approx(E1_AT_1, abs=1e-12)
 
     def test_quadrature_of_defining_integral(self):
         for z in [0.1, 0.5, 1.0, 2.5, 7.0]:
             ref, err = quad(lambda x: math.exp(-x) / x, z, np.inf)
-            assert specfun.exp_integral_e1(z) == pytest.approx(ref, rel=1e-9)
+            assert exp1(z) == pytest.approx(ref, rel=1e-9)
 
     def test_random_sweep_against_reference(self):
         pts = np.exp(RNG.uniform(np.log(1e-3), np.log(80.0), size=100))
         for z in pts:
             ref = mp_float(mpmath.expint(1, z))
-            assert specfun.exp_integral_e1(z) == pytest.approx(
+            assert exp1(z) == pytest.approx(
                 ref, rel=1e-10, abs=1e-300
             )
 
     def test_branch_seam_is_smooth(self):
-        # series below 1, continued fraction above; values must agree there
+        # implementations switch expansions at 1; values must agree there
         for z in [0.999999, 1.0, 1.000001]:
             ref = mp_float(mpmath.expint(1, z))
-            assert specfun.exp_integral_e1(z) == pytest.approx(ref, rel=1e-11)
-
-    def test_domain_error(self):
-        for bad in [0.0, -1.0]:
-            with pytest.raises(ValueError):
-                specfun.exp_integral_e1(bad)
+            assert exp1(z) == pytest.approx(ref, rel=1e-11)
 
 
 class TestKummerM:
     def test_at_zero(self):
-        assert specfun.kummer_m(0.7, 1.3, 0.0) == 1.0
+        assert hyp1f1(0.7, 1.3, 0.0) == 1.0
 
     def test_equal_parameters_give_exp(self):
         for z in [-3.0, -0.5, 0.2, 4.0]:
-            assert specfun.kummer_m(1.5, 1.5, z) == pytest.approx(
+            assert hyp1f1(1.5, 1.5, z) == pytest.approx(
                 math.exp(z), rel=1e-12
             )
 
     def test_one_two_closed_form(self):
         # M(1, 2, z) = (exp(z) - 1)/z
         for z in [-2.0, 0.3, 1.7, 6.0]:
-            assert specfun.kummer_m(1.0, 2.0, z) == pytest.approx(
+            assert hyp1f1(1.0, 2.0, z) == pytest.approx(
                 math.expm1(z) / z, rel=1e-12
             )
 
@@ -189,7 +172,7 @@ class TestKummerM:
         z_pts = RNG.uniform(-45.0, 12.0, size=100)
         for a, b, z in zip(a_pts, b_pts, z_pts):
             ref = mp_float(mpmath.hyp1f1(a, b, z))
-            assert specfun.kummer_m(a, b, z) == pytest.approx(
+            assert hyp1f1(a, b, z) == pytest.approx(
                 ref, rel=1e-9, abs=1e-12
             )
 
@@ -197,91 +180,39 @@ class TestKummerM:
         # exercised by spectral evaluation at large frequency
         for a, b, z in [(0.5, 0.5, -200.0), (1.0, 0.5, -120.0), (2.5, 0.5, -60.0)]:
             ref = mp_float(mpmath.hyp1f1(a, b, z))
-            assert specfun.kummer_m(a, b, z) == pytest.approx(ref, rel=1e-9, abs=1e-15)
-
-    @given(
-        st.floats(min_value=-2.0, max_value=2.0),
-        st.floats(min_value=0.3, max_value=3.0),
-        st.floats(min_value=-25.0, max_value=25.0),
-    )
-    @settings(deadline=None)
-    def test_reflection_identity(self, a, b, z):
-        # M(a, b, z) = exp(z) M(b - a, b, -z)
-        # keep |a| away from underflow-by-subtraction against b
-        assume(abs(a) > 1e-6 and abs(b - a) > 1e-6)
-        lhs = specfun.kummer_m(a, b, z)
-        rhs = math.exp(z) * specfun.kummer_m(b - a, b, -z)
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-
-    def test_domain_errors(self):
-        for bad_b in [0.0, -1.0, -4.0]:
-            with pytest.raises(ValueError):
-                specfun.kummer_m(1.0, bad_b, 0.5)
+            assert hyp1f1(a, b, z) == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
 
 class TestErfFamily:
     def test_frozen_anchor(self):
-        assert specfun.erf(1.0) == pytest.approx(ERF_AT_1, abs=1e-12)
+        assert math.erf(1.0) == pytest.approx(ERF_AT_1, abs=1e-12)
 
     def test_quadrature_of_defining_integral(self):
         for x in [0.2, 1.0, 1.8]:
             ref, err = quad(lambda t: math.exp(-t * t), -x, x)
             ref /= SQRT_PI
-            assert specfun.erf(x) == pytest.approx(ref, rel=1e-9)
+            assert math.erf(x) == pytest.approx(ref, rel=1e-9)
 
     def test_random_sweep_against_reference(self):
         pts = RNG.uniform(-6.0, 6.0, size=100)
         for x in pts:
-            assert specfun.erf(x) == pytest.approx(
+            assert math.erf(x) == pytest.approx(
                 mp_float(mpmath.erf(x)), rel=1e-11, abs=1e-14
             )
-            assert specfun.erfc(x) == pytest.approx(
+            assert math.erfc(x) == pytest.approx(
                 mp_float(mpmath.erfc(x)), rel=1e-11
-            )
-
-    def test_erfi_sweep(self):
-        pts = RNG.uniform(-4.0, 4.0, size=50)
-        for x in pts:
-            assert specfun.erfi(x) == pytest.approx(
-                mp_float(mpmath.erfi(x)), rel=1e-11, abs=1e-14
             )
 
     def test_erfc_tail_is_relatively_accurate(self):
         for x in [3.0, 5.0, 8.0, 12.0]:
-            assert specfun.erfc(x) == pytest.approx(
+            assert math.erfc(x) == pytest.approx(
                 mp_float(mpmath.erfc(x)), rel=1e-10
             )
 
     def test_odd_symmetry(self):
         for x in [0.3, 1.1, 2.7]:
-            assert specfun.erf(-x) == -specfun.erf(x)
-            assert specfun.erfi(-x) == -specfun.erfi(x)
+            assert math.erf(-x) == -math.erf(x)
 
     @given(st.floats(min_value=-8.0, max_value=8.0))
     def test_complement(self, x):
-        assert specfun.erf(x) + specfun.erfc(x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dispatcher(self):
-        assert specfun.erf_family("erf", 0.7) == specfun.erf(0.7)
-        assert specfun.erf_family("erfc", 0.7) == specfun.erfc(0.7)
-        assert specfun.erf_family("erfi", 0.7) == specfun.erfi(0.7)
-        with pytest.raises(ValueError):
-            specfun.erf_family("erfinv", 0.7)
-
-
-class TestEvalResult:
-    def test_fields(self):
-        r = specfun.EvalResult(1.5, 1e-12)
-        assert r.value == 1.5
-        assert r.est_abs_error == 1e-12
-
-    def test_negative_error_rejected(self):
-        with pytest.raises(ValueError):
-            specfun.EvalResult(1.0, -1e-9)
-
-
-class TestConvergenceGuard:
-    def test_series_cap_raises(self):
-        # a pathological request that cannot meet tolerance in the term cap
-        with pytest.raises(ConvergenceError):
-            specfun.kummer_m(4.0, 0.5, 1e8)
+        assert math.erf(x) + math.erfc(x) == pytest.approx(1.0, abs=1e-12)
