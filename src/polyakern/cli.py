@@ -35,6 +35,7 @@ reproducibility, and each output file has a single writer.
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import math
 import sys
@@ -74,23 +75,21 @@ def parse_libsvm(path) -> learn.Dataset:
     infinite feature values raise :class:`ParseError` carrying the 1-based
     line number.
     """
-    labels = []
-    rows = []
-    linenos = []
+    labels, linenos = [], []
+    rows, cols, vals = [], [], []  # one entry per stored feature value
     width = 0
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
+            tokens = raw.split()
+            if not tokens:
                 continue
-            tokens = line.split()
             try:
                 label = float(tokens[0])
             except ValueError:
                 raise ParseError(
                     f"label {tokens[0]!r} is not numeric", line=lineno
                 ) from None
-            entries = {}
+            row = len(labels)
             last = 0
             for token in tokens[1:]:
                 idx_text, sep, val_text = token.partition(":")
@@ -113,24 +112,24 @@ def parse_libsvm(path) -> learn.Dataset:
                         line=lineno,
                     )
                 last = idx
-                entries[idx - 1] = val
-                width = max(width, idx)
+                cols.append(idx - 1)
+                vals.append(val)
+            rows.extend([row] * (len(tokens) - 1))
+            width = max(width, last)
             labels.append(label)
-            rows.append(entries)
             linenos.append(lineno)
     if not labels:
         raise ParseError(f"no data lines in {path}")
-    points = np.zeros((len(labels), width))
-    for i, entries in enumerate(rows):
-        for j, val in entries.items():
-            points[i, j] = val
-    bad = np.argwhere(~np.isfinite(points))
+    vals = np.array(vals, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
-        i, j = bad[0]
+        k = bad[0]  # entries run in file order, so this is the first bad line
         raise ParseError(
-            f"feature {j + 1} is {points[i, j]}; values must be finite",
-            line=linenos[i],
+            f"feature {cols[k] + 1} is {vals[k]}; values must be finite",
+            line=linenos[rows[k]],
         )
+    points = np.zeros((len(labels), width))
+    points[rows, cols] = vals
     return learn.Dataset.full(points, np.asarray(labels))
 
 
@@ -276,7 +275,62 @@ def _emit(text: str, out) -> None:
 # ---------------------------------------------------------------------------
 # Model bundles
 
-MODEL_FORMAT = "polyakern-model-v1"
+MODEL_FORMAT = "polyakern-model-v2"
+
+# Bulk arrays travel as {"dtype", "shape", "data": base64 of the raw bytes};
+# vocabulary rows take the narrowest integer type that holds them.
+_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
+_WEIGHT_DTYPES = ("<f8",)
+
+
+def _encode_array(values, dtype) -> dict:
+    values = np.ascontiguousarray(values, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(values.shape),
+        "data": base64.b64encode(values.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_array(blob, name, dtypes) -> np.ndarray:
+    """Inverse of :func:`_encode_array`, limited to ``dtypes``; anything it
+    cannot read back exactly raises :class:`ParseError`."""
+    try:
+        dtype, shape, data = blob["dtype"], blob["shape"], blob["data"]
+    except (KeyError, TypeError):
+        raise ParseError(
+            f"bundle {name} must be an object with dtype, shape and data"
+        ) from None
+    if dtype not in dtypes:
+        raise ParseError(f"bundle {name} dtype {dtype!r} is not one of {list(dtypes)}")
+    if not (
+        isinstance(shape, list)
+        and all(type(n) is int and n >= 0 for n in shape)
+        and isinstance(data, str)
+    ):
+        raise ParseError(
+            f"bundle {name} needs a list of sizes as shape and a base64 string as data"
+        )
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:
+        raise ParseError(f"bundle {name} data is not valid base64") from None
+    wanted = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != wanted:
+        raise ParseError(
+            f"bundle {name} data holds {len(raw)} bytes; shape {shape} of "
+            f"{dtype} needs {wanted}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+def _narrowest_int(values) -> str:
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    for dtype in _INT_DTYPES[:-1]:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    return _INT_DTYPES[-1]
 
 
 def _map_metadata(cfg: FeatureMapConfig) -> dict:
@@ -301,25 +355,32 @@ def _config_from_metadata(meta: dict) -> FeatureMapConfig:
     )
 
 
-def _vocabulary_to_json(state) -> list:
-    """``[copy, [bins...], column]`` per column, in column order."""
-    return [
-        [row[0], row[1:], column]
-        for column, row in enumerate(state.vocabulary.rows.tolist())
-    ]
+def _vocabulary_to_json(state) -> dict:
+    """One row per column, in column order: the copy, then the bins.  Maps
+    without a vocabulary store zero rows."""
+    cfg = state.cfg
+    if cfg.kind == BINNING:
+        rows = state.vocabulary.rows.reshape(-1, cfg.dim + 1)
+    else:
+        rows = np.empty((0, cfg.dim + 1), dtype=np.int64)
+    return _encode_array(rows, _narrowest_int(rows))
 
 
 def _restore_vocabulary(state, blob) -> None:
-    if [entry[2] for entry in blob] != list(range(len(blob))):
-        raise ParseError("bundle vocabulary columns must run 0, 1, 2, ... in order")
-    if not blob:
+    cfg = state.cfg
+    rows = _decode_array(blob, "vocabulary", _INT_DTYPES)
+    if rows.ndim != 2 or rows.shape[1] != cfg.dim + 1:
+        raise ParseError(
+            f"bundle vocabulary rows must hold a copy and {cfg.dim} bins, "
+            f"got shape {list(rows.shape)}"
+        )
+    if not rows.size:
         return
-    bins = np.array([entry[1] for entry in blob], dtype=np.int64)
-    if bins.shape[1:] != (state.cfg.dim,):
-        raise ParseError(f"bundle vocabulary rows must hold {state.cfg.dim} bins")
-    copies = np.array([entry[0] for entry in blob], dtype=np.int64)
-    state.vocabulary.assign(np.column_stack([copies, bins]))
-    if len(state.vocabulary) != len(blob):
+    copies = rows[:, 0]
+    if copies.min() < 0 or copies.max() >= cfg.copies:
+        raise ParseError(f"bundle vocabulary copies must lie in [0, {cfg.copies})")
+    state.vocabulary.assign(rows.astype(np.int64))
+    if len(state.vocabulary) != len(rows):
         raise ParseError("bundle vocabulary repeats a (copy, bins) key")
 
 
@@ -330,10 +391,10 @@ def save_model(path, task, cfg, state, normalizer, models, classes=None) -> None
         "task": task,
         "map": _map_metadata(cfg),
         "normalizer": normalizer.to_json(),
-        "vocabulary": _vocabulary_to_json(state) if cfg.kind == BINNING else [],
+        "vocabulary": _vocabulary_to_json(state),
         "models": [
             {
-                "weights": list(map(float, m.weights)),
+                "weights": _encode_array(m.weights, "<f8"),
                 "y_mean": m.y_mean,
                 "lambda": m.lam,
                 "route": m.route,
@@ -349,8 +410,11 @@ def save_model(path, task, cfg, state, normalizer, models, classes=None) -> None
 def load_model(path):
     """Rebuild (task, state, normalizer, models, classes) from a bundle."""
     bundle = json.loads(Path(path).read_text(encoding="ascii"))
-    if bundle.get("format") != MODEL_FORMAT:
-        raise ParseError(f"{path} is not a model bundle (format field missing)")
+    found = bundle.get("format") if isinstance(bundle, dict) else None
+    if found != MODEL_FORMAT:
+        raise ParseError(
+            f"{path} has model format {found!r}; this version reads {MODEL_FORMAT!r}"
+        )
     cfg = _config_from_metadata(bundle["map"])
     state = build_map(cfg)
     if cfg.kind == BINNING:
@@ -359,7 +423,7 @@ def load_model(path):
     models = tuple(
         learn.RidgeModel(
             state=state,
-            weights=np.asarray(m["weights"], dtype=float),
+            weights=_decode_array(m["weights"], "weights", _WEIGHT_DTYPES).astype(float),
             lam=float(m["lambda"]),
             y_mean=float(m["y_mean"]),
             route=m["route"],

@@ -7,8 +7,10 @@ decomposition into (C, tilted law) with tilted density f(x)/(C x). The
 tilted law is a catalog member when the family is closed under tilting, a
 plain Poisson for shifted counts, and a generalized gamma law otherwise
 (Weibull, and Nakagami with m < 1). Every tilted law has a closed sf and,
-except a tilted Weibull law with exponent other than 2, a closed real part
-of its characteristic function, re_cf.
+except a tilted Weibull law with exponent other than 2, a closed
+one_minus_re_cf(a) = 1 - E cos(aX), written so that it keeps its relative
+accuracy as a -> 0 (expm1 and sin^2 forms, a Kummer series at small
+argument).
 Special functions come from ``math`` and ``scipy.special``; values are
 returned as Python floats.
 """
@@ -25,6 +27,34 @@ from .errors import ConvergenceError, InfiniteTiltError, ParseError
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
+
+
+# ---------------------------------------------------------------------------
+# 1 - E cos(aX) without cancellation at small a
+
+
+def _damped_cos_gap(u, w):
+    """1 - e^u cos(w) for u <= 0, as (1 - e^u) + e^u 2 sin^2(w/2)."""
+    h = math.sin(0.5 * w)
+    return -math.expm1(u) + 2.0 * math.exp(u) * h * h
+
+
+def _kummer_gap(m, z):
+    """1 - M(m, 1/2, -z) for z >= 0.
+
+    While z and m z are at most 1/2 the Kummer series terms fall by a
+    factor of three or more from the first, 2 m z, and alternate, so the
+    sum keeps full relative accuracy; beyond that 1 - M is not small.
+    """
+    if z > 0.5 or m * z > 0.5:
+        return 1.0 - float(hyp1f1(m, 0.5, -z))
+    term = total = 2.0 * m * z
+    for k in range(1, 60):
+        term *= -(m + k) * z / ((k + 0.5) * (k + 1))
+        total += term
+        if abs(term) <= 1e-17 * total:
+            break
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +91,12 @@ class GeneralizedGamma:
             return 1.0
         return float(gammaincc(self.shape, (x / self.scale) ** self.power))
 
-    def re_cf(self, a):
-        """E cos(aX), in closed form for power 2 only (a Nakagami law with
-        m = shape); None otherwise."""
+    def one_minus_re_cf(self, a):
+        """1 - E cos(aX), in closed form for power 2 only (a Nakagami law
+        with m = shape); None otherwise."""
         if self.power != 2.0:
             return None
-        return float(hyp1f1(self.shape, 0.5, -0.25 * (self.scale * a) ** 2))
+        return _kummer_gap(self.shape, 0.25 * (self.scale * a) ** 2)
 
 
 @dataclass(frozen=True)
@@ -100,8 +130,10 @@ class Poisson:
             return 1.0
         return float(gammainc(math.floor(x) + 1.0, self.mu))
 
-    def re_cf(self, a):
-        return math.exp(self.mu * (math.cos(a) - 1.0)) * math.cos(self.mu * math.sin(a))
+    def one_minus_re_cf(self, a):
+        # E cos(aX) = e^u cos(w), u = mu (cos a - 1) = -2 mu sin^2(a/2), w = mu sin a
+        h = math.sin(0.5 * a)
+        return _damped_cos_gap(-2.0 * self.mu * h * h, self.mu * math.sin(a))
 
     def mean(self):
         return self.mu
@@ -283,10 +315,10 @@ class Gamma(Distribution):
             return 1.0
         return float(gammaincc(self.s, x / self.theta))
 
-    def re_cf(self, a):
+    def one_minus_re_cf(self, a):
+        # E cos(aX) = (1 + x^2)^(-s/2) cos(s atan x) with x = theta a
         x = self.theta * a
-        cosw = 1.0 / math.sqrt(1.0 + x * x)
-        return cosw ** self.s * math.cos(self.s * math.atan(x))
+        return _damped_cos_gap(-0.5 * self.s * math.log1p(x * x), self.s * math.atan(x))
 
     def mean(self):
         return self.s * self.theta
@@ -445,8 +477,8 @@ class Chi(Distribution):
             return 1.0
         return float(gammaincc(self.nu / 2.0, x * x / 2.0))
 
-    def re_cf(self, a):
-        return float(hyp1f1(self.nu / 2.0, 0.5, -0.5 * a * a))
+    def one_minus_re_cf(self, a):
+        return _kummer_gap(self.nu / 2.0, 0.5 * a * a)
 
     def mean(self):
         return _SQRT_2 * math.exp(math.lgamma((self.nu + 1.0) / 2.0) - math.lgamma(self.nu / 2.0))
@@ -486,9 +518,9 @@ class HalfNormal(Distribution):
             return 1.0
         return math.erfc(x / (self.sigma * _SQRT_2))
 
-    def re_cf(self, a):
+    def one_minus_re_cf(self, a):
         x = self.sigma * a
-        return math.exp(-0.5 * x * x)
+        return -math.expm1(-0.5 * x * x)
 
     def mean(self):
         return self.sigma * _SQRT_2 / _SQRT_PI
@@ -569,8 +601,8 @@ class Nakagami(Distribution):
             return 1.0
         return float(gammaincc(self.m, self.m * x * x / self.omega))
 
-    def re_cf(self, a):
-        return float(hyp1f1(self.m, 0.5, -self.omega * a * a / (4.0 * self.m)))
+    def one_minus_re_cf(self, a):
+        return _kummer_gap(self.m, self.omega * a * a / (4.0 * self.m))
 
     def mean(self):
         return math.exp(math.lgamma(self.m + 0.5) - math.lgamma(self.m)) * math.sqrt(

@@ -23,6 +23,7 @@ Weibull laws with exponent other than 1 or 2.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -209,8 +210,8 @@ def _tilt_ft(d, a):
     panel quadrature for the half-normal form), or None."""
     t = _tilt(d)
     if t is not None:
-        re_cf = t.tilted.re_cf(a)
-        return None if re_cf is None else 2.0 * t.c * (1.0 - re_cf) / (a * a)
+        gap = t.tilted.one_minus_re_cf(a)
+        return None if gap is None else 2.0 * t.c * gap / (a * a)
     kind, scale = _e1_form(d)
     if kind == "exp":
         x = scale * a
@@ -282,9 +283,11 @@ def eval_ft(spec, t):
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if t == 0.0:
-        return SpectralValue(0.0, spec.dist.mean() / spec.rho)
     a = abs(t) / spec.rho
+    if a * a < sys.float_info.min:
+        # the a^2 term of the transform is below double precision, and the
+        # closed forms would divide by an underflowed a^2
+        return SpectralValue(t, spec.dist.mean() / spec.rho)
     v = _tilt_ft(spec.dist, a)
     if v is None:
         v = eval_ft_numeric(spec.dist, a)

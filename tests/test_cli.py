@@ -9,6 +9,7 @@ The CLI is exercised in-process through ``cli.main(argv)``.  Oracles:
     directly against the library.
 """
 
+import base64
 import json
 import math
 
@@ -495,18 +496,34 @@ def rewrite_bundle(model_path, edit):
     model_path.write_text(json.dumps(bundle))
 
 
+def typed_array(values, dtype):
+    """A bundle array: dtype, shape and base64 of the raw bytes."""
+    values = np.ascontiguousarray(values, dtype=dtype)
+    return {"dtype": dtype, "shape": list(values.shape),
+            "data": base64.b64encode(values.tobytes()).decode("ascii")}
+
+
+def array_of(blob):
+    raw = base64.b64decode(blob["data"], validate=True)
+    return np.frombuffer(raw, dtype=blob["dtype"]).reshape(blob["shape"])
+
+
+def edit_weights(bundle, change):
+    model = bundle["models"][0]
+    model["weights"] = typed_array(change(array_of(model["weights"])), "<f8")
+
+
 class TestBundleChecks:
     def test_binning_weights_cut_short(self, tmp_path, capsys):
         data, model_path = fit_bundle(tmp_path)
-        width = len(json.loads(model_path.read_text())["vocabulary"])
-        rewrite_bundle(model_path, lambda b: b["models"][0].update(
-            weights=b["models"][0]["weights"][:2]))
+        width = json.loads(model_path.read_text())["vocabulary"]["shape"][0]
+        rewrite_bundle(model_path, lambda b: edit_weights(b, lambda w: w[:2]))
         message = predict_error(data, model_path, capsys)
         assert f"weights have 2 entries; the map has {width} feature columns" in message
 
     def test_fourier_weights_not_one_per_copy(self, tmp_path, capsys):
         data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")
-        rewrite_bundle(model_path, lambda b: b["models"][0]["weights"].append(0.5))
+        rewrite_bundle(model_path, lambda b: edit_weights(b, lambda w: np.append(w, 0.5)))
         message = predict_error(data, model_path, capsys)
         assert "weights have 9 entries; the map has 8 feature columns" in message
 
@@ -520,12 +537,86 @@ class TestBundleChecks:
         data, model_path = fit_bundle(tmp_path)
 
         def empty(bundle):
-            bundle["vocabulary"] = []
-            bundle["models"][0]["weights"] = []
+            bundle["vocabulary"] = typed_array(np.empty((0, 3)), "<i1")
+            edit_weights(bundle, lambda w: w[:0])
 
         rewrite_bundle(model_path, empty)
         message = predict_error(data, model_path, capsys)
         assert "empty vocabulary" in message
+
+
+class TestBundleFormat:
+    def test_layout(self, tmp_path):
+        _, model_path = fit_bundle(tmp_path)
+        bundle = json.loads(model_path.read_text())
+        assert bundle["format"] == "polyakern-model-v2"
+        vocab = array_of(bundle["vocabulary"])
+        assert vocab.shape[1] == 3  # the copy, then dim = 2 bins
+        assert sorted(set(vocab[:, 0].tolist())) == list(range(8))
+        assert bundle["vocabulary"]["dtype"] in ("<i1", "<i2")
+        assert array_of(bundle["models"][0]["weights"]).shape == (vocab.shape[0],)
+
+    @pytest.mark.parametrize("values,dtype", [
+        ([0], "<i1"), ([-128, 127], "<i1"), ([128], "<i2"), ([-129], "<i2"),
+        ([-32768, 32767], "<i2"), ([32768], "<i4"), ([-(2 ** 31)], "<i4"),
+        ([2 ** 31], "<i8"), ([-(2 ** 63), 2 ** 63 - 1], "<i8"), ([], "<i1"),
+    ])
+    def test_narrowest_vocabulary_dtype(self, values, dtype):
+        assert cli._narrowest_int(np.array(values, dtype=np.int64)) == dtype
+
+    def test_reload_is_exact_for_every_dtype(self):
+        for dtype, big in (("<i1", 100), ("<i2", 30000), ("<i4", 2 ** 30), ("<i8", 2 ** 40)):
+            rows = np.array([[0, big, -big], [1, -big, 7]])
+            blob = cli._encode_array(rows, cli._narrowest_int(rows))
+            assert blob["dtype"] == dtype
+            back = cli._decode_array(json.loads(json.dumps(blob)), "vocabulary", (dtype,))
+            assert np.array_equal(back, rows)
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda b: b["models"][0]["weights"].update(data="not*base64!"), "not valid base64"),
+        (lambda b: b["vocabulary"].update(data="-" + b["vocabulary"]["data"][1:]),
+         "not valid base64"),
+        (lambda b: b["vocabulary"].update(dtype="<f8"), "dtype '<f8'"),
+        (lambda b: b["vocabulary"].update(dtype=">i8"), "dtype '>i8'"),
+        (lambda b: b["models"][0]["weights"].update(dtype="|O"), "dtype '|O'"),
+        (lambda b: b["models"][0]["weights"].update(dtype=">f8"), "dtype '>f8'"),
+        (lambda b: b["models"][0]["weights"]["shape"].__setitem__(0, 3), "needs 24"),
+        (lambda b: b["vocabulary"]["shape"].__setitem__(1, 2), "bytes; shape"),
+        (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"])[:, :2], "<i2")),
+         "a copy and 2 bins"),
+        (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"])[:, 0], "<i2")),
+         "a copy and 2 bins"),
+        (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"]) + 100, "<i2")),
+         "copies must lie in [0, 8)"),
+        (lambda b: b["vocabulary"].update(
+            typed_array(np.repeat(array_of(b["vocabulary"])[:1], 2, axis=0), "<i2")),
+         "repeats a (copy, bins) key"),
+        (lambda b: b["models"][0].update(weights=[0.5, 0.25]), "dtype, shape and data"),
+        (lambda b: b["vocabulary"].update(shape=[-1, 3]), "list of sizes"),
+    ], ids=[
+        "weights-not-base64", "vocabulary-not-base64", "vocabulary-f8", "vocabulary-big-endian",
+        "weights-object", "weights-big-endian", "weights-byte-count", "vocabulary-byte-count",
+        "vocabulary-row-narrow", "vocabulary-one-dim", "vocabulary-copy-range",
+        "vocabulary-repeated-key", "weights-plain-list", "negative-shape",
+    ])
+    def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle):
+        data, model_path = fit_bundle(tmp_path)
+        rewrite_bundle(model_path, edit)
+        assert needle in predict_error(data, model_path, capsys)
+
+    def test_v1_bundle_names_both_formats(self, tmp_path, capsys):
+        data, model_path = fit_bundle(tmp_path)
+
+        def to_v1(bundle):
+            rows = array_of(bundle["vocabulary"]).tolist()
+            bundle["format"] = "polyakern-model-v1"
+            bundle["vocabulary"] = [[r[0], r[1:], j] for j, r in enumerate(rows)]
+            for m in bundle["models"]:
+                m["weights"] = array_of(m["weights"]).tolist()
+
+        rewrite_bundle(model_path, to_v1)
+        message = predict_error(data, model_path, capsys)
+        assert "'polyakern-model-v1'" in message and "'polyakern-model-v2'" in message
 
 
 class TestCv:

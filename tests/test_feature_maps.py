@@ -5,6 +5,7 @@ against Monte Carlo with seeded streams; tolerances are stated in standard
 errors or relative terms.
 """
 
+import base64
 import json
 import math
 
@@ -404,11 +405,6 @@ def dict_featurize(state, X, vocab):
     return indices
 
 
-def dict_vocabulary_json(vocab):
-    return json.dumps([[copy, list(map(int, bins)), column]
-                       for (copy, bins), column in vocab.items()])
-
-
 def oracle_cases():
     rng = np.random.default_rng(2016)
     dup = rng.uniform(-1, 1, size=(5, 3))
@@ -433,12 +429,15 @@ class TestDictOracle:
         train = fm.featurize(state, train_X)
         assert np.array_equal(train.indices, dict_featurize(state, train_X, vocab))
         assert train.width == len(vocab)
-        # bundle JSON, and a bundle reload that looks bins up the same way
-        blob = json.dumps(cli._vocabulary_to_json(state))
-        assert blob == dict_vocabulary_json(vocab)
+        # bundle rows in the dict's (copy, bins) order, and a bundle reload
+        # that looks bins up the same way
+        blob = json.loads(json.dumps(cli._vocabulary_to_json(state)))
+        raw = np.frombuffer(base64.b64decode(blob["data"]), dtype=blob["dtype"])
+        saved = raw.reshape(blob["shape"]).tolist()
+        assert saved == [[copy, *bins] for copy, bins in vocab]
         loaded = fm.build_map(c)
-        cli._restore_vocabulary(loaded, json.loads(blob))
-        assert json.dumps(cli._vocabulary_to_json(loaded)) == blob
+        cli._restore_vocabulary(loaded, blob)
+        assert cli._vocabulary_to_json(loaded) == blob
         # at inference the dict grew; the sentinel stands for every new key
         width = len(vocab)
         grown = dict_featurize(state, test_X, vocab)

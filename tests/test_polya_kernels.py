@@ -237,6 +237,20 @@ class TestEvalFt:
             rhs = kernels.eval_ft(spec(d), t / 2.0).value / 2.0
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("d,third", [
+        (dist.Gamma(2.0, 1.0), 24.0),
+        (dist.Rayleigh(1.0), 3.0 * math.sqrt(math.pi / 2.0)),
+        (dist.Chi(3), 2.0 ** 1.5 * math.gamma(3.0) / math.gamma(1.5)),
+        (dist.ShiftedPoisson(2.0), 47.0),  # E (1 + N)^3 with N ~ Poisson(2)
+        (dist.Nakagami(0.75, 1.0), math.gamma(2.25) / math.gamma(0.75) / 0.75 ** 1.5),
+    ], ids=repr)
+    def test_small_frequency_keeps_digits(self, d, third):
+        # FT(t) = E X - t^2 E X^3 / 12 + O(t^4); 1 - Re phi(t) must not
+        # cancel, and t^2 may underflow
+        for t in [1e-3, 1e-6, 1e-9, 1e-160, -1e-300]:
+            expected = d.mean() - t * t * third / 12.0
+            assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-11), t
+
     def test_numeric_rejects_zero(self):
         with pytest.raises(ValueError):
             kernels.eval_ft_numeric(dist.Gamma(2.0, 1.0), 0.0)

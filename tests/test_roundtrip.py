@@ -1,0 +1,119 @@
+"""Property tests: what the package writes, it reads back unchanged.
+
+  * a model bundle: save -> load -> predict gives the same scores, and a
+    re-save of the loaded model writes the same bytes (exact and hashed
+    binning, fourier_real);
+  * LIBSVM text: ``write_libsvm`` -> ``parse_libsvm`` gives the same
+    points and labels;
+  * kernel specs: ``format_kernel_spec`` -> ``parse_kernel_spec`` gives an
+    equal spec.
+"""
+
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from polyakern import cli, learn
+from polyakern import distributions as dist
+from polyakern import polya_kernels as kernels
+from polyakern.feature_maps import (
+    BINNING, FOURIER_REAL, FeatureMapConfig, TensorCauchy, build_map, featurize,
+)
+from polyakern.rng import RandomStream
+
+MAPS = [
+    (BINNING, None),
+    (BINNING, 64),  # hashed
+    (FOURIER_REAL, None),
+]
+
+
+class TestBundleRoundTrip:
+    @given(
+        which=st.sampled_from(range(len(MAPS))),
+        n=st.integers(1, 30),
+        dim=st.integers(1, 4),
+        copies=st.integers(1, 12),
+        seed=st.integers(0, 2 ** 32),
+        spread=st.sampled_from([1.0, 1e3, 1e6, 1e12]),  # widens bins past int8/16/32
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_save_load_predict(self, which, n, dim, copies, seed, spread):
+        kind, buckets = MAPS[which]
+        stream = RandomStream(seed)
+        X = spread * (2.0 * stream.uniform(n * dim).reshape(n, dim) - 1.0)
+        y = stream.normal(n)
+        X_new = spread * (2.0 * stream.uniform(7 * dim).reshape(7, dim) - 1.0)
+        kernel = kernels.KernelSpec(dist.Gamma(2.0, 1.0)) if kind == BINNING else TensorCauchy(1.0)
+        cfg = FeatureMapConfig(kind=kind, kernel=kernel, dim=dim, copies=copies,
+                               seed=seed, hash_buckets=buckets)
+        state = build_map(cfg)
+        model = learn.fit(state, featurize(state, X), y, lam=0.1)
+        normalizer = cli.fit_normalizer(X)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            cli.save_model(first, "regression", cfg, state, normalizer, [model])
+            task, loaded, norm, models, classes = cli.load_model(first)
+            cli.save_model(second, task, loaded.cfg, loaded, norm, models, classes)
+            assert first.read_bytes() == second.read_bytes()
+        assert (task, classes) == ("regression", None)
+        for points in (X, X_new):
+            assert np.array_equal(learn.predict(models[0], points), learn.predict(model, points))
+        assert np.array_equal(models[0].weights, model.weights)
+
+
+class TestLibsvmRoundTrip:
+    @given(
+        st.integers(1, 12).flatmap(lambda d: arrays(
+            float, st.tuples(st.integers(1, 15), st.just(d)),
+            elements=st.floats(allow_nan=False, allow_infinity=False)
+            | st.just(0.0),
+        )),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_write_then_parse(self, points, data):
+        labels = data.draw(arrays(float, points.shape[0],
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.txt"
+            cli.write_libsvm(path, points, labels)
+            ds = cli.parse_libsvm(path)
+        width = ds.points.shape[1]
+        # LIBSVM drops zero entries, so trailing all-zero columns vanish
+        assert np.array_equal(ds.points, points[:, :width])
+        assert not np.any(points[:, width:])
+        assert width == 0 or np.any(points[:, width - 1])
+        assert np.array_equal(ds.targets, labels)
+
+
+def distributions():
+    def build(cls):
+        params = {
+            f.name: st.integers(1, 30).map(float) if f.name == "nu"
+            else st.floats(0.05, 50.0)
+            for f in fields(cls)
+        }
+        return st.fixed_dictionaries(params).map(lambda kv: (cls, kv))
+
+    return st.sampled_from(sorted(dist.FAMILIES.values(), key=lambda c: c.family)).flatmap(build)
+
+
+class TestSpecRoundTrip:
+    @given(distributions(), st.sampled_from(["none", "rho", "tau"]), st.floats(0.01, 100.0))
+    @settings(deadline=None, max_examples=100)
+    def test_format_then_parse(self, family, scale, value):
+        cls, params = family
+        try:
+            d = cls(**params)
+        except ValueError:
+            assume(False)
+        spec = kernels.KernelSpec(d, **({} if scale == "none" else {scale: value}))
+        text = kernels.format_kernel_spec(spec)
+        again = kernels.parse_kernel_spec(text)
+        assert again == spec
+        assert kernels.format_kernel_spec(again) == text
