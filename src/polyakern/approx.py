@@ -43,6 +43,10 @@ class KernelMatrix:
         return self.values.shape[0]
 
 
+# Most coordinate differences one block of exact_gram holds at a time.
+_GRAM_BLOCK = 1 << 20
+
+
 def _as_matrix(K):
     if isinstance(K, KernelMatrix):
         return K.values
@@ -68,10 +72,17 @@ def exact_gram(kernel, X, double=False):
                     v *= eval_kernel(kernel, factor * (a - b))
                 out[i, j] = out[j, i] = v
     elif isinstance(kernel, fm.FREQUENCY_LAWS):
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = kernel.kernel_value(factor * X[i], factor * X[j])
-                out[i, j] = out[j, i] = v
+        # log k of every pair in a block of rows at once, each coordinate sum
+        # in the order kernel_value sums it; math.exp, not np.exp, so that
+        # every entry equals kernel_value exactly
+        F = factor * X
+        rows = max(1, _GRAM_BLOCK // max(1, n * X.shape[1]))
+        for lo in range(0, n, rows):
+            logk = kernel.log_kernel(F[lo:lo + rows, None, :] - F[None, :, :])
+            upper = np.arange(n) > np.arange(lo, lo + logk.shape[0])[:, None]
+            v = np.fromiter(map(math.exp, logk[upper].tolist()), float)
+            out[lo:lo + rows][upper] = v
+            out[:, lo:lo + rows].T[upper] = v
     else:
         raise ValueError(f"unsupported kernel object {kernel!r}")
     return KernelMatrix(out)

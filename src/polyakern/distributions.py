@@ -11,6 +11,8 @@ except a tilted Weibull law with exponent other than 2, a closed
 one_minus_re_cf(a) = 1 - E cos(aX), written so that it keeps its relative
 accuracy as a -> 0 (expm1 and sin^2 forms, a Kummer series at small
 argument).
+The gamma and half-normal laws, whose decomposition constant is infinite
+for gamma shapes s <= 1, also give im_cf(a) = E sin(aX) in closed form.
 Special functions come from ``math`` and ``scipy.special``; values are
 returned as Python floats.
 """
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, hyp1f1
+from scipy.special import dawsn, gammainc, gammaincc, hyp1f1
 
 from .errors import ConvergenceError, InfiniteTiltError, ParseError
 
@@ -320,6 +322,11 @@ class Gamma(Distribution):
         x = self.theta * a
         return _damped_cos_gap(-0.5 * self.s * math.log1p(x * x), self.s * math.atan(x))
 
+    def im_cf(self, a):
+        """E sin(aX) = (1 + x^2)^(-s/2) sin(s atan x) with x = theta a."""
+        x = self.theta * a
+        return math.exp(-0.5 * self.s * math.log1p(x * x)) * math.sin(self.s * math.atan(x))
+
     def mean(self):
         return self.s * self.theta
 
@@ -521,6 +528,10 @@ class HalfNormal(Distribution):
     def one_minus_re_cf(self, a):
         x = self.sigma * a
         return -math.expm1(-0.5 * x * x)
+
+    def im_cf(self, a):
+        """E sin(aX) = (2 / sqrt(pi)) D(sigma a / sqrt(2)), D Dawson's integral."""
+        return 2.0 / _SQRT_PI * float(dawsn(self.sigma * a / _SQRT_2))
 
     def mean(self):
         return self.sigma * _SQRT_2 / _SQRT_PI

@@ -63,9 +63,12 @@ class TensorCauchy:
     def sample(self, stream, size):
         return dists.sample_cauchy(stream, self.scale, size)
 
+    def log_kernel(self, diff):
+        """log k at coordinate differences ``diff``, summed over its last axis."""
+        return -self.scale * np.sum(np.abs(diff), axis=-1)
+
     def kernel_value(self, x, xp):
-        d = np.abs(np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
-        return math.exp(-self.scale * float(np.sum(d)))
+        return math.exp(self.log_kernel(_difference(x, xp)))
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,19 @@ class IsotropicNormal:
     def sample(self, stream, size):
         return dists.sample_normal(stream, self.stddev, size)
 
+    def log_kernel(self, diff):
+        """log k at coordinate differences ``diff``, summed over its last axis."""
+        return -0.5 * self.stddev ** 2 * np.sum(diff * diff, axis=-1)
+
     def kernel_value(self, x, xp):
-        d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-        return math.exp(-0.5 * self.stddev ** 2 * float(np.sum(d * d)))
+        return math.exp(self.log_kernel(_difference(x, xp)))
 
 
 FREQUENCY_LAWS = (TensorCauchy, IsotropicNormal)
+
+
+def _difference(x, xp):
+    return np.ravel(np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -294,18 +304,19 @@ def featurize(state, X):
     X = _check_points(state, X)
     n = X.shape[0]
     cfg = state.cfg
-    d_sqrt = math.sqrt(cfg.copies)
     if cfg.kind == FOURIER_COMPLEX:
-        phases = state.frequencies @ X.T
-        return FeatureBatch(
-            kind=cfg.kind, n=n, copies=cfg.copies, data=np.exp(1j * phases) / d_sqrt
-        )
+        # exp(1j * phases) / sqrt(D), written over one complex array
+        data = 1j * (state.frequencies @ X.T)
+        np.exp(data, out=data)
+        data /= math.sqrt(cfg.copies)
+        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, data=data)
     if cfg.kind == FOURIER_REAL:
-        phases = state.frequencies @ X.T + state.offsets[:, None]
-        scale = math.sqrt(2.0 / cfg.copies)
-        return FeatureBatch(
-            kind=cfg.kind, n=n, copies=cfg.copies, data=scale * np.cos(phases)
-        )
+        # sqrt(2 / D) cos(phases + offsets), written over the matmul result
+        data = state.frequencies @ X.T
+        data += state.offsets[:, None]
+        np.cos(data, out=data)
+        data *= math.sqrt(2.0 / cfg.copies)
+        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, data=data)
     keys = _bin_keys(state, X)
     if cfg.hash_buckets is not None:
         indices = np.empty((cfg.copies, n), dtype=np.int64)

@@ -15,11 +15,16 @@ derivative: F(x) = 1 - k(x) + x * k'(x).
 Closed forms come from the tilt decomposition of F (constant C, tilted law
 G): k(r) = S_F(r) - r C S_G(r) with survival functions S, and the
 transform is 2 C (1 - Re phi_G(a)) / a^2 with G's characteristic function
-phi_G. The exponential and half-normal laws (C infinite) have their own
-forms in the exponential integral E1. Gamma with shape below one, Weibull
-with exponent below one, and chi-square with one degree of freedom fall
-back to direct quadrature of the mixture integral, as do the transforms of
-Weibull laws with exponent other than 1 or 2.
+phi_G. Where C is infinite (gamma with shape s <= 1, which covers the
+exponential and chi-square with one or two degrees of freedom, and the
+half-normal law, which covers chi with one degree of freedom and Nakagami
+with m = 1/2), the tail C S_G(r) is written with the exponential integral
+E1 or the incomplete gamma function, and the transform comes from the
+spectral identity FT(a) = (2 / a^2) * integral_0^a Im phi_F(u) du: one
+quadrature of a smooth, non-oscillating integrand. Only Weibull laws with
+exponent below one (kernel and transform), the transforms of Weibull laws
+with exponent other than 1 or 2, and gamma shapes within 1e-4 below one
+(kernel only) fall back to direct quadrature of the mixture integral.
 """
 
 import math
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from scipy.special import exp1
+from scipy.special import exp1, gammaincc
 
 from . import distributions as dists
 from .errors import (
@@ -41,9 +46,8 @@ from .errors import (
     SpectralMismatchError,
 )
 
-_SQRT_PI = math.sqrt(math.pi)
-_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Agreement demanded between the two independent spectral routes.
 SPECTRAL_AGREEMENT = 1e-6
@@ -118,9 +122,19 @@ def _unit_floor(r):
 #
 #     k(r) = S_F(r) - r T(r),   k'(r) = -T(r),   FT(a) = 2 C (1 - Re phi_G(a)) / a^2.
 #
-# Where C diverges, the exponential and half-normal laws have T in terms of
-# E1; gamma with shape below one, Weibull with exponent below one, and
-# chi-square with one degree of freedom have no closed form.
+# Where C diverges, the gamma laws with shape s <= 1 (the exponential and
+# chi-square with nu <= 2 among them) and the half-normal law (chi with
+# nu = 1, Nakagami with m = 1/2) have T in terms of E1 and the incomplete
+# gamma function, and their transforms follow from the spectral identity
+#
+#     FT(a) = 2 E[(1 - cos aX) / X] / a^2 = (2 / a^2) integral_0^a Im phi_F(u) du,
+#
+# since the derivative of E[(1 - cos aX) / X] in a is E sin(aX). Weibull
+# laws with exponent below one have no closed form.
+
+# Gamma shapes in (this, 1) lose the closed tilted tail to cancellation
+# (relative error about 1e-16 / (1 - s)) and use quadrature instead.
+_GAMMA_TAIL_MAX_SHAPE = 1.0 - 1e-4
 
 
 def _tilt(d):
@@ -130,24 +144,22 @@ def _tilt(d):
         return None
 
 
-def _e1_form(d):
-    """("exp", theta) or ("half_normal", sigma) when d is that law in
-    another parameterization, else (None, None)."""
-    if (
-        isinstance(d, dists.Exponential)
-        or (isinstance(d, dists.Gamma) and d.s == 1.0)
-        or (isinstance(d, dists.Weibull) and d.alpha == 1.0)
-    ):
-        return "exp", d.theta
-    if isinstance(d, dists.ChiSquare) and d.nu == 2:
-        return "exp", 2.0
-    if isinstance(d, dists.HalfNormal):
-        return "half_normal", d.sigma
-    if isinstance(d, dists.Chi) and d.nu == 1:
-        return "half_normal", 1.0
-    if isinstance(d, dists.Nakagami) and d.m == 0.5:
-        return "half_normal", math.sqrt(d.omega)
-    return None, None
+def _untilted_law(d):
+    """The Gamma or HalfNormal law that d with C = infinity is in another
+    parameterization, or None (Weibull with exponent below one)."""
+    if isinstance(d, (dists.Gamma, dists.HalfNormal)):
+        return d
+    if isinstance(d, dists.Exponential):
+        return dists.Gamma(1.0, d.theta)
+    if isinstance(d, dists.Weibull):
+        return dists.Gamma(1.0, d.theta) if d.alpha == 1.0 else None
+    if isinstance(d, dists.ChiSquare):
+        return d._as_gamma()
+    if isinstance(d, dists.Chi):  # nu = 1
+        return dists.HalfNormal(1.0)
+    if isinstance(d, dists.Nakagami):  # m = 1/2
+        return dists.HalfNormal(math.sqrt(d.omega))
+    return None
 
 
 def _tilted_tail(d, r):
@@ -155,12 +167,22 @@ def _tilted_tail(d, r):
     t = _tilt(d)
     if t is not None:
         return t.c * t.tilted.sf(r)
-    kind, scale = _e1_form(d)
-    if kind == "exp":
-        return float(exp1(r / scale)) / scale
-    if kind == "half_normal":
-        return float(exp1(r * r / (2.0 * scale * scale))) / (scale * _SQRT_2PI)
-    return None
+    law = _untilted_law(d)
+    if isinstance(law, dists.HalfNormal):
+        return float(exp1(r * r / (2.0 * law.sigma ** 2))) / (law.sigma * _SQRT_2PI)
+    if law is None:
+        return None
+    x = r / law.theta
+    if law.s == 1.0:
+        return float(exp1(x)) / law.theta
+    if law.s > _GAMMA_TAIL_MAX_SHAPE:
+        return None
+    # T = Gamma(s - 1, x) / (theta Gamma(s)), and by the recurrence
+    # Gamma(s - 1, x) = (x^(s-1) e^-x - Gamma(s, x)) / (1 - s)
+    lead = (law.s - 1.0) * math.log(x) - x - math.lgamma(law.s) if x > 0.0 else math.inf
+    if lead > _LOG_MAX:
+        return math.inf
+    return (math.exp(lead) - float(gammaincc(law.s, x))) / ((1.0 - law.s) * law.theta)
 
 
 def _tilt_kernel(d, r):
@@ -171,54 +193,45 @@ def _tilt_kernel(d, r):
     tail = _tilted_tail(d, x)
     if tail is None:
         return None
-    # r T(r) -> 0 as r -> 0; T is infinite only where the E1 argument underflows
+    # r T(r) -> 0 as r -> 0; T is infinite only where the E1 argument
+    # underflows or, at subnormal r, the leading power of the gamma tail
+    # overflows
     return d.sf(x) - (r * tail if tail < math.inf else 0.0), -tail
 
 
-def _half_normal_ft(sigma, a):
-    """Spectrum of the half-normal kernel by oscillatory panel quadrature.
+def _spectral_identity(law, a):
+    """(2 / a^2) integral_0^a Im phi(u) du for a law with closed im_cf.
 
-    After integrating by parts the transform is
-        (2 / (a sqrt(pi))) * integral_0^inf E1(v^2) sin(T v) dv,  T = sigma sqrt(2) a.
-    Panels run between consecutive zeros of the sine; the envelope decays
-    like exp(-v^2), so panel magnitudes are eventually monotone and the
-    first omitted panel bounds the tail.
-    """
-    big_t = sigma * _SQRT_2 * a
+    Up to u0 = min(a, 1 / mean) the integrand is about u E X, so the
+    integral runs over [0, 1] in v = u / u0 and keeps its relative accuracy
+    as a -> 0. Beyond u0 it decays like a power of u, which is smooth in
+    w = log(u / u0)."""
+    u0 = min(a, 1.0 / law.mean())
+    total, err = _quad(lambda v: law.im_cf(u0 * v), 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+    if a > u0:
+        def f(w):
+            g = math.exp(w)
+            return law.im_cf(u0 * g) * g
 
-    def f(v):
-        vv = v * v
-        if vv == 0.0:
-            return 0.0
-        return float(exp1(vv)) * math.sin(big_t * v)
-
-    width = math.pi / big_t
-    total = 0.0
-    for k in range(5000):
-        lo = k * width
-        val, _ = _quad(f, lo, lo + width, epsabs=1e-13, epsrel=1e-11, limit=200)
-        total += val
-        if k >= 1 and abs(val) <= 1e-13 * max(1.0, abs(total)):
-            return 2.0 * total / (a * _SQRT_PI)
-    raise ConvergenceError(
-        f"half-normal spectral panels did not decay (sigma={sigma}, t={a})"
-    )
+        more, more_err = _quad(f, 0.0, math.log(a / u0), epsabs=0.0, epsrel=1e-12)
+        total += more
+        err += more_err
+    if err > 1e-10 * total:
+        raise QuadratureError(
+            f"spectral identity quadrature error {err:.2e} too large at t={a} for {law!r}"
+        )
+    return 2.0 * u0 * total / a / a
 
 
 def _tilt_ft(d, a):
     """Transform at frequency a > 0 for the unscaled law in closed form (by
-    panel quadrature for the half-normal form), or None."""
+    the spectral identity where C is infinite), or None."""
     t = _tilt(d)
     if t is not None:
         gap = t.tilted.one_minus_re_cf(a)
         return None if gap is None else 2.0 * t.c * gap / (a * a)
-    kind, scale = _e1_form(d)
-    if kind == "exp":
-        x = scale * a
-        return math.log1p(x * x) / (scale * a * a)
-    if kind == "half_normal":
-        return _half_normal_ft(scale, a)
-    return None
+    law = _untilted_law(d)
+    return None if law is None else _spectral_identity(law, a)
 
 
 # ---------------------------------------------------------------------------

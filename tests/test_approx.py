@@ -48,6 +48,24 @@ class TestExactGram:
         assert K2[0, 1] == pytest.approx(math.exp(-1.4), rel=1e-12)
         assert K2[0, 0] == 1.0
 
+    @pytest.mark.parametrize("law", [fm.TensorCauchy(0.7), fm.IsotropicNormal(1.3)], ids=repr)
+    @pytest.mark.parametrize("double", [False, True])
+    @pytest.mark.parametrize("dim,block", [(3, None), (3, 50), (20, None)])
+    def test_frequency_law_equals_pairwise_definition(self, law, double, dim, block, monkeypatch):
+        # bit for bit, including across row blocks and at widths where numpy
+        # sums a row in several lanes
+        if block is not None:
+            monkeypatch.setattr(approx, "_GRAM_BLOCK", block)
+        X = np.random.default_rng(29).uniform(-2.0, 2.0, size=(60, dim))
+        X[7] = X[3]
+        factor = 2.0 if double else 1.0
+        expected = np.ones((60, 60))
+        for i in range(60):
+            for j in range(i + 1, 60):
+                expected[i, j] = expected[j, i] = law.kernel_value(factor * X[i], factor * X[j])
+        got = approx.exact_gram(law, X, double=double).values
+        assert np.array_equal(got, expected)
+
     def test_kernel_matrix_validation(self):
         with pytest.raises(ValueError):
             approx.KernelMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))

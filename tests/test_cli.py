@@ -147,6 +147,12 @@ class TestKernelCommands:
         assert lines[0] == "t,ft"
         assert float(lines[1].split(",")[1]) == pytest.approx(math.log(2.0), abs=1e-9)
 
+    def test_ft_half_normal_small_frequency(self, capsys):
+        # the limit at t -> 0 is the mean sigma sqrt(2 / pi)
+        assert cli.main(["kernel", "ft", "--kernel", "half_normal:sigma=1", "1e-5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1].startswith("1e-05,0.79788456078")
+
     def test_table_has_three_columns(self, tmp_path):
         out = tmp_path / "table.csv"
         code = cli.main([

@@ -134,6 +134,18 @@ class TestFeaturize:
         bound = math.sqrt(2.0 / 9) + 1e-12
         assert np.all(np.abs(batch.data) <= bound)
 
+    def test_fourier_data_equals_plain_expression(self):
+        # featurize writes over one array; the bytes are those of the plain
+        # sqrt(2/D) cos(WX + b) and exp(iWX) / sqrt(D)
+        X = np.random.default_rng(8).uniform(-3.0, 3.0, size=(200, 16))
+        real = fm.build_map(cfg(fm.FOURIER_REAL, 64, dim=16))
+        phases = real.frequencies @ X.T + real.offsets[:, None]
+        expected = math.sqrt(2.0 / 64) * np.cos(phases)
+        assert np.array_equal(fm.featurize(real, X).data, expected)
+        cplx = fm.build_map(cfg(fm.FOURIER_COMPLEX, 64, dim=16))
+        expected = np.exp(1j * (cplx.frequencies @ X.T)) / math.sqrt(64)
+        assert np.array_equal(fm.featurize(cplx, X).data, expected)
+
     def test_binning_identical_points(self):
         state = fm.build_map(cfg(fm.BINNING, 6, dim=2))
         X = np.array([[0.5, 0.5], [0.5, 0.5]])

@@ -7,6 +7,7 @@ constants were verified with 30-digit arithmetic.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,8 @@ CLOSED_FORM_SETTINGS = [
     dist.Nakagami(2.5, 1.3),
 ]
 
+# Shapes that once had no closed kernel form; only the Weibull law still
+# takes the numeric path.
 NUMERIC_ONLY_SETTINGS = [
     dist.Gamma(0.5, 1.0),
     dist.Weibull(1.0, 0.7),
@@ -173,6 +176,27 @@ FT_SETTINGS = [
 T_GRID = [0.3, 1.0, 2.6]
 
 
+def infinite_tilt_ft_reference(d, t):
+    """The transform at t with 30 digits, from formulas independent of the
+    spectral identity's quadrature: E X 2F2(1, 1; 3/2, 2; -(t sigma)^2 / 2)
+    for a half-normal law, and for a gamma law with shape s < 1 the tilt
+    formula continued to the tilted shape s - 1 < 0,
+    2 (Re (1 - i theta t)^(1 - s) - 1) / (theta (1 - s) t^2)."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        if isinstance(d, (dist.HalfNormal, dist.Chi, dist.Nakagami)):
+            sigma = {dist.HalfNormal: lambda: d.sigma, dist.Chi: lambda: 1.0,
+                     dist.Nakagami: lambda: mpmath.sqrt(d.omega)}[type(d)]()
+            mean = sigma * mpmath.sqrt(2 / mpmath.pi)
+            return float(mean * mpmath.hyp2f2(1, 1, 1.5, 2, -(t * sigma) ** 2 / 2))
+        if isinstance(d, dist.Exponential):
+            x = d.theta * t
+            return float(mpmath.log1p(x * x) / (d.theta * t * t))
+        s, theta = (0.5, 2.0) if isinstance(d, dist.ChiSquare) else (d.s, d.theta)
+        z = (1 - 1j * theta * t) ** (1 - mpmath.mpf(s))
+        return float(2 * (mpmath.re(z) - 1) / (theta * (1 - mpmath.mpf(s)) * t * t))
+
+
 class TestEvalFt:
     def test_log_two_anchor(self):
         # exponential source, theta 1: transform at t = 1 is log 2
@@ -251,6 +275,19 @@ class TestEvalFt:
             expected = d.mean() - t * t * third / 12.0
             assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-11), t
 
+    @pytest.mark.parametrize("d", [
+        dist.HalfNormal(0.7), dist.HalfNormal(1.0), dist.HalfNormal(2.0),
+        dist.Chi(1), dist.Nakagami(0.5, 1.5),
+        dist.Gamma(0.3, 1.0), dist.Gamma(0.5, 1.0), dist.ChiSquare(1),
+        dist.Exponential(1.0), dist.Exponential(2.0),
+    ], ids=repr)
+    def test_infinite_tilt_laws_keep_digits(self, d):
+        # C = E 1/X is infinite for these laws; the spectral identity must
+        # hold its relative accuracy from tiny to large frequencies
+        for t in [1e-9, 1e-6, 1e-4, 1e-3, 1.0, 20.0, 1e3, 1e6]:
+            expected = infinite_tilt_ft_reference(d, t)
+            assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-12), t
+
     def test_numeric_rejects_zero(self):
         with pytest.raises(ValueError):
             kernels.eval_ft_numeric(dist.Gamma(2.0, 1.0), 0.0)
@@ -260,6 +297,44 @@ class TestEvalFt:
         got = kernels.eval_ft_numeric(dist.ShiftedPoisson(1.0), math.pi)
         expected = (2.0 - 2.0 * math.exp(-2.0)) / math.pi ** 2
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+class TestGammaTail:
+    """The closed tilted tail of a gamma law with shape s < 1,
+    T(r) = Gamma(s - 1, r / theta) / (theta Gamma(s))."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.9])
+    def test_matches_reference(self, s):
+        theta = 1.5
+        for r in np.concatenate([np.geomspace(1e-8, 1.0, 9), np.linspace(1.5, 30.0, 20)]):
+            with mpmath.workdps(30):
+                ref = mpmath.gammainc(s - 1, r / theta) / (theta * mpmath.gamma(s))
+            got = kernels._tilted_tail(dist.Gamma(s, theta), r)
+            assert got == pytest.approx(float(ref), rel=1e-11), r
+
+    @pytest.mark.parametrize("s", [
+        0.3, 0.5, 0.9,
+        kernels._GAMMA_TAIL_MAX_SHAPE - 1e-4,  # last closed shapes
+        kernels._GAMMA_TAIL_MAX_SHAPE,
+        kernels._GAMMA_TAIL_MAX_SHAPE + 5e-5,  # numeric
+    ])
+    def test_kernel_matches_quadrature(self, s):
+        d = dist.Gamma(s, 1.0)
+        closed = s <= kernels._GAMMA_TAIL_MAX_SHAPE
+        assert (kernels._tilted_tail(d, 1.0) is not None) == closed
+        for r in [1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 20.0]:
+            assert kernels.eval_kernel(spec(d), r) == pytest.approx(
+                kernels.eval_kernel_numeric(d, r), abs=1e-9
+            ), r
+
+    def test_overflowing_tail_is_infinite(self):
+        # the leading power x^(s - 1) overflows, or x = r / theta underflows
+        # to zero; neither may raise
+        assert kernels._tilted_tail(dist.Gamma(0.01, 1.0), 1e-320) == math.inf
+        d = dist.Gamma(0.5, 1e10)
+        assert kernels._tilted_tail(d, 5e-324) == math.inf
+        assert kernels.eval_kernel(spec(d), 5e-324) == 1.0
+        assert kernels.kernel_to_cdf(spec(d), 5e-324) == 0.0
 
 
 class TestKernelToCdf:

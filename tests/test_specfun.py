@@ -1,7 +1,8 @@
 """Oracle tests for the special functions the kernel and distribution
 catalogs evaluate: ``math.gamma``, ``math.lgamma``, ``math.erf``/``erfc``
-and ``scipy.special``'s regularized incomplete gamma, ``exp1`` and
-``hyp1f1``, on the argument ranges the catalogs reach.
+and ``scipy.special``'s regularized incomplete gamma, ``exp1``, ``hyp1f1``
+and ``dawsn``, plus the recurrence that gives the incomplete gamma function
+at a negative order, on the argument ranges the catalogs reach.
 
 Every function is checked against an independent route: adaptive
 quadrature of the defining integral for a handful of anchor points, and a
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import exp1, gammaincc, hyp1f1
+from scipy.special import dawsn, exp1, gammaincc, hyp1f1
 
 mpmath.mp.dps = 30
 
@@ -123,6 +124,53 @@ class TestUpperIncGamma:
         lhs = upper_inc_gamma(s + 1, t)
         rhs = s * upper_inc_gamma(s, t) + t ** s * math.exp(-t)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def upper_inc_gamma_below_zero(s, t):
+    """Gamma(s - 1, t) for 0 < s < 1 by the recurrence the gamma kernel's
+    slope uses: (t^(s-1) e^-t - Gamma(s) Q(s, t)) / (1 - s)."""
+    lead = math.exp((s - 1.0) * math.log(t) - t)
+    return (lead - math.gamma(s) * float(gammaincc(s, t))) / (1.0 - s)
+
+
+class TestUpperIncGammaNegativeOrder:
+    def test_quadrature_of_defining_integral(self):
+        for s, t in [(0.3, 0.5), (0.5, 1.0), (0.9, 2.0), (0.5, 8.0)]:
+            ref, err = quad(lambda x: x ** (s - 2) * math.exp(-x), t, np.inf)
+            assert upper_inc_gamma_below_zero(s, t) == pytest.approx(ref, rel=1e-9)
+
+    def test_random_sweep_against_reference(self):
+        rng = np.random.default_rng(60311)
+        s_pts = rng.uniform(0.05, 0.99, size=100)
+        t_pts = np.exp(rng.uniform(np.log(1e-6), np.log(30.0), size=100))
+        for s, t in zip(s_pts, t_pts):
+            ref = mp_float(mpmath.gammainc(s - 1, t))
+            assert upper_inc_gamma_below_zero(s, t) == pytest.approx(ref, rel=1e-11)
+
+
+class TestDawson:
+    def test_small_argument_series(self):
+        # D(x) = x - 2 x^3 / 3 + 4 x^5 / 15 - ...
+        for x in [1e-300, 1e-9, 1e-4]:
+            assert dawsn(x) == pytest.approx(x - 2.0 * x ** 3 / 3.0, rel=1e-15)
+
+    def test_quadrature_of_defining_integral(self):
+        # D(x) = exp(-x^2) int_0^x exp(t^2) dt
+        for x in [0.2, 0.9, 2.0, 5.0]:
+            ref, err = quad(lambda t: math.exp(t * t - x * x), 0.0, x)
+            assert dawsn(x) == pytest.approx(ref, rel=1e-10)
+
+    def test_random_sweep_against_reference(self):
+        pts = np.exp(np.random.default_rng(60312).uniform(np.log(1e-6), np.log(1e6), size=100))
+        for x in pts:
+            m = mpmath.mpf(float(x))
+            ref = mp_float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-m * m) * mpmath.erfi(m))
+            assert dawsn(x) == pytest.approx(ref, rel=1e-13)
+
+    def test_large_argument_asymptote(self):
+        # D(x) -> 1 / (2x) + 1 / (4 x^3) as x -> infinity
+        for x in [1e4, 1e8, 1e100]:
+            assert dawsn(x) == pytest.approx(0.5 / x + 0.25 / x ** 3, rel=1e-14)
 
 
 class TestExpIntegralE1:
