@@ -275,7 +275,7 @@ def _emit(text: str, out) -> None:
 # ---------------------------------------------------------------------------
 # Model bundles
 
-MODEL_FORMAT = "polyakern-model-v2"
+MODEL_FORMAT = "polyakern-model-v3"
 
 # Bulk arrays travel as {"dtype", "shape", "data": base64 of the raw bytes};
 # vocabulary rows take the narrowest integer type that holds them.

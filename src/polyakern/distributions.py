@@ -1,8 +1,8 @@
 """Catalog of positively supported distributions that generate kernels.
 
 Each family carries closed-form density, cdf, survival function (sf) and
-mean, an exact sampler built on :class:`~polyakern.rng.RandomStream`, and -
-where the reciprocal-moment integral C = int f(x)/x dx converges - a
+mean, a vectorized inverse ppf(u) of the survival function, and - where
+the reciprocal-moment integral C = int f(x)/x dx converges - a
 decomposition into (C, tilted law) with tilted density f(x)/(C x). The
 tilted law is a catalog member when the family is closed under tilting, a
 plain Poisson for shifted counts, and a generalized gamma law otherwise
@@ -14,7 +14,15 @@ argument).
 The gamma and half-normal laws, whose decomposition constant is infinite
 for gamma shapes s <= 1, also give im_cf(a) = E sin(aX) in closed form.
 Special functions come from ``math`` and ``scipy.special``; values are
-returned as Python floats.
+returned as Python floats, except from ppf.
+
+ppf(u) is the point with upper-tail mass u, sf(ppf(u)) = u (for the count
+law the least k with sf(k) <= u), so ppf of uniforms strictly inside (0, 1)
+draws from the law. Reading u as upper-tail mass keeps full relative
+resolution in the right tail: the gamma-type laws invert the upper
+incomplete gamma function (``gammainccinv``), the exponential, Weibull and
+Rayleigh laws invert their closed sf, and the count law searches a table
+of its sf.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import dawsn, gammainc, gammaincc, hyp1f1
+from scipy.special import dawsn, gammainc, gammaincc, gammainccinv, hyp1f1
 
 from .errors import ConvergenceError, InfiniteTiltError, ParseError
 
@@ -150,13 +158,6 @@ class Distribution:
     discrete = False
     family = "?"
 
-    def sample(self, stream):
-        """One draw with the exact law of the family."""
-        return float(self.sample_many(stream, 1)[0])
-
-    def sample_many(self, stream, size):
-        raise NotImplementedError
-
     def decompose(self):
         raise InfiniteTiltError(
             f"{self!r}: the reciprocal-moment integral diverges"
@@ -185,60 +186,6 @@ def _integer_at_least_one(name, value):
     if not v.is_integer() or v < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value}")
     return int(v)
-
-
-def _gamma_shape_draws(stream, s, size):
-    """Standard (unit-scale) gamma draws by the Marsaglia-Tsang squeeze.
-
-    Shapes below one are drawn at shape s + 1 and boosted by U^(1/s).
-    """
-    s_eff = s if s >= 1.0 else s + 1.0
-    d = s_eff - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    pending = np.arange(size)
-    while pending.size:
-        x = stream.normal(pending.size)
-        u = stream.uniform_open(pending.size)
-        v = (1.0 + c * x) ** 3
-        ok = v > 0.0
-        logv = np.log(np.where(ok, v, 1.0))
-        accept = ok & (np.log(u) < 0.5 * x * x + d - d * v + d * logv)
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
-    if s < 1.0:
-        out *= stream.uniform_open(size) ** (1.0 / s)
-    return out
-
-
-def _poisson_block(stream, mu, size):
-    """Counts by inversion (sequential cdf search); efficient for mu <= 30."""
-    u = stream.uniform(size)
-    k = np.zeros(size, dtype=np.int64)
-    p = np.full(size, math.exp(-mu))
-    f = p.copy()
-    pending = u >= f
-    guard = int(mu + 20.0 * math.sqrt(mu) + 60.0)
-    for _ in range(guard):
-        if not pending.any():
-            return k
-        k[pending] += 1
-        p[pending] *= mu / k[pending]
-        f[pending] += p[pending]
-        pending = u >= f
-    raise ConvergenceError(f"count search exceeded {guard} steps at mu={mu}")
-
-
-def _poisson_draws(stream, mu, size):
-    """Counts for any rate: additivity splits large rates into small blocks."""
-    if mu <= 30.0:
-        return _poisson_block(stream, mu, size)
-    blocks = int(math.ceil(mu / 30.0))
-    rate = mu / blocks
-    total = np.zeros(size, dtype=np.int64)
-    for _ in range(blocks):
-        total += _poisson_block(stream, rate, size)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +221,14 @@ class ShiftedPoisson(Distribution):
     def mean(self):
         return self.mu + 1.0
 
-    def sample_many(self, stream, size):
-        return 1.0 + _poisson_draws(stream, self.mu, size).astype(float)
+    def ppf(self, u):
+        """The least k with sf(k) <= u, from a table of sf(k) = P(k, mu)
+        long enough to fall to the smallest u."""
+        u = np.asarray(u)
+        n = int(self.mu + 10.0 * math.sqrt(self.mu)) + 10
+        while (sf := gammainc(np.arange(1.0, n + 1.0), self.mu))[-1] > u.min():
+            n *= 2
+        return 1.0 + np.searchsorted(-sf, -u)
 
     def decompose(self):
         return TiltDecomposition(1.0 / self.mu, Poisson(self.mu))
@@ -330,8 +283,8 @@ class Gamma(Distribution):
     def mean(self):
         return self.s * self.theta
 
-    def sample_many(self, stream, size):
-        return self.theta * _gamma_shape_draws(stream, self.s, size)
+    def ppf(self, u):
+        return self.theta * gammainccinv(self.s, u)
 
     def decompose(self):
         if self.s <= 1.0:
@@ -369,8 +322,8 @@ class Exponential(Distribution):
     def mean(self):
         return self.theta
 
-    def sample_many(self, stream, size):
-        return self.theta * -np.log(stream.uniform_open(size))
+    def ppf(self, u):
+        return -self.theta * np.log(u)
 
 
 @dataclass(frozen=True)
@@ -408,8 +361,8 @@ class Weibull(Distribution):
     def mean(self):
         return self.theta * math.gamma(1.0 + 1.0 / self.alpha)
 
-    def sample_many(self, stream, size):
-        return self.theta * (-np.log(stream.uniform_open(size))) ** (1.0 / self.alpha)
+    def ppf(self, u):
+        return self.theta * (-np.log(u)) ** (1.0 / self.alpha)
 
     def decompose(self):
         if self.alpha <= 1.0:
@@ -445,8 +398,8 @@ class ChiSquare(Distribution):
     def mean(self):
         return float(self.nu)
 
-    def sample_many(self, stream, size):
-        return 2.0 * _gamma_shape_draws(stream, self.nu / 2.0, size)
+    def ppf(self, u):
+        return self._as_gamma().ppf(u)
 
     def decompose(self):
         if self.nu <= 2:
@@ -490,8 +443,8 @@ class Chi(Distribution):
     def mean(self):
         return _SQRT_2 * math.exp(math.lgamma((self.nu + 1.0) / 2.0) - math.lgamma(self.nu / 2.0))
 
-    def sample_many(self, stream, size):
-        return np.sqrt(2.0 * _gamma_shape_draws(stream, self.nu / 2.0, size))
+    def ppf(self, u):
+        return np.sqrt(2.0 * gammainccinv(self.nu / 2.0, u))
 
     def decompose(self):
         if self.nu < 2:
@@ -536,8 +489,8 @@ class HalfNormal(Distribution):
     def mean(self):
         return self.sigma * _SQRT_2 / _SQRT_PI
 
-    def sample_many(self, stream, size):
-        return self.sigma * np.abs(stream.normal(size))
+    def ppf(self, u):
+        return self.sigma * np.sqrt(2.0 * gammainccinv(0.5, u))
 
 
 @dataclass(frozen=True)
@@ -567,8 +520,8 @@ class Rayleigh(Distribution):
     def mean(self):
         return self.sigma * math.sqrt(math.pi / 2.0)
 
-    def sample_many(self, stream, size):
-        return self.sigma * np.sqrt(-2.0 * np.log(stream.uniform_open(size)))
+    def ppf(self, u):
+        return self.sigma * np.sqrt(-2.0 * np.log(u))
 
     def decompose(self):
         return TiltDecomposition(
@@ -620,8 +573,8 @@ class Nakagami(Distribution):
             self.omega / self.m
         )
 
-    def sample_many(self, stream, size):
-        return np.sqrt((self.omega / self.m) * _gamma_shape_draws(stream, self.m, size))
+    def ppf(self, u):
+        return np.sqrt((self.omega / self.m) * gammainccinv(self.m, u))
 
     def decompose(self):
         if self.m <= 0.5:
@@ -635,22 +588,6 @@ class Nakagami(Distribution):
                 c, GeneralizedGamma(m2, math.sqrt(self.omega / self.m), 2.0)
             )
         return TiltDecomposition(c, Nakagami(m2, self.omega * m2 / self.m))
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary (symmetric) sampling laws used by Fourier feature maps
-
-def sample_cauchy(stream, scale, size=None):
-    """Centered Cauchy draws by inverse cdf."""
-    _positive("scale", scale)
-    u = stream.uniform(size)
-    return scale * np.tan(math.pi * (u - 0.5))
-
-
-def sample_normal(stream, stddev, size=None):
-    """Centered normal draws."""
-    _positive("stddev", stddev)
-    return stddev * stream.normal(size)
 
 
 # ---------------------------------------------------------------------------

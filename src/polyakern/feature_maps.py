@@ -24,19 +24,19 @@ first ``featurize`` call on the map, which is the training data, and is
 read-only afterwards: a bin that training never saw gets the sentinel
 column ``width`` and no feature.
 
-Copy l always draws from the stream child (seed, l), so maps are
-deterministic, copies are independent, and enlarging D keeps the first
-copies unchanged.
+A map draws from one stream seeded by its seed: copy l reads row l of a
+block of uniforms and turns it into spacings or frequencies by the law's
+ppf, so maps are deterministic, copies are independent, and enlarging D
+keeps the first copies unchanged.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse as sp
+from scipy.special import ndtri
 
-from . import distributions as dists
 from .polya_kernels import KernelSpec
 from .rng import RandomStream
 
@@ -60,8 +60,11 @@ class TensorCauchy:
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
-    def sample(self, stream, size):
-        return dists.sample_cauchy(stream, self.scale, size)
+    def ppf(self, u):
+        """Frequency with upper-tail mass u, scale cot(pi u), taken from the
+        nearer tail so that both tails keep their digits."""
+        v = np.minimum(u, 1.0 - u)
+        return np.copysign(self.scale / np.tan(math.pi * v), 0.5 - u)
 
     def log_kernel(self, diff):
         """log k at coordinate differences ``diff``, summed over its last axis."""
@@ -85,8 +88,9 @@ class IsotropicNormal:
         if not (math.isfinite(self.stddev) and self.stddev > 0.0):
             raise ValueError(f"stddev must be positive and finite, got {self.stddev}")
 
-    def sample(self, stream, size):
-        return dists.sample_normal(stream, self.stddev, size)
+    def ppf(self, u):
+        """Frequency with upper-tail mass u."""
+        return -self.stddev * ndtri(u)
 
     def log_kernel(self, diff):
         """log k at coordinate differences ``diff``, summed over its last axis."""
@@ -108,8 +112,9 @@ class FeatureMapConfig:
     """What to build: map kind, source kernel/frequency law, sizes, seed.
 
     hash_buckets (binning only) replaces the exact bin vocabulary with a
-    stable 64-bit hash modulo that many columns; colliding bins then share
-    a column, which biases inner products upward. Off by default.
+    64-bit integer hash (splitmix64) modulo that many columns; colliding
+    bins then share a column, which biases inner products upward. Off by
+    default.
     """
 
     kind: str
@@ -219,25 +224,20 @@ class FeatureBatch:
 
 
 def build_map(cfg):
-    """Draw the random grid/frequencies for every copy, deterministically."""
-    root = RandomStream(cfg.seed)
+    """Draw the random grid/frequencies for every copy, deterministically.
+
+    One stream gives a copies x stride block of uniforms in (0, 1), and
+    copy l reads row l: for binning, dim spacings by ppf then dim offset
+    fractions; for Fourier maps, dim frequencies by ppf, then (real map
+    only) the phase offset."""
+    d = cfg.dim
+    stride = {BINNING: 2 * d, FOURIER_REAL: d + 1, FOURIER_COMPLEX: d}[cfg.kind]
+    u = RandomStream(cfg.seed).uniform_open(cfg.copies * stride).reshape(-1, stride)
     if cfg.kind == BINNING:
-        spec = cfg.kernel
-        spacings = np.empty((cfg.copies, cfg.dim))
-        offsets = np.empty((cfg.copies, cfg.dim))
-        for l in range(cfg.copies):
-            child = root.child(l)
-            spacings[l] = spec.dist.sample_many(child, cfg.dim) / spec.rho
-            offsets[l] = child.uniform(cfg.dim) * spacings[l]
-        return BinningMapState(cfg=cfg, spacings=spacings, offsets=offsets)
-    frequencies = np.empty((cfg.copies, cfg.dim))
-    offsets = np.empty(cfg.copies) if cfg.kind == FOURIER_REAL else None
-    for l in range(cfg.copies):
-        child = root.child(l)
-        frequencies[l] = cfg.kernel.sample(child, cfg.dim)
-        if offsets is not None:
-            offsets[l] = 2.0 * math.pi * child.uniform(1)[0]
-    return FourierMapState(cfg=cfg, frequencies=frequencies, offsets=offsets)
+        spacings = cfg.kernel.dist.ppf(u[:, :d]) / cfg.kernel.rho
+        return BinningMapState(cfg=cfg, spacings=spacings, offsets=u[:, d:] * spacings)
+    offsets = 2.0 * math.pi * u[:, d] if cfg.kind == FOURIER_REAL else None
+    return FourierMapState(cfg=cfg, frequencies=cfg.kernel.ppf(u[:, :d]), offsets=offsets)
 
 
 def rescale_map(state, kernel):
@@ -288,10 +288,21 @@ def _bin_keys(state, X):
     return keys
 
 
-def _stable_bucket(copy, bins, buckets):
-    payload = repr((copy, bins)).encode()
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little") % buckets
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def _hash_rows(rows, buckets):
+    """A bucket in [0, buckets) for every int64 key row: each entry in turn
+    is folded into a 64-bit state by the splitmix64 finalizer."""
+    h = np.zeros(rows.shape[0], dtype=np.uint64)
+    for column in rows.view(np.uint64).T:
+        h = (h ^ column) + _GOLDEN
+        h = (h ^ (h >> np.uint64(30))) * _MIX_1
+        h = (h ^ (h >> np.uint64(27))) * _MIX_2
+        h ^= h >> np.uint64(31)
+    return (h % np.uint64(buckets)).astype(np.int64)
 
 
 def featurize(state, X):
@@ -317,17 +328,11 @@ def featurize(state, X):
         np.cos(data, out=data)
         data *= math.sqrt(2.0 / cfg.copies)
         return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, data=data)
-    keys = _bin_keys(state, X)
+    rows = _bin_keys(state, X).reshape(-1, cfg.dim + 1)  # copy-major
     if cfg.hash_buckets is not None:
-        indices = np.empty((cfg.copies, n), dtype=np.int64)
-        for l in range(cfg.copies):
-            for i in range(n):
-                indices[l, i] = _stable_bucket(
-                    l, tuple(keys[l, i, 1:].tolist()), cfg.hash_buckets
-                )
+        indices = _hash_rows(rows, cfg.hash_buckets).reshape(cfg.copies, n)
         width = cfg.hash_buckets
     else:
-        rows = keys.reshape(-1, cfg.dim + 1)  # copy-major
         vocab = state.vocabulary
         found = vocab.lookup(rows) if len(vocab) else vocab.assign(rows)
         indices = found.reshape(cfg.copies, n)

@@ -193,10 +193,18 @@ def _tilt_kernel(d, r):
     tail = _tilted_tail(d, x)
     if tail is None:
         return None
-    # r T(r) -> 0 as r -> 0; T is infinite only where the E1 argument
-    # underflows or, at subnormal r, the leading power of the gamma tail
-    # overflows
-    return d.sf(x) - (r * tail if tail < math.inf else 0.0), -tail
+    if tail < math.inf:
+        return d.sf(x) - r * tail, -tail
+    # T is infinite where the E1 argument underflows, and there r T(r) -> 0,
+    # or, for gamma shapes s < 1 at subnormal r, where the leading power of
+    # T overflows; there r T(r) = (z^s e^-z / Gamma(s) - z Q(s, z)) / (1 - s)
+    # with z = r / theta is finite and need not be small
+    law = _untilted_law(d)
+    z = r / law.theta if isinstance(law, dists.Gamma) else 0.0
+    if z == 0.0:
+        return d.sf(r), -tail
+    lead = math.exp(law.s * math.log(z) - z - math.lgamma(law.s))
+    return d.sf(r) - (lead - z * float(gammaincc(law.s, z))) / (1.0 - law.s), -tail
 
 
 def _spectral_identity(law, a):

@@ -62,9 +62,6 @@ class RandomStream:
             raise ValueError("stream index must be nonnegative")
         return RandomStream(self.seed, self.path + (int(index),))
 
-    def children(self, count):
-        return [self.child(i) for i in range(count)]
-
     # Primitive draws; everything else in the package is built from these.
 
     def uniform(self, size=None):
@@ -72,8 +69,10 @@ class RandomStream:
         return self._gen.random(size)
 
     def uniform_open(self, size=None):
-        """Uniform draws on (0, 1], safe to pass through ``log``."""
-        return 1.0 - self._gen.random(size)
+        """Uniform draws strictly inside (0, 1): those of ``uniform`` moved to
+        the midpoints (j + 1/2) 2^-52, so both u and 1 - u are exact and
+        lie in [2^-53, 1 - 2^-53]."""
+        return (np.floor(self._gen.random(size) * 2.0 ** 52) + 0.5) * 2.0 ** -52
 
     def normal(self, size=None):
         return self._gen.standard_normal(size)

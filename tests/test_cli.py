@@ -555,7 +555,7 @@ class TestBundleFormat:
     def test_layout(self, tmp_path):
         _, model_path = fit_bundle(tmp_path)
         bundle = json.loads(model_path.read_text())
-        assert bundle["format"] == "polyakern-model-v2"
+        assert bundle["format"] == "polyakern-model-v3"
         vocab = array_of(bundle["vocabulary"])
         assert vocab.shape[1] == 3  # the copy, then dim = 2 bins
         assert sorted(set(vocab[:, 0].tolist())) == list(range(8))
@@ -611,8 +611,6 @@ class TestBundleFormat:
         assert needle in predict_error(data, model_path, capsys)
 
     def test_v1_bundle_names_both_formats(self, tmp_path, capsys):
-        data, model_path = fit_bundle(tmp_path)
-
         def to_v1(bundle):
             rows = array_of(bundle["vocabulary"]).tolist()
             bundle["format"] = "polyakern-model-v1"
@@ -620,9 +618,16 @@ class TestBundleFormat:
             for m in bundle["models"]:
                 m["weights"] = array_of(m["weights"]).tolist()
 
-        rewrite_bundle(model_path, to_v1)
-        message = predict_error(data, model_path, capsys)
-        assert "'polyakern-model-v1'" in message and "'polyakern-model-v2'" in message
+        def to_v2(bundle):
+            # the v2 layout is v3's; its map was drawn by other samplers
+            bundle["format"] = "polyakern-model-v2"
+
+        for old, edit in (("v1", to_v1), ("v2", to_v2)):
+            data, model_path = fit_bundle(tmp_path)
+            rewrite_bundle(model_path, edit)
+            message = predict_error(data, model_path, capsys)
+            assert f"'polyakern-model-{old}'" in message, old
+            assert "'polyakern-model-v3'" in message, old
 
 
 class TestCv:
@@ -720,14 +725,14 @@ class TestBench:
         ]) == 0
         assert out.read_text() == (
             "method,copies,theory_rel_error,empirical_rel_error,empirical_stderr,metric\n"
-            "fourier_real,4,1.2366347856529336,1.2996020847542988,"
-            "0.15140801504007592,0.13369394159784823\n"
-            "fourier_real,16,0.6183173928264668,0.6001097704747064,"
-            "0.09643091205701756,0.05849196901684193\n"
-            "binning,4,0.5402271307721223,0.5372194597375959,"
-            "0.027247408310382335,0.05896907587706393\n"
-            "binning,16,0.2701135653860611,0.24714532927786437,"
-            "0.020491333238256706,0.027205431809022823\n"
+            "fourier_real,4,1.2366347856529336,1.3802927608826123,"
+            "0.1696298519665566,0.17303194754176418\n"
+            "fourier_real,16,0.6183173928264668,0.5315364942159512,"
+            "0.04329405011403044,0.07319898633891785\n"
+            "binning,4,0.5402271307721223,0.4778561803351588,"
+            "0.028373933256808995,0.06256916952554525\n"
+            "binning,16,0.2701135653860611,0.24926458204322668,"
+            "0.013017797730314836,0.02147551525327594\n"
         )
 
     def test_subsample_and_descending_sizes_rejected(self, tmp_path):

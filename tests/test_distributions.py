@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special import gammaincc, ndtr
 
 from polyakern import distributions as dist
+from polyakern import feature_maps as fm
 from polyakern.errors import InfiniteTiltError, ParseError
 from polyakern.rng import RandomStream
 
@@ -246,7 +247,7 @@ class TestSamplers:
     def test_ks_below_critical(self):
         stream = RandomStream(1234)
         for i, d in enumerate(ALL_SETTINGS):
-            draws = d.sample_many(stream.child(i), KS_N)
+            draws = d.ppf(stream.child(i).uniform_open(KS_N))
             assert draws.min() > 0.0, d
             if d.discrete:
                 stat = ks_statistic_discrete(draws, d.cdf)
@@ -254,36 +255,84 @@ class TestSamplers:
                 stat = ks_statistic(draws, d.cdf)
             assert stat < KS_CRIT_1PCT, (d, stat)
 
-    def test_scalar_sample_agrees_in_distribution(self):
-        d = dist.Gamma(2.0, 1.0)
-        stream = RandomStream(77).child(0)
-        draws = np.array([d.sample(stream) for _ in range(1500)])
-        stat = ks_statistic(draws, d.cdf)
-        assert stat < 1.6276 / math.sqrt(len(draws))
-
     def test_discrete_support(self):
         d = dist.ShiftedPoisson(3.0)
-        draws = d.sample_many(RandomStream(5).child(0), 2000)
+        draws = d.ppf(RandomStream(5).child(0).uniform_open(2000))
         assert np.all(draws == np.round(draws))
         assert draws.min() >= 1
 
     def test_reproducible_bit_for_bit(self):
         for d in [dist.Gamma(0.5, 1.0), dist.ShiftedPoisson(35.0), dist.Chi(4)]:
-            a = d.sample_many(RandomStream(99, (4,)), 500)
-            b = d.sample_many(RandomStream(99, (4,)), 500)
+            a = d.ppf(RandomStream(99, (4,)).uniform_open(500))
+            b = d.ppf(RandomStream(99, (4,)).uniform_open(500))
             assert np.array_equal(a, b)
+
+
+# upper-tail masses from deep in the right tail to the largest uniform a
+# stream gives, 1 - 2^-53; the stream's extremes are 2^-53 and 1 - 2^-53
+PPF_GRID = np.concatenate([
+    np.geomspace(1e-300, 1e-3, 30),
+    np.linspace(0.01, 0.99, 21),
+    1.0 - np.geomspace(1e-3, 2.0 ** -53, 12),
+])
+STREAM_EXTREMES = np.array([2.0 ** -53, 1.0 - 2.0 ** -53])
+
+FREQUENCY_SF = [
+    (fm.TensorCauchy(1.7), lambda x: np.arctan2(1.7, x) / math.pi),
+    (fm.IsotropicNormal(0.8), lambda x: ndtr(-x / 0.8)),
+]
+
+
+class TestPpf:
+    """ppf(u) is the point with upper-tail mass u; the survival function
+    is its oracle, since a KS test of ppf draws mostly tests the uniforms."""
+
+    def test_sf_round_trip(self):
+        # lower-tail masses p for which 1 - p is exact, as for stream uniforms
+        p = (np.floor(np.geomspace(2.0 ** -53, 0.49, 40) * 2.0 ** 52) + 0.5) * 2.0 ** -52
+        for d in ALL_SETTINGS:
+            if d.discrete:
+                continue
+            back = [d.sf(x) for x in d.ppf(PPF_GRID)]
+            np.testing.assert_allclose(back, PPF_GRID, rtol=1e-12, atol=0, err_msg=repr(d))
+            # the left tail, which the sf cannot resolve, through the cdf
+            back = [d.cdf(x) for x in d.ppf(1.0 - p)]
+            np.testing.assert_allclose(back, p, rtol=1e-12, atol=0, err_msg=repr(d))
+
+    def test_frequency_law_round_trip(self):
+        for law, sf in FREQUENCY_SF:
+            back = sf(law.ppf(PPF_GRID))
+            np.testing.assert_allclose(back, PPF_GRID, rtol=1e-12, atol=0, err_msg=repr(law))
+            # odd symmetry on stream uniforms: the left tail keeps its digits too
+            u = np.concatenate([STREAM_EXTREMES, RandomStream(3).uniform_open(1000)])
+            assert np.array_equal(law.ppf(1.0 - u), -law.ppf(u)), law
+
+    def test_count_law_takes_least_k(self):
+        # the least k with sf(k) <= u, that is F(k) >= 1 - u
+        for d in SETTINGS["shifted_poisson"]:
+            for u, k in zip(PPF_GRID, d.ppf(PPF_GRID)):
+                assert k == round(k) and k >= 1, (d, u)
+                assert d.sf(k) <= u < d.sf(k - 1), (d, u, k)
+
+    def test_extreme_uniforms_give_finite_positive_draws(self):
+        for d in ALL_SETTINGS:
+            x = d.ppf(STREAM_EXTREMES)
+            assert np.all(np.isfinite(x)) and np.all(x > 0.0), (d, x)
+        for law, _ in FREQUENCY_SF:
+            x = law.ppf(STREAM_EXTREMES)
+            assert np.all(np.isfinite(x)) and x[0] > 0.0 > x[1], (law, x)
 
 
 class TestAuxSamplers:
     def test_cauchy_ks(self):
         scale = 1.7
-        draws = dist.sample_cauchy(RandomStream(21).child(0), scale, 4000)
+        draws = fm.TensorCauchy(scale).ppf(RandomStream(21).child(0).uniform_open(4000))
         cdf = lambda x: 0.5 + math.atan(x / scale) / math.pi
         assert ks_statistic(draws, cdf) < KS_CRIT_1PCT
 
     def test_normal_ks(self):
         sd = 0.8
-        draws = dist.sample_normal(RandomStream(22).child(0), sd, 4000)
+        draws = fm.IsotropicNormal(sd).ppf(RandomStream(22).child(0).uniform_open(4000))
         cdf = lambda x: 0.5 * (1.0 + math.erf(x / (sd * math.sqrt(2.0))))
         assert ks_statistic(draws, cdf) < KS_CRIT_1PCT
 
@@ -504,3 +553,5 @@ class TestRandomStream:
     def test_uniform_open_excludes_zero(self):
         u = RandomStream(7).uniform_open(10000)
         assert u.min() > 0.0 and u.max() <= 1.0
+        # strictly inside: the midpoints (j + 1/2) 2^-52
+        assert u.max() < 1.0 and np.all(u * 2.0 ** 53 % 2.0 == 1.0)

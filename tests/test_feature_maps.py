@@ -97,6 +97,25 @@ class TestBuildMap:
         fs = fm.build_map(cfg(fm.FOURIER_REAL, 3, dim=2))
         fl = fm.build_map(cfg(fm.FOURIER_REAL, 8, dim=2))
         assert np.array_equal(fl.frequencies[:3], fs.frequencies)
+        assert np.array_equal(fl.offsets[:3], fs.offsets)
+        cs = fm.build_map(cfg(fm.FOURIER_COMPLEX, 3, dim=2))
+        cl = fm.build_map(cfg(fm.FOURIER_COMPLEX, 8, dim=2))
+        assert np.array_equal(cl.frequencies[:3], cs.frequencies)
+
+    @pytest.mark.parametrize("copies", [1, 7, 1000])
+    def test_one_stream_per_map(self, monkeypatch, copies):
+        made = []
+        init = fm.RandomStream.__init__
+
+        def counted(stream, *args, **kwargs):
+            made.append(args)
+            init(stream, *args, **kwargs)
+
+        monkeypatch.setattr(fm.RandomStream, "__init__", counted)
+        for kind in fm.KINDS:
+            made.clear()
+            fm.build_map(cfg(kind, copies, dim=3))
+            assert made == [(77,)], kind
 
     def test_shapes_and_ranges(self):
         st = fm.build_map(cfg(fm.BINNING, 4, dim=2))
@@ -394,6 +413,14 @@ class TestHashedVariant:
         assert np.array_equal(a.indices, b.indices)
         assert a.width == 128
         assert np.all(a.indices >= 0) and np.all(a.indices < 128)
+
+    def test_pinned_buckets(self):
+        # bins (0, 1) and (-4, 7) in copies 0 and 1; a change to the mix
+        # would silently change the columns of saved hashed models
+        c = cfg(fm.BINNING, 2, dim=2, hash_buckets=1 << 20)
+        state = fm.BinningMapState(cfg=c, spacings=np.ones((2, 2)), offsets=np.zeros((2, 2)))
+        batch = fm.featurize(state, np.array([[0.5, 1.5], [-3.2, 7.9]]))
+        assert batch.indices.tolist() == [[425056, 731888], [753203, 714331]]
 
     def test_matches_exact_without_collisions(self):
         X = np.random.default_rng(8).uniform(-1, 1, size=(6, 1))

@@ -336,6 +336,17 @@ class TestGammaTail:
         assert kernels.eval_kernel(spec(d), 5e-324) == 1.0
         assert kernels.kernel_to_cdf(spec(d), 5e-324) == 0.0
 
+    @pytest.mark.parametrize("s", [0.01, 0.05])
+    def test_subnormal_kernel_matches_reference(self, s):
+        # where T overflows, r T(r) ~ r^s / (Gamma(s) (1 - s)) is not small
+        d = dist.Gamma(s, 1.0)
+        for r in (1e-320, 1e-300):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(r)
+                ref = mpmath.gammainc(s, x, mpmath.inf, regularized=True) - x * mpmath.gammainc(
+                    s - 1, x) / mpmath.gamma(s)
+            assert kernels.eval_kernel(spec(d), r) == pytest.approx(float(ref), rel=1e-14), r
+
 
 class TestKernelToCdf:
     def test_exponential_recovers_exactly(self):
