@@ -231,13 +231,16 @@ def _kernel_for_kind(kind: str, kernel_text: str, tau, law_text=None) -> object:
     Binning maps take a distribution-backed kernel spec; Fourier maps take
     a frequency law — from ``law_text`` when a command mixes both kinds,
     otherwise from the --kernel slot itself.  ``tau`` (if given) overrides
-    the spec's scaling.
+    the spec's scaling.  Where ``law_text`` is given, --kernel is a kernel
+    spec and is parsed for every kind, so a malformed one fails even when
+    no map kind uses it.
     """
-    if kind == BINNING:
+    if kind == BINNING or law_text is not None:
         spec = parse_kernel_spec(kernel_text)
         if tau is not None:
             spec = KernelSpec(spec.dist, tau=float(tau))
-        return spec
+        if kind == BINNING:
+            return spec
     return parse_fourier_law(law_text if law_text is not None else kernel_text)
 
 
@@ -275,7 +278,7 @@ def _emit(text: str, out) -> None:
 # ---------------------------------------------------------------------------
 # Model bundles
 
-MODEL_FORMAT = "polyakern-model-v3"
+MODEL_FORMAT = "polyakern-model-v4"
 
 # Bulk arrays travel as {"dtype", "shape", "data": base64 of the raw bytes};
 # vocabulary rows take the narrowest integer type that holds them.

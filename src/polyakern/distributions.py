@@ -1,28 +1,30 @@
 """Catalog of positively supported distributions that generate kernels.
 
-Each family carries closed-form density, cdf, survival function (sf) and
-mean, a vectorized inverse ppf(u) of the survival function, and - where
-the reciprocal-moment integral C = int f(x)/x dx converges - a
-decomposition into (C, tilted law) with tilted density f(x)/(C x). The
-tilted law is a catalog member when the family is closed under tilting, a
-plain Poisson for shifted counts, and a generalized gamma law otherwise
-(Weibull, and Nakagami with m < 1). Every tilted law has a closed sf and,
-except a tilted Weibull law with exponent other than 2, a closed
-one_minus_re_cf(a) = 1 - E cos(aX), written so that it keeps its relative
-accuracy as a -> 0 (expm1 and sin^2 forms, a Kummer series at small
-argument).
-The gamma and half-normal laws, whose decomposition constant is infinite
-for gamma shapes s <= 1, also give im_cf(a) = E sin(aX) in closed form.
-Special functions come from ``math`` and ``scipy.special``; values are
-returned as Python floats, except from ppf.
+Every continuous family in the catalog is one generalized gamma law
+(Stacy 1962): X = scale * Y**(1/power) with Y ~ Gamma(shape, 1). Each
+family only maps its own parameters to that (shape a, scale b, power p)
+triple, and the shared base ``GeneralizedGamma`` gives the density, cdf,
+survival function (sf), mean, a vectorized inverse ppf(u) of the survival
+function, and - where the reciprocal-moment integral C = int f(x)/x dx
+converges, that is a > 1/p - the decomposition into (C, tilted law) with
+tilted density f(x)/(C x): C = Gamma(a - 1/p) / (b Gamma(a)), and the
+tilted law is the generalized gamma law (a - 1/p, b, p). The one count
+family, ShiftedPoisson, tilts to a plain Poisson law.
+
+The closed characteristic-function forms are one_minus_re_cf(t) =
+1 - E cos(tX) for powers 1 and 2, written so that it keeps its relative
+accuracy as t -> 0 (expm1 and sin^2 forms, a Kummer series at small
+argument), and im_cf(t) = E sin(tX) for power 1 and for the half-normal
+law (a = 1/2, p = 2), the laws with C = infinity that have one. Any other
+power has neither. Special functions come from ``math`` and
+``scipy.special``; values are returned as Python floats, except from ppf.
 
 ppf(u) is the point with upper-tail mass u, sf(ppf(u)) = u (for the count
 law the least k with sf(k) <= u), so ppf of uniforms strictly inside (0, 1)
 draws from the law. Reading u as upper-tail mass keeps full relative
-resolution in the right tail: the gamma-type laws invert the upper
-incomplete gamma function (``gammainccinv``), the exponential, Weibull and
-Rayleigh laws invert their closed sf, and the count law searches a table
-of its sf.
+resolution in the right tail: the generalized gamma laws invert the upper
+incomplete gamma function (``gammainccinv``), and the count law searches a
+table of its sf.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import dawsn, gammainc, gammaincc, gammainccinv, hyp1f1
+from scipy.special import dawsn, gammainc, gammaincc, gammainccinv, hyp1f1, poch
 
 from .errors import ConvergenceError, InfiniteTiltError, ParseError
 
@@ -68,6 +70,42 @@ def _kummer_gap(m, z):
 
 
 # ---------------------------------------------------------------------------
+# Regularized incomplete gamma functions of z = y^p
+
+
+def pow_or_inf(y, p):
+    """y^p for y >= 0, and inf where it overflows, where float ** raises."""
+    try:
+        return y ** p
+    except OverflowError:
+        return math.inf
+
+
+def _regularized_gamma(a, p, y, lower=False):
+    """Q(a, y^p), or P(a, y^p) if lower, for y > 0.
+
+    Power 1 is the gamma law and always takes scipy's regularized
+    functions. Other powers take the elementary forms of the two elementary
+    shapes, Q(1, z) = e^-z (P = -expm1(-z)) and Q(1/2, y^2) = erfc(y)
+    (P = erf(y)); erfc reads y itself, so y^2 is never rounded.
+    """
+    if p != 1.0:
+        if a == 1.0:
+            z = pow_or_inf(y, p)
+            return -math.expm1(-z) if lower else math.exp(-z)
+        if a == 0.5 and p == 2.0:
+            return math.erf(y) if lower else math.erfc(y)
+    return float((gammainc if lower else gammaincc)(a, pow_or_inf(y, p)))
+
+
+def _inverse_upper_gamma(a, p, u):
+    """z with Q(a, z) = u, elementwise; -log u for shape 1 off power 1."""
+    if a == 1.0 and p != 1.0:
+        return -np.log(u)
+    return gammainccinv(a, u)
+
+
+# ---------------------------------------------------------------------------
 # Support types
 
 @dataclass(frozen=True)
@@ -76,37 +114,6 @@ class TiltDecomposition:
 
     c: float
     tilted: object
-
-
-@dataclass(frozen=True)
-class GeneralizedGamma:
-    """Law of scale * Y**(1/power) with Y ~ Gamma(shape, 1).
-
-    Only produced as the tilted half of a Weibull law (power alpha) and of a
-    Nakagami law with 1/2 < m < 1 (power 2), whose tilted shapes leave their
-    own families.
-    """
-
-    shape: float
-    scale: float
-    power: float
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return float(gammainc(self.shape, (x / self.scale) ** self.power))
-
-    def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        return float(gammaincc(self.shape, (x / self.scale) ** self.power))
-
-    def one_minus_re_cf(self, a):
-        """1 - E cos(aX), in closed form for power 2 only (a Nakagami law
-        with m = shape); None otherwise."""
-        if self.power != 2.0:
-            return None
-        return _kummer_gap(self.shape, 0.25 * (self.scale * a) ** 2)
 
 
 @dataclass(frozen=True)
@@ -153,15 +160,10 @@ class Poisson:
 # Shared machinery
 
 class Distribution:
-    """Base for catalog families. Subclasses are frozen dataclasses."""
+    """Base for catalog laws. Every catalog family is a frozen dataclass."""
 
     discrete = False
     family = "?"
-
-    def decompose(self):
-        raise InfiniteTiltError(
-            f"{self!r}: the reciprocal-moment integral diverges"
-        )
 
     def upper_tail_cutoff(self, eps=1e-13):
         """Point with no more than eps upper-tail mass, found by doubling."""
@@ -174,6 +176,95 @@ class Distribution:
 
     def spec_string(self):
         return format_distribution(self)
+
+
+class GeneralizedGamma(Distribution):
+    """Law of scale * Y**(1/power) with Y ~ Gamma(shape, 1).
+
+    Catalog families subclass it and map their own parameters to the triple
+    (shape, scale, power) in ``triple()``; built directly, it is the tilted
+    half of a decomposition.
+    """
+
+    def __init__(self, shape, scale, power):
+        self._triple = (shape, scale, power)
+
+    def __repr__(self):
+        return "GeneralizedGamma(shape=%r, scale=%r, power=%r)" % self.triple()
+
+    def triple(self):
+        """(shape a, scale b, power p)."""
+        return self._triple
+
+    def density(self, x):
+        a, b, p = self.triple()
+        if x < 0.0:
+            return 0.0
+        if x == 0.0:  # f(x) ~ p x^(ap - 1) / (b^(ap) Gamma(a)) near zero
+            if a * p > 1.0:
+                return 0.0
+            return p / (b * math.gamma(a)) if a * p == 1.0 else math.inf
+        return math.exp(
+            (a * p - 1.0) * math.log(x)
+            - pow_or_inf(x / b, p)
+            - math.lgamma(a)
+            - a * p * math.log(b)
+            + math.log(p)
+        )
+
+    def cdf(self, x):
+        if x <= 0.0:
+            return 0.0
+        a, b, p = self.triple()
+        return _regularized_gamma(a, p, x / b, lower=True)
+
+    def sf(self, x):
+        if x <= 0.0:
+            return 1.0
+        a, b, p = self.triple()
+        return _regularized_gamma(a, p, x / b)
+
+    def mean(self):
+        a, b, p = self.triple()
+        return b * float(poch(a, 1.0 / p))
+
+    def ppf(self, u):
+        a, b, p = self.triple()
+        return b * _inverse_upper_gamma(a, p, u) ** (1.0 / p)
+
+    def decompose(self):
+        """C = Gamma(a - 1/p) / (b Gamma(a)) and the law (a - 1/p, b, p)."""
+        a, b, p = self.triple()
+        shape = a - 1.0 / p
+        if shape <= 0.0:
+            raise InfiniteTiltError(
+                f"{self!r}: tilting requires shape > 1/power (density at zero kills 1/x)"
+            )
+        return TiltDecomposition(1.0 / (b * float(poch(shape, 1.0 / p))),
+                                 GeneralizedGamma(shape, b, p))
+
+    def one_minus_re_cf(self, t):
+        """1 - E cos(tX) in closed form for powers 1 and 2; None otherwise."""
+        a, b, p = self.triple()
+        x = b * t
+        if p == 1.0:
+            # E cos(tX) = (1 + x^2)^(-a/2) cos(a atan x)
+            return _damped_cos_gap(-0.5 * a * math.log1p(x * x), a * math.atan(x))
+        if p == 2.0:
+            return _kummer_gap(a, 0.25 * x * x)
+        return None
+
+    def im_cf(self, t):
+        """E sin(tX) in closed form for power 1, (1 + x^2)^(-a/2) sin(a atan x)
+        with x = b t, and for the half-normal law, (2 / sqrt(pi)) D(b t / 2)
+        with Dawson's integral D; None otherwise."""
+        a, b, p = self.triple()
+        x = b * t
+        if p == 1.0:
+            return math.exp(-0.5 * a * math.log1p(x * x)) * math.sin(a * math.atan(x))
+        if p == 2.0 and a == 0.5:
+            return 2.0 / _SQRT_PI * float(dawsn(0.5 * x))
+        return None
 
 
 def _positive(name, value):
@@ -235,7 +326,7 @@ class ShiftedPoisson(Distribution):
 
 
 @dataclass(frozen=True)
-class Gamma(Distribution):
+class Gamma(GeneralizedGamma):
     s: float
     theta: float
     family = "gamma"
@@ -244,90 +335,24 @@ class Gamma(Distribution):
         _positive("s", self.s)
         _positive("theta", self.theta)
 
-    def density(self, x):
-        if x < 0.0:
-            return 0.0
-        if x == 0.0:
-            if self.s > 1.0:
-                return 0.0
-            if self.s == 1.0:
-                return 1.0 / self.theta
-            return math.inf
-        return math.exp(
-            (self.s - 1.0) * math.log(x)
-            - x / self.theta
-            - math.lgamma(self.s)
-            - self.s * math.log(self.theta)
-        )
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return float(gammainc(self.s, x / self.theta))
-
-    def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        return float(gammaincc(self.s, x / self.theta))
-
-    def one_minus_re_cf(self, a):
-        # E cos(aX) = (1 + x^2)^(-s/2) cos(s atan x) with x = theta a
-        x = self.theta * a
-        return _damped_cos_gap(-0.5 * self.s * math.log1p(x * x), self.s * math.atan(x))
-
-    def im_cf(self, a):
-        """E sin(aX) = (1 + x^2)^(-s/2) sin(s atan x) with x = theta a."""
-        x = self.theta * a
-        return math.exp(-0.5 * self.s * math.log1p(x * x)) * math.sin(self.s * math.atan(x))
-
-    def mean(self):
-        return self.s * self.theta
-
-    def ppf(self, u):
-        return self.theta * gammainccinv(self.s, u)
-
-    def decompose(self):
-        if self.s <= 1.0:
-            raise InfiniteTiltError(
-                f"{self!r}: tilting requires shape s > 1 (density at zero kills 1/x)"
-            )
-        return TiltDecomposition(
-            1.0 / ((self.s - 1.0) * self.theta), Gamma(self.s - 1.0, self.theta)
-        )
+    def triple(self):
+        return self.s, self.theta, 1.0
 
 
 @dataclass(frozen=True)
-class Exponential(Distribution):
+class Exponential(GeneralizedGamma):
     theta: float
     family = "exponential"
 
     def __post_init__(self):
         _positive("theta", self.theta)
 
-    def density(self, x):
-        if x < 0.0:
-            return 0.0
-        return math.exp(-x / self.theta) / self.theta
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return -math.expm1(-x / self.theta)
-
-    def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        return math.exp(-x / self.theta)
-
-    def mean(self):
-        return self.theta
-
-    def ppf(self, u):
-        return -self.theta * np.log(u)
+    def triple(self):
+        return 1.0, self.theta, 1.0
 
 
 @dataclass(frozen=True)
-class Weibull(Distribution):
+class Weibull(GeneralizedGamma):
     theta: float
     alpha: float
     family = "weibull"
@@ -336,201 +361,60 @@ class Weibull(Distribution):
         _positive("theta", self.theta)
         _positive("alpha", self.alpha)
 
-    def density(self, x):
-        if x < 0.0:
-            return 0.0
-        if x == 0.0:
-            if self.alpha > 1.0:
-                return 0.0
-            if self.alpha == 1.0:
-                return 1.0 / self.theta
-            return math.inf
-        z = x / self.theta
-        return (self.alpha / self.theta) * z ** (self.alpha - 1.0) * math.exp(-(z ** self.alpha))
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return -math.expm1(-((x / self.theta) ** self.alpha))
-
-    def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        return math.exp(-((x / self.theta) ** self.alpha))
-
-    def mean(self):
-        return self.theta * math.gamma(1.0 + 1.0 / self.alpha)
-
-    def ppf(self, u):
-        return self.theta * (-np.log(u)) ** (1.0 / self.alpha)
-
-    def decompose(self):
-        if self.alpha <= 1.0:
-            raise InfiniteTiltError(
-                f"{self!r}: tilting requires alpha > 1 (density at zero kills 1/x)"
-            )
-        shape = 1.0 - 1.0 / self.alpha
-        return TiltDecomposition(
-            math.gamma(shape) / self.theta, GeneralizedGamma(shape, self.theta, self.alpha)
-        )
+    def triple(self):
+        return 1.0, self.theta, self.alpha
 
 
 @dataclass(frozen=True)
-class ChiSquare(Distribution):
+class ChiSquare(GeneralizedGamma):
     nu: int
     family = "chi_square"
 
     def __post_init__(self):
         object.__setattr__(self, "nu", _integer_at_least_one("nu", self.nu))
 
-    def _as_gamma(self):
-        return Gamma(self.nu / 2.0, 2.0)
-
-    def density(self, x):
-        return self._as_gamma().density(x)
-
-    def cdf(self, x):
-        return self._as_gamma().cdf(x)
-
-    def sf(self, x):
-        return self._as_gamma().sf(x)
-
-    def mean(self):
-        return float(self.nu)
-
-    def ppf(self, u):
-        return self._as_gamma().ppf(u)
-
-    def decompose(self):
-        if self.nu <= 2:
-            raise InfiniteTiltError(f"{self!r}: tilting requires nu > 2")
-        return self._as_gamma().decompose()
+    def triple(self):
+        return self.nu / 2.0, 2.0, 1.0
 
 
 @dataclass(frozen=True)
-class Chi(Distribution):
+class Chi(GeneralizedGamma):
     nu: int
     family = "chi"
 
     def __post_init__(self):
         object.__setattr__(self, "nu", _integer_at_least_one("nu", self.nu))
 
-    def density(self, x):
-        if x < 0.0:
-            return 0.0
-        if x == 0.0:
-            return math.sqrt(2.0 / math.pi) if self.nu == 1 else 0.0
-        return math.exp(
-            (1.0 - self.nu / 2.0) * math.log(2.0)
-            + (self.nu - 1.0) * math.log(x)
-            - x * x / 2.0
-            - math.lgamma(self.nu / 2.0)
-        )
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return float(gammainc(self.nu / 2.0, x * x / 2.0))
-
-    def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        return float(gammaincc(self.nu / 2.0, x * x / 2.0))
-
-    def one_minus_re_cf(self, a):
-        return _kummer_gap(self.nu / 2.0, 0.5 * a * a)
-
-    def mean(self):
-        return _SQRT_2 * math.exp(math.lgamma((self.nu + 1.0) / 2.0) - math.lgamma(self.nu / 2.0))
-
-    def ppf(self, u):
-        return np.sqrt(2.0 * gammainccinv(self.nu / 2.0, u))
-
-    def decompose(self):
-        if self.nu < 2:
-            raise InfiniteTiltError(f"{self!r}: tilting requires nu >= 2")
-        c = math.exp(math.lgamma((self.nu - 1.0) / 2.0) - math.lgamma(self.nu / 2.0)) / _SQRT_2
-        return TiltDecomposition(c, Chi(self.nu - 1))
+    def triple(self):
+        return self.nu / 2.0, _SQRT_2, 2.0
 
 
 @dataclass(frozen=True)
-class HalfNormal(Distribution):
+class HalfNormal(GeneralizedGamma):
     sigma: float
     family = "half_normal"
 
     def __post_init__(self):
         _positive("sigma", self.sigma)
 
-    def density(self, x):
-        if x < 0.0:
-            return 0.0
-        return (_SQRT_2 / (self.sigma * _SQRT_PI)) * math.exp(
-            -x * x / (2.0 * self.sigma * self.sigma)
-        )
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return math.erf(x / (self.sigma * _SQRT_2))
-
-    def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        return math.erfc(x / (self.sigma * _SQRT_2))
-
-    def one_minus_re_cf(self, a):
-        x = self.sigma * a
-        return -math.expm1(-0.5 * x * x)
-
-    def im_cf(self, a):
-        """E sin(aX) = (2 / sqrt(pi)) D(sigma a / sqrt(2)), D Dawson's integral."""
-        return 2.0 / _SQRT_PI * float(dawsn(self.sigma * a / _SQRT_2))
-
-    def mean(self):
-        return self.sigma * _SQRT_2 / _SQRT_PI
-
-    def ppf(self, u):
-        return self.sigma * np.sqrt(2.0 * gammainccinv(0.5, u))
+    def triple(self):
+        return 0.5, self.sigma * _SQRT_2, 2.0
 
 
 @dataclass(frozen=True)
-class Rayleigh(Distribution):
+class Rayleigh(GeneralizedGamma):
     sigma: float
     family = "rayleigh"
 
     def __post_init__(self):
         _positive("sigma", self.sigma)
 
-    def density(self, x):
-        if x < 0.0:
-            return 0.0
-        ss = self.sigma * self.sigma
-        return (x / ss) * math.exp(-x * x / (2.0 * ss))
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return -math.expm1(-x * x / (2.0 * self.sigma * self.sigma))
-
-    def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        return math.exp(-x * x / (2.0 * self.sigma * self.sigma))
-
-    def mean(self):
-        return self.sigma * math.sqrt(math.pi / 2.0)
-
-    def ppf(self, u):
-        return self.sigma * np.sqrt(-2.0 * np.log(u))
-
-    def decompose(self):
-        return TiltDecomposition(
-            math.sqrt(math.pi / 2.0) / self.sigma, HalfNormal(self.sigma)
-        )
+    def triple(self):
+        return 1.0, self.sigma * _SQRT_2, 2.0
 
 
 @dataclass(frozen=True)
-class Nakagami(Distribution):
+class Nakagami(GeneralizedGamma):
     m: float
     omega: float
     family = "nakagami"
@@ -540,54 +424,8 @@ class Nakagami(Distribution):
             raise ValueError(f"m must be >= 1/2, got {self.m}")
         _positive("omega", self.omega)
 
-    def density(self, x):
-        if x < 0.0:
-            return 0.0
-        if x == 0.0:
-            if self.m == 0.5:
-                return math.sqrt(2.0 / (math.pi * self.omega))
-            return 0.0
-        return 2.0 * math.exp(
-            self.m * math.log(self.m)
-            + (2.0 * self.m - 1.0) * math.log(x)
-            - self.m * x * x / self.omega
-            - math.lgamma(self.m)
-            - self.m * math.log(self.omega)
-        )
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return float(gammainc(self.m, self.m * x * x / self.omega))
-
-    def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        return float(gammaincc(self.m, self.m * x * x / self.omega))
-
-    def one_minus_re_cf(self, a):
-        return _kummer_gap(self.m, self.omega * a * a / (4.0 * self.m))
-
-    def mean(self):
-        return math.exp(math.lgamma(self.m + 0.5) - math.lgamma(self.m)) * math.sqrt(
-            self.omega / self.m
-        )
-
-    def ppf(self, u):
-        return np.sqrt((self.omega / self.m) * gammainccinv(self.m, u))
-
-    def decompose(self):
-        if self.m <= 0.5:
-            raise InfiniteTiltError(f"{self!r}: tilting requires m > 1/2")
-        c = math.sqrt(self.m / self.omega) * math.exp(
-            math.lgamma(self.m - 0.5) - math.lgamma(self.m)
-        )
-        m2 = self.m - 0.5
-        if m2 < 0.5:  # below the family's bound: X^2 is still gamma-distributed
-            return TiltDecomposition(
-                c, GeneralizedGamma(m2, math.sqrt(self.omega / self.m), 2.0)
-            )
-        return TiltDecomposition(c, Nakagami(m2, self.omega * m2 / self.m))
+    def triple(self):
+        return self.m, math.sqrt(self.omega / self.m), 2.0
 
 
 # ---------------------------------------------------------------------------

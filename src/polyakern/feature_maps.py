@@ -17,7 +17,8 @@ offsets are uniform within each spacing, and two points contribute to the
 same feature column exactly when every coordinate lands in the same bin.
 ``rescale_map`` moves a binning map to another scale of the same law
 without drawing again. A point whose bin index would not fit in int64 is
-rejected.
+rejected, and so is every point on a map with a spacing that underflowed
+to zero.
 
 A binning map's vocabulary of (copy, bin tuple) -> column is filled by the
 first ``featurize`` call on the map, which is the training data, and is
@@ -37,7 +38,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.special import ndtri
 
-from .polya_kernels import KernelSpec
+from .polya_kernels import KernelSpec, format_kernel_spec
 from .rng import RandomStream
 
 FOURIER_COMPLEX = "fourier_complex"
@@ -274,6 +275,12 @@ def _check_points(state, X):
 def _bin_keys(state, X):
     """copies x n x (1 + dim) int64 keys: the copy index, then the bin of
     each coordinate."""
+    if not np.all(state.spacings > 0.0):
+        raise ValueError(
+            "a spacing of this binning map underflowed to zero: the law "
+            f"{format_kernel_spec(state.cfg.kernel)} puts mass below the "
+            "smallest positive double"
+        )
     t = X[None, :, :] - state.offsets[:, None, :]
     t /= state.spacings[:, None, :]
     keys = np.empty(t.shape[:2] + (t.shape[2] + 1,), dtype=np.int64)
@@ -342,40 +349,38 @@ def featurize(state, X):
     )
 
 
-def to_sparse(batch):
-    """Binning batch as a sparse width x n matrix with entries 1/sqrt(D);
-    sentinel (unseen-bin) entries are dropped."""
-    if batch.kind != BINNING:
-        raise ValueError("to_sparse applies to binning batches only")
+def _incidence(batch, value):
+    """Sparse width x n matrix with ``value`` for every copy that puts a
+    point in a column, summed where copies share a hashed column; sentinel
+    (unseen-bin) entries are dropped."""
     n, copies = batch.n, batch.copies
     cols = np.repeat(np.arange(n), copies)
     rows = batch.indices.T.reshape(-1)
     seen = rows < batch.width
-    vals = np.full(int(seen.sum()), 1.0 / math.sqrt(copies))
+    vals = np.full(int(seen.sum()), value)
     return sp.csr_matrix((vals, (rows[seen], cols[seen])), shape=(batch.width, n))
+
+
+def to_sparse(batch):
+    """Binning batch as a sparse width x n matrix Z with entries 1/sqrt(D)."""
+    if batch.kind != BINNING:
+        raise ValueError("to_sparse applies to binning batches only")
+    return _incidence(batch, 1.0 / math.sqrt(batch.copies))
 
 
 def gram(batch):
     """Approximate kernel matrix Z^T Z (real part for the complex map).
 
-    For binning, entry (i, j) is the fraction of copies that put i and j in
-    the same column; a sentinel (unseen-bin) index matches nothing."""
+    For binning, Z is ``to_sparse``'s matrix, so entry (i, j) counts the
+    pairs of copies that put i and j in the same column, divided by D: with
+    exact bins that is the fraction of copies that put them in the same
+    bin, and with hashed columns it also counts copies whose bins collide.
+    A sentinel (unseen-bin) index matches nothing."""
     if batch.kind == FOURIER_COMPLEX:
         return (batch.data.conj().T @ batch.data).real
     if batch.kind == FOURIER_REAL:
         return batch.data.T @ batch.data
-    idx = batch.indices
-    seen = idx < batch.width
-    # hashed columns can be shared across copies, so a match is counted on
-    # (copy, column) pairs; their 0/1 incidence U gives counts U^T U
-    copy = np.broadcast_to(np.arange(batch.copies)[:, None], idx.shape)
-    point = np.broadcast_to(np.arange(batch.n), idx.shape)
-    pairs, rows = np.unique(
-        _as_void(np.column_stack([copy[seen], idx[seen]])), return_inverse=True
-    )
-    U = sp.csr_matrix(
-        (np.ones(rows.shape[0]), (rows, point[seen])), shape=(pairs.shape[0], batch.n)
-    )
+    U = _incidence(batch, 1.0)
     return (U.T @ U).toarray() / float(batch.copies)
 
 

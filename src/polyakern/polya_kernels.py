@@ -15,16 +15,18 @@ derivative: F(x) = 1 - k(x) + x * k'(x).
 Closed forms come from the tilt decomposition of F (constant C, tilted law
 G): k(r) = S_F(r) - r C S_G(r) with survival functions S, and the
 transform is 2 C (1 - Re phi_G(a)) / a^2 with G's characteristic function
-phi_G. Where C is infinite (gamma with shape s <= 1, which covers the
-exponential and chi-square with one or two degrees of freedom, and the
-half-normal law, which covers chi with one degree of freedom and Nakagami
-with m = 1/2), the tail C S_G(r) is written with the exponential integral
-E1 or the incomplete gamma function, and the transform comes from the
+phi_G. Every continuous catalog law is a generalized gamma law (shape a,
+scale b, power p), and C is infinite where a <= 1/p: gamma shapes s <= 1
+(with the exponential and chi-square with nu <= 2), Weibull exponents
+alpha <= 1, and the half-normal law (with chi nu = 1 and Nakagami m = 1/2).
+There the tail is one incomplete gamma function,
+T(r) = Gamma(a - 1/p, (r / b)^p) / (b Gamma(a)), and the transform of a
+law with a closed Im phi_F (power 1, or the half-normal law) comes from the
 spectral identity FT(a) = (2 / a^2) * integral_0^a Im phi_F(u) du: one
-quadrature of a smooth, non-oscillating integrand. Only Weibull laws with
-exponent below one (kernel and transform), the transforms of Weibull laws
-with exponent other than 1 or 2, and gamma shapes within 1e-4 below one
-(kernel only) fall back to direct quadrature of the mixture integral.
+quadrature of a smooth, non-oscillating integrand. Direct quadrature of
+the mixture integral remains for the kernels of Weibull exponents at most
+1/2 and of shapes with -1e-4 < a - 1/p < 0 (gamma shapes within 1e-4
+below one), and for the transforms of Weibull exponents other than 1 or 2.
 """
 
 import math
@@ -46,7 +48,6 @@ from .errors import (
     SpectralMismatchError,
 )
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(sys.float_info.max)
 
 # Agreement demanded between the two independent spectral routes.
@@ -122,18 +123,22 @@ def _unit_floor(r):
 #
 #     k(r) = S_F(r) - r T(r),   k'(r) = -T(r),   FT(a) = 2 C (1 - Re phi_G(a)) / a^2.
 #
-# Where C diverges, the gamma laws with shape s <= 1 (the exponential and
-# chi-square with nu <= 2 among them) and the half-normal law (chi with
-# nu = 1, Nakagami with m = 1/2) have T in terms of E1 and the incomplete
-# gamma function, and their transforms follow from the spectral identity
+# Where C diverges, the generalized gamma law (a, b, p) has a' = a - 1/p <= 0
+# and, with x = (r / b)^p,
+#
+#     T(r) = Gamma(a', x) / (b Gamma(a)),
+#
+# which is E1(x) / (b Gamma(a)) at a' = 0, and for -1 < a' < 0 follows from
+# the recurrence Gamma(a', x) = (x^a' e^-x - Gamma(a' + 1, x)) / (-a'). The
+# transforms of these laws follow from the spectral identity
 #
 #     FT(a) = 2 E[(1 - cos aX) / X] / a^2 = (2 / a^2) integral_0^a Im phi_F(u) du,
 #
-# since the derivative of E[(1 - cos aX) / X] in a is E sin(aX). Weibull
-# laws with exponent below one have no closed form.
+# since the derivative of E[(1 - cos aX) / X] in a is E sin(aX).
 
-# Gamma shapes in (this, 1) lose the closed tilted tail to cancellation
-# (relative error about 1e-16 / (1 - s)) and use quadrature instead.
+# Upper shapes a' + 1 of the recurrence in (this, 1) lose the closed tail to
+# cancellation (relative error about 1e-16 / -a') and use quadrature instead,
+# as do shapes a' <= -1 (Weibull exponents 1/2 and below).
 _GAMMA_TAIL_MAX_SHAPE = 1.0 - 1e-4
 
 
@@ -144,67 +149,60 @@ def _tilt(d):
         return None
 
 
-def _untilted_law(d):
-    """The Gamma or HalfNormal law that d with C = infinity is in another
-    parameterization, or None (Weibull with exponent below one)."""
-    if isinstance(d, (dists.Gamma, dists.HalfNormal)):
-        return d
-    if isinstance(d, dists.Exponential):
-        return dists.Gamma(1.0, d.theta)
-    if isinstance(d, dists.Weibull):
-        return dists.Gamma(1.0, d.theta) if d.alpha == 1.0 else None
-    if isinstance(d, dists.ChiSquare):
-        return d._as_gamma()
-    if isinstance(d, dists.Chi):  # nu = 1
-        return dists.HalfNormal(1.0)
-    if isinstance(d, dists.Nakagami):  # m = 1/2
-        return dists.HalfNormal(math.sqrt(d.omega))
-    return None
+def _recurrence_shape(a, p):
+    """a' + 1 = a + 1 - 1/p, written so that it is exactly a at p = 1."""
+    return a + (1.0 - 1.0 / p)
 
 
 def _tilted_tail(d, r):
-    """T(r) at r > 0 in closed form, or None."""
+    """T(r) at r > 0 in closed form, or None; inf where it overflows."""
     t = _tilt(d)
     if t is not None:
         return t.c * t.tilted.sf(r)
-    law = _untilted_law(d)
-    if isinstance(law, dists.HalfNormal):
-        return float(exp1(r * r / (2.0 * law.sigma ** 2))) / (law.sigma * _SQRT_2PI)
-    if law is None:
+    a, b, p = d.triple()
+    x = dists.pow_or_inf(r / b, p)
+    upper = _recurrence_shape(a, p)
+    if upper == 1.0:
+        return float(exp1(x)) / (b * math.gamma(a))
+    if not 0.0 < upper <= _GAMMA_TAIL_MAX_SHAPE:
         return None
-    x = r / law.theta
-    if law.s == 1.0:
-        return float(exp1(x)) / law.theta
-    if law.s > _GAMMA_TAIL_MAX_SHAPE:
-        return None
-    # T = Gamma(s - 1, x) / (theta Gamma(s)), and by the recurrence
-    # Gamma(s - 1, x) = (x^(s-1) e^-x - Gamma(s, x)) / (1 - s)
-    lead = (law.s - 1.0) * math.log(x) - x - math.lgamma(law.s) if x > 0.0 else math.inf
+    lead = (upper - 1.0) * math.log(x) - x - math.lgamma(a) if x > 0.0 else math.inf
     if lead > _LOG_MAX:
         return math.inf
-    return (math.exp(lead) - float(gammaincc(law.s, x))) / ((1.0 - law.s) * law.theta)
+    q = float(gammaincc(upper, x)) * (math.gamma(upper) / math.gamma(a))
+    return (math.exp(lead) - q) / ((1.0 - upper) * b)
+
+
+def _overflowed_tail_moment(d, r):
+    """r T(r) where T(r) overflows. Where x = (r / b)^p underflows to 0,
+    r T(r) -> 0. At subnormal r for a' < 0, where x^a' overflows,
+
+        r T(r) = (x^a e^-x - x^(1/p) Gamma(a' + 1, x)) / (-a' Gamma(a))
+
+    is finite and need not be small."""
+    a, b, p = d.triple()
+    x = dists.pow_or_inf(r / b, p)
+    if x == 0.0:
+        return 0.0
+    upper = _recurrence_shape(a, p)
+    root = dists.pow_or_inf(x, 1.0 / p)
+    if upper == 1.0:
+        return root * float(exp1(x)) / math.gamma(a)
+    lead = math.exp(a * math.log(x) - x - math.lgamma(a))
+    q = root * float(gammaincc(upper, x)) * (math.gamma(upper) / math.gamma(a))
+    return (lead - q) / (1.0 - upper)
 
 
 def _tilt_kernel(d, r):
-    """(k(r), k'(r)) at r > 0 in closed form, or None. A count law is read
+    """(k(r), r k'(r)) at r > 0 in closed form, or None. A count law is read
     at the knot at or below r, so a scaled input a hair below a knot takes
     the slope of the segment that starts there."""
     x = float(_unit_floor(r)) if d.discrete else r
     tail = _tilted_tail(d, x)
     if tail is None:
         return None
-    if tail < math.inf:
-        return d.sf(x) - r * tail, -tail
-    # T is infinite where the E1 argument underflows, and there r T(r) -> 0,
-    # or, for gamma shapes s < 1 at subnormal r, where the leading power of
-    # T overflows; there r T(r) = (z^s e^-z / Gamma(s) - z Q(s, z)) / (1 - s)
-    # with z = r / theta is finite and need not be small
-    law = _untilted_law(d)
-    z = r / law.theta if isinstance(law, dists.Gamma) else 0.0
-    if z == 0.0:
-        return d.sf(r), -tail
-    lead = math.exp(law.s * math.log(z) - z - math.lgamma(law.s))
-    return d.sf(r) - (lead - z * float(gammaincc(law.s, z))) / (1.0 - law.s), -tail
+    moment = r * tail if tail < math.inf else _overflowed_tail_moment(d, r)
+    return d.sf(x) - moment, -moment
 
 
 def _spectral_identity(law, a):
@@ -238,8 +236,7 @@ def _tilt_ft(d, a):
     if t is not None:
         gap = t.tilted.one_minus_re_cf(a)
         return None if gap is None else 2.0 * t.c * gap / (a * a)
-    law = _untilted_law(d)
-    return None if law is None else _spectral_identity(law, a)
+    return None if d.im_cf(a) is None else _spectral_identity(d, a)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +391,7 @@ def _panel_sum(f, cutoff, a):
 def kernel_to_cdf(spec, x):
     """Recover the generating cdf at x from the kernel alone:
     F(x) = 1 - k(u) + u k'(u) with u = rho x, using the closed derivative
-    when available and a five-point central difference otherwise."""
+    when available and quadrature of the exact derivative otherwise."""
     x = float(x)
     if x <= 0.0:
         return 0.0
@@ -402,9 +399,9 @@ def kernel_to_cdf(spec, x):
     d = spec.dist
     closed = _tilt_kernel(d, u)
     if closed is None:
-        closed = eval_kernel_numeric(d, u), _kernel_deriv_numeric(d, u)
-    kv, gv = closed
-    return min(1.0, max(0.0, 1.0 - kv + u * gv))
+        closed = eval_kernel_numeric(d, u), u * _kernel_deriv_numeric(d, u)
+    kv, moment = closed
+    return min(1.0, max(0.0, 1.0 - kv + moment))
 
 
 def _kernel_deriv_numeric(d, u):

@@ -70,8 +70,9 @@ FAMILY_SETTINGS = [
 ]
 
 # Shapes that once had no closed kernel form (the purely numeric path).
-# Gamma s = 0.5 and chi-square nu = 1 now take the closed tilted tail and
-# the spectral identity; only Weibull alpha = 0.7 is still numeric.
+# All three kernels now take the closed tail Gamma(a - 1/p, x) of the
+# generalized gamma law; gamma s = 0.5 and chi-square nu = 1 also take the
+# spectral identity, and only the Weibull alpha = 0.7 transform is numeric.
 NUMERIC_ONLY_SETTINGS = [
     Gamma(s=0.5, theta=1.0), Weibull(theta=1.0, alpha=0.7), ChiSquare(nu=1),
 ]

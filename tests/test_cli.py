@@ -555,7 +555,7 @@ class TestBundleFormat:
     def test_layout(self, tmp_path):
         _, model_path = fit_bundle(tmp_path)
         bundle = json.loads(model_path.read_text())
-        assert bundle["format"] == "polyakern-model-v3"
+        assert bundle["format"] == "polyakern-model-v4"
         vocab = array_of(bundle["vocabulary"])
         assert vocab.shape[1] == 3  # the copy, then dim = 2 bins
         assert sorted(set(vocab[:, 0].tolist())) == list(range(8))
@@ -619,15 +619,19 @@ class TestBundleFormat:
                 m["weights"] = array_of(m["weights"]).tolist()
 
         def to_v2(bundle):
-            # the v2 layout is v3's; its map was drawn by other samplers
+            # the v2 layout is v4's; its map was drawn by other samplers
             bundle["format"] = "polyakern-model-v2"
 
-        for old, edit in (("v1", to_v1), ("v2", to_v2)):
+        def to_v3(bundle):
+            # the v3 layout is v4's; some laws drew other last bits
+            bundle["format"] = "polyakern-model-v3"
+
+        for old, edit in (("v1", to_v1), ("v2", to_v2), ("v3", to_v3)):
             data, model_path = fit_bundle(tmp_path)
             rewrite_bundle(model_path, edit)
             message = predict_error(data, model_path, capsys)
             assert f"'polyakern-model-{old}'" in message, old
-            assert "'polyakern-model-v3'" in message, old
+            assert "'polyakern-model-v4'" in message, old
 
 
 class TestCv:
@@ -729,10 +733,10 @@ class TestBench:
             "0.1696298519665566,0.17303194754176418\n"
             "fourier_real,16,0.6183173928264668,0.5315364942159512,"
             "0.04329405011403044,0.07319898633891785\n"
-            "binning,4,0.5402271307721223,0.4778561803351588,"
-            "0.028373933256808995,0.06256916952554525\n"
-            "binning,16,0.2701135653860611,0.24926458204322668,"
-            "0.013017797730314836,0.02147551525327594\n"
+            "binning,4,0.5402271307721224,0.4778561803351589,"
+            "0.02837393325680895,0.06256916952554525\n"
+            "binning,16,0.2701135653860612,0.24926458204322674,"
+            "0.013017797730314822,0.02147551525327594\n"
         )
 
     def test_subsample_and_descending_sizes_rejected(self, tmp_path):
@@ -769,6 +773,22 @@ class TestErrorRecords:
         assert code != 0
         err = capsys.readouterr().err.strip().splitlines()
         assert any(line.startswith("{") for line in err)
+
+    @pytest.mark.parametrize("command", ["approx-error", "bench"])
+    def test_malformed_kernel_fails_with_fourier_maps_only(self, tmp_path, capsys, command):
+        # --kernel is a kernel spec even where no map kind reads it
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=48, n=30)
+        out = tmp_path / "out.csv"
+        code = cli.main([
+            command, str(data), "--kernel", "no_such_family:x=1", "--map", "fourier_real",
+            "--copies", "2", "--trials", "1", "--seed", "3", "--out", str(out),
+        ] + (["--task", "regression"] if command == "bench" else []))
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "unknown family 'no_such_family'" in json.loads(err[0])["error"]
+        assert not out.exists()
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"

@@ -8,6 +8,7 @@ errors or relative terms.
 import base64
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,22 @@ class TestFeaturize:
                 with pytest.raises(ValueError, match="finite"):
                     fm.featurize(state, np.array([[0.0, 0.0], [bad, 0.5]]))
 
+    def test_zero_spacing_rejected(self):
+        # Gamma(0.01, 1) puts mass below the smallest double: 6 of these
+        # 10,000 spacings are 0.0, and no bin index exists for them
+        spec = KernelSpec(dist.Gamma(0.01, 1.0))
+        state = fm.build_map(cfg(fm.BINNING, 10_000, seed=3, kernel=spec))
+        assert np.count_nonzero(state.spacings == 0.0) == 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mapped in (state, fm.rescale_map(state, KernelSpec(spec.dist, tau=2.0))):
+                with pytest.raises(ValueError, match="underflowed to zero") as err:
+                    fm.featurize(mapped, np.array([[0.0], [0.5]]))
+                assert "gamma:s=0.01,theta=1.0" in str(err.value)
+                with pytest.raises(ValueError, match="underflowed to zero"):
+                    fm.per_copy_inner_products(mapped, [0.0], [0.5])
+        assert len(state.vocabulary) == 0
+
     def test_bin_index_beyond_int64_rejected(self):
         # floor((x - offset) / spacing) of x = +-1e300 lies outside int64;
         # a cast would send both points to INT64_MIN and the same columns
@@ -301,13 +318,27 @@ class TestGram:
         assert fm.gram(batch).tolist() == [[1.0]]
 
     def test_binning_gram_equals_copy_count(self):
-        # exact, also for hashed columns that several copies share
+        # exact: the pairs of copies (c, c') with i's column in c equal to
+        # j's in c'; only hashed columns are shared across copies
         X = np.random.default_rng(17).uniform(-2, 2, size=(15, 2))
         for buckets in (None, 3):
             state = fm.build_map(cfg(fm.BINNING, 8, dim=2, hash_buckets=buckets))
             batch = fm.featurize(state, X)
-            eq = batch.indices[:, :, None] == batch.indices[:, None, :]
-            assert np.array_equal(fm.gram(batch), eq.sum(axis=0) / 8.0), buckets
+            idx = batch.indices
+            eq = idx[:, None, :, None] == idx[None, :, None, :]
+            assert np.array_equal(fm.gram(batch), eq.sum(axis=(0, 1)) / 8.0), buckets
+            same_copy = idx[:, :, None] == idx[:, None, :]
+            assert (buckets is None) == np.array_equal(eq.sum(axis=(0, 1)), same_copy.sum(axis=0))
+
+    def test_hashed_gram_is_gram_of_fitted_features(self):
+        # with collisions, gram is Z^T Z for the Z that learn.fit uses
+        X = np.random.default_rng(19).uniform(-2, 2, size=(40, 2))
+        batch = fm.featurize(fm.build_map(cfg(fm.BINNING, 16, dim=2, hash_buckets=4)), X)
+        Z = fm.to_sparse(batch)
+        g = fm.gram(batch)
+        assert np.array_equal(g, (Z.T @ Z).toarray())
+        # 16 copies in 4 columns: the squared counts sum to at least 16^2 / 4
+        assert np.all(np.diag(g) >= 4.0)
 
     def test_sentinel_never_matches(self):
         state = fm.build_map(cfg(fm.BINNING, 5, dim=1))

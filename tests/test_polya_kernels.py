@@ -44,8 +44,9 @@ CLOSED_FORM_SETTINGS = [
     dist.Nakagami(2.5, 1.3),
 ]
 
-# Shapes that once had no closed kernel form; only the Weibull law still
-# takes the numeric path.
+# Shapes that once had no closed kernel form. All three kernels now take the
+# closed tail Gamma(a - 1/p, x) of the generalized gamma law; only the
+# Weibull alpha = 0.7 transform still takes the numeric path.
 NUMERIC_ONLY_SETTINGS = [
     dist.Gamma(0.5, 1.0),
     dist.Weibull(1.0, 0.7),
@@ -142,6 +143,26 @@ class TestEvalKernel:
             assert np.all(np.diff(vals) <= 1e-10), d
             second = np.diff(vals, 2)
             assert np.all(second >= -1e-9), d
+
+    @pytest.mark.parametrize("d", [
+        dist.Weibull(1.0, 0.7), dist.Weibull(2.0, 0.7), dist.Weibull(1.0, 0.55),
+        dist.Weibull(1.0, 0.9),
+    ], ids=repr)
+    def test_weibull_below_one_closed_matches_quadrature(self, d):
+        # exponents 1/2 < alpha < 1 have the closed tail Gamma(1 - 1/alpha, x)
+        assert kernels._tilted_tail(d, 1.0) is not None
+        for r in R_GRID + [1e-6, 0.01, 20.0]:
+            closed = kernels.eval_kernel(spec(d), r)
+            assert closed == pytest.approx(kernels.eval_kernel_numeric(d, r), abs=1e-8), r
+
+    def test_weibull_below_one_keeps_digits_at_tiny_r(self):
+        # quadrature from r misses mass near zero here and reads above 1
+        d = dist.Weibull(2.0, 0.7)
+        for r in (1e-8, 1e-12):
+            with mpmath.workdps(40):
+                x = (mpmath.mpf(r) / 2) ** mpmath.mpf(0.7)
+                ref = mpmath.exp(-x) - r * mpmath.gammainc(1 - 1 / mpmath.mpf(0.7), x) / 2
+            assert kernels.eval_kernel(spec(d), r) == pytest.approx(float(ref), rel=1e-14), r
 
     def test_scaling_is_exact(self):
         d = dist.Gamma(3.5, 0.7)
@@ -376,15 +397,23 @@ class TestKernelToCdf:
                 ), (d, x)
 
     def test_roundtrip_numeric_fallback(self):
-        # No closed derivative exists for these shapes; the derivative is
-        # recovered by quadrature of density(x)/x, which is exact to the
-        # integrator's tolerance even at the singular small-x end.
+        # These shapes once had no closed derivative and took quadrature of
+        # density(x)/x; all three now take the closed tail of the
+        # generalized gamma law, and must still recover F within 1e-9.
         for d in (dist.Gamma(0.5, 1.0), dist.Weibull(1.0, 0.7), dist.ChiSquare(1)):
             k = spec(d)
             for x in [0.05, 0.5, 1.0, 2.0]:
                 assert kernels.kernel_to_cdf(k, x) == pytest.approx(
                     d.cdf(x), abs=1e-9
                 ), (d, x)
+
+    @pytest.mark.parametrize("s,u", [(0.01, 1e-320), (0.05, 1e-320), (0.01, 1e-300)])
+    def test_subnormal_point_matches_reference(self, s, u):
+        # T(u) overflows there, but u k'(u) = -u T(u) is finite
+        with mpmath.workdps(40):
+            ref = mpmath.gammainc(s, 0, mpmath.mpf(u), regularized=True)
+        got = kernels.kernel_to_cdf(spec(dist.Gamma(s, 1.0)), u)
+        assert got == pytest.approx(float(ref), rel=1e-12)
 
     def test_scaled_spec_recovers_scaled_cdf(self):
         d = dist.Rayleigh(1.0)

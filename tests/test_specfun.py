@@ -1,7 +1,7 @@
 """Oracle tests for the special functions the kernel and distribution
 catalogs evaluate: ``math.gamma``, ``math.lgamma``, ``math.erf``/``erfc``
-and ``scipy.special``'s regularized incomplete gamma, ``exp1``, ``hyp1f1``
-and ``dawsn``, plus the recurrence that gives the incomplete gamma function
+and ``scipy.special``'s regularized incomplete gamma, ``exp1``, ``hyp1f1``,
+``dawsn`` and ``poch``, plus the recurrence that gives the incomplete gamma function
 at a negative order, on the argument ranges the catalogs reach.
 
 Every function is checked against an independent route: adaptive
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import dawsn, exp1, gammaincc, hyp1f1
+from scipy.special import dawsn, exp1, gammaincc, hyp1f1, poch
 
 mpmath.mp.dps = 30
 
@@ -146,6 +146,24 @@ class TestUpperIncGammaNegativeOrder:
         for s, t in zip(s_pts, t_pts):
             ref = mp_float(mpmath.gammainc(s - 1, t))
             assert upper_inc_gamma_below_zero(s, t) == pytest.approx(ref, rel=1e-11)
+
+
+class TestPochhammer:
+    """poch(a, 1/p) = Gamma(a + 1/p) / Gamma(a) gives a generalized gamma
+    law's mean b poch(a, 1/p) and its C = 1 / (b poch(a - 1/p, 1/p))."""
+
+    def test_unit_step_is_exact(self):
+        # power 1 (the gamma law) then reads s theta and 1 / ((s - 1) theta)
+        shapes = np.concatenate([RNG.uniform(0.0, 20.0, size=2000), 0.5 * np.arange(1, 41)])
+        assert np.array_equal(poch(shapes, 1.0), shapes)
+
+    def test_random_sweep_against_reference(self):
+        rng = np.random.default_rng(60313)
+        a_pts = np.exp(rng.uniform(np.log(0.01), np.log(50.0), size=100))
+        x_pts = 1.0 / rng.uniform(0.3, 5.0, size=100)
+        for a, x in zip(a_pts, x_pts):
+            ref = mp_float(mpmath.rf(a, x))
+            assert poch(a, x) == pytest.approx(ref, rel=1e-13), (a, x)
 
 
 class TestDawson:
