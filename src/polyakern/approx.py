@@ -20,7 +20,7 @@ import numpy as np
 
 from . import feature_maps as fm
 from .polya_kernels import KernelSpec, eval_kernel
-from .rng import RandomStream
+from .rng import derived_seed
 
 
 @dataclass(frozen=True)
@@ -146,10 +146,6 @@ class ErrorStats:
         )
 
 
-def _trial_seed(base, t):
-    return int(RandomStream(base, path=(t,)).integers(0, 2 ** 63 - 1, 1)[0])
-
-
 def empirical_error(kernel, X, cfg, trials):
     """Distribution of the squared Frobenius error over independently
     seeded maps, reduced in trial order for reproducibility."""
@@ -161,7 +157,7 @@ def empirical_error(kernel, X, cfg, trials):
     theory = expected_sq_frobenius(cfg.kind, K, cfg.copies, k2=k2)
     errs = np.empty(trials)
     for t in range(trials):
-        trial_cfg = replace(cfg, seed=_trial_seed(cfg.seed, t))
+        trial_cfg = replace(cfg, seed=derived_seed(cfg.seed, (t,)))
         batch = fm.featurize(fm.build_map(trial_cfg), X)
         if cfg.kind == fm.FOURIER_COMPLEX:
             # the complex map's error counts the imaginary part too

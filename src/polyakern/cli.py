@@ -60,7 +60,7 @@ from .feature_maps import (
     gram,
 )
 from .polya_kernels import KernelSpec, eval_ft, eval_kernel, format_kernel_spec, parse_kernel_spec
-from .rng import RandomStream, default_seed
+from .rng import RandomStream, default_seed, derived_seed
 
 # ---------------------------------------------------------------------------
 # LIBSVM ingestion
@@ -692,11 +692,6 @@ class ExperimentConfig:
             raise ValueError("subsample must keep at least 5 points")
 
 
-def _bench_seed(base: int, kind_index: int, copies: int, trial: int) -> int:
-    stream = RandomStream(base, path=(kind_index, copies, trial))
-    return int(stream.integers(0, 2 ** 63 - 1, 1)[0])
-
-
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Run the benchmark and return its CSV text."""
     ds = parse_libsvm(cfg.data_path)
@@ -733,7 +728,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
             errors = []
             metrics = []
             for trial in range(cfg.trials):
-                seed = _bench_seed(cfg.seed, kind_index, copies, trial)
+                seed = derived_seed(cfg.seed, (kind_index, copies, trial))
                 map_cfg = FeatureMapConfig(
                     kind=kind, kernel=kernel, dim=X_train.shape[1],
                     copies=copies, seed=seed,

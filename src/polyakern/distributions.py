@@ -81,21 +81,27 @@ def pow_or_inf(y, p):
         return math.inf
 
 
-def _regularized_gamma(a, p, y, lower=False):
-    """Q(a, y^p), or P(a, y^p) if lower, for y > 0.
+def _regularized_gamma(a, b, p, x, lower=False):
+    """Q(a, z), or P(a, z) if lower, at z = (x / b)^p for x > 0.
 
     Power 1 is the gamma law and always takes scipy's regularized
     functions. Other powers take the elementary forms of the two elementary
     shapes, Q(1, z) = e^-z (P = -expm1(-z)) and Q(1/2, y^2) = erfc(y)
-    (P = erf(y)); erfc reads y itself, so y^2 is never rounded.
+    (P = erf(y)); erfc reads y = x / b itself, so y^2 is never rounded.
+    Where z underflows to zero, P(a, z) = z^a / Gamma(a + 1) from
+    log z = p (log x - log b), which is not small for tiny shapes a.
     """
+    y = x / b
+    z = pow_or_inf(y, p)
     if p != 1.0:
         if a == 1.0:
-            z = pow_or_inf(y, p)
             return -math.expm1(-z) if lower else math.exp(-z)
         if a == 0.5 and p == 2.0:
             return math.erf(y) if lower else math.erfc(y)
-    return float((gammainc if lower else gammaincc)(a, pow_or_inf(y, p)))
+    if z == 0.0:
+        low = math.exp(a * p * (math.log(x) - math.log(b)) - math.lgamma(a + 1.0))
+        return low if lower else 1.0 - low
+    return float((gammainc if lower else gammaincc)(a, z))
 
 
 def _inverse_upper_gamma(a, p, u):
@@ -169,7 +175,7 @@ class Distribution:
         """Point with no more than eps upper-tail mass, found by doubling."""
         x = max(self.mean(), 1.0)
         for _ in range(200):
-            if 1.0 - self.cdf(x) < eps:
+            if self.sf(x) < eps:
                 return x
             x *= 2.0
         raise ConvergenceError(f"{self!r}: tail cutoff search did not terminate")
@@ -212,17 +218,24 @@ class GeneralizedGamma(Distribution):
             + math.log(p)
         )
 
+    def density_of_log(self, w):
+        """Density of log X at w, x f(x) at x = e^w: p y^a e^-y / Gamma(a)
+        with y = (x / b)^p, finite where f(x) overflows near zero."""
+        a, b, p = self.triple()
+        v = p * (w - math.log(b))
+        return math.exp(a * v - math.exp(v) - math.lgamma(a) + math.log(p))
+
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
         a, b, p = self.triple()
-        return _regularized_gamma(a, p, x / b, lower=True)
+        return _regularized_gamma(a, b, p, x, lower=True)
 
     def sf(self, x):
         if x <= 0.0:
             return 1.0
         a, b, p = self.triple()
-        return _regularized_gamma(a, p, x / b)
+        return _regularized_gamma(a, b, p, x)
 
     def mean(self):
         a, b, p = self.triple()

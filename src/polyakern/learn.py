@@ -39,7 +39,7 @@ from .feature_maps import (
     to_sparse,
 )
 from .polya_kernels import KernelSpec
-from .rng import RandomStream, default_seed
+from .rng import RandomStream, default_seed, derived_seed
 
 RESIDUAL_TOLERANCE = 1e-8
 
@@ -381,12 +381,6 @@ def _is_better(candidate, incumbent) -> bool:
     return tau > inc_tau
 
 
-def _map_seed(base_seed: int, shape_index: int, fold: int) -> int:
-    return int(
-        RandomStream(base_seed, path=(shape_index, fold)).integers(0, 2 ** 63 - 1, 1)[0]
-    )
-
-
 def _fold_scores(state, task, X_fit, y_fit, X_hold, y_hold, lams):
     """Validation score of each penalty in ``lams`` for one map and fold:
     mean-squared error for regression, error rate for classification."""
@@ -444,7 +438,7 @@ def cross_validate(train: Dataset, space: CvSearchSpace) -> CvResult:
             hold = fold_of == fold
             unit = build_map(FeatureMapConfig(
                 kind=BINNING, kernel=KernelSpec(dist), dim=dim, copies=space.copies,
-                seed=_map_seed(space.seed, shape_index, fold),
+                seed=derived_seed(space.seed, (shape_index, fold)),
             ))
             for t, kernel in enumerate(kernels):
                 fold_scores[t, :, fold] = _fold_scores(

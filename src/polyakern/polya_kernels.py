@@ -23,10 +23,15 @@ There the tail is one incomplete gamma function,
 T(r) = Gamma(a - 1/p, (r / b)^p) / (b Gamma(a)), and the transform of a
 law with a closed Im phi_F (power 1, or the half-normal law) comes from the
 spectral identity FT(a) = (2 / a^2) * integral_0^a Im phi_F(u) du: one
-quadrature of a smooth, non-oscillating integrand. Direct quadrature of
-the mixture integral remains for the kernels of Weibull exponents at most
-1/2 and of shapes with -1e-4 < a - 1/p < 0 (gamma shapes within 1e-4
-below one), and for the transforms of Weibull exponents other than 1 or 2.
+quadrature of a smooth, non-oscillating integrand. Quadrature remains for
+the kernels of Weibull exponents at most 1/2 and of shapes with
+-1e-4 < a - 1/p < 0 (gamma shapes within 1e-4 below one), for the
+transforms of Weibull exponents other than 1 or 2, and as the oracle of
+every closed form. It is two helpers: ``_law_integral``, the integral of
+g(x) dF(x) (in w = log x, or by QUADPACK's cosine rule QAWO when weighted
+by cos(ax)), and ``_kernel_cos_integral``, the integral of k(r) cos(ar)
+over r > 0 by QAWO between the kernel's knots. The numeric transform takes
+both, as (2 / a^2) E[(1 - cos aX) / X] and as twice the cosine integral.
 """
 
 import math
@@ -41,7 +46,6 @@ from scipy.special import exp1, gammaincc
 
 from . import distributions as dists
 from .errors import (
-    ConvergenceError,
     InfiniteTiltError,
     ParseError,
     QuadratureError,
@@ -98,12 +102,12 @@ class SpectralValue:
             raise ValueError(f"spectral value must be nonnegative, got {self.value}")
 
 
-def _quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200):
+def _quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200, **weight):
     """Adaptive quadrature with warnings silenced; accuracy is checked by
     the caller through the returned error estimate."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+        val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **weight)
     return val, err
 
 
@@ -174,21 +178,21 @@ def _tilted_tail(d, r):
 
 
 def _overflowed_tail_moment(d, r):
-    """r T(r) where T(r) overflows. Where x = (r / b)^p underflows to 0,
-    r T(r) -> 0. At subnormal r for a' < 0, where x^a' overflows,
+    """r T(r) where T(r) overflows. At subnormal r for a' < 0, where x^a'
+    overflows,
 
         r T(r) = (x^a e^-x - x^(1/p) Gamma(a' + 1, x)) / (-a' Gamma(a))
 
-    is finite and need not be small."""
+    is finite and need not be small; where x = (r / b)^p underflows to 0,
+    x^a comes from log x = p (log r - log b). At a' = 0, r T(r) -> 0 there."""
     a, b, p = d.triple()
     x = dists.pow_or_inf(r / b, p)
-    if x == 0.0:
-        return 0.0
     upper = _recurrence_shape(a, p)
     root = dists.pow_or_inf(x, 1.0 / p)
     if upper == 1.0:
-        return root * float(exp1(x)) / math.gamma(a)
-    lead = math.exp(a * math.log(x) - x - math.lgamma(a))
+        return root * float(exp1(x)) / math.gamma(a) if x > 0.0 else 0.0
+    log_x = math.log(x) if x > 0.0 else p * (math.log(r) - math.log(b))
+    lead = math.exp(a * log_x - x - math.lgamma(a))
     q = root * float(gammaincc(upper, x)) * (math.gamma(upper) / math.gamma(a))
     return (lead - q) / (1.0 - upper)
 
@@ -213,13 +217,13 @@ def _spectral_identity(law, a):
     as a -> 0. Beyond u0 it decays like a power of u, which is smooth in
     w = log(u / u0)."""
     u0 = min(a, 1.0 / law.mean())
-    total, err = _quad(lambda v: law.im_cf(u0 * v), 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+    total, err = _quad(lambda v: law.im_cf(u0 * v), 0.0, 1.0, epsrel=1e-12)
     if a > u0:
         def f(w):
             g = math.exp(w)
             return law.im_cf(u0 * g) * g
 
-        more, more_err = _quad(f, 0.0, math.log(a / u0), epsabs=0.0, epsrel=1e-12)
+        more, more_err = _quad(f, 0.0, math.log(a / u0), epsrel=1e-12)
         total += more
         err += more_err
     if err > 1e-10 * total:
@@ -240,6 +244,84 @@ def _tilt_ft(d, a):
 
 
 # ---------------------------------------------------------------------------
+# Numeric integrals, each returned with its summed quadrature error estimate.
+# Every one leaves out an upper-tail mass below _TAIL.
+
+_TAIL = 1e-16
+
+
+def _law_integral(d, g, lo, hi=None, cos=None):
+    """Integral of g(x) dF(x), times cos(cos x) if cos is given, over
+    lo < x <= hi; hi=None runs to where the upper tail falls below _TAIL.
+
+    A count law sums over its atoms. A continuous law integrates in
+    w = log x, where the density's x^(ap - 1) near zero becomes the smooth
+    x^(ap), and from w = -inf at lo = 0, since for small ap much of the mass
+    can lie where x = e^w underflows (g must then accept x = 0); with
+    cos = a it takes QAWO in x instead, on geometric pieces from lo > 0."""
+    cutoff = d.upper_tail_cutoff(_TAIL)
+    if d.discrete:
+        last = int(cutoff) + 1 if hi is None else min(int(cutoff) + 1, _unit_floor(hi))
+        total = 0.0
+        for k in range(_unit_floor(lo) + 1, last + 1):
+            x = float(k)
+            weight = 1.0 if cos is None else math.cos(cos * x)
+            total += g(x) * weight * d.density(x)
+        return total, 0.0
+    hi = cutoff if hi is None else min(hi, cutoff)
+    if hi <= lo:
+        return 0.0, 0.0
+    if cos is None:
+        return _quad(lambda w: g(math.exp(w)) * d.density_of_log(w),
+                     math.log(lo) if lo > 0.0 else -math.inf, math.log(hi))
+    return _cos_pieces(lambda x: g(x) * d.density(x), _doublings(lo, hi), cos)
+
+
+def _kernel_cos_integral(d, a):
+    """Integral over r > 0 of k(r) cos(a r) dr for a >= 0 (half the area
+    under the kernel at a = 0), on pieces between the kernel's knots: the
+    integers for a count law, and for a continuous law 0, then
+    x1 = min(pi / a, mean) doubling up to the cutoff."""
+    spec = KernelSpec(d)
+    cutoff = d.upper_tail_cutoff(_TAIL)
+    if d.discrete:
+        knots = [float(n) for n in range(int(cutoff) + 2)]
+    else:
+        knots = [0.0] + _doublings(min(math.pi / a, d.mean()) if a > 0.0 else d.mean(), cutoff)
+    return _cos_pieces(lambda r: eval_kernel(spec, r), knots, a)
+
+
+def _doublings(lo, hi):
+    """lo, 2 lo, 4 lo, ... and hi: pieces over which a power of x changes by
+    a bounded factor."""
+    knots = [lo]
+    while knots[-1] < hi:
+        knots.append(min(2.0 * knots[-1], hi))
+    return knots
+
+
+def _cos_pieces(f, knots, a):
+    """Integral of f(x) cos(a x) between consecutive knots by QUADPACK's
+    cosine rule (QAWO), which needs no piece per period. Pieces after the
+    first stop at an absolute error of 1e-13 times the first, which is the
+    largest piece of a kernel."""
+    total = err = floor = 0.0
+    for lo, hi in zip(knots, knots[1:]):
+        v, e = _quad(f, lo, hi, epsabs=floor, weight="cos", wvar=a)
+        total += v
+        err += e
+        floor = floor or 1e-13 * abs(v)
+    return total, err
+
+
+def _checked(value, err, tol, what, d, at):
+    """value, unless the quadrature error estimate err exceeds tol."""
+    if not err <= tol:
+        raise QuadratureError(f"{what} quadrature error {err:.2e} too large at {at} for {d!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Public evaluation API
 
 
@@ -257,43 +339,15 @@ def eval_kernel(spec, r):
 
 
 def eval_kernel_numeric(d, r):
-    """k(|r|) by direct quadrature/summation of the mixture integral.
+    """k(|r|) = E (1 - |r| / X)+ by direct quadrature/summation of the
+    mixture integral.
 
     Independent of every closed form; serves as the oracle they are
     validated against. Absolute accuracy well below 1e-9.
     """
     r = abs(float(r))
-    if d.discrete:
-        total = 0.0
-        k = max(_unit_floor(r) + 1, 1)
-        top = int(d.upper_tail_cutoff(1e-16)) + 1
-        while k <= top:
-            total += (1.0 - r / k) * d.density(float(k))
-            k += 1
-        return total
-    cutoff = d.upper_tail_cutoff(1e-15)
-    if r >= cutoff:
-        return 0.0
-
-    def f(x):
-        return (1.0 - r / x) * d.density(x)
-
-    mid = min(cutoff, max(d.mean(), 1.5 * r))
-    total = 0.0
-    err = 0.0
-    lo = r
-    for hi in sorted({mid, cutoff}):
-        if hi <= lo:
-            continue
-        v, e = _quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=300)
-        total += v
-        err += e
-        lo = hi
-    if err > 1e-9:
-        raise QuadratureError(
-            f"kernel quadrature error {err:.2e} too large at r={r} for {d!r}"
-        )
-    return total
+    value, err = _law_integral(d, lambda x: 1.0 - r / x if x else 1.0, r)
+    return _checked(value, err, 1e-9, "kernel", d, f"r={r}")
 
 
 def eval_ft(spec, t):
@@ -340,52 +394,30 @@ def eval_ft_numeric(d, t):
 
 
 def _ft_from_law(d, a):
-    if d.discrete:
-        total = 0.0
-        top = int(d.upper_tail_cutoff(1e-16)) + 1
-        for k in range(1, top + 1):
-            sn = math.sin(0.5 * a * k)
-            total += 4.0 * sn * sn / (k * a * a) * d.density(float(k))
-        return total
+    """(2 / a^2) E[(1 - cos aX) / X]: directly up to x0 = pi / a, where the
+    integrand x (sin(h) / h)^2, h = a x / 2, does not oscillate; beyond x0
+    as the 1/X moment minus its cosine transform."""
+    def g(x):
+        h = 0.5 * a * x
+        sinc = math.sin(h) / h if h > 0.0 else 1.0
+        return x * sinc * sinc
 
-    def h(x):
-        if x <= 0.0:
-            return 0.0
-        sn = math.sin(0.5 * a * x)
-        return 4.0 * sn * sn * d.density(x) / (x * a * a)
-
-    cutoff = d.upper_tail_cutoff(1e-15)
-    return _panel_sum(h, cutoff, a)
+    x0 = math.pi / a
+    near, near_err = _law_integral(d, g, 0.0, x0)
+    moment, moment_err = _law_integral(d, lambda x: 1.0 / x, x0)
+    wave, wave_err = _law_integral(d, lambda x: 1.0 / x, x0, cos=a)
+    scale = 2.0 / (a * a)
+    value = near + scale * (moment - wave)
+    err = near_err + scale * (moment_err + wave_err)
+    return _checked(value, err, 1e-9 * value, "spectral", d, f"t={a}")
 
 
 def _ft_from_kernel(d, a):
-    spec = KernelSpec(d)
-
-    def f(r):
-        return eval_kernel(spec, r) * math.cos(a * r)
-
-    cutoff = d.upper_tail_cutoff(1e-14)
-    return 2.0 * _panel_sum(f, cutoff, a)
-
-
-def _panel_sum(f, cutoff, a):
-    """Integrate f over [0, cutoff] in half-period panels of the frequency."""
-    width = math.pi / a
-    npanels = int(math.ceil(cutoff / width))
-    if npanels > 20000:
-        raise QuadratureError(
-            f"too many oscillation panels ({npanels}); frequency {a} too high"
-        )
-    total = 0.0
-    lo = 0.0
-    for _ in range(npanels):
-        hi = min(cutoff, lo + width)
-        if hi <= lo:
-            break
-        v, _ = _quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=150)
-        total += v
-        lo = hi
-    return total
+    """2 integral over r > 0 of k(r) cos(a r) dr. Its pieces of size 1/a
+    cancel to a value of size 1/a^2, so its error estimate is held to the
+    absolute SPECTRAL_AGREEMENT the two routes are compared at."""
+    value, err = _kernel_cos_integral(d, a)
+    return _checked(2.0 * value, 2.0 * err, SPECTRAL_AGREEMENT, "spectral", d, f"t={a}")
 
 
 def kernel_to_cdf(spec, x):
@@ -399,60 +431,19 @@ def kernel_to_cdf(spec, x):
     d = spec.dist
     closed = _tilt_kernel(d, u)
     if closed is None:
-        closed = eval_kernel_numeric(d, u), u * _kernel_deriv_numeric(d, u)
+        # the moment u k'(u) = -E[u / X; X > u] is bounded by one
+        moment, err = _law_integral(d, lambda v: u / v, u)
+        moment = _checked(moment, err, 1e-9, "derivative", d, f"u={u}")
+        closed = eval_kernel_numeric(d, u), -moment
     kv, moment = closed
     return min(1.0, max(0.0, 1.0 - kv + moment))
-
-
-def _kernel_deriv_numeric(d, u):
-    """Right derivative of the kernel by quadrature of its exact form,
-    k'(r) = -integral of density(x)/x over x > r; only continuous laws lack
-    a closed slope."""
-    cutoff = d.upper_tail_cutoff(1e-16)
-    mid = min(cutoff, max(d.mean(), 1.5 * u))
-    total = 0.0
-    lo = u
-    for hi in sorted({mid, cutoff}):
-        if hi <= lo:
-            continue
-        value, err = _quad(lambda x: d.density(x) / x, lo, hi)
-        if err > 1e-9:
-            raise QuadratureError(
-                f"derivative quadrature error {err:.2e} for {d!r} at {u}"
-            )
-        total += value
-        lo = hi
-    return -total
 
 
 def area_under_curve(spec):
     """Integral of the scaled kernel over the whole line; equals mean / rho
     (and the transform's value at frequency zero)."""
-    d = spec.dist
-    unit = KernelSpec(d)
-    if d.discrete:
-        # exact trapezoid over the unit segments of the piecewise-linear kernel
-        total = 0.0
-        prev = 1.0
-        for n in range(1, 10 ** 6):
-            cur = eval_kernel(unit, float(n))
-            total += 0.5 * (prev + cur)
-            if cur < 1e-15:
-                return 2.0 * total / spec.rho
-            prev = cur
-        raise ConvergenceError(f"kernel of {d!r} did not decay")
-    cutoff = d.upper_tail_cutoff(1e-14)
-    mid = min(d.mean(), cutoff)
-    total = 0.0
-    lo = 0.0
-    for hi in sorted({mid, cutoff}):
-        if hi <= lo:
-            continue
-        v, _ = _quad(lambda r: eval_kernel(unit, r), lo, hi, epsabs=1e-10,
-                     epsrel=1e-10, limit=300)
-        total += v
-        lo = hi
-    return 2.0 * total / spec.rho
+    half, err = _kernel_cos_integral(spec.dist, 0.0)
+    return _checked(2.0 * half, 2.0 * err, 1e-9 * half, "area", spec.dist, "t=0") / spec.rho
 
 
 def tensor_eval(spec, x, xp):

@@ -82,3 +82,9 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, path={self.path})"
+
+
+def derived_seed(seed, path):
+    """A seed in [0, 2^63 - 1) drawn from the stream at (seed, path), for a
+    sub-experiment that builds its own streams from one integer seed."""
+    return int(RandomStream(seed, path).integers(0, 2 ** 63 - 1, 1)[0])

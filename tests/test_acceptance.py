@@ -69,10 +69,11 @@ FAMILY_SETTINGS = [
     Nakagami(m=2.0, omega=1.3),
 ]
 
-# Shapes that once had no closed kernel form (the purely numeric path).
-# All three kernels now take the closed tail Gamma(a - 1/p, x) of the
-# generalized gamma law; gamma s = 0.5 and chi-square nu = 1 also take the
-# spectral identity, and only the Weibull alpha = 0.7 transform is numeric.
+# Laws with C = E 1/X infinite, whose density does not vanish at zero. Their
+# kernels take the closed tail Gamma(a - 1/p, x) of the generalized gamma
+# law; gamma s = 0.5 and chi-square nu = 1 take the spectral identity, and
+# the Weibull alpha = 0.7 transform is numeric. The kernels with no closed
+# form (Weibull alpha <= 1/2) are pinned to mpmath in test_polya_kernels.
 NUMERIC_ONLY_SETTINGS = [
     Gamma(s=0.5, theta=1.0), Weibull(theta=1.0, alpha=0.7), ChiSquare(nu=1),
 ]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from polyakern import cli, learn
+from polyakern import polya_kernels as kernels
 from polyakern.distributions import Gamma
 from polyakern.errors import ParseError
 from polyakern.feature_maps import BINNING, FeatureMapConfig, build_map, featurize
@@ -152,6 +153,22 @@ class TestKernelCommands:
         assert cli.main(["kernel", "ft", "--kernel", "half_normal:sigma=1", "1e-5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].startswith("1e-05,0.79788456078")
+
+    def test_eval_numeric_weibull_at_tiny_distance(self, capsys):
+        # no closed form for alpha <= 1/2; mpmath gives 0.99837041277558629
+        assert cli.main(["kernel", "eval", "--kernel", "weibull:theta=1,alpha=0.4", "3e-8"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "3e-08,0.9983704127755862"
+
+    @pytest.mark.parametrize("alpha,t", [("0.4", "5"), ("0.7", "1000"), ("0.9", "1000")])
+    def test_ft_numeric_weibull_at_many_periods(self, capsys, alpha, t):
+        # tens of thousands of half periods lie below the tail cutoff here
+        code = cli.main(["kernel", "ft", "--kernel", f"weibull:theta=1,alpha={alpha}", t])
+        assert code == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        d = parse_kernel_spec(f"weibull:theta=1,alpha={alpha}").dist
+        assert value == pytest.approx(kernels._ft_from_kernel(d, float(t)), rel=1e-9, abs=0.0)
+        if alpha == "0.4":
+            assert value == pytest.approx(0.0784004793744, abs=1e-9)
 
     def test_table_has_three_columns(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -9,6 +9,7 @@ and of the tilted law's cosine transform.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from scipy.special import gammaincc, ndtr
 from polyakern import distributions as dist
 from polyakern import feature_maps as fm
 from polyakern.errors import InfiniteTiltError, ParseError
-from polyakern.rng import RandomStream
+from polyakern.rng import RandomStream, derived_seed
 
 SQRT_PI = 1.7724538509055160273
 
@@ -214,6 +215,27 @@ class TestSurvival:
             x = 8.0 * d.mean()
             ref, _ = quad(d.density, x, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
             assert d.sf(x) == pytest.approx(ref, rel=1e-8), (d, x)
+
+    @pytest.mark.parametrize("d,x", [
+        (dist.Gamma(0.01, 3.0), 5e-324),  # x / b underflows
+        (dist.Nakagami(0.75, 1.0), 1e-200),  # (x / b)^2 underflows
+    ], ids=repr)
+    def test_underflowed_argument_keeps_lower_mass(self, d, x):
+        # P(a, z) = z^a / Gamma(a + 1) from log z = p (log x - log b)
+        a, b, p = d.triple()
+        with mpmath.workdps(40):
+            z = (mpmath.mpf(x) / mpmath.mpf(b)) ** p
+            ref = mpmath.gammainc(a, 0, z, regularized=True)
+        assert d.cdf(x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+        assert d.sf(x) == pytest.approx(float(1 - ref), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("d", [dist.Gamma(2.0, 1.0), dist.Weibull(1.0, 0.4),
+                                   dist.ShiftedPoisson(2.0)], ids=repr)
+    def test_tail_cutoff_resolves_tiny_mass(self, d):
+        # 1 - cdf cannot resolve an upper-tail mass below 1.1e-16
+        for eps in (1e-16, 1e-20):
+            x = d.upper_tail_cutoff(eps)
+            assert d.sf(x) < eps and d.sf(x / 2.0) >= eps, eps
 
     def test_discrete_tail_matches_pmf_sum(self):
         for d in SETTINGS["shifted_poisson"]:
@@ -548,6 +570,11 @@ class TestRandomStream:
         p1.uniform(1000)
         p2 = RandomStream(7)
         assert np.array_equal(p1.child(3).uniform(8), p2.child(3).uniform(8))
+
+    def test_derived_seed_is_first_draw_of_its_stream(self):
+        seed = derived_seed(7, (2, 5))
+        assert seed == int(RandomStream(7, (2, 5)).integers(0, 2 ** 63 - 1, 1)[0])
+        assert seed != derived_seed(7, (5, 2)) and 0 <= seed < 2 ** 63 - 1
 
     def test_distinct_children_distinct_draws(self):
         root = RandomStream(7)

@@ -44,9 +44,10 @@ CLOSED_FORM_SETTINGS = [
     dist.Nakagami(2.5, 1.3),
 ]
 
-# Shapes that once had no closed kernel form. All three kernels now take the
-# closed tail Gamma(a - 1/p, x) of the generalized gamma law; only the
-# Weibull alpha = 0.7 transform still takes the numeric path.
+# Laws with C = E 1/X infinite, whose density does not vanish at zero. Their
+# kernels take the closed tail Gamma(a - 1/p, x) and are checked against the
+# numeric route here; the kernels with no closed form (Weibull alpha <= 1/2)
+# are pinned to mpmath in TestNumericRoutes, as are the numeric transforms.
 NUMERIC_ONLY_SETTINGS = [
     dist.Gamma(0.5, 1.0),
     dist.Weibull(1.0, 0.7),
@@ -156,7 +157,7 @@ class TestEvalKernel:
             assert closed == pytest.approx(kernels.eval_kernel_numeric(d, r), abs=1e-8), r
 
     def test_weibull_below_one_keeps_digits_at_tiny_r(self):
-        # quadrature from r misses mass near zero here and reads above 1
+        # the closed tail; TestNumericRoutes pins the numeric route here
         d = dist.Weibull(2.0, 0.7)
         for r in (1e-8, 1e-12):
             with mpmath.workdps(40):
@@ -357,6 +358,17 @@ class TestGammaTail:
         assert kernels.eval_kernel(spec(d), 5e-324) == 1.0
         assert kernels.kernel_to_cdf(spec(d), 5e-324) == 0.0
 
+    def test_underflowed_ratio_keeps_tiny_shape_mass(self):
+        # r / theta underflows to zero; x^s = e^(s log x) is still 5.8e-4
+        with mpmath.workdps(40):
+            x = mpmath.mpf(5e-324) / 3
+            s = mpmath.mpf(0.01)
+            ref = mpmath.gammainc(s, x, mpmath.inf, regularized=True) - x * mpmath.gammainc(
+                s - 1, x) / mpmath.gamma(s)
+        assert float(ref) == pytest.approx(0.99941250698319204, rel=1e-15, abs=0.0)
+        got = kernels.eval_kernel(spec(dist.Gamma(0.01, 3.0)), 5e-324)
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("s", [0.01, 0.05])
     def test_subnormal_kernel_matches_reference(self, s):
         # where T overflows, r T(r) ~ r^s / (Gamma(s) (1 - s)) is not small
@@ -367,6 +379,73 @@ class TestGammaTail:
                 ref = mpmath.gammainc(s, x, mpmath.inf, regularized=True) - x * mpmath.gammainc(
                     s - 1, x) / mpmath.gamma(s)
             assert kernels.eval_kernel(spec(d), r) == pytest.approx(float(ref), rel=1e-14), r
+
+
+def weibull_kernel_reference(r, alpha, theta=1.0):
+    """k(r) = e^-x - r Gamma(1 - 1/alpha, x) / theta with x = (r / theta)^alpha,
+    in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        r, alpha = mpmath.mpf(r), mpmath.mpf(alpha)
+        x = (r / theta) ** alpha
+        return float(mpmath.exp(-x) - r * mpmath.gammainc(1 - 1 / alpha, x) / theta)
+
+
+NUMERIC_T_GRID = [1e-4, 0.01, 1.2, 300.0, 1e4]
+
+
+class TestNumericRoutes:
+    """The quadrature routes: the kernel in log x, the moment r k'(r), and
+    both transform routes, against mpmath and the closed forms."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.7])
+    @pytest.mark.parametrize("r", [1e-12, 1e-9, 3e-8, 1e-3, 5.0])
+    def test_weibull_kernel_matches_mpmath(self, alpha, r):
+        got = kernels.eval_kernel_numeric(dist.Weibull(1.0, alpha), r)
+        assert got == pytest.approx(weibull_kernel_reference(r, alpha), rel=1e-14, abs=0.0)
+
+    def test_kernel_keeps_mass_near_zero(self):
+        # most of the x^(a p - 1) mass near zero lies below r here; k stays below 1
+        got = kernels.eval_kernel_numeric(dist.Weibull(2.0, 0.7), 1e-8)
+        assert got == pytest.approx(0.9999948640222116, rel=1e-14, abs=0.0)
+        assert kernels.eval_kernel_numeric(dist.Gamma(0.5, 1.0), 1e-9) <= 1.0
+
+    def test_mass_below_the_least_normal_float(self):
+        # for small a p much of the mass lies where x = e^w underflows
+        for d in (dist.Gamma(0.001, 1.0), dist.Weibull(1.0, 0.02)):
+            assert kernels.eval_kernel_numeric(d, 0.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        got = kernels.eval_kernel(spec(dist.Weibull(1.0, 0.02)), 1e-320)
+        assert got == pytest.approx(weibull_kernel_reference(1e-320, 0.02), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.3])
+    def test_weibull_cdf_recovery(self, alpha):
+        # no closed tail for alpha <= 1/2: both k and u k'(u) are numeric
+        d = dist.Weibull(1.0, alpha)
+        k = spec(d)
+        assert kernels._tilt_kernel(d, 1.0) is None
+        for x in [1e-9, 1e-6] + list(np.linspace(0.0, 30.0, 125)):
+            assert kernels.kernel_to_cdf(k, x) == pytest.approx(d.cdf(x), abs=1e-9), x
+
+    @pytest.mark.parametrize("d", [
+        dist.Gamma(2.0, 1.0), dist.Gamma(0.5, 1.0), dist.HalfNormal(1.0),
+        dist.Rayleigh(1.0), dist.ShiftedPoisson(2.0),
+    ], ids=repr)
+    def test_transform_routes_match_closed_forms(self, d):
+        for t in NUMERIC_T_GRID:
+            closed = kernels.eval_ft(spec(d), t).value
+            assert kernels._ft_from_law(d, t) == pytest.approx(closed, rel=1e-12, abs=0.0), t
+            assert kernels._ft_from_kernel(d, t) == pytest.approx(closed, rel=1e-9, abs=0.0), t
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.7, 3.0])
+    def test_weibull_transform_routes_agree(self, alpha):
+        d = dist.Weibull(1.0, alpha)
+        for t in NUMERIC_T_GRID:
+            law = kernels._ft_from_law(d, t)
+            assert kernels._ft_from_kernel(d, t) == pytest.approx(law, rel=1e-9, abs=0.0), t
+            assert kernels.eval_ft(spec(d), t).value == law
+
+    def test_area_of_numeric_kernel(self):
+        for d in (dist.Weibull(1.0, 0.4), dist.Weibull(2.0, 0.3)):
+            assert kernels.area_under_curve(spec(d, tau=1.5)) == pytest.approx(1.5, rel=1e-9, abs=0.0)
 
 
 class TestKernelToCdf:
