@@ -135,14 +135,35 @@ class ErrorStats:
             return 0.0
         return self.stderr_sq / (2.0 * math.sqrt(self.mean_sq * self.norm_k_sq))
 
-    @classmethod
-    def from_errors(cls, kind, copies, errs, theory_sq, norm_k_sq):
+
+class ErrorReference:
+    """The exact kernel matrix K of a point set, against which Gram matrices
+    of one map kind are scored: per-trial squared Frobenius errors and
+    their summary against the closed-form expectation."""
+
+    def __init__(self, kernel, X, kind):
+        self.kind = kind
+        self.K = exact_gram(kernel, X)
+        self.k2 = exact_gram(kernel, X, double=True) if kind == fm.FOURIER_REAL else None
+
+    def sq_error(self, batch):
+        """|| Ktilde - K ||_F^2 for a featurized batch of the points."""
+        if self.kind == fm.FOURIER_COMPLEX:
+            # the complex map's error counts the imaginary part too
+            diff = fm.complex_gram(batch) - self.K.values
+            return float(np.sum(diff.real * diff.real + diff.imag * diff.imag))
+        diff = fm.gram(batch) - self.K.values
+        return float(np.sum(diff * diff))
+
+    def stats(self, copies, errs):
         """Summary of per-trial squared Frobenius errors, in trial order."""
         trials = len(errs)
         stderr = float(np.std(errs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        return cls(
-            kind=kind, copies=copies, trials=trials, mean_sq=float(np.mean(errs)),
-            stderr_sq=stderr, theory_sq=theory_sq, norm_k_sq=norm_k_sq,
+        return ErrorStats(
+            kind=self.kind, copies=copies, trials=trials, mean_sq=float(np.mean(errs)),
+            stderr_sq=stderr,
+            theory_sq=expected_sq_frobenius(self.kind, self.K, copies, k2=self.k2),
+            norm_k_sq=float(np.sum(self.K.values * self.K.values)),
         )
 
 
@@ -152,20 +173,11 @@ def empirical_error(kernel, X, cfg, trials):
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     X = np.asarray(X, dtype=float)
-    K = exact_gram(kernel, X)
-    k2 = exact_gram(kernel, X, double=True) if cfg.kind == fm.FOURIER_REAL else None
-    theory = expected_sq_frobenius(cfg.kind, K, cfg.copies, k2=k2)
-    errs = np.empty(trials)
-    for t in range(trials):
-        trial_cfg = replace(cfg, seed=derived_seed(cfg.seed, (t,)))
-        batch = fm.featurize(fm.build_map(trial_cfg), X)
-        if cfg.kind == fm.FOURIER_COMPLEX:
-            # the complex map's error counts the imaginary part too
-            diff = fm.complex_gram(batch) - K.values
-            errs[t] = float(np.sum(diff.real * diff.real + diff.imag * diff.imag))
-        else:
-            diff = fm.gram(batch) - K.values
-            errs[t] = float(np.sum(diff * diff))
-    return ErrorStats.from_errors(
-        cfg.kind, cfg.copies, errs, theory, float(np.sum(K.values * K.values))
-    )
+    reference = ErrorReference(kernel, X, cfg.kind)
+    errs = [
+        reference.sq_error(fm.featurize(
+            fm.build_map(replace(cfg, seed=derived_seed(cfg.seed, (t,)))), X
+        ))
+        for t in range(trials)
+    ]
+    return reference.stats(cfg.copies, errs)

@@ -57,7 +57,6 @@ from .feature_maps import (
     TensorCauchy,
     build_map,
     featurize,
-    gram,
 )
 from .polya_kernels import KernelSpec, eval_ft, eval_kernel, format_kernel_spec, parse_kernel_spec
 from .rng import RandomStream, default_seed, derived_seed
@@ -171,7 +170,13 @@ class AffineNormalizer:
         return {"center": list(self.center), "halfwidth": list(self.halfwidth)}
 
     @classmethod
-    def from_json(cls, blob):
+    def from_json(cls, blob, dim):
+        _expect(
+            isinstance(blob, dict)
+            and all(_finite_numbers(blob[key], dim) for key in ("center", "halfwidth"))
+            and min(blob["halfwidth"]) >= 0.0,
+            f"bundle normalizer needs {dim} finite centers and {dim} half-widths >= 0",
+        )
         return cls(
             center=np.asarray(blob["center"], dtype=float),
             halfwidth=np.asarray(blob["halfwidth"], dtype=float),
@@ -279,11 +284,26 @@ def _emit(text: str, out) -> None:
 # Model bundles
 
 MODEL_FORMAT = "polyakern-model-v4"
+TASKS = ("regression", "binary", "multiclass")
 
 # Bulk arrays travel as {"dtype", "shape", "data": base64 of the raw bytes};
 # vocabulary rows take the narrowest integer type that holds them.
 _INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 _WEIGHT_DTYPES = ("<f8",)
+
+
+def _expect(ok, message) -> None:
+    if not ok:
+        raise ParseError(message)
+
+
+def _finite_numbers(values, count=None) -> bool:
+    """Whether ``values`` is a JSON list of finite numbers (``count`` of them)."""
+    return (
+        isinstance(values, list)
+        and (count is None or len(values) == count)
+        and all(type(v) in (int, float) and math.isfinite(v) for v in values)
+    )
 
 
 def _encode_array(values, dtype) -> dict:
@@ -304,26 +324,20 @@ def _decode_array(blob, name, dtypes) -> np.ndarray:
         raise ParseError(
             f"bundle {name} must be an object with dtype, shape and data"
         ) from None
-    if dtype not in dtypes:
-        raise ParseError(f"bundle {name} dtype {dtype!r} is not one of {list(dtypes)}")
-    if not (
+    _expect(dtype in dtypes, f"bundle {name} dtype {dtype!r} is not one of {list(dtypes)}")
+    _expect(
         isinstance(shape, list)
         and all(type(n) is int and n >= 0 for n in shape)
-        and isinstance(data, str)
-    ):
-        raise ParseError(
-            f"bundle {name} needs a list of sizes as shape and a base64 string as data"
-        )
+        and isinstance(data, str),
+        f"bundle {name} needs a list of sizes as shape and a base64 string as data",
+    )
     try:
         raw = base64.b64decode(data, validate=True)
     except ValueError:
         raise ParseError(f"bundle {name} data is not valid base64") from None
     wanted = math.prod(shape) * np.dtype(dtype).itemsize
-    if len(raw) != wanted:
-        raise ParseError(
-            f"bundle {name} data holds {len(raw)} bytes; shape {shape} of "
-            f"{dtype} needs {wanted}"
-        )
+    _expect(len(raw) == wanted, f"bundle {name} data holds {len(raw)} bytes; shape "
+                                f"{shape} of {dtype} needs {wanted}")
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
@@ -347,13 +361,20 @@ def _map_metadata(cfg: FeatureMapConfig) -> dict:
     }
 
 
-def _config_from_metadata(meta: dict) -> FeatureMapConfig:
+def _config_from_metadata(meta) -> FeatureMapConfig:
+    _expect(
+        isinstance(meta, dict)
+        and all(isinstance(meta[key], str) for key in ("kind", "kernel"))
+        and all(type(meta[key]) is int for key in ("dim", "copies", "seed")),
+        "bundle map must be an object with string kind and kernel and integer "
+        "dim, copies and seed",
+    )
     return FeatureMapConfig(
         kind=meta["kind"],
         kernel=_kernel_for_kind(meta["kind"], meta["kernel"], tau=None),
-        dim=int(meta["dim"]),
-        copies=int(meta["copies"]),
-        seed=int(meta["seed"]),
+        dim=meta["dim"],
+        copies=meta["copies"],
+        seed=meta["seed"],
         hash_buckets=meta.get("hash_buckets"),
     )
 
@@ -372,11 +393,9 @@ def _vocabulary_to_json(state) -> dict:
 def _restore_vocabulary(state, blob) -> None:
     cfg = state.cfg
     rows = _decode_array(blob, "vocabulary", _INT_DTYPES)
-    if rows.ndim != 2 or rows.shape[1] != cfg.dim + 1:
-        raise ParseError(
+    _expect(rows.ndim == 2 and rows.shape[1] == cfg.dim + 1,
             f"bundle vocabulary rows must hold a copy and {cfg.dim} bins, "
-            f"got shape {list(rows.shape)}"
-        )
+            f"got shape {list(rows.shape)}")
     if not rows.size:
         return
     copies = rows[:, 0]
@@ -387,80 +406,91 @@ def _restore_vocabulary(state, blob) -> None:
         raise ParseError("bundle vocabulary repeats a (copy, bins) key")
 
 
-def save_model(path, task, cfg, state, normalizer, models, classes=None) -> None:
-    """Serialize a fitted model: map metadata, vocabulary, weights."""
+def save_model(path, task, normalizer, model) -> None:
+    """Serialize a fitted model: map metadata, normalizer, vocabulary, and
+    one ``models`` entry per weight column (one per class for a classifier)."""
     bundle = {
         "format": MODEL_FORMAT,
         "task": task,
-        "map": _map_metadata(cfg),
+        "map": _map_metadata(model.state.cfg),
         "normalizer": normalizer.to_json(),
-        "vocabulary": _vocabulary_to_json(state),
+        "vocabulary": _vocabulary_to_json(model.state),
         "models": [
-            {
-                "weights": _encode_array(m.weights, "<f8"),
-                "y_mean": m.y_mean,
-                "lambda": m.lam,
-                "route": m.route,
-            }
-            for m in models
+            {"weights": _encode_array(w, "<f8"), "y_mean": model.y_mean,
+             "lambda": model.lam, "route": model.route}
+            for w in model.weights.reshape(model.weights.shape[0], -1).T
         ],
     }
-    if classes is not None:
-        bundle["classes"] = list(map(float, classes))
+    if model.classes is not None:
+        bundle["classes"] = list(model.classes)
     Path(path).write_text(json.dumps(bundle), encoding="ascii")
 
 
 def load_model(path):
-    """Rebuild (task, state, normalizer, models, classes) from a bundle."""
+    """Rebuild (task, state, normalizer, (model,), classes) from a bundle.
+
+    The ``models`` entries are the weight columns of the one model, stacked
+    back into a matrix for a classifier.  A bundle that is not one this
+    version writes raises :class:`ParseError`.
+    """
     bundle = json.loads(Path(path).read_text(encoding="ascii"))
     found = bundle.get("format") if isinstance(bundle, dict) else None
     if found != MODEL_FORMAT:
         raise ParseError(
             f"{path} has model format {found!r}; this version reads {MODEL_FORMAT!r}"
         )
+    task, entries, classes = bundle["task"], bundle["models"], bundle.get("classes")
+    _expect(task in TASKS, f"bundle task {task!r} is not one of {list(TASKS)}")
     cfg = _config_from_metadata(bundle["map"])
     state = build_map(cfg)
     if cfg.kind == BINNING:
         _restore_vocabulary(state, bundle["vocabulary"])
-    normalizer = AffineNormalizer.from_json(bundle["normalizer"])
-    models = tuple(
-        learn.RidgeModel(
-            state=state,
-            weights=_decode_array(m["weights"], "weights", _WEIGHT_DTYPES).astype(float),
-            lam=float(m["lambda"]),
-            y_mean=float(m["y_mean"]),
-            route=m["route"],
-        )
-        for m in bundle["models"]
+    normalizer = AffineNormalizer.from_json(bundle["normalizer"], cfg.dim)
+    _expect(isinstance(entries, list) and entries
+            and all(isinstance(m, dict) for m in entries),
+            "bundle models must be a non-empty list of objects")
+    first = entries[0]
+    _expect(
+        _finite_numbers([first["y_mean"], first["lambda"]]) and first["lambda"] > 0
+        and first["route"] in ("primal", "dual")
+        and all(m[key] == first[key] for m in entries for key in ("y_mean", "lambda", "route")),
+        "bundle models need one shared finite y_mean, positive lambda, and route",
     )
-    classes = bundle.get("classes")
-    _check_models(bundle["task"], state, models, classes)
-    return bundle["task"], state, normalizer, models, classes
+    _expect(classes is None if task == "regression"
+            else _finite_numbers(classes) and len(set(classes)) == len(classes),
+            "bundle classes: a regression bundle has none, a classifier's are "
+            "distinct finite numbers")
+    columns = [_decode_array(m["weights"], "weights", _WEIGHT_DTYPES).astype(float)
+               for m in entries]
+    width = _feature_width(state)
+    for w in columns:
+        _expect(w.shape == (width,), f"bundle weights have {w.size} entries; the map "
+                                     f"has {width} feature columns")
+    wanted = 1 if task == "regression" else len(classes)
+    _expect(len(columns) == wanted and (task == "regression" or wanted >= 2),
+            f"bundle holds {len(columns)} models for task {task!r} with "
+            f"{len(classes or ())} classes")
+    model = learn.RidgeModel(
+        state=state,
+        weights=columns[0] if classes is None else np.column_stack(columns),
+        lam=float(first["lambda"]),
+        y_mean=float(first["y_mean"]),
+        route=first["route"],
+        classes=None if classes is None else tuple(map(float, classes)),
+    )
+    return task, state, normalizer, (model,), model.classes
 
 
-def _check_models(task, state, models, classes) -> None:
-    """Reject a bundle whose models do not fit its map or its classes."""
+def _feature_width(state) -> int:
+    """Feature columns of a map: Fourier copies, hash buckets, or the size
+    of a (non-empty) binning vocabulary."""
     cfg = state.cfg
     if cfg.kind != BINNING:
-        width = cfg.copies
-    elif cfg.hash_buckets is not None:
-        width = cfg.hash_buckets
-    else:
-        width = len(state.vocabulary)
-        if not width:
-            raise ParseError("binning bundle has an empty vocabulary")
-    for m in models:
-        if m.weights.shape != (width,):
-            raise ParseError(
-                f"bundle weights have {m.weights.size} entries; the map has "
-                f"{width} feature columns"
-            )
-    wanted = 1 if task == "regression" else len(classes or ())
-    if len(models) != wanted or (task != "regression" and wanted < 2):
-        raise ParseError(
-            f"bundle holds {len(models)} models for task {task!r} with "
-            f"{len(classes or ())} classes"
-        )
+        return cfg.copies
+    if cfg.hash_buckets is not None:
+        return cfg.hash_buckets
+    _expect(len(state.vocabulary), "binning bundle has an empty vocabulary")
+    return len(state.vocabulary)
 
 
 # ---------------------------------------------------------------------------
@@ -573,32 +603,22 @@ def _cmd_fit(args) -> int:
     normalizer = fit_normalizer(ds.train_points)
     X = normalizer.apply(ds.points)
     y = ds.targets
+    classes = np.unique(y)
+    if args.task == "binary" and len(classes) != 2:
+        raise ValueError(f"binary task needs exactly two classes, found {len(classes)}")
     kernel = _kernel_for_kind(args.map, args.kernel, args.tau)
-    cfg = FeatureMapConfig(
+    state = build_map(FeatureMapConfig(
         kind=args.map, kernel=kernel, dim=X.shape[1],
         copies=args.copies, seed=args.seed, hash_buckets=args.hash_buckets,
-    )
-    if args.task == "regression":
-        state = build_map(cfg)
-        batch = featurize(state, X)
-        model = learn.fit(state, batch, y, lam=args.lam)
-        save_model(args.out, args.task, cfg, state, normalizer, [model])
-    else:
-        classes = np.unique(y)
-        if args.task == "binary" and len(classes) != 2:
-            raise ValueError(
-                f"binary task needs exactly two classes, found {len(classes)}"
-            )
-        clf = learn.one_vs_all(learn.Dataset.full(X, y), cfg, lam=args.lam)
-        state = clf.models[0].state
-        save_model(
-            args.out, args.task, cfg, state, normalizer, clf.models, clf.classes
-        )
+    ))
+    model = learn.fit(state, featurize(state, X), y, lam=args.lam,
+                      classify=args.task != "regression")
+    save_model(args.out, args.task, normalizer, model)
     return 0
 
 
 def _cmd_predict(args) -> int:
-    task, state, normalizer, models, classes = load_model(args.model)
+    _, state, normalizer, (model,), _ = load_model(args.model)
     points = parse_libsvm(args.data).points
     width, dim = points.shape[1], state.cfg.dim
     if width > dim:
@@ -607,11 +627,7 @@ def _cmd_predict(args) -> int:
         )
     # LIBSVM omits trailing zeros, so a narrower file is zero-padded
     X = normalizer.apply(np.pad(points, ((0, 0), (0, dim - width))))
-    if task == "regression":
-        preds = learn.predict(models[0], X)
-    else:
-        clf = learn.OneVsAllModel(classes=tuple(classes), models=models)
-        preds = learn.predict_labels(clf, X)
+    preds = learn.predict(model, X)
     lines = ["index,prediction"]
     lines += [f"{i},{_fmt(v)}" for i, v in enumerate(preds)]
     _emit("\n".join(lines) + "\n", args.out)
@@ -674,7 +690,7 @@ class ExperimentConfig:
     probe: int = 100  # points used for the error statistics
 
     def __post_init__(self):
-        if self.task not in ("regression", "binary", "multiclass"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if not self.kinds:
             raise ValueError("need at least one map kind")
@@ -714,43 +730,29 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         "method,copies,theory_rel_error,empirical_rel_error,"
         "empirical_stderr,metric"
     ]
+    classify = cfg.task != "regression"
     for kind_index, kind in enumerate(cfg.kinds):
         kernel = _kernel_for_kind(kind, cfg.kernel_text, cfg.tau, cfg.law_text)
-        K = approx.exact_gram(kernel, probe).values
-        norm_k_sq = float(np.sum(K * K))
-        k2 = (
-            approx.exact_gram(kernel, probe, double=True).values
-            if kind == FOURIER_REAL
-            else None
-        )
+        reference = approx.ErrorReference(kernel, probe, kind)
         for copies in cfg.sizes:
-            theory_sq = approx.expected_sq_frobenius(kind, K, copies, k2=k2)
             errors = []
             metrics = []
             for trial in range(cfg.trials):
                 seed = derived_seed(cfg.seed, (kind_index, copies, trial))
-                map_cfg = FeatureMapConfig(
+                state = build_map(FeatureMapConfig(
                     kind=kind, kernel=kernel, dim=X_train.shape[1],
                     copies=copies, seed=seed,
-                )
-                state = build_map(map_cfg)
-                if cfg.task == "regression":
-                    batch = featurize(state, X_train)
-                    model = learn.fit(state, batch, y_train, lam=cfg.lam)
-                    preds = learn.predict(model, X_test)
-                    metrics.append(float(np.mean((preds - y_test) ** 2)))
-                else:
-                    clf = learn.one_vs_all(
-                        learn.Dataset.full(X_train, y_train), map_cfg, lam=cfg.lam
-                    )
-                    preds = learn.predict_labels(clf, X_test)
-                    metrics.append(float(np.mean(preds == y_test)))
-                # after a regression fit the probe, a prefix of the training
-                # rows, reads the vocabulary those rows filled
-                errors.append(
-                    float(np.sum((gram(featurize(state, probe)) - K) ** 2))
-                )
-            stats = approx.ErrorStats.from_errors(kind, copies, errors, theory_sq, norm_k_sq)
+                ))
+                model = learn.fit(state, featurize(state, X_train), y_train,
+                                  lam=cfg.lam, classify=classify)
+                preds = learn.predict(model, X_test)
+                metrics.append(float(
+                    np.mean(preds == y_test) if classify else np.mean((preds - y_test) ** 2)
+                ))
+                # the probe, a prefix of the training rows, reads the
+                # vocabulary those rows filled
+                errors.append(reference.sq_error(featurize(state, probe)))
+            stats = reference.stats(copies, errors)
             lines.append(
                 f"{kind},{copies},{_fmt(stats.theory_rel)},{_fmt(stats.empirical_rel)},"
                 f"{_fmt(stats.stderr_rel)},{_fmt(np.mean(metrics))}"
@@ -842,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a ridge model")
     fit.add_argument("data")
     fit.add_argument("--task", required=True,
-                     choices=("regression", "binary", "multiclass"))
+                     choices=TASKS)
     fit.add_argument("--map", required=True,
                      choices=(FOURIER_REAL, BINNING))
     fit.add_argument("--kernel", required=True)
@@ -874,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="error + learning benchmark")
     bench.add_argument("data")
     bench.add_argument("--task", required=True,
-                       choices=("regression", "binary", "multiclass"))
+                       choices=TASKS)
     bench.add_argument("--map", default=f"{FOURIER_REAL},{BINNING}")
     bench.add_argument("--kernel", required=True)
     bench.add_argument("--copies", default="8,32,128")

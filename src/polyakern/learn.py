@@ -1,15 +1,19 @@
 """Ridge regression and one-vs-all classification on random feature maps.
 
-The solver always works in whichever space gives the smaller symmetric
-positive-definite system: the feature-count-sized normal equations when the
-map has no more columns than there are training points, and the
-point-count-sized dual system otherwise.  Targets are centered for
-regression (the mean is restored at prediction time); classification fits
-uncentered ±1 indicator targets, one model per class, and predicts the
-class with the largest score.
+One model type, ``RidgeModel``, serves both tasks.  The solver always
+works in whichever space gives the smaller symmetric positive-definite
+system: the feature-count-sized normal equations when the map has no more
+columns than there are training points, and the point-count-sized dual
+system otherwise.  Targets are centered for regression (the mean is
+restored at prediction time).  A classifier is the same solve with K
+right-hand sides: its targets are an n × K matrix of uncentered ±1 class
+indicators, its weights one column per class, and it predicts the class
+with the largest score (Rifkin & Klautau, "In Defense of One-Vs-All
+Classification", JMLR 2004).
 
 ``fit_path`` fits one batch for several penalties, sharing the feature
-matrix and its Gram matrix; ``fit`` is its one-penalty case.
+matrix and its Gram matrix; each penalty gets one Cholesky factorization
+for all target columns.  ``fit`` is its one-penalty case.
 
 ``cross_validate`` grid-searches a binning map's distribution shape, its
 area parameter τ, and the ridge penalty λ by k-fold validation, breaking
@@ -153,18 +157,21 @@ def train_test_split(points, targets, seed: int, test_fraction: float = 0.2) -> 
 
 @dataclass(frozen=True)
 class RidgeModel:
-    """Linear model over feature-map columns.
+    """Linear model over feature-map columns: a regression model, or a
+    one-vs-all classifier with one weight column per class.
 
-    ``weights`` has one entry per feature column seen at training time;
-    a bin unseen in training has the sentinel index ``len(weights)`` and
-    contributes zero score.
+    ``weights`` has one row per feature column seen at training time (a
+    vector for regression, a matrix with one column per entry of
+    ``classes`` for a classifier); a bin unseen in training has the
+    sentinel index ``len(weights)`` and contributes zero score.
     """
 
     state: object
     weights: np.ndarray
     lam: float
-    y_mean: float
+    y_mean: float  # 0.0 for a classifier, whose targets are not centered
     route: str  # "primal" or "dual"
+    classes: Tuple[float, ...] | None = None  # None for regression
 
 
 def _feature_matrix(batch):
@@ -175,6 +182,8 @@ def _feature_matrix(batch):
 
 
 def _solve_spd(A, b):
+    """Solve A x = b for a vector or for each column of a matrix b, with
+    one Cholesky factorization and a residual check on every column."""
     try:
         factor = scipy.linalg.cho_factor(A, check_finite=False)
         x = scipy.linalg.cho_solve(factor, b, check_finite=False)
@@ -182,10 +191,10 @@ def _solve_spd(A, b):
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise NumericalError("linear solve produced non-finite values")
-    residual = np.linalg.norm(A @ x - b)
-    if residual > RESIDUAL_TOLERANCE * max(1.0, np.linalg.norm(b)):
+    residual = np.linalg.norm(A @ x - b, axis=0)
+    if np.any(residual > RESIDUAL_TOLERANCE * np.maximum(1.0, np.linalg.norm(b, axis=0))):
         raise NumericalError(
-            f"linear-system residual {residual:.3e} exceeds tolerance"
+            f"linear-system residual {np.max(residual):.3e} exceeds tolerance"
         )
     return x
 
@@ -203,13 +212,16 @@ def _ridge_systems(M, lams):
         yield M
 
 
-def fit_path(state, batch, y, lams, center: bool = True) -> Tuple[RidgeModel, ...]:
+def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel, ...]:
     """Ridge-fit targets ``y`` against featurized points ``batch`` once per
     penalty in ``lams``, in that order.
 
-    The feature matrix and the Gram matrix of the smaller of the two
-    regularized normal-equation systems are built once; each penalty then
-    gets its own Cholesky solve with a residual check.
+    Regression centers ``y``.  With ``classify``, ``y`` holds class labels
+    and the targets are an n × K matrix of uncentered ±1 class indicators,
+    one column per class in sorted order.  The feature matrix and the Gram
+    matrix of the smaller of the two regularized normal-equation systems
+    are built once; each penalty then gets one Cholesky solve for every
+    target column, with a residual check per column.
     """
     lams = tuple(float(lam) for lam in lams)
     for lam in lams:
@@ -230,113 +242,84 @@ def fit_path(state, batch, y, lams, center: bool = True) -> Tuple[RidgeModel, ..
             "real map or the binning map"
         )
 
-    y_mean = float(y.mean()) if center else 0.0
-    y_c = y - y_mean
-    p, n = Z.shape
-
-    if p <= n:
-        b = np.asarray(Z @ y_c).ravel()
-        systems = _ridge_systems(_dense(Z @ Z.T), lams)
-        weights = [_solve_spd(A, b) for A in systems]
-        route = "primal"
+    if classify:
+        classes, y_mean = tuple(float(c) for c in np.unique(y)), 0.0
+        if len(classes) < 2:
+            raise ValueError(f"one-vs-all needs at least two classes, got {len(classes)}")
+        Y = np.where(y[:, None] == np.asarray(classes), 1.0, -1.0)
     else:
-        systems = _ridge_systems(_dense(Z.T @ Z), lams)
-        weights = [np.asarray(Z @ _solve_spd(G, y_c)).ravel() for G in systems]
-        route = "dual"
-
+        classes, y_mean = None, float(y.mean())
+        Y = y - y_mean
+    weights, route = _ridge_weights(Z, Y, lams)
     return tuple(
-        RidgeModel(state=state, weights=w, lam=lam, y_mean=y_mean, route=route)
+        RidgeModel(state=state, weights=w, lam=lam, y_mean=y_mean, route=route,
+                   classes=classes)
         for w, lam in zip(weights, lams)
     )
 
 
-def fit(state, batch, y, lam: float, center: bool = True) -> RidgeModel:
+def _ridge_weights(Z, Y, lams):
+    """Weights solving (Z Zᵀ + λI) W = Z Y for each λ, for a target vector
+    or matrix Y, through the smaller SPD system; returns (weights, route)."""
+    p, n = Z.shape
+    if p <= n:
+        B = np.asarray(Z @ Y)
+        systems = _ridge_systems(_dense(Z @ Z.T), lams)
+        # C order, the order load_model stacks a bundle's columns in, so that
+        # a reloaded classifier scores bit for bit the same
+        return [np.ascontiguousarray(_solve_spd(A, B)) for A in systems], "primal"
+    systems = _ridge_systems(_dense(Z.T @ Z), lams)
+    return [np.asarray(Z @ _solve_spd(G, Y)) for G in systems], "dual"
+
+
+def fit(state, batch, y, lam: float, classify: bool = False) -> RidgeModel:
     """Ridge-fit targets ``y`` against featurized points ``batch``: the
     one-penalty case of ``fit_path``."""
-    return fit_path(state, batch, y, (lam,), center=center)[0]
+    return fit_path(state, batch, y, (lam,), classify=classify)[0]
 
 
 def _scores(model: RidgeModel, batch) -> np.ndarray:
-    """Scores of featurized points: ⟨weights, z(x)⟩ plus the target mean."""
+    """Scores of featurized points, ⟨weights, z(x)⟩ plus the target mean:
+    a vector for regression, an n × K matrix for a classifier."""
     w = model.weights
     p = w.shape[0]
     if batch.kind == BINNING:
         idx = batch.indices  # copies × n
         seen = idx < p
+        if w.ndim == 2:
+            seen = seen[..., None]
         contrib = np.where(seen, w[np.minimum(idx, p - 1)], 0.0)
         scores = contrib.sum(axis=0) / np.sqrt(batch.copies)
     else:
-        scores = w @ batch.data
+        scores = (w.T @ batch.data).T
     return scores + model.y_mean
 
 
+def _predict(model: RidgeModel, batch) -> np.ndarray:
+    """``predict`` on featurized points."""
+    scores = _scores(model, batch)
+    if model.classes is None:
+        return scores
+    return np.asarray(model.classes)[np.argmax(scores, axis=1)]
+
+
 def predict(model: RidgeModel, X) -> np.ndarray:
-    """Scores ⟨weights, z(x)⟩ plus the restored target mean."""
+    """Regression scores, or a classifier's labels: for each point the
+    class with the largest one-vs-all score."""
+    return _predict(model, featurize(model.state, X))
+
+
+def decision_scores(model: RidgeModel, X) -> np.ndarray:
+    """Scores with the restored target mean; for a classifier an n × K
+    matrix, one column per class in ``model.classes`` order."""
     return _scores(model, featurize(model.state, X))
 
 
-def fit_regression(X, y, cfg: FeatureMapConfig, lam: float,
-                   center: bool = True) -> RidgeModel:
+def fit_regression(X, y, cfg: FeatureMapConfig, lam: float) -> RidgeModel:
     """Build the map, featurize ``X``, and ridge-fit in one step."""
     state = build_map(cfg)
     batch = featurize(state, X)
-    return fit(state, batch, y, lam, center=center)
-
-
-# ---------------------------------------------------------------------------
-# One-vs-all classification
-
-
-@dataclass(frozen=True)
-class OneVsAllModel:
-    """One ridge model per class, fitted on ±1 indicator targets; the
-    models share one feature map state."""
-
-    classes: Tuple[float, ...]
-    models: Tuple[RidgeModel, ...]
-
-
-def _one_vs_all_path(state, batch, labels, lams) -> Tuple[OneVsAllModel, ...]:
-    """One-vs-all classifiers on one featurized batch, one per penalty."""
-    classes = tuple(float(c) for c in np.unique(labels))
-    if len(classes) < 2:
-        raise ValueError(
-            f"one-vs-all needs at least two classes, got {len(classes)}"
-        )
-    paths = [
-        fit_path(state, batch, np.where(labels == c, 1.0, -1.0), lams, center=False)
-        for c in classes
-    ]
-    return tuple(OneVsAllModel(classes=classes, models=models) for models in zip(*paths))
-
-
-def one_vs_all(train: Dataset, cfg: FeatureMapConfig, lam: float) -> OneVsAllModel:
-    """Fit one uncentered ridge model per class; all share one feature map."""
-    state = build_map(cfg)
-    batch = featurize(state, train.train_points)
-    return _one_vs_all_path(state, batch, train.train_targets, (lam,))[0]
-
-
-def _class_scores(clf: OneVsAllModel, batch) -> np.ndarray:
-    """Per-class scores of featurized points, one column per class."""
-    return np.column_stack([_scores(m, batch) for m in clf.models])
-
-
-def _labels(clf: OneVsAllModel, batch) -> np.ndarray:
-    """Class labels with the largest one-vs-all score on featurized points."""
-    scores = _class_scores(clf, batch)
-    return np.asarray(clf.classes, dtype=float)[np.argmax(scores, axis=1)]
-
-
-def decision_scores(clf: OneVsAllModel, X) -> np.ndarray:
-    """Per-class scores, one column per class in ``clf.classes`` order; the
-    points are featurized once, through the map the models share."""
-    return _class_scores(clf, featurize(clf.models[0].state, X))
-
-
-def predict_labels(clf: OneVsAllModel, X) -> np.ndarray:
-    """Class labels with the largest one-vs-all score."""
-    return _labels(clf, featurize(clf.models[0].state, X))
+    return fit(state, batch, y, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +369,13 @@ def _fold_scores(state, task, X_fit, y_fit, X_hold, y_hold, lams):
     mean-squared error for regression, error rate for classification."""
     batch = featurize(state, X_fit)  # fills the vocabulary
     hold = featurize(state, X_hold)
-    if task == "regression":
-        models = fit_path(state, batch, y_fit, lams)
-        return [float(np.mean((_scores(m, hold) - y_hold) ** 2)) for m in models]
-    classifiers = _one_vs_all_path(state, batch, y_fit, lams)
-    return [float(np.mean(_labels(clf, hold) != y_hold)) for clf in classifiers]
+    classify = task == "classification"
+    scores = []
+    for model in fit_path(state, batch, y_fit, lams, classify=classify):
+        preds = _predict(model, hold)
+        loss = preds != y_hold if classify else (preds - y_hold) ** 2
+        scores.append(float(np.mean(loss)))
+    return scores
 
 
 def cross_validate(train: Dataset, space: CvSearchSpace) -> CvResult:

@@ -496,7 +496,7 @@ def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,th
     if task == "regression":
         make_regression_file(data, seed=25, n=20)
     else:
-        make_classification_file(data, classes=3, per_class=6)
+        make_classification_file(data, classes=2 if task == "binary" else 3, per_class=6)
     model_path = tmp_path / "model.json"
     assert cli.main([
         "fit", str(data), "--task", task, "--map", kind, "--kernel", kernel,
@@ -595,35 +595,53 @@ class TestBundleFormat:
             back = cli._decode_array(json.loads(json.dumps(blob)), "vocabulary", (dtype,))
             assert np.array_equal(back, rows)
 
-    @pytest.mark.parametrize("edit,needle", [
-        (lambda b: b["models"][0]["weights"].update(data="not*base64!"), "not valid base64"),
+    @pytest.mark.parametrize("edit,needle,task", [
+        (lambda b: b["models"][0]["weights"].update(data="not*base64!"), "not valid base64",
+         "regression"),
         (lambda b: b["vocabulary"].update(data="-" + b["vocabulary"]["data"][1:]),
-         "not valid base64"),
-        (lambda b: b["vocabulary"].update(dtype="<f8"), "dtype '<f8'"),
-        (lambda b: b["vocabulary"].update(dtype=">i8"), "dtype '>i8'"),
-        (lambda b: b["models"][0]["weights"].update(dtype="|O"), "dtype '|O'"),
-        (lambda b: b["models"][0]["weights"].update(dtype=">f8"), "dtype '>f8'"),
-        (lambda b: b["models"][0]["weights"]["shape"].__setitem__(0, 3), "needs 24"),
-        (lambda b: b["vocabulary"]["shape"].__setitem__(1, 2), "bytes; shape"),
+         "not valid base64", "regression"),
+        (lambda b: b["vocabulary"].update(dtype="<f8"), "dtype '<f8'", "regression"),
+        (lambda b: b["vocabulary"].update(dtype=">i8"), "dtype '>i8'", "regression"),
+        (lambda b: b["models"][0]["weights"].update(dtype="|O"), "dtype '|O'", "regression"),
+        (lambda b: b["models"][0]["weights"].update(dtype=">f8"), "dtype '>f8'", "regression"),
+        (lambda b: b["models"][0]["weights"]["shape"].__setitem__(0, 3), "needs 24",
+         "regression"),
+        (lambda b: b["vocabulary"]["shape"].__setitem__(1, 2), "bytes; shape", "regression"),
         (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"])[:, :2], "<i2")),
-         "a copy and 2 bins"),
+         "a copy and 2 bins", "regression"),
         (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"])[:, 0], "<i2")),
-         "a copy and 2 bins"),
+         "a copy and 2 bins", "regression"),
         (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"]) + 100, "<i2")),
-         "copies must lie in [0, 8)"),
+         "copies must lie in [0, 8)", "regression"),
         (lambda b: b["vocabulary"].update(
             typed_array(np.repeat(array_of(b["vocabulary"])[:1], 2, axis=0), "<i2")),
-         "repeats a (copy, bins) key"),
-        (lambda b: b["models"][0].update(weights=[0.5, 0.25]), "dtype, shape and data"),
-        (lambda b: b["vocabulary"].update(shape=[-1, 3]), "list of sizes"),
+         "repeats a (copy, bins) key", "regression"),
+        (lambda b: b["models"][0].update(weights=[0.5, 0.25]), "dtype, shape and data",
+         "regression"),
+        (lambda b: b["vocabulary"].update(shape=[-1, 3]), "list of sizes", "regression"),
+        (lambda b: b.update(models={}), "models must be a non-empty list", "regression"),
+        (lambda b: b.update(models=["x"]), "models must be a non-empty list", "regression"),
+        (lambda b: b["models"][0].update({"lambda": None}), "positive lambda", "regression"),
+        (lambda b: b["models"][0].update(y_mean=[1, 2]), "finite y_mean", "regression"),
+        (lambda b: b.update(map=[1]), "map must be an object", "regression"),
+        (lambda b: b.update(normalizer={"center": [0.0], "halfwidth": [1.0]}),
+         "needs 2 finite centers", "regression"),
+        (lambda b: b["map"].update(copies=8.5), "integer dim, copies and seed", "regression"),
+        (lambda b: b.update(task="foo"), "task 'foo' is not one of", "binary"),
+        (lambda b: b.update(classes=[0.0]), "regression bundle has none", "regression"),
+        (lambda b: b["models"][1].update({"lambda": 0.2}), "one shared", "binary"),
+        (lambda b: b.update(classes=[0.0, 0.0]), "distinct finite numbers", "binary"),
     ], ids=[
         "weights-not-base64", "vocabulary-not-base64", "vocabulary-f8", "vocabulary-big-endian",
         "weights-object", "weights-big-endian", "weights-byte-count", "vocabulary-byte-count",
         "vocabulary-row-narrow", "vocabulary-one-dim", "vocabulary-copy-range",
         "vocabulary-repeated-key", "weights-plain-list", "negative-shape",
+        "models-object", "models-string", "lambda-null", "y_mean-list", "map-list",
+        "normalizer-one-entry", "copies-fraction", "task-unknown", "classes-on-regression",
+        "models-disagree", "classes-repeated",
     ])
-    def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle):
-        data, model_path = fit_bundle(tmp_path)
+    def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle, task):
+        data, model_path = fit_bundle(tmp_path, task=task)
         rewrite_bundle(model_path, edit)
         assert needle in predict_error(data, model_path, capsys)
 

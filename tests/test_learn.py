@@ -10,6 +10,8 @@ Oracles used here:
   * invariance facts (reordering training points cannot change predictions).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -43,10 +45,10 @@ def fourier_cfg(copies, seed=7, dim=2):
     )
 
 
-def fit_on(cfg, X, y, lam, center=True):
+def fit_on(cfg, X, y, lam, classify=False):
     state = build_map(cfg)
     batch = featurize(state, X)
-    return learn.fit(state, batch, y, lam, center=center), batch
+    return learn.fit(state, batch, y, lam, classify=classify), batch
 
 
 def dual_oracle_predictions(batch, y, lam, center=True):
@@ -125,11 +127,14 @@ class TestFit:
         assert learn.predict(model, far)[0] == pytest.approx(y.mean(), abs=1e-12)
 
     def test_unseen_bins_predict_zero_without_centering(self):
+        # a classifier's ±1 targets are not centered, so a point in no
+        # training bin scores exactly 0 for every class
         X = np.linspace(0.0, 1.0, 10).reshape(-1, 1)
-        y = np.sin(X[:, 0]) + 5.0
-        model, _ = fit_on(binning_cfg(1, 4, seed=9), X, y, lam=0.1, center=False)
+        labels = (X[:, 0] > 0.3).astype(float) + 5.0
+        model, _ = fit_on(binning_cfg(1, 4, seed=9), X, labels, lam=0.1, classify=True)
+        assert model.y_mean == 0.0
         far = np.array([[1e6]])
-        assert learn.predict(model, far)[0] == 0.0
+        np.testing.assert_array_equal(learn.decision_scores(model, far), [[0.0, 0.0]])
 
     def test_fourier_map_fits_and_shrinks(self):
         stream = RandomStream(33)
@@ -174,22 +179,54 @@ class TestFitPath:
         (lambda: fourier_cfg(copies=12), 40, "primal"),
         (lambda: fourier_cfg(copies=40), 12, "dual"),
     ])
-    @pytest.mark.parametrize("center", [True, False])
-    def test_bit_equal_to_separate_fits(self, make_cfg, n, route, center):
+    @pytest.mark.parametrize("classify", [True, False])
+    def test_bit_equal_to_separate_fits(self, make_cfg, n, route, classify):
         stream = RandomStream(71)
         X = stream.uniform(2 * n).reshape(n, 2)[:, : make_cfg().dim] * 3.0
         y = np.sin(2.0 * X[:, 0]) + 0.1 * stream.child(1).normal(n)
+        if classify:
+            y = np.digitize(y, (-0.3, 0.3)).astype(float)  # three classes
         state = build_map(make_cfg())
         batch = featurize(state, X)
-        path = learn.fit_path(state, batch, y, self.LAMS, center=center)
+        path = learn.fit_path(state, batch, y, self.LAMS, classify=classify)
         assert [m.lam for m in path] == list(self.LAMS)
         for lam, model in zip(self.LAMS, path):
-            single = learn.fit(state, batch, y, lam, center=center)
+            single = learn.fit(state, batch, y, lam, classify=classify)
             assert model.route == single.route == route
             assert model.y_mean == single.y_mean
+            assert model.classes == single.classes == ((0.0, 1.0, 2.0) if classify else None)
+            assert model.weights.shape[1:] == ((3,) if classify else ())
             assert model.state is single.state is state
             assert np.array_equal(model.weights, single.weights)
             assert model.weights.tobytes() == single.weights.tobytes()
+
+    @pytest.mark.parametrize("make_cfg,n,route", [
+        (lambda: binning_cfg(dim=2, copies=8), 30, "dual"),
+        (lambda: fourier_cfg(copies=12), 40, "primal"),
+    ])
+    def test_one_gram_and_one_factorization_per_lambda(self, monkeypatch, make_cfg, n, route):
+        X, labels = make_blobs(seed=95, per_class=n // 3)
+        state = build_map(make_cfg())
+        batch = featurize(state, X)
+        grams, factorizations = [], []
+        dense, cho_factor = learn._dense, learn.scipy.linalg.cho_factor
+
+        def counting_dense(M):
+            grams.append(M.shape)
+            return dense(M)
+
+        def counting_cho_factor(A, **kwargs):
+            factorizations.append(A.shape)
+            return cho_factor(A, **kwargs)
+
+        monkeypatch.setattr(learn, "_dense", counting_dense)
+        monkeypatch.setattr(learn.scipy.linalg, "cho_factor", counting_cho_factor)
+        path = learn.fit_path(state, batch, labels, self.LAMS, classify=True)
+        side = n if route == "dual" else batch.copies
+        assert [m.route for m in path] == [route] * len(self.LAMS)
+        assert [m.weights.shape[1] for m in path] == [3] * len(self.LAMS)
+        assert grams == [(side, side)]
+        assert factorizations == [(side, side)] * len(self.LAMS)
 
     def test_rejects_any_bad_penalty(self):
         X = np.linspace(0.0, 1.0, 6).reshape(6, 1)
@@ -227,15 +264,20 @@ class TestSolveRoutes:
         np.testing.assert_allclose(learn.predict(model, X), expected, atol=1e-6)
 
     def test_uncentered_routes_agree_too(self):
+        # a classifier's weight columns are uncentered fits of ±1 targets
         stream = RandomStream(78)
         n = 30
         X = stream.normal(2 * n).reshape(n, 2)
-        y = stream.normal(n) + 2.0
+        labels = np.digitize(stream.normal(n), (-0.5, 0.5)).astype(float)
         lam = 0.7
         for copies in (8, 64):  # primal and dual respectively
-            model, batch = fit_on(fourier_cfg(copies, seed=8), X, y, lam, center=False)
-            expected = dual_oracle_predictions(batch, y, lam, center=False)
-            np.testing.assert_allclose(learn.predict(model, X), expected, atol=1e-6)
+            model, batch = fit_on(fourier_cfg(copies, seed=8), X, labels, lam, classify=True)
+            assert model.route == ("primal" if copies <= n else "dual")
+            targets = np.where(labels[:, None] == np.arange(3.0), 1.0, -1.0)
+            expected = np.column_stack([
+                dual_oracle_predictions(batch, t, lam, center=False) for t in targets.T
+            ])
+            np.testing.assert_allclose(learn.decision_scores(model, X), expected, atol=1e-6)
 
 
 class TestInvariances:
@@ -278,31 +320,39 @@ def make_blobs(seed, per_class=50):
     return np.vstack(points), np.concatenate(labels)
 
 
+def classifier(cfg, X, labels, lam=0.1):
+    state = build_map(cfg)
+    return learn.fit(state, featurize(state, X), labels, lam, classify=True)
+
+
 class TestOneVsAll:
     def test_blob_accuracy(self):
         X, labels = make_blobs(seed=90)
-        ds = learn.Dataset.full(X, labels)
-        clf = learn.one_vs_all(ds, binning_cfg(2, 64, seed=17), lam=0.1)
-        predicted = learn.predict_labels(clf, X)
+        clf = classifier(binning_cfg(2, 64, seed=17), X, labels)
+        assert clf.classes == (0.0, 1.0, 2.0)
+        assert clf.weights.shape[1] == 3
+        predicted = learn.predict(clf, X)
         assert (predicted == labels).mean() >= 0.95
 
     def test_binary_prediction_is_sign_of_score_difference(self):
         X, labels = make_blobs(seed=91)
         mask = labels < 2
-        ds = learn.Dataset.full(X[mask], labels[mask])
-        clf = learn.one_vs_all(ds, binning_cfg(2, 32, seed=18), lam=0.1)
+        clf = classifier(binning_cfg(2, 32, seed=18), X[mask], labels[mask])
         scores = learn.decision_scores(clf, X[mask])
         assert scores.shape == (mask.sum(), 2)
         by_sign = np.where(scores[:, 1] > scores[:, 0], 1.0, 0.0)
-        np.testing.assert_array_equal(learn.predict_labels(clf, X[mask]), by_sign)
+        np.testing.assert_array_equal(learn.predict(clf, X[mask]), by_sign)
 
     @pytest.mark.parametrize("cfg", [binning_cfg(2, 32, seed=21), fourier_cfg(64, seed=22)])
     def test_decision_scores_featurize_once(self, monkeypatch, cfg):
         X, labels = make_blobs(seed=94, per_class=20)
-        clf = learn.one_vs_all(learn.Dataset.full(X, labels), cfg, lam=0.1)
+        clf = classifier(cfg, X, labels)
         queries = X + 0.3
-        # one column per class, as scoring each model on its own gives
-        expected = np.column_stack([learn.predict(m, queries) for m in clf.models])
+        # one column per class, as scoring each weight column on its own gives
+        expected = np.column_stack([
+            learn.decision_scores(replace(clf, weights=w, classes=None), queries)
+            for w in clf.weights.T
+        ])
         calls = []
         featurize = learn.featurize
 
@@ -314,32 +364,59 @@ class TestOneVsAll:
         scores = learn.decision_scores(clf, queries)
         assert calls == [len(queries)]
         assert scores.shape == (len(queries), 3)
-        np.testing.assert_array_equal(scores, expected)
+        if cfg.kind == BINNING:
+            np.testing.assert_array_equal(scores, expected)
+        else:  # one matrix product against three vector products
+            np.testing.assert_allclose(scores, expected, rtol=0.0,
+                                       atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("cfg", [binning_cfg(2, 32, seed=23), fourier_cfg(64, seed=24),
+                                     binning_cfg(1, 4, seed=25, tau=50.0)])
+    def test_columns_match_single_target_fits(self, cfg):
+        """Column k of a K-class fit solves the same system as an uncentered
+        fit of class k's ±1 targets alone: bit for bit on binning maps (sparse
+        products), to 1e-12 on Fourier maps (one BLAS matrix product against
+        K vector products)."""
+        X, labels = make_blobs(seed=96, per_class=20)
+        X = X[:, : cfg.dim]
+        lams = (0.01, 0.3, 2.0)
+        state = build_map(cfg)
+        batch = featurize(state, X)
+        path = learn.fit_path(state, batch, labels, lams, classify=True)
+        Z = learn._feature_matrix(batch)
+        for k, c in enumerate(path[0].classes):
+            singles, route = learn._ridge_weights(Z, np.where(labels == c, 1.0, -1.0), lams)
+            for model, single in zip(path, singles):
+                assert model.route == route
+                assert single.shape == (model.weights.shape[0],)
+                if cfg.kind == BINNING:
+                    assert model.weights[:, k].tobytes() == single.tobytes()
+                else:
+                    np.testing.assert_allclose(model.weights[:, k], single, rtol=0.0,
+                                               atol=1e-12 * np.abs(single).max())
 
     def test_original_label_values_are_returned(self):
         X, labels = make_blobs(seed=92, per_class=20)
         relabeled = np.choose(labels.astype(int), [3.0, 7.0, -2.0])
-        ds = learn.Dataset.full(X, relabeled)
-        clf = learn.one_vs_all(ds, binning_cfg(2, 32, seed=19), lam=0.1)
-        predicted = learn.predict_labels(clf, X)
+        clf = classifier(binning_cfg(2, 32, seed=19), X, relabeled)
+        assert clf.classes == (-2.0, 3.0, 7.0)
+        predicted = learn.predict(clf, X)
         assert set(np.unique(predicted)) <= {3.0, 7.0, -2.0}
 
     def test_relabeling_classes_relabels_predictions(self):
         X, labels = make_blobs(seed=93, per_class=20)
         cfg = binning_cfg(2, 32, seed=20)
-        clf_a = learn.one_vs_all(learn.Dataset.full(X, labels), cfg, lam=0.1)
+        clf_a = classifier(cfg, X, labels)
         swapped = np.choose(labels.astype(int), [1.0, 0.0, 2.0])  # swap classes 0 and 1
-        clf_b = learn.one_vs_all(learn.Dataset.full(X, swapped), cfg, lam=0.1)
-        pred_a = learn.predict_labels(clf_a, X)
-        pred_b = learn.predict_labels(clf_b, X)
+        clf_b = classifier(cfg, X, swapped)
+        pred_a = learn.predict(clf_a, X)
+        pred_b = learn.predict(clf_b, X)
         np.testing.assert_array_equal(np.choose(pred_a.astype(int), [1.0, 0.0, 2.0]), pred_b)
 
     def test_single_class_rejected(self):
         X = np.zeros((5, 2))
-        with pytest.raises(ValueError):
-            learn.one_vs_all(
-                learn.Dataset.full(X, np.ones(5)), binning_cfg(2, 4, seed=1), lam=0.1
-            )
+        with pytest.raises(ValueError, match="at least two classes"):
+            classifier(binning_cfg(2, 4, seed=1), X, np.ones(5))
 
 
 class TestGrids:

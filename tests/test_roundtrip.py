@@ -1,6 +1,7 @@
 """Property tests: what the package writes, it reads back unchanged.
 
-  * a model bundle: save -> load -> predict gives the same scores, and a
+  * a model bundle: save -> load -> predict gives the same scores (or, for
+    a multiclass model, the same per-class scores and labels), and a
     re-save of the loaded model writes the same bytes (exact and hashed
     binning, fourier_real);
   * LIBSVM text: ``write_libsvm`` -> ``parse_libsvm`` gives the same
@@ -9,12 +10,13 @@
     equal spec.
 """
 
+import json
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polyakern import cli, learn
@@ -56,14 +58,54 @@ class TestBundleRoundTrip:
         normalizer = cli.fit_normalizer(X)
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
-            cli.save_model(first, "regression", cfg, state, normalizer, [model])
+            cli.save_model(first, "regression", normalizer, model)
             task, loaded, norm, models, classes = cli.load_model(first)
-            cli.save_model(second, task, loaded.cfg, loaded, norm, models, classes)
+            cli.save_model(second, task, norm, models[0])
             assert first.read_bytes() == second.read_bytes()
-        assert (task, classes) == ("regression", None)
+        assert (task, classes, len(models)) == ("regression", None, 1)
+        assert models[0].state is loaded
         for points in (X, X_new):
             assert np.array_equal(learn.predict(models[0], points), learn.predict(model, points))
         assert np.array_equal(models[0].weights, model.weights)
+
+    @given(
+        which=st.sampled_from(range(len(MAPS))),
+        n_classes=st.integers(2, 4),
+        n=st.integers(4, 30),
+        dim=st.integers(1, 4),
+        copies=st.integers(1, 12),
+        seed=st.integers(0, 2 ** 32),
+    )
+    @settings(deadline=None, max_examples=30)
+    # a primal Fourier fit large enough for the weight matrix's memory order
+    # to reach the last bit of its scores
+    @example(which=2, n_classes=3, n=300, dim=8, copies=64, seed=9)
+    def test_multiclass_save_load_predict(self, which, n_classes, n, dim, copies, seed):
+        kind, buckets = MAPS[which]
+        stream = RandomStream(seed)
+        X = 2.0 * stream.uniform(n * dim).reshape(n, dim) - 1.0
+        labels = np.arange(n) % n_classes - 1.0  # every class present
+        X_new = 2.0 * stream.uniform(7 * dim).reshape(7, dim) - 1.0
+        kernel = kernels.KernelSpec(dist.Gamma(2.0, 1.0)) if kind == BINNING else TensorCauchy(1.0)
+        cfg = FeatureMapConfig(kind=kind, kernel=kernel, dim=dim, copies=copies,
+                               seed=seed, hash_buckets=buckets)
+        state = build_map(cfg)
+        model = learn.fit(state, featurize(state, X), labels, lam=0.1, classify=True)
+        task = "binary" if n_classes == 2 else "multiclass"
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            cli.save_model(first, task, cli.fit_normalizer(X), model)
+            assert len(json.loads(first.read_text())["models"]) == n_classes
+            loaded_task, _, norm, (loaded,), classes = cli.load_model(first)
+            cli.save_model(second, loaded_task, norm, loaded)
+            assert first.read_bytes() == second.read_bytes()
+        assert loaded_task == task
+        assert classes == loaded.classes == model.classes == tuple(np.arange(n_classes) - 1.0)
+        assert np.array_equal(loaded.weights, model.weights)
+        for points in (X, X_new):
+            assert np.array_equal(learn.decision_scores(loaded, points),
+                                  learn.decision_scores(model, points))
+            assert np.array_equal(learn.predict(loaded, points), learn.predict(model, points))
 
 
 class TestLibsvmRoundTrip:
