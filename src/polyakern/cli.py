@@ -298,11 +298,12 @@ def _expect(ok, message) -> None:
 
 
 def _finite_numbers(values, count=None) -> bool:
-    """Whether ``values`` is a JSON list of finite numbers (``count`` of them)."""
+    """Whether ``values`` is a JSON list of finite numbers (``count`` of
+    them); an integer too large for a float is not one."""
     return (
         isinstance(values, list)
         and (count is None or len(values) == count)
-        and all(type(v) in (int, float) and math.isfinite(v) for v in values)
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
     )
 
 
@@ -324,20 +325,26 @@ def _decode_array(blob, name, dtypes) -> np.ndarray:
         raise ParseError(
             f"bundle {name} must be an object with dtype, shape and data"
         ) from None
-    _expect(dtype in dtypes, f"bundle {name} dtype {dtype!r} is not one of {list(dtypes)}")
-    _expect(
+    if dtype not in dtypes:
+        raise ParseError(f"bundle {name} dtype {dtype!r} is not one of {list(dtypes)}")
+    if not (
         isinstance(shape, list)
         and all(type(n) is int and n >= 0 for n in shape)
-        and isinstance(data, str),
-        f"bundle {name} needs a list of sizes as shape and a base64 string as data",
-    )
+        and isinstance(data, str)
+    ):
+        raise ParseError(
+            f"bundle {name} needs a list of sizes as shape and a base64 string as data"
+        )
     try:
         raw = base64.b64decode(data, validate=True)
     except ValueError:
         raise ParseError(f"bundle {name} data is not valid base64") from None
     wanted = math.prod(shape) * np.dtype(dtype).itemsize
-    _expect(len(raw) == wanted, f"bundle {name} data holds {len(raw)} bytes; shape "
-                                f"{shape} of {dtype} needs {wanted}")
+    if len(raw) != wanted:
+        raise ParseError(
+            f"bundle {name} data holds {len(raw)} bytes; shape {shape} of "
+            f"{dtype} needs {wanted}"
+        )
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
@@ -393,9 +400,11 @@ def _vocabulary_to_json(state) -> dict:
 def _restore_vocabulary(state, blob) -> None:
     cfg = state.cfg
     rows = _decode_array(blob, "vocabulary", _INT_DTYPES)
-    _expect(rows.ndim == 2 and rows.shape[1] == cfg.dim + 1,
+    if rows.ndim != 2 or rows.shape[1] != cfg.dim + 1:
+        raise ParseError(
             f"bundle vocabulary rows must hold a copy and {cfg.dim} bins, "
-            f"got shape {list(rows.shape)}")
+            f"got shape {list(rows.shape)}"
+        )
     if not rows.size:
         return
     copies = rows[:, 0]
@@ -462,14 +471,7 @@ def load_model(path):
             "distinct finite numbers")
     columns = [_decode_array(m["weights"], "weights", _WEIGHT_DTYPES).astype(float)
                for m in entries]
-    width = _feature_width(state)
-    for w in columns:
-        _expect(w.shape == (width,), f"bundle weights have {w.size} entries; the map "
-                                     f"has {width} feature columns")
-    wanted = 1 if task == "regression" else len(classes)
-    _expect(len(columns) == wanted and (task == "regression" or wanted >= 2),
-            f"bundle holds {len(columns)} models for task {task!r} with "
-            f"{len(classes or ())} classes")
+    _check_columns(task, state, columns, classes)
     model = learn.RidgeModel(
         state=state,
         weights=columns[0] if classes is None else np.column_stack(columns),
@@ -481,16 +483,29 @@ def load_model(path):
     return task, state, normalizer, (model,), model.classes
 
 
-def _feature_width(state) -> int:
-    """Feature columns of a map: Fourier copies, hash buckets, or the size
-    of a (non-empty) binning vocabulary."""
+def _check_columns(task, state, columns, classes) -> None:
+    """Reject a bundle whose weight columns do not fit its map or its classes."""
     cfg = state.cfg
     if cfg.kind != BINNING:
-        return cfg.copies
-    if cfg.hash_buckets is not None:
-        return cfg.hash_buckets
-    _expect(len(state.vocabulary), "binning bundle has an empty vocabulary")
-    return len(state.vocabulary)
+        width = cfg.copies
+    elif cfg.hash_buckets is not None:
+        width = cfg.hash_buckets
+    else:
+        width = len(state.vocabulary)
+        if not width:
+            raise ParseError("binning bundle has an empty vocabulary")
+    for w in columns:
+        if w.shape != (width,):
+            raise ParseError(
+                f"bundle weights have {w.size} entries; the map has "
+                f"{width} feature columns"
+            )
+    wanted = 1 if task == "regression" else len(classes or ())
+    if len(columns) != wanted or (task != "regression" and wanted < 2):
+        raise ParseError(
+            f"bundle holds {len(columns)} models for task {task!r} with "
+            f"{len(classes or ())} classes"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ featurizes its rows once and fits every λ from one Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Tuple
 
 import numpy as np
@@ -265,9 +265,7 @@ def _ridge_weights(Z, Y, lams):
     if p <= n:
         B = np.asarray(Z @ Y)
         systems = _ridge_systems(_dense(Z @ Z.T), lams)
-        # C order, the order load_model stacks a bundle's columns in, so that
-        # a reloaded classifier scores bit for bit the same
-        return [np.ascontiguousarray(_solve_spd(A, B)) for A in systems], "primal"
+        return [_solve_spd(A, B) for A in systems], "primal"
     systems = _ridge_systems(_dense(Z.T @ Z), lams)
     return [np.asarray(Z @ _solve_spd(G, Y)) for G in systems], "dual"
 
@@ -282,16 +280,21 @@ def _scores(model: RidgeModel, batch) -> np.ndarray:
     """Scores of featurized points, ⟨weights, z(x)⟩ plus the target mean:
     a vector for regression, an n × K matrix for a classifier."""
     w = model.weights
+    if w.ndim == 2:
+        # a column at a time, as a one-target model scores: the same vector
+        # product (so the same bits), and one copies × n temporary per class
+        return np.column_stack([
+            _scores(replace(model, weights=np.ascontiguousarray(col)), batch)
+            for col in w.T
+        ])
     p = w.shape[0]
     if batch.kind == BINNING:
         idx = batch.indices  # copies × n
         seen = idx < p
-        if w.ndim == 2:
-            seen = seen[..., None]
         contrib = np.where(seen, w[np.minimum(idx, p - 1)], 0.0)
         scores = contrib.sum(axis=0) / np.sqrt(batch.copies)
     else:
-        scores = (w.T @ batch.data).T
+        scores = w @ batch.data
     return scores + model.y_mean
 
 

@@ -631,6 +631,10 @@ class TestBundleFormat:
         (lambda b: b.update(classes=[0.0]), "regression bundle has none", "regression"),
         (lambda b: b["models"][1].update({"lambda": 0.2}), "one shared", "binary"),
         (lambda b: b.update(classes=[0.0, 0.0]), "distinct finite numbers", "binary"),
+        (lambda b: b["models"][0].update(y_mean=10 ** 400), "finite y_mean", "regression"),
+        (lambda b: b["normalizer"]["center"].__setitem__(0, -(10 ** 400)),
+         "needs 2 finite centers", "regression"),
+        (lambda b: b.update(classes=[0.0, 10 ** 400]), "distinct finite numbers", "binary"),
     ], ids=[
         "weights-not-base64", "vocabulary-not-base64", "vocabulary-f8", "vocabulary-big-endian",
         "weights-object", "weights-big-endian", "weights-byte-count", "vocabulary-byte-count",
@@ -638,7 +642,8 @@ class TestBundleFormat:
         "vocabulary-repeated-key", "weights-plain-list", "negative-shape",
         "models-object", "models-string", "lambda-null", "y_mean-list", "map-list",
         "normalizer-one-entry", "copies-fraction", "task-unknown", "classes-on-regression",
-        "models-disagree", "classes-repeated",
+        "models-disagree", "classes-repeated", "y_mean-huge-int", "center-huge-int",
+        "classes-huge-int",
     ])
     def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle, task):
         data, model_path = fit_bundle(tmp_path, task=task)

@@ -350,7 +350,7 @@ class TestOneVsAll:
         queries = X + 0.3
         # one column per class, as scoring each weight column on its own gives
         expected = np.column_stack([
-            learn.decision_scores(replace(clf, weights=w, classes=None), queries)
+            learn.predict(replace(clf, weights=np.ascontiguousarray(w), classes=None), queries)
             for w in clf.weights.T
         ])
         calls = []
@@ -364,11 +364,7 @@ class TestOneVsAll:
         scores = learn.decision_scores(clf, queries)
         assert calls == [len(queries)]
         assert scores.shape == (len(queries), 3)
-        if cfg.kind == BINNING:
-            np.testing.assert_array_equal(scores, expected)
-        else:  # one matrix product against three vector products
-            np.testing.assert_allclose(scores, expected, rtol=0.0,
-                                       atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_array_equal(scores, expected)
 
     @pytest.mark.parametrize("cfg", [binning_cfg(2, 32, seed=23), fourier_cfg(64, seed=24),
                                      binning_cfg(1, 4, seed=25, tau=50.0)])
