@@ -613,14 +613,19 @@ def _cmd_approx_error(args) -> int:
     return 0
 
 
+def _check_classes(task, targets) -> None:
+    """Reject a binary task whose labels are not exactly two classes."""
+    count = len(np.unique(targets))
+    if task == "binary" and count != 2:
+        raise ValueError(f"binary task needs exactly two classes, found {count}")
+
+
 def _cmd_fit(args) -> int:
     ds = parse_libsvm(args.data)
     normalizer = fit_normalizer(ds.train_points)
     X = normalizer.apply(ds.points)
     y = ds.targets
-    classes = np.unique(y)
-    if args.task == "binary" and len(classes) != 2:
-        raise ValueError(f"binary task needs exactly two classes, found {len(classes)}")
+    _check_classes(args.task, y)
     kernel = _kernel_for_kind(args.map, args.kernel, args.tau)
     state = build_map(FeatureMapConfig(
         kind=args.map, kernel=kernel, dim=X.shape[1],
@@ -734,6 +739,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
             ]
         )
         points, targets = points[keep], targets[keep]
+    _check_classes(cfg.task, targets)
     split = learn.train_test_split(points, targets, seed=cfg.seed)
     normalizer = fit_normalizer(split.train_points)
     X_train = normalizer.apply(split.train_points)

@@ -23,7 +23,11 @@ to zero.
 A binning map's vocabulary of (copy, bin tuple) -> column is filled by the
 first ``featurize`` call on the map, which is the training data, and is
 read-only afterwards: a bin that training never saw gets the sentinel
-column ``width`` and no feature.
+column ``width`` and no feature. Its keys are packed into plain int64s by
+mixed radix over the training span of each key entry, with an exact
+ranking step where the spans multiply past 2**63, so filling is one
+``np.unique`` and lookup one ``np.searchsorted`` on integers; a key
+outside the training spans is unseen without a search.
 
 A map draws from one stream seeded by its seed: copy l reads row l of a
 block of uniforms and turns it into spacings or frequencies by the law's
@@ -156,36 +160,83 @@ class FourierMapState:
     offsets: np.ndarray  # copies, in [0, 2*pi); None for the complex map
 
 
-def _as_void(rows):
-    """One opaque scalar per row of a 2-D int64 array; equal scalars mean
-    equal rows, so sorting and searching them is exact."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+_KEY_BOUND = 2 ** 63  # packed keys stay below this, so they fit in int64
+
+
+def _rank(values, levels):
+    """The index of each value in the sorted distinct ``levels``, and
+    whether the value is one of them (an absent value gets some index)."""
+    pos = np.minimum(np.searchsorted(levels, values), levels.shape[0] - 1)
+    return pos, levels[pos] == values
 
 
 class BinVocabulary:
     """The (copy, bin tuple) -> column table of a binning map, in arrays.
 
     ``rows[j]`` is the key of column j: the copy index, then one bin per
-    coordinate.  The same keys, sorted as opaque scalars, sit next to their
-    column ids for read-only lookups by ``np.searchsorted``.
+    coordinate.  Each row is packed into one int64 by mixed radix, column
+    by column: a column's digit is its entry less the column's training
+    minimum, and its radix is the column's training span.  Where the next
+    radix would take the packed prefix to 2**63, the prefix is first
+    replaced by its rank among the training prefixes (fewer than the rows),
+    and a column whose span still does not fit is replaced by its rank
+    among its training entries; both are exact.  The sorted packed keys sit
+    next to their column ids for read-only lookups by ``np.searchsorted``.
+    A row outside the training span of a column, or whose prefix or ranked
+    entry training never saw, is unseen before any search.
     """
 
     def __init__(self):
         self.rows = np.empty((0, 0), dtype=np.int64)
-        self._keys = _as_void(np.empty((0, 1), dtype=np.int64))
+        self._plan = []  # per key column: lo, hi, prefix and entry ranks or None
+        self._keys = np.empty(0, dtype=np.int64)
         self._columns = np.empty(0, dtype=np.int64)
 
     def __len__(self):
         return self.rows.shape[0]
+
+    def _pack(self, rows, fill):
+        """One packed int64 per row, and which rows lie inside the training
+        spans and ranks.  With ``fill`` the rows are the training rows and
+        the plan of spans and ranks is made from them; otherwise it is read."""
+        key = np.zeros(rows.shape[0], dtype=np.int64)
+        inside = np.ones(rows.shape[0], dtype=bool)
+        size = 1  # the packed prefix lies in [0, size)
+        for j, entries in enumerate(rows.T):
+            if fill:
+                lo, hi = (int(entries.min()), int(entries.max())) if entries.size else (0, 0)
+                prefixes = levels = None
+            else:
+                lo, hi, prefixes, levels = self._plan[j]
+                inside &= (entries >= lo) & (entries <= hi)
+            digit, radix = entries - lo, hi - lo + 1  # radix: a Python int
+            if size * radix >= _KEY_BOUND:
+                if fill:
+                    prefixes = np.unique(key)
+                key, found = _rank(key, prefixes)
+                inside &= found
+                size = prefixes.shape[0]
+            if size * radix >= _KEY_BOUND:
+                if fill:
+                    levels = np.unique(entries)
+                digit, found = _rank(entries, levels)
+                inside &= found
+                radix = levels.shape[0]
+            key *= radix
+            key += digit
+            size *= radix
+            if fill:
+                self._plan.append((lo, hi, prefixes, levels))
+        return key, inside
 
     def assign(self, rows):
         """Number the distinct rows by first appearance, fill the empty table
         with them, and return the column of every row."""
         if len(self):
             raise ValueError("the vocabulary is already filled")
+        self._plan = []
         keys, first, inverse = np.unique(
-            _as_void(rows), return_index=True, return_inverse=True
+            self._pack(rows, fill=True)[0], return_index=True, return_inverse=True
         )
         order = np.argsort(first)
         columns = np.empty(keys.shape[0], dtype=np.int64)
@@ -198,9 +249,12 @@ class BinVocabulary:
         """The column of every row, or ``len(self)`` for a row not in the
         table.  The table is not changed."""
         width = len(self)
-        keys = _as_void(rows)
-        pos = np.minimum(np.searchsorted(self._keys, keys), width - 1)
-        return np.where(self._keys[pos] == keys, self._columns[pos], width)
+        key, inside = self._pack(rows, fill=False)
+        out = np.full(key.shape[0], width, dtype=np.int64)
+        key = key[inside]
+        pos, found = _rank(key, self._keys)
+        out[inside] = np.where(found, self._columns[pos], width)
+        return out
 
 
 @dataclass(frozen=True)
@@ -274,25 +328,26 @@ def _check_points(state, X):
 
 def _bin_keys(state, X):
     """copies x n x (1 + dim) int64 keys: the copy index, then the bin of
-    each coordinate."""
+    each coordinate.  Each key entry is contiguous in memory (the array is
+    a transposed view), so vocabulary packing reads whole entries."""
     if not np.all(state.spacings > 0.0):
         raise ValueError(
             "a spacing of this binning map underflowed to zero: the law "
             f"{format_kernel_spec(state.cfg.kernel)} puts mass below the "
             "smallest positive double"
         )
-    t = X[None, :, :] - state.offsets[:, None, :]
-    t /= state.spacings[:, None, :]
-    keys = np.empty(t.shape[:2] + (t.shape[2] + 1,), dtype=np.int64)
-    keys[:, :, 0] = np.arange(t.shape[0])[:, None]
+    t = np.ascontiguousarray(X.T)[:, None, :] - state.offsets.T[:, :, None]
+    t /= state.spacings.T[:, :, None]
+    keys = np.empty((t.shape[0] + 1,) + t.shape[1:], dtype=np.int64)
+    keys[0] = np.arange(t.shape[1])[:, None]
     np.floor(t, out=t)
     if t.min(initial=0.0) < -2.0 ** 63 or t.max(initial=0.0) >= 2.0 ** 63:
         raise ValueError(
             "points lie too far from the origin for this map: a bin index "
             "exceeds the int64 range"
         )
-    keys[:, :, 1:] = t
-    return keys
+    keys[1:] = t
+    return keys.transpose(1, 2, 0)
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)

@@ -779,6 +779,23 @@ class TestBench:
             "0.013017797730314822,0.02147551525327594\n"
         )
 
+    def test_binary_rejects_three_classes(self, tmp_path, capsys):
+        # the same check and JSON error as `fit --task binary`
+        data = tmp_path / "c3.txt"
+        make_classification_file(data, classes=3, per_class=5)
+        out = tmp_path / "bench.csv"
+        code = cli.main([
+            "bench", str(data), "--task", "binary", "--map", "binning",
+            "--kernel", "gamma:s=2,theta=1", "--copies", "4", "--trials", "1",
+            "--out", str(out),
+        ])
+        assert code != 0
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[0])["error"] == (
+            "binary task needs exactly two classes, found 3"
+        )
+
     def test_subsample_and_descending_sizes_rejected(self, tmp_path):
         data = tmp_path / "train.txt"
         make_regression_file(data, seed=44, n=40)

@@ -479,6 +479,12 @@ def oracle_cases():
     rng = np.random.default_rng(2016)
     dup = rng.uniform(-1, 1, size=(5, 3))
     far = np.array([[1e9, 0.0], [-1e12, 3.0], [0.5, -4e15], [0.2, 0.1], [1e9, 0.0]])
+    # 24 widely spread coordinates: the product of the key spans passes
+    # 2**63; tested are training points, points moved in their last
+    # coordinate, and fresh points whose early bins training never saw
+    wide = rng.uniform(-200, 200, (40, 24))
+    moved = wide[:8].copy()
+    moved[:, -1] += 3.0
     cases = {
         "d=1": (rng.uniform(-1, 1, (40, 1)), rng.uniform(-3, 3, (25, 1))),
         "n=1": (rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2))),
@@ -486,6 +492,7 @@ def oracle_cases():
         "negative bins": (rng.uniform(-60, -10, (30, 3)), rng.uniform(-60, -10, (30, 3))),
         "far outside": (rng.uniform(-1, 1, (50, 2)), far),
         "mixed": (rng.normal(size=(60, 4)), rng.normal(scale=2.0, size=(60, 4))),
+        "high d": (wide, np.vstack([wide[:8], moved, rng.uniform(-200, 200, (8, 24))])),
     }
     return [pytest.param(train, test, id=name) for name, (train, test) in cases.items()]
 
@@ -516,3 +523,100 @@ class TestDictOracle:
             test = fm.featurize(s, test_X)
             assert np.array_equal(test.indices, expected)
             assert test.width == width == len(s.vocabulary)
+
+    def test_high_d_case_takes_the_ranking_step(self):
+        # the spans of its key columns multiply past 2**63, so no mixed
+        # radix over them fits in int64; some test rows lie inside every
+        # column's training span and are still unseen
+        (train_X, test_X), = [p.values for p in oracle_cases() if p.id == "high d"]
+        state = fm.build_map(cfg(fm.BINNING, 16, seed=4, dim=train_X.shape[1]))
+        fm.featurize(state, train_X)
+        rows = state.vocabulary.rows
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        assert math.prod(h - l + 1 for l, h in zip(lo.tolist(), hi.tolist())) >= 2 ** 63
+        test_rows = fm._bin_keys(state, test_X).reshape(-1, rows.shape[1])
+        inside = np.all((test_rows >= lo) & (test_rows <= hi), axis=1)
+        unseen = fm.featurize(state, test_X).indices.reshape(-1) == len(rows)
+        assert np.any(inside & unseen)
+        assert not np.all(unseen)
+
+
+def reloaded(state):
+    """A fresh copy of the binning map ``state`` with the vocabulary of its
+    model bundle."""
+    loaded = fm.build_map(state.cfg)
+    blob = json.loads(json.dumps(cli._vocabulary_to_json(state)))
+    cli._restore_vocabulary(loaded, blob)
+    return loaded
+
+
+class TestPackedKeys:
+    def test_extreme_span_matches_dict_loop(self):
+        # one coordinate bins near both ends of int64, so its key column's
+        # training span is at least 2**63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = fm.build_map(cfg(fm.BINNING, 8, seed=6, dim=2))
+            far = 0.9 * 2.0 ** 63 * state.spacings[:, 0].min()
+            train_X = np.array([
+                [far, 0.1], [-far, 0.2], [0.0, 0.3], [far, 0.4], [0.5 * far, 0.1],
+            ])
+            test_X = np.array([
+                [far, 0.1], [-far, 0.2], [0.25 * far, 0.3], [-0.5 * far, 0.2],
+                [far, 5.0], [0.0, 0.3], [0.5 * far, 0.1],
+            ])
+            vocab = {}
+            train = fm.featurize(state, train_X)
+            assert np.array_equal(train.indices, dict_featurize(state, train_X, vocab))
+            bins = state.vocabulary.rows[:, 1].tolist()
+            assert max(bins) - min(bins) + 1 >= 2 ** 63
+            width = len(vocab)
+            grown = dict_featurize(state, test_X, vocab)
+            expected = np.where(grown < width, grown, width)
+            for s in (state, reloaded(state)):
+                test = fm.featurize(s, test_X)
+                assert np.array_equal(test.indices, expected)
+                assert test.width == width
+            assert np.any(expected == width) and np.any(expected < width)
+
+    def test_one_bin_past_the_training_span_is_unseen(self):
+        state = fm.build_map(cfg(fm.BINNING, 4, seed=12, dim=2))
+        fm.featurize(state, np.random.default_rng(3).uniform(-1, 1, (30, 2)))
+        rows = state.vocabulary.rows
+        width = len(rows)
+
+        def middle(copy, bins):
+            """The point in the middle of these bins of this copy."""
+            return state.offsets[copy] + (bins + 0.5) * state.spacings[copy]
+
+        loaded = reloaded(state)
+        for j in (1, 2):
+            for extreme, step in ((np.argmax, 1), (np.argmin, -1)):
+                column = extreme(rows[:, j])
+                copy, bins = rows[column, 0], rows[column, 1:].copy()
+                inner = np.array([middle(copy, bins)])
+                bins[j - 1] += step
+                outer = np.array([middle(copy, bins)])
+                for s in (state, loaded):
+                    assert fm.featurize(s, inner).indices[copy, 0] == column
+                    assert fm.featurize(s, outer).indices[copy, 0] == width
+
+    def test_ranking_keeps_long_rows_apart(self):
+        # 70 two-valued bins: a mixed radix over them would shift the first
+        # bin out of 64 bits, so the prefix is ranked before it can
+        rows = np.zeros((3, 71), dtype=np.int64)
+        rows[0, 1] = 1
+        rows[2, 2:] = 1
+        vocab = fm.BinVocabulary()
+        assert vocab.assign(rows).tolist() == [0, 1, 2]
+        assert vocab.lookup(rows[::-1]).tolist() == [2, 1, 0]
+
+    def test_unseen_prefix_is_unseen(self):
+        # two bins of span 2**40 + 1 pass 2**63 together, so the prefix
+        # (copy, first bin) is ranked; the query's prefix lies between the
+        # training ones, and its last bin is the last bin of the second row
+        rows = np.array([[0, 0, 0], [0, 2 ** 40, 2 ** 40]], dtype=np.int64)
+        vocab = fm.BinVocabulary()
+        vocab.assign(rows)
+        query = np.array([[0, 1, 2 ** 40], [0, 2 ** 40, 2 ** 40]], dtype=np.int64)
+        assert vocab.lookup(query).tolist() == [2, 1]
