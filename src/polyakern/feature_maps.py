@@ -328,8 +328,8 @@ def _check_points(state, X):
 
 def _bin_keys(state, X):
     """copies x n x (1 + dim) int64 keys: the copy index, then the bin of
-    each coordinate.  Each key entry is contiguous in memory (the array is
-    a transposed view), so vocabulary packing reads whole entries."""
+    each coordinate.  The array is a transposed view in which each of the
+    1 + dim key columns is contiguous, as the vocabulary reads them."""
     if not np.all(state.spacings > 0.0):
         raise ValueError(
             "a spacing of this binning map underflowed to zero: the law "
