@@ -56,6 +56,7 @@ from .feature_maps import (
     IsotropicNormal,
     TensorCauchy,
     build_map,
+    feature_blocks,
     featurize,
 )
 from .polya_kernels import KernelSpec, eval_ft, eval_kernel, format_kernel_spec, parse_kernel_spec
@@ -555,24 +556,22 @@ def _cmd_features(args) -> int:
     )
     state = build_map(cfg)
     batch = featurize(state, ds.points)
-    lines = []
-    if batch.kind == BINNING:
-        weight = 1.0 / math.sqrt(batch.copies)
-        for i in range(batch.n):
-            entries = (f"{int(row)}:{weight!r}" for row in batch.indices[:, i])
-            lines.append(" ".join(entries))
-    else:
-        for i in range(batch.n):
-            column = batch.data[:, i]
-            lines.append(
-                " ".join(
-                    f"{row}:{_format_feature_value(v)}" for row, v in enumerate(column)
-                )
-            )
     prefix = Path(str(args.out))
     features_path = prefix.with_name(prefix.name + ".features.txt")
     meta_path = prefix.with_name(prefix.name + ".meta.json")
-    features_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(features_path, "w", encoding="ascii", newline="\n") as out:
+        if batch.kind == BINNING:
+            weight = 1.0 / math.sqrt(batch.copies)
+            for column in batch.indices.T:
+                out.write(" ".join(f"{int(row)}:{weight!r}" for row in column) + "\n")
+        else:
+            # one block of points at a time, a line per point
+            for _, _, Z in feature_blocks(batch):
+                out.writelines(
+                    " ".join(f"{row}:{_format_feature_value(v)}"
+                             for row, v in enumerate(column)) + "\n"
+                    for column in Z.T
+                )
     meta = _map_metadata(cfg)
     meta["n"] = batch.n
     meta["width"] = int(batch.width) if batch.kind == BINNING else cfg.copies

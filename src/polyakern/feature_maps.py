@@ -29,6 +29,14 @@ ranking step where the spans multiply past 2**63, so filling is one
 ``np.unique`` and lookup one ``np.searchsorted`` on integers; a key
 outside the training spans is unseen without a search.
 
+A Fourier batch holds its map and its validated points, not its features:
+they are computed when read, in dense blocks of points of at most
+``BLOCK_CELLS`` cells (16 MB of doubles), so a pass over the blocks holds
+one block at a time.  Sums over points, like the primal ridge system and
+scoring, read the blocks; what needs every pair of points at once (the dual
+ridge system, ``gram``, ``complex_gram``) reads the whole matrix, the
+one-block case.  A binning batch is one sparse block.
+
 A map draws from one stream seeded by its seed: copy l reads row l of a
 block of uniforms and turns it into spacings or frequencies by the law's
 ppf, so maps are deterministic, copies are independent, and enlarging D
@@ -265,17 +273,30 @@ class BinningMapState:
     vocabulary: BinVocabulary = field(default_factory=BinVocabulary)
 
 
+#: Most cells (copies × points) in one dense block of Fourier features:
+#: 2**21 doubles, 16 MB (32 MB for the complex map).
+BLOCK_CELLS = 2 ** 21
+
+
 @dataclass(frozen=True)
 class FeatureBatch:
-    """Featurized points: a dense copies x n matrix for Fourier kinds, or
-    per-copy column indices plus the column-space width for binning."""
+    """Featurized points.
+
+    A binning batch holds per-copy column indices and the column-space
+    width, one sparse block.  A Fourier batch holds its map and a private
+    copy of its validated points, and computes its dense copies x n feature
+    matrix only when read: ``feature_blocks`` gives it as blocks of points
+    of at most ``BLOCK_CELLS`` cells each, and ``feature_matrix`` gives it
+    whole, the one-block case, built anew on each call.
+    """
 
     kind: str
     n: int
     copies: int
-    data: np.ndarray = None  # fourier kinds
     indices: np.ndarray = None  # binning: copies x n int64
     width: int = 0  # binning: number of feature columns
+    state: FourierMapState = None  # fourier kinds
+    points: np.ndarray = None  # fourier kinds: n x dim, read-only
 
 
 def build_map(cfg):
@@ -370,6 +391,8 @@ def _hash_rows(rows, buckets):
 def featurize(state, X):
     """Map points to features.
 
+    The points are validated here.  A Fourier batch keeps them and computes
+    its features when they are read (``feature_blocks``, ``feature_matrix``).
     For binning, the first call on a map fills its vocabulary: columns are
     numbered by first appearance, copy by copy and point by point.  Later
     calls only read it; a bin it does not hold gets the sentinel index
@@ -377,19 +400,11 @@ def featurize(state, X):
     X = _check_points(state, X)
     n = X.shape[0]
     cfg = state.cfg
-    if cfg.kind == FOURIER_COMPLEX:
-        # exp(1j * phases) / sqrt(D), written over one complex array
-        data = 1j * (state.frequencies @ X.T)
-        np.exp(data, out=data)
-        data /= math.sqrt(cfg.copies)
-        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, data=data)
-    if cfg.kind == FOURIER_REAL:
-        # sqrt(2 / D) cos(phases + offsets), written over the matmul result
-        data = state.frequencies @ X.T
-        data += state.offsets[:, None]
-        np.cos(data, out=data)
-        data *= math.sqrt(2.0 / cfg.copies)
-        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, data=data)
+    if cfg.kind != BINNING:
+        points = X.copy(order="K")
+        points.flags.writeable = False
+        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, state=state,
+                            points=points)
     rows = _bin_keys(state, X).reshape(-1, cfg.dim + 1)  # copy-major
     if cfg.hash_buckets is not None:
         indices = _hash_rows(rows, cfg.hash_buckets).reshape(cfg.copies, n)
@@ -402,6 +417,47 @@ def featurize(state, X):
     return FeatureBatch(
         kind=cfg.kind, n=n, copies=cfg.copies, indices=indices, width=width
     )
+
+
+def _fourier_features(state, X):
+    """The dense copies x len(X) Fourier features of validated points X."""
+    D = state.cfg.copies
+    if state.cfg.kind == FOURIER_COMPLEX:
+        # exp(1j * phases) / sqrt(D), written over one complex array
+        Z = 1j * (state.frequencies @ X.T)
+        np.exp(Z, out=Z)
+        Z /= math.sqrt(D)
+        return Z
+    # sqrt(2 / D) cos(phases + offsets), written over the matmul result
+    Z = state.frequencies @ X.T
+    Z += state.offsets[:, None]
+    np.cos(Z, out=Z)
+    Z *= math.sqrt(2.0 / D)
+    return Z
+
+
+def feature_blocks(batch):
+    """Yield (start, stop, Z): the features of points start:stop as a
+    feature-by-point matrix.  A binning batch is one block, ``to_sparse``'s
+    matrix.  A Fourier batch is dense blocks of max(1, BLOCK_CELLS // copies)
+    points, the last one partial, each computed as it is reached, so a pass
+    over the blocks holds one block of features at a time."""
+    if batch.kind == BINNING:
+        yield 0, batch.n, to_sparse(batch)
+        return
+    step = max(1, BLOCK_CELLS // batch.copies)
+    for start in range(0, batch.n, step):
+        stop = min(start + step, batch.n)
+        yield start, stop, _fourier_features(batch.state, batch.points[start:stop])
+
+
+def feature_matrix(batch):
+    """The whole feature-by-point matrix: ``to_sparse``'s for binning, and
+    for Fourier kinds all copies x n dense features at once, the one-block
+    case of ``feature_blocks``, computed on every call."""
+    if batch.kind == BINNING:
+        return to_sparse(batch)
+    return _fourier_features(batch.state, batch.points)
 
 
 def _incidence(batch, value):
@@ -431,12 +487,13 @@ def gram(batch):
     exact bins that is the fraction of copies that put them in the same
     bin, and with hashed columns it also counts copies whose bins collide.
     A sentinel (unseen-bin) index matches nothing."""
+    if batch.kind == BINNING:
+        U = _incidence(batch, 1.0)
+        return (U.T @ U).toarray() / float(batch.copies)
+    Z = feature_matrix(batch)
     if batch.kind == FOURIER_COMPLEX:
-        return (batch.data.conj().T @ batch.data).real
-    if batch.kind == FOURIER_REAL:
-        return batch.data.T @ batch.data
-    U = _incidence(batch, 1.0)
-    return (U.T @ U).toarray() / float(batch.copies)
+        return (Z.conj().T @ Z).real
+    return Z.T @ Z
 
 
 def complex_gram(batch):
@@ -444,7 +501,8 @@ def complex_gram(batch):
     part included; this is the matrix the error expectations describe."""
     if batch.kind != FOURIER_COMPLEX:
         raise ValueError("complex_gram applies to complex Fourier batches only")
-    return batch.data.conj().T @ batch.data
+    Z = feature_matrix(batch)
+    return Z.conj().T @ Z
 
 
 def per_copy_inner_products(state, x, xp):

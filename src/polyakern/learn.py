@@ -13,7 +13,11 @@ Classification", JMLR 2004).
 
 ``fit_path`` fits one batch for several penalties, sharing the feature
 matrix and its Gram matrix; each penalty gets one Cholesky factorization
-for all target columns.  ``fit`` is its one-penalty case.
+for all target columns.  ``fit`` is its one-penalty case.  The primal
+system sums Z_b Z_bᵀ and Z_b Y_b over the batch's blocks of points
+(``feature_blocks``), and scoring runs block by block, so a Fourier fit or
+predict holds O(D² + D·block) memory, not the D × n feature matrix; the
+dual system pairs every two points and reads the whole matrix.
 
 ``cross_validate`` grid-searches a binning map's distribution shape, its
 area parameter τ, and the ridge penalty λ by k-fold validation, breaking
@@ -25,7 +29,7 @@ featurizes its rows once and fits every λ from one Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
@@ -36,11 +40,13 @@ from .distributions import Distribution, Gamma, Nakagami, ShiftedPoisson, Weibul
 from .errors import NumericalError
 from .feature_maps import (
     BINNING,
+    FOURIER_COMPLEX,
     FeatureMapConfig,
     build_map,
+    feature_blocks,
+    feature_matrix,
     featurize,
     rescale_map,
-    to_sparse,
 )
 from .polya_kernels import KernelSpec
 from .rng import RandomStream, default_seed, derived_seed
@@ -174,13 +180,6 @@ class RidgeModel:
     classes: Tuple[float, ...] | None = None  # None for regression
 
 
-def _feature_matrix(batch):
-    """Feature matrix Z with one column per point (features × points)."""
-    if batch.kind == BINNING:
-        return to_sparse(batch)
-    return batch.data
-
-
 def _solve_spd(A, b):
     """Solve A x = b for a vector or for each column of a matrix b, with
     one Cholesky factorization and a residual check on every column."""
@@ -235,8 +234,7 @@ def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel,
         )
     if not np.all(np.isfinite(y)):
         raise NumericalError("targets contain non-finite values")
-    Z = _feature_matrix(batch)
-    if np.iscomplexobj(Z):
+    if batch.kind == FOURIER_COMPLEX:
         raise ValueError(
             "complex feature maps are for spectral analysis; fit on the "
             "real map or the binning map"
@@ -250,7 +248,7 @@ def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel,
     else:
         classes, y_mean = None, float(y.mean())
         Y = y - y_mean
-    weights, route = _ridge_weights(Z, Y, lams)
+    weights, route = _ridge_weights(batch, Y, lams)
     return tuple(
         RidgeModel(state=state, weights=w, lam=lam, y_mean=y_mean, route=route,
                    classes=classes)
@@ -258,14 +256,27 @@ def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel,
     )
 
 
-def _ridge_weights(Z, Y, lams):
+def _ridge_weights(batch, Y, lams):
     """Weights solving (Z Zᵀ + λI) W = Z Y for each λ, for a target vector
-    or matrix Y, through the smaller SPD system; returns (weights, route)."""
-    p, n = Z.shape
-    if p <= n:
-        B = np.asarray(Z @ Y)
-        systems = _ridge_systems(_dense(Z @ Z.T), lams)
-        return [_solve_spd(A, B) for A in systems], "primal"
+    or matrix Y, through the smaller SPD system; returns (weights, route).
+
+    The primal system sums over the batch's blocks of points: the first
+    block's Z_b Z_bᵀ and Z_b Y_b are taken as they are and later ones added,
+    so one block gives the products of the whole matrix, bit for bit.  The
+    dual system needs every pair of points, so it reads the whole matrix."""
+    p = batch.width if batch.kind == BINNING else batch.copies
+    if p <= batch.n:
+        G = B = None
+        for start, stop, Z in feature_blocks(batch):
+            ZY, ZZ = np.asarray(Z @ Y[start:stop]), _dense(Z @ Z.T)
+            del Z  # so that one block is alive while the next is made
+            if G is None:
+                G, B = ZZ, ZY
+            else:
+                G += ZZ
+                B += ZY
+        return [_solve_spd(A, B) for A in _ridge_systems(G, lams)], "primal"
+    Z = feature_matrix(batch)
     systems = _ridge_systems(_dense(Z.T @ Z), lams)
     return [np.asarray(Z @ _solve_spd(G, Y)) for G in systems], "dual"
 
@@ -278,24 +289,31 @@ def fit(state, batch, y, lam: float, classify: bool = False) -> RidgeModel:
 
 def _scores(model: RidgeModel, batch) -> np.ndarray:
     """Scores of featurized points, ⟨weights, z(x)⟩ plus the target mean:
-    a vector for regression, an n × K matrix for a classifier."""
+    a vector for regression, an n × K matrix for a classifier.
+
+    A classifier is scored a column at a time, with the vector product a
+    one-target model uses (so the same bits), holding one copies × n
+    temporary per class for binning; Fourier features are computed once
+    per block of points and scored there by every column."""
     w = model.weights
-    if w.ndim == 2:
-        # a column at a time, as a one-target model scores: the same vector
-        # product (so the same bits), and one copies × n temporary per class
-        return np.column_stack([
-            _scores(replace(model, weights=np.ascontiguousarray(col)), batch)
-            for col in w.T
-        ])
-    p = w.shape[0]
+    columns = [np.ascontiguousarray(col) for col in w.T] if w.ndim == 2 else [w]
     if batch.kind == BINNING:
+        p = w.shape[0]
         idx = batch.indices  # copies × n
         seen = idx < p
-        contrib = np.where(seen, w[np.minimum(idx, p - 1)], 0.0)
-        scores = contrib.sum(axis=0) / np.sqrt(batch.copies)
+        scores = [
+            np.where(seen, col[np.minimum(idx, p - 1)], 0.0).sum(axis=0)
+            / np.sqrt(batch.copies)
+            for col in columns
+        ]
     else:
-        scores = w @ batch.data
-    return scores + model.y_mean
+        scores = [np.empty(batch.n) for _ in columns]
+        for start, stop, Z in feature_blocks(batch):
+            for col, out in zip(columns, scores):
+                out[start:stop] = col @ Z
+            del Z  # as in _ridge_weights
+    scores = [s + model.y_mean for s in scores]
+    return np.column_stack(scores) if w.ndim == 2 else scores[0]
 
 
 def _predict(model: RidgeModel, batch) -> np.ndarray:

@@ -31,7 +31,8 @@ every closed form. It is two helpers: ``_law_integral``, the integral of
 g(x) dF(x) (in w = log x, or by QUADPACK's cosine rule QAWO when weighted
 by cos(ax)), and ``_kernel_cos_integral``, the integral of k(r) cos(ar)
 over r > 0 by QAWO between the kernel's knots. The numeric transform takes
-both, as (2 / a^2) E[(1 - cos aX) / X] and as twice the cosine integral.
+both, as (2 / a^2) E[(1 - cos aX) / X] and as twice the cosine integral,
+each on the unit-scale law through FT_b(a) = b FT_1(ab).
 """
 
 import math
@@ -300,13 +301,28 @@ def _doublings(lo, hi):
     return knots
 
 
+# Past this phase a x, rounding x to a double moves a x by half a radian,
+# so cos(a x) is no longer a function of the double x.
+_PHASE_LIMIT = 2.0 ** 52
+
+
 def _cos_pieces(f, knots, a):
     """Integral of f(x) cos(a x) between consecutive knots by QUADPACK's
     cosine rule (QAWO), which needs no piece per period. Pieces after the
     first stop at an absolute error of 1e-13 times the first, which is the
-    largest piece of a kernel."""
+    largest piece of a kernel.
+
+    The rest from the first knot past the phase _PHASE_LIMIT is not
+    integrated: by parts it is at most (|f| at both ends plus the variation
+    of f) / a, the variation read from f at the remaining knots, and that
+    bound joins the error estimate."""
     total = err = floor = 0.0
-    for lo, hi in zip(knots, knots[1:]):
+    for i, (lo, hi) in enumerate(zip(knots, knots[1:])):
+        if a * lo > _PHASE_LIMIT:
+            fs = [f(x) for x in knots[i:]]
+            variation = sum(abs(q - p) for p, q in zip(fs, fs[1:]))
+            err += (abs(fs[0]) + abs(fs[-1]) + variation) / a
+            break
         v, e = _quad(f, lo, hi, epsabs=floor, weight="cos", wvar=a)
         total += v
         err += e
@@ -376,8 +392,10 @@ def eval_ft_numeric(d, t):
     """Transform at t != 0 by two independent numeric routes.
 
     Route one integrates (2 - 2 cos(x t)) / (x t^2) against the generating
-    law; route two is the direct cosine transform of the kernel. Both are
-    computed every call and must agree within SPECTRAL_AGREEMENT, else
+    law; route two is the direct cosine transform of the kernel. Both run
+    on the unit-scale law, through FT_b(t) = b FT_1(b t) for a law of scale
+    b (X = b Y), and are computed every call; they must agree within
+    SPECTRAL_AGREEMENT on the unit-scale transform, else
     SpectralMismatchError is raised. Returns the first route's value.
     """
     t = float(t)
@@ -386,38 +404,55 @@ def eval_ft_numeric(d, t):
     a = abs(t)
     first = _ft_from_law(d, a)
     second = _ft_from_kernel(d, a)
-    if abs(first - second) > SPECTRAL_AGREEMENT:
+    if abs(first - second) > SPECTRAL_AGREEMENT * _unit_law(d)[1]:
         raise SpectralMismatchError(
             f"spectral routes disagree at t={t} for {d!r}", first, second
         )
     return first
 
 
-def _ft_from_law(d, a):
-    """(2 / a^2) E[(1 - cos aX) / X]: directly up to x0 = pi / a, where the
-    integrand x (sin(h) / h)^2, h = a x / 2, does not oscillate; beyond x0
-    as the 1/X moment minus its cosine transform."""
-    def g(x):
-        h = 0.5 * a * x
-        sinc = math.sin(h) / h if h > 0.0 else 1.0
-        return x * sinc * sinc
+def _unit_law(d):
+    """(Y, b): the law at unit scale and the scale, X = b Y; a count law
+    and a law of scale one are their own unit law."""
+    if d.discrete or d.triple()[1] == 1.0:
+        return d, 1.0
+    shape, b, power = d.triple()
+    return dists.GeneralizedGamma(shape, 1.0, power), b
 
-    x0 = math.pi / a
-    near, near_err = _law_integral(d, g, 0.0, x0)
-    moment, moment_err = _law_integral(d, lambda x: 1.0 / x, x0)
-    wave, wave_err = _law_integral(d, lambda x: 1.0 / x, x0, cos=a)
-    scale = 2.0 / (a * a)
+
+def _ft_from_law(d, a):
+    """(2 / a^2) E[(1 - cos aX) / X], as b times the transform of the unit
+    law Y at A = a b: directly up to y0 = pi / A, where the integrand
+    y (sin(h) / h)^2, h = A y / 2, does not oscillate; beyond y0 as the 1/Y
+    moment minus its cosine transform, times b 2 / A^2 = 2 / (a A), which
+    stays finite where A^2 overflows."""
+    unit, b = _unit_law(d)
+    A = a * b
+
+    def g(y):
+        h = 0.5 * A * y
+        sinc = math.sin(h) / h if h > 0.0 else 1.0
+        return b * y * sinc * sinc
+
+    y0 = math.pi / A
+    near, near_err = _law_integral(unit, g, 0.0, y0)
+    moment, moment_err = _law_integral(unit, lambda y: 1.0 / y, y0)
+    wave, wave_err = _law_integral(unit, lambda y: 1.0 / y, y0, cos=A)
+    scale = 2.0 / (a * A)
     value = near + scale * (moment - wave)
     err = near_err + scale * (moment_err + wave_err)
     return _checked(value, err, 1e-9 * value, "spectral", d, f"t={a}")
 
 
 def _ft_from_kernel(d, a):
-    """2 integral over r > 0 of k(r) cos(a r) dr. Its pieces of size 1/a
-    cancel to a value of size 1/a^2, so its error estimate is held to the
-    absolute SPECTRAL_AGREEMENT the two routes are compared at."""
-    value, err = _kernel_cos_integral(d, a)
-    return _checked(2.0 * value, 2.0 * err, SPECTRAL_AGREEMENT, "spectral", d, f"t={a}")
+    """2 integral over r > 0 of k(r) cos(a r) dr, as b times that of the
+    unit law's kernel at A = a b. Its pieces of size 1/A cancel to a value
+    of size 1/A^2, so its error estimate is held to the absolute
+    SPECTRAL_AGREEMENT the two routes are compared at, on the unit law."""
+    unit, b = _unit_law(d)
+    value, err = _kernel_cos_integral(unit, a * b)
+    tol = SPECTRAL_AGREEMENT * b
+    return _checked(2.0 * b * value, 2.0 * b * err, tol, "spectral", d, f"t={a}")
 
 
 def kernel_to_cdf(spec, x):

@@ -37,6 +37,7 @@ from polyakern.feature_maps import (
     FeatureMapConfig,
     TensorCauchy,
     build_map,
+    feature_matrix,
     featurize,
     gram,
     per_copy_inner_products,
@@ -334,7 +335,7 @@ def test_criterion_8_primal_dual_equivalence():
         model = learn.fit(state, batch, y, lam)
         got = learn.predict(model, X)
 
-        Z = batch.data if kind != BINNING else to_sparse(batch).toarray()
+        Z = feature_matrix(batch) if kind != BINNING else to_sparse(batch).toarray()
         y_c = y - y.mean()
         # Dual oracle: Gram-matrix solve.
         K = gram(batch)

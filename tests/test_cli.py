@@ -16,11 +16,17 @@ import math
 import numpy as np
 import pytest
 
-from polyakern import cli, learn
+from polyakern import cli, feature_maps, learn
 from polyakern import polya_kernels as kernels
 from polyakern.distributions import Gamma
 from polyakern.errors import ParseError
-from polyakern.feature_maps import BINNING, FeatureMapConfig, build_map, featurize
+from polyakern.feature_maps import (
+    BINNING,
+    FeatureMapConfig,
+    TensorCauchy,
+    build_map,
+    featurize,
+)
 from polyakern.polya_kernels import KernelSpec, eval_ft, eval_kernel, parse_kernel_spec
 from polyakern.rng import RandomStream
 
@@ -170,6 +176,14 @@ class TestKernelCommands:
         if alpha == "0.4":
             assert value == pytest.approx(0.0784004793744, abs=1e-9)
 
+    def test_cos_pieces_at_extreme_scale(self, capsys):
+        # the law's scale is 1e300, so the pieces past a phase of 2^52 are
+        # bounded, not integrated; the transform is about 2 E[1/X] / t^2
+        code = cli.main(["kernel", "ft", "--kernel", "weibull:theta=1e300,alpha=3", "1"])
+        assert code == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(2.0 * math.gamma(2.0 / 3.0) / 1e300, rel=1e-9)
+
     def test_table_has_three_columns(self, tmp_path):
         out = tmp_path / "table.csv"
         code = cli.main([
@@ -259,6 +273,52 @@ class TestFeatures:
         assert all(len(line.split()) == 4 for line in lines)
         values = [float(e.split(":")[1]) for e in lines[0].split()]
         assert all(abs(v) <= math.sqrt(2.0 / 4.0) + 1e-12 for v in values)
+
+    @staticmethod
+    def fourier_features(tmp_path, kind, n, copies=4):
+        data = tmp_path / "d.txt"
+        make_regression_file(data, n=n)
+        prefix = tmp_path / "f"
+        assert cli.main([
+            "features", str(data), "--map", kind, "--kernel", "cauchy:scale=1",
+            "--copies", str(copies), "--seed", "3", "--out", str(prefix),
+        ]) == 0
+        state = build_map(FeatureMapConfig(
+            kind=kind, kernel=TensorCauchy(1.0), dim=2, copies=copies, seed=3))
+        batch = featurize(state, cli._load_normalized(data).points)
+        return (tmp_path / "f.features.txt").read_text(encoding="ascii"), batch
+
+    @pytest.mark.parametrize("kind", ["fourier_real", "fourier_complex"])
+    def test_fourier_features_one_block_bytes(self, tmp_path, kind):
+        # one block: the text of the whole matrix, a line per column
+        text, batch = self.fourier_features(tmp_path, kind, n=9)
+        Z = feature_maps.feature_matrix(batch)
+        expected = [
+            " ".join(f"{row}:{cli._format_feature_value(v)}" for row, v in enumerate(Z[:, i]))
+            for i in range(batch.n)
+        ]
+        assert text == "\n".join(expected) + "\n"
+
+    def test_fourier_features_written_block_by_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", 4 * 4)  # 4 points a block
+        made = []
+        features = feature_maps._fourier_features
+
+        def counting_features(state, X):
+            made.append(X.shape[0])
+            return features(state, X)
+
+        monkeypatch.setattr(feature_maps, "_fourier_features", counting_features)
+        text, batch = self.fourier_features(tmp_path, "fourier_real", n=10)
+        assert made == [4, 4, 2]  # once per block, never the whole matrix
+        Z = feature_maps.feature_matrix(batch)
+        lines = text.splitlines()
+        assert len(lines) == 10
+        for i, line in enumerate(lines):
+            entries = [e.split(":") for e in line.split()]
+            assert [int(row) for row, _ in entries] == [0, 1, 2, 3]
+            np.testing.assert_allclose([float(v) for _, v in entries], Z[:, i],
+                                       rtol=0.0, atol=1e-14)
 
     def test_features_runs_are_byte_identical(self, tmp_path):
         data = tmp_path / "d.txt"

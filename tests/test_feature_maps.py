@@ -152,19 +152,19 @@ class TestFeaturize:
         X = np.random.default_rng(3).normal(size=(20, 2))
         batch = fm.featurize(state, X)
         bound = math.sqrt(2.0 / 9) + 1e-12
-        assert np.all(np.abs(batch.data) <= bound)
+        assert np.all(np.abs(fm.feature_matrix(batch)) <= bound)
 
     def test_fourier_data_equals_plain_expression(self):
-        # featurize writes over one array; the bytes are those of the plain
-        # sqrt(2/D) cos(WX + b) and exp(iWX) / sqrt(D)
+        # the features are written over one array; the bytes are those of
+        # the plain sqrt(2/D) cos(WX + b) and exp(iWX) / sqrt(D)
         X = np.random.default_rng(8).uniform(-3.0, 3.0, size=(200, 16))
         real = fm.build_map(cfg(fm.FOURIER_REAL, 64, dim=16))
         phases = real.frequencies @ X.T + real.offsets[:, None]
         expected = math.sqrt(2.0 / 64) * np.cos(phases)
-        assert np.array_equal(fm.featurize(real, X).data, expected)
+        assert np.array_equal(fm.feature_matrix(fm.featurize(real, X)), expected)
         cplx = fm.build_map(cfg(fm.FOURIER_COMPLEX, 64, dim=16))
         expected = np.exp(1j * (cplx.frequencies @ X.T)) / math.sqrt(64)
-        assert np.array_equal(fm.featurize(cplx, X).data, expected)
+        assert np.array_equal(fm.feature_matrix(fm.featurize(cplx, X)), expected)
 
     def test_binning_identical_points(self):
         state = fm.build_map(cfg(fm.BINNING, 6, dim=2))
@@ -196,7 +196,7 @@ class TestFeaturize:
             if kind == fm.BINNING:
                 assert np.array_equal(a.indices, b.indices)
             else:
-                assert np.array_equal(a.data, b.data)
+                assert np.array_equal(fm.feature_matrix(a), fm.feature_matrix(b))
 
     def test_inference_leaves_vocabulary_unchanged(self):
         state = fm.build_map(cfg(fm.BINNING, 3, dim=1))

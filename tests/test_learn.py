@@ -10,12 +10,13 @@ Oracles used here:
   * invariance facts (reordering training points cannot change predictions).
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from polyakern import learn
+from polyakern import feature_maps, learn
 from polyakern.distributions import Gamma
 from polyakern.errors import NumericalError
 from polyakern.feature_maps import (
@@ -25,6 +26,8 @@ from polyakern.feature_maps import (
     FeatureMapConfig,
     TensorCauchy,
     build_map,
+    feature_blocks,
+    feature_matrix,
     featurize,
     gram,
 )
@@ -280,6 +283,117 @@ class TestSolveRoutes:
             np.testing.assert_allclose(learn.decision_scores(model, X), expected, atol=1e-6)
 
 
+def whole_matrix_weights(batch, Y, lam):
+    """The primal solve read off the whole feature matrix at once, as the
+    solver did before it summed over blocks: Z Y, then Z Zᵀ + λI."""
+    Z = feature_matrix(batch)
+    B = Z @ Y
+    G = Z @ Z.T
+    np.fill_diagonal(G, G.diagonal() + lam)
+    return learn._solve_spd(G, B), Z
+
+
+class TestFeatureBlocks:
+    """Fourier features are read in blocks of at most BLOCK_CELLS cells;
+    the primal system sums over the blocks and scoring runs block by
+    block."""
+
+    COPIES = 16
+
+    def data(self, n, classify):
+        stream = RandomStream(170)
+        X = stream.normal(2 * n).reshape(n, 2)
+        y = np.sin(2.0 * X[:, 0]) + 0.1 * stream.child(1).normal(n)
+        if classify:
+            y = np.digitize(y, (-0.3, 0.3)).astype(float)  # three classes
+        return X, y
+
+    @staticmethod
+    def targets(model, y):
+        if model.classes is None:
+            return y - model.y_mean
+        return np.where(y[:, None] == np.asarray(model.classes), 1.0, -1.0)
+
+    @pytest.mark.parametrize("classify", [False, True])
+    def test_blocks_match_whole_matrix_solve(self, monkeypatch, classify):
+        # blocks of 25 points: 25, 25 and a partial 10
+        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", self.COPIES * 25)
+        X, y = self.data(60, classify)
+        model, batch = fit_on(fourier_cfg(self.COPIES, seed=9), X, y, 0.1, classify=classify)
+        assert [stop - start for start, stop, _ in feature_blocks(batch)] == [25, 25, 10]
+        assert model.route == "primal"
+        W, Z = whole_matrix_weights(batch, self.targets(model, y), 0.1)
+        np.testing.assert_allclose(model.weights, W, rtol=0.0, atol=1e-12 * np.abs(W).max())
+        expected = (W.T @ Z).T + model.y_mean
+        scores = learn.decision_scores(model, X)
+        np.testing.assert_allclose(scores, expected, rtol=0.0,
+                                   atol=1e-12 * np.abs(expected).max())
+        if classify:
+            assert np.array_equal(learn.predict(model, X),
+                                  np.asarray(model.classes)[np.argmax(expected, axis=1)])
+
+    @pytest.mark.parametrize("cells", [None, COPIES * 60])  # below, and exactly one block
+    @pytest.mark.parametrize("classify", [False, True])
+    def test_one_block_is_bit_equal_to_whole_matrix(self, monkeypatch, cells, classify):
+        if cells is not None:
+            monkeypatch.setattr(feature_maps, "BLOCK_CELLS", cells)
+        X, y = self.data(60, classify)
+        model, batch = fit_on(fourier_cfg(self.COPIES, seed=9), X, y, 0.1, classify=classify)
+        assert len(list(feature_blocks(batch))) == 1
+        assert model.route == "primal"
+        W, Z = whole_matrix_weights(batch, self.targets(model, y), 0.1)
+        assert model.weights.tobytes() == W.tobytes()
+        columns = W.T if W.ndim == 2 else [W]
+        expected = [np.ascontiguousarray(w) @ Z + model.y_mean for w in columns]
+        expected = np.column_stack(expected) if W.ndim == 2 else expected[0]
+        assert learn.decision_scores(model, X).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", [FOURIER_REAL, FOURIER_COMPLEX])
+    def test_block_features_match_whole_matrix(self, monkeypatch, kind):
+        """Block features agree with the whole matrix to a few units in the
+        last place of the phase, not bit for bit in general: the BLAS
+        product W Xᵀ may round an entry differently with the number of
+        points in the operand (with 16 coordinates it does here)."""
+        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", 64 * 30)
+        X = RandomStream(171).normal(16 * 100).reshape(100, 16)
+        cfg = replace(fourier_cfg(64, dim=16), kind=kind)
+        state = build_map(cfg)
+        batch = featurize(state, X)
+        blocks = list(feature_blocks(batch))
+        assert [stop - start for start, stop, _ in blocks] == [30, 30, 30, 10]
+        joined = np.concatenate([Z for _, _, Z in blocks], axis=1)
+        phase = np.abs(state.frequencies) @ np.abs(X).T
+        if kind == FOURIER_REAL:
+            phase += state.offsets[:, None]
+        bound = 8.0 * np.finfo(float).eps * phase * np.sqrt(2.0 / 64)
+        assert np.all(np.abs(joined - feature_matrix(batch)) <= bound)
+
+    def test_fit_and_predict_memory_is_blocks_not_points(self):
+        copies, n, dim = 128, 45000, 2  # three blocks, the last one partial
+        stream = RandomStream(172)
+        X = stream.normal(dim * n).reshape(n, dim)
+        y = np.sin(X[:, 0]) + 0.1 * stream.child(1).normal(n)
+        state = build_map(fourier_cfg(copies, dim=dim))
+        tracemalloc.start()
+        try:
+            model = learn.fit(state, featurize(state, X), y, 0.1)
+            scores = learn.predict(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.route == "primal" and scores.shape == (n,)
+        # Alive at the peak: one block of features (BLOCK_CELLS doubles;
+        # each block is dropped before the next is made); the copies²
+        # matrices, at most four (the Gram sum and one block's product, or
+        # the Cholesky factor and the residual check's product); and per
+        # point the batch's copy of the points, the targets, the centered
+        # targets and the scores with and without the mean, (dim + 4) n.
+        # The whole copies x n matrix, 46 MB here, does not fit in it.
+        bound = 8 * (feature_maps.BLOCK_CELLS + 4 * copies ** 2 + (dim + 4) * n)
+        assert bound < 8 * copies * n
+        assert peak < bound, (peak, bound)
+
+
 class TestInvariances:
     def test_training_order_does_not_change_predictions(self):
         stream = RandomStream(55)
@@ -379,9 +493,8 @@ class TestOneVsAll:
         state = build_map(cfg)
         batch = featurize(state, X)
         path = learn.fit_path(state, batch, labels, lams, classify=True)
-        Z = learn._feature_matrix(batch)
         for k, c in enumerate(path[0].classes):
-            singles, route = learn._ridge_weights(Z, np.where(labels == c, 1.0, -1.0), lams)
+            singles, route = learn._ridge_weights(batch, np.where(labels == c, 1.0, -1.0), lams)
             for model, single in zip(path, singles):
                 assert model.route == route
                 assert single.shape == (model.weights.shape[0],)

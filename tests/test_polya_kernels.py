@@ -443,6 +443,15 @@ class TestNumericRoutes:
             assert kernels._ft_from_kernel(d, t) == pytest.approx(law, rel=1e-9, abs=0.0), t
             assert kernels.eval_ft(spec(d), t).value == law
 
+    @pytest.mark.parametrize("alpha", [0.7, 3.0])
+    def test_numeric_transform_is_scale_covariant(self, alpha):
+        # both routes run on the unit-scale law: FT_b(t) = b FT_1(b t)
+        for theta in [1e-3, 2.5, 1e3]:
+            for t in [0.01, 1.2, 30.0]:
+                scaled = kernels.eval_ft_numeric(dist.Weibull(theta, alpha), t)
+                unit = kernels.eval_ft_numeric(dist.Weibull(1.0, alpha), theta * t)
+                assert scaled == pytest.approx(theta * unit, rel=1e-12, abs=0.0), (theta, t)
+
     def test_area_of_numeric_kernel(self):
         for d in (dist.Weibull(1.0, 0.4), dist.Weibull(2.0, 0.3)):
             assert kernels.area_under_curve(spec(d, tau=1.5)) == pytest.approx(1.5, rel=1e-9, abs=0.0)
