@@ -278,18 +278,33 @@ def _law_integral(d, g, lo, hi=None, cos=None):
     return _cos_pieces(lambda x: g(x) * d.density(x), _doublings(lo, hi), cos)
 
 
-def _kernel_cos_integral(d, a):
+def _kernel_cos_integral(d, a, reach=math.inf, tol=0.0):
     """Integral over r > 0 of k(r) cos(a r) dr for a >= 0 (half the area
     under the kernel at a = 0), on pieces between the kernel's knots: the
     integers for a count law, and for a continuous law 0, then
-    x1 = min(pi / a, mean) doubling up to the cutoff."""
+    x1 = min(pi / a, mean) doubling up to the cutoff.
+
+    From the first knot L past reach at which it is within tol, the rest is
+    taken by parts instead: it is -k(L) sin(a L) / a minus (1 / a) times
+    the integral of k'(r) sin(a r) dr, and as k is convex, k' is monotone,
+    so the latter is at most 2 |k'(L)| / a^2, which joins the error
+    estimate."""
     spec = KernelSpec(d)
     cutoff = d.upper_tail_cutoff(_TAIL)
     if d.discrete:
         knots = [float(n) for n in range(int(cutoff) + 2)]
     else:
         knots = [0.0] + _doublings(min(math.pi / a, d.mean()) if a > 0.0 else d.mean(), cutoff)
-    return _cos_pieces(lambda r: eval_kernel(spec, r), knots, a)
+    rest = rest_err = 0.0
+    for i, last in enumerate(knots[1:], 1):
+        if last > reach:
+            k, moment = _kernel_and_moment(d, last)
+            bound = 2.0 * abs(moment) / (last * a) / a
+            if bound <= tol:
+                knots, rest, rest_err = knots[:i + 1], -k * math.sin(a * last) / a, bound
+                break
+    total, err = _cos_pieces(lambda r: eval_kernel(spec, r), knots, a)
+    return total + rest, err + rest_err
 
 
 def _doublings(lo, hi):
@@ -395,64 +410,72 @@ def eval_ft_numeric(d, t):
     law; route two is the direct cosine transform of the kernel. Both run
     on the unit-scale law, through FT_b(t) = b FT_1(b t) for a law of scale
     b (X = b Y), and are computed every call; they must agree within
-    SPECTRAL_AGREEMENT on the unit-scale transform, else
-    SpectralMismatchError is raised. Returns the first route's value.
+    SPECTRAL_AGREEMENT, else SpectralMismatchError is raised. Returns the
+    first route's value.
     """
     t = float(t)
     if t == 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be nonzero and finite, got {t}")
     a = abs(t)
-    first = _ft_from_law(d, a)
-    second = _ft_from_kernel(d, a)
-    if abs(first - second) > SPECTRAL_AGREEMENT * _unit_law(d)[1]:
+    scaled = a if d.discrete else a * d.triple()[1]
+    if scaled * scaled < sys.float_info.min:
+        # for a law of scale b, (a b)^2 is below double precision, so
+        # 1 - cos(aX) = (aX)^2 / 2 and the transform is the mean
+        return d.mean()
+    unit, b = _unit_law(d, a)
+    first = _ft_from_law(unit, a * b, b)
+    second = _ft_from_kernel(unit, a * b, b)
+    if abs(first - second) > SPECTRAL_AGREEMENT:
         raise SpectralMismatchError(
             f"spectral routes disagree at t={t} for {d!r}", first, second
         )
     return first
 
 
-def _unit_law(d):
-    """(Y, b): the law at unit scale and the scale, X = b Y; a count law
-    and a law of scale one are their own unit law."""
-    if d.discrete or d.triple()[1] == 1.0:
-        return d, 1.0
-    shape, b, power = d.triple()
-    return dists.GeneralizedGamma(shape, 1.0, power), b
+def _unit_law(d, a):
+    """(Y, b) with X = b Y, so that FT_X(a) = b FT_Y(a b): the law at unit
+    scale, for (a b)^2 a normal double. A count law, a law of scale one,
+    and a law for which a (a b) leaves the normal doubles, so that the law
+    route's factor 2 / (a (a b)) would overflow or vanish, are their own
+    unit law."""
+    if not d.discrete:
+        shape, b, power = d.triple()
+        if b != 1.0 and sys.float_info.min <= a * (a * b) < math.inf:
+            return dists.GeneralizedGamma(shape, 1.0, power), b
+    return d, 1.0
 
 
-def _ft_from_law(d, a):
-    """(2 / a^2) E[(1 - cos aX) / X], as b times the transform of the unit
-    law Y at A = a b: directly up to y0 = pi / A, where the integrand
-    y (sin(h) / h)^2, h = A y / 2, does not oscillate; beyond y0 as the 1/Y
-    moment minus its cosine transform, times b 2 / A^2 = 2 / (a A), which
-    stays finite where A^2 overflows."""
-    unit, b = _unit_law(d)
-    A = a * b
-
-    def g(y):
-        h = 0.5 * A * y
+def _ft_from_law(d, a, b=1.0):
+    """b (2 / a^2) E[(1 - cos aX) / X]: directly up to x0 = pi / a, where
+    the integrand b x (sin(h) / h)^2, h = a x / 2, does not oscillate;
+    beyond x0 as the 1/X moment minus its cosine transform, times
+    b 2 / a^2 = 2 / (a / b a), which stays finite where a^2 overflows."""
+    def g(x):
+        h = 0.5 * a * x
         sinc = math.sin(h) / h if h > 0.0 else 1.0
-        return b * y * sinc * sinc
+        return b * x * sinc * sinc
 
-    y0 = math.pi / A
-    near, near_err = _law_integral(unit, g, 0.0, y0)
-    moment, moment_err = _law_integral(unit, lambda y: 1.0 / y, y0)
-    wave, wave_err = _law_integral(unit, lambda y: 1.0 / y, y0, cos=A)
-    scale = 2.0 / (a * A)
+    x0 = math.pi / a
+    near, near_err = _law_integral(d, g, 0.0, x0)
+    moment, moment_err = _law_integral(d, lambda x: 1.0 / x, x0)
+    wave, wave_err = _law_integral(d, lambda x: 1.0 / x, x0, cos=a)
+    scale = 2.0 / (a / b * a)
     value = near + scale * (moment - wave)
     err = near_err + scale * (moment_err + wave_err)
     return _checked(value, err, 1e-9 * value, "spectral", d, f"t={a}")
 
 
-def _ft_from_kernel(d, a):
-    """2 integral over r > 0 of k(r) cos(a r) dr, as b times that of the
-    unit law's kernel at A = a b. Its pieces of size 1/A cancel to a value
-    of size 1/A^2, so its error estimate is held to the absolute
-    SPECTRAL_AGREEMENT the two routes are compared at, on the unit law."""
-    unit, b = _unit_law(d)
-    value, err = _kernel_cos_integral(unit, a * b)
-    tol = SPECTRAL_AGREEMENT * b
-    return _checked(2.0 * b * value, 2.0 * b * err, tol, "spectral", d, f"t={a}")
+def _ft_from_kernel(d, a, b=1.0):
+    """b times 2 integral over r > 0 of k(r) cos(a r) dr. Its pieces of
+    size b / a cancel to a value of size b / a^2, so its error estimate is
+    held to the absolute SPECTRAL_AGREEMENT the two routes are compared
+    at. QUADPACK's rounding of the phase a r costs a piece near r about
+    b r 2^-52, an eighth of that agreement at r = SPECTRAL_AGREEMENT 2^49 / b;
+    past it, the rest is taken by parts where its bound is within that
+    eighth too."""
+    tol = SPECTRAL_AGREEMENT / 16.0 / b
+    value, err = _kernel_cos_integral(d, a, tol * 2.0 ** 53, tol)
+    return _checked(2.0 * (b * value), 2.0 * (b * err), SPECTRAL_AGREEMENT, "spectral", d, f"t={a}")
 
 
 def kernel_to_cdf(spec, x):
@@ -462,16 +485,19 @@ def kernel_to_cdf(spec, x):
     x = float(x)
     if x <= 0.0:
         return 0.0
-    u = spec.rho * x
-    d = spec.dist
-    closed = _tilt_kernel(d, u)
-    if closed is None:
-        # the moment u k'(u) = -E[u / X; X > u] is bounded by one
-        moment, err = _law_integral(d, lambda v: u / v, u)
-        moment = _checked(moment, err, 1e-9, "derivative", d, f"u={u}")
-        closed = eval_kernel_numeric(d, u), -moment
-    kv, moment = closed
+    kv, moment = _kernel_and_moment(spec.dist, spec.rho * x)
     return min(1.0, max(0.0, 1.0 - kv + moment))
+
+
+def _kernel_and_moment(d, u):
+    """(k(u), u k'(u)) at u > 0: closed where available, else by quadrature
+    of the kernel and of the moment u k'(u) = -E[u / X; X > u], which is
+    bounded by one."""
+    closed = _tilt_kernel(d, u)
+    if closed is not None:
+        return closed
+    moment, err = _law_integral(d, lambda v: u / v, u)
+    return eval_kernel_numeric(d, u), -_checked(moment, err, 1e-9, "derivative", d, f"u={u}")
 
 
 def area_under_curve(spec):

@@ -177,12 +177,29 @@ class TestKernelCommands:
             assert value == pytest.approx(0.0784004793744, abs=1e-9)
 
     def test_cos_pieces_at_extreme_scale(self, capsys):
-        # the law's scale is 1e300, so the pieces past a phase of 2^52 are
-        # bounded, not integrated; the transform is about 2 E[1/X] / t^2
+        # the law's scale is 1e300: the law route bounds its pieces past a
+        # phase of 2^52, and the kernel route takes the rest by parts from
+        # where phase rounding would reach 1e-6 / 8; the transform is about
+        # 2 E[1/X] / t^2
         code = cli.main(["kernel", "ft", "--kernel", "weibull:theta=1e300,alpha=3", "1"])
         assert code == 0
         value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(2.0 * math.gamma(2.0 / 3.0) / 1e300, rel=1e-9)
+
+    @pytest.mark.parametrize("theta,t,expected", [
+        # t (t b) overflows, so the law keeps its own scale; about
+        # 2 E[1/X] / t^2, a subnormal
+        ("1e300", "1e9", 2.0 * math.gamma(2.0 / 3.0) / 1e300 / 1e18),
+        # (t b)^2 underflows, so 1 - cos(tX) = (tX)^2 / 2 and the transform
+        # is the mean theta Gamma(4/3)
+        ("1e-30", "1e-150", 1e-30 * math.gamma(4.0 / 3.0)),
+        ("1e-200", "1e-150", 1e-200 * math.gamma(4.0 / 3.0)),
+    ])
+    def test_ft_where_scaled_frequency_leaves_doubles(self, capsys, theta, t, expected):
+        code = cli.main(["kernel", "ft", "--kernel", f"weibull:theta={theta},alpha=3", t])
+        assert code == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(expected, rel=1e-5, abs=0.0)
 
     def test_table_has_three_columns(self, tmp_path):
         out = tmp_path / "table.csv"

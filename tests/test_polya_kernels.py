@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyakern import distributions as dist
 from polyakern import polya_kernels as kernels
-from polyakern.errors import ParseError
+from polyakern.errors import ParseError, SpectralMismatchError
 
 E1_AT_1 = 0.21938393439552027368
 
@@ -451,6 +451,40 @@ class TestNumericRoutes:
                 scaled = kernels.eval_ft_numeric(dist.Weibull(theta, alpha), t)
                 unit = kernels.eval_ft_numeric(dist.Weibull(1.0, alpha), theta * t)
                 assert scaled == pytest.approx(theta * unit, rel=1e-12, abs=0.0), (theta, t)
+
+    def test_route_guard_is_in_output_units(self, monkeypatch):
+        # a law of scale 1e3 runs on its unit law, but the routes are still
+        # compared at an absolute SPECTRAL_AGREEMENT in the law's own units
+        route = kernels._ft_from_kernel
+        monkeypatch.setattr(kernels, "_ft_from_kernel", lambda *args: route(*args) + 1e-5)
+        with pytest.raises(SpectralMismatchError):
+            kernels.eval_ft_numeric(dist.Weibull(1e3, 0.7), 1.2)
+
+    @pytest.mark.parametrize("theta,t", [
+        (1e8, 1e-3), (1e10, 1e-3), (1e12, 1e-3), (1e20, 1e-3), (1e300, 1.0),
+    ])
+    def test_large_scale_transform_meets_its_asymptote(self, theta, t):
+        # at t theta >> 1 the transform is 2 E[1/X] / t^2 up to a relative
+        # O((t theta)^-2); the kernel route takes its rest by parts only
+        # where that fits its share of the agreement, else it integrates on
+        value = kernels.eval_ft_numeric(dist.Weibull(theta, 3.0), t)
+        expected = 2.0 * math.gamma(2.0 / 3.0) / theta / t / t
+        assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("d", [
+        dist.Weibull(1.0, 3.0), dist.Weibull(1.0, 0.7), dist.Gamma(2.0, 1.0),
+        dist.ShiftedPoisson(2.0),
+    ], ids=repr)
+    def test_kernel_tail_by_parts_within_its_bound(self, d):
+        # pieces cut short at reach leave the rest to integration by parts,
+        # whose bound must cover the difference to the full integral; the
+        # count law's integer knots put its boundary term k(L) sin(a L) / a
+        # well away from zero (continuous knots are multiples of pi / a)
+        for a in [30.0, 300.0]:
+            full, _ = kernels._kernel_cos_integral(d, a)
+            for reach in [0.5, 2.0]:
+                value, err = kernels._kernel_cos_integral(d, a, reach, 1.0)
+                assert abs(value - full) <= err, (a, reach)
 
     def test_area_of_numeric_kernel(self):
         for d in (dist.Weibull(1.0, 0.4), dist.Weibull(2.0, 0.3)):
