@@ -130,7 +130,7 @@ def parse_libsvm(path) -> learn.Dataset:
         )
     points = np.zeros((len(labels), width))
     points[rows, cols] = vals
-    return learn.Dataset.full(points, np.asarray(labels))
+    return learn.Dataset(points, np.asarray(labels))
 
 
 def write_libsvm(path, points, targets) -> None:
@@ -194,9 +194,8 @@ def fit_normalizer(train_points) -> AffineNormalizer:
 
 
 def normalize(ds: learn.Dataset) -> learn.Dataset:
-    """Affinely map each attribute so the training rows span [−1, 1]."""
-    norm = fit_normalizer(ds.train_points)
-    return learn.Dataset(norm.apply(ds.points), ds.targets, ds.train_idx, ds.test_idx)
+    """Affinely map each attribute so that its points span [−1, 1]."""
+    return learn.Dataset(fit_normalizer(ds.points).apply(ds.points), ds.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +513,7 @@ def _check_columns(task, state, columns, classes) -> None:
 
 
 def _cmd_kernel(args) -> int:
-    spec = parse_kernel_spec(args.kernel)
-    if args.tau is not None:
-        spec = KernelSpec(spec.dist, tau=float(args.tau))
+    spec = _kernel_for_kind(BINNING, args.kernel, args.tau)
     if args.kernel_cmd == "eval":
         lines = ["r,k"]
         lines += [f"{_fmt(r)},{_fmt(eval_kernel(spec, r))}" for r in args.values]
@@ -574,7 +571,7 @@ def _cmd_features(args) -> int:
                 )
     meta = _map_metadata(cfg)
     meta["n"] = batch.n
-    meta["width"] = int(batch.width) if batch.kind == BINNING else cfg.copies
+    meta["width"] = int(batch.width)
     meta_path.write_text(json.dumps(meta), encoding="ascii")
     return 0
 
@@ -588,6 +585,8 @@ def _cmd_approx_error(args) -> int:
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown map kind {kind!r}; expected one of {KINDS}")
+    if args.subsample is not None and args.subsample < 1:
+        raise ValueError("subsample must keep at least 1 point")
     if args.data is not None:
         points = _load_normalized(args.data).points
         if args.subsample is not None and args.subsample < len(points):
@@ -621,7 +620,7 @@ def _check_classes(task, targets) -> None:
 
 def _cmd_fit(args) -> int:
     ds = parse_libsvm(args.data)
-    normalizer = fit_normalizer(ds.train_points)
+    normalizer = fit_normalizer(ds.points)
     X = normalizer.apply(ds.points)
     y = ds.targets
     _check_classes(args.task, y)
@@ -691,83 +690,65 @@ def _cmd_cv(args) -> int:
 # Benchmark orchestration
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated description of one benchmark run."""
-
-    data_path: str
-    task: str  # regression | binary | multiclass
-    kinds: Tuple[str, ...]
-    kernel_text: str
-    law_text: str
-    tau: float | None
-    sizes: Tuple[int, ...]  # copy counts, ascending
-    trials: int
-    lam: float
-    seed: int
-    subsample: int | None
-    probe: int = 100  # points used for the error statistics
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if not self.kinds:
-            raise ValueError("need at least one map kind")
-        for kind in self.kinds:
-            if kind not in (FOURIER_REAL, BINNING):
-                raise ValueError(
-                    f"bench compares learnable maps; {kind!r} is not one of "
-                    f"('{FOURIER_REAL}', '{BINNING}')"
-                )
-        if not self.sizes or list(self.sizes) != sorted(set(self.sizes)):
-            raise ValueError("copy counts must be nonempty, ascending, distinct")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.subsample is not None and self.subsample < 5:
-            raise ValueError("subsample must keep at least 5 points")
+#: Training points used for bench's error statistics.
+BENCH_PROBE = 100
 
 
-def run_experiment(cfg: ExperimentConfig) -> str:
-    """Run the benchmark and return its CSV text."""
-    ds = parse_libsvm(cfg.data_path)
+def _cmd_bench(args) -> int:
+    sizes = _ints(args.copies)
+    kinds = tuple(k.strip() for k in args.map.split(","))
+    for kind in kinds:
+        if kind not in (FOURIER_REAL, BINNING):
+            raise ValueError(
+                f"bench compares learnable maps; {kind!r} is not one of "
+                f"('{FOURIER_REAL}', '{BINNING}')"
+            )
+    if not sizes or list(sizes) != sorted(set(sizes)):
+        raise ValueError("copy counts must be nonempty, ascending, distinct")
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if args.subsample is not None and args.subsample < 5:
+        raise ValueError("subsample must keep at least 5 points")
+
+    ds = parse_libsvm(args.data)
     points, targets = ds.points, ds.targets
-    if cfg.subsample is not None and cfg.subsample < len(targets):
+    if args.subsample is not None and args.subsample < len(targets):
         keep = np.sort(
-            np.argsort(RandomStream(cfg.seed, path=(3,)).uniform(len(targets)))[
-                : cfg.subsample
+            np.argsort(RandomStream(args.seed, path=(3,)).uniform(len(targets)))[
+                : args.subsample
             ]
         )
         points, targets = points[keep], targets[keep]
-    _check_classes(cfg.task, targets)
-    split = learn.train_test_split(points, targets, seed=cfg.seed)
-    normalizer = fit_normalizer(split.train_points)
-    X_train = normalizer.apply(split.train_points)
-    X_test = normalizer.apply(split.test_points)
-    y_train, y_test = split.train_targets, split.test_targets
-    probe = X_train[: min(cfg.probe, len(X_train))]
+    _check_classes(args.task, targets)
+    train, test = learn.train_test_split(points, targets, seed=args.seed)
+    normalizer = fit_normalizer(train.points)
+    X_train = normalizer.apply(train.points)
+    X_test = normalizer.apply(test.points)
+    probe = X_train[:BENCH_PROBE]
 
     lines = [
         "method,copies,theory_rel_error,empirical_rel_error,"
         "empirical_stderr,metric"
     ]
-    classify = cfg.task != "regression"
-    for kind_index, kind in enumerate(cfg.kinds):
-        kernel = _kernel_for_kind(kind, cfg.kernel_text, cfg.tau, cfg.law_text)
+    classify = args.task != "regression"
+    for kind_index, kind in enumerate(kinds):
+        kernel = _kernel_for_kind(kind, args.kernel, args.tau, args.fourier_law)
         reference = approx.ErrorReference(kernel, probe, kind)
-        for copies in cfg.sizes:
+        for copies in sizes:
             errors = []
             metrics = []
-            for trial in range(cfg.trials):
-                seed = derived_seed(cfg.seed, (kind_index, copies, trial))
+            for trial in range(args.trials):
+                seed = derived_seed(args.seed, (kind_index, copies, trial))
                 state = build_map(FeatureMapConfig(
                     kind=kind, kernel=kernel, dim=X_train.shape[1],
                     copies=copies, seed=seed,
                 ))
-                model = learn.fit(state, featurize(state, X_train), y_train,
-                                  lam=cfg.lam, classify=classify)
+                model = learn.fit(state, featurize(state, X_train), train.targets,
+                                  lam=args.lam, classify=classify)
                 preds = learn.predict(model, X_test)
                 metrics.append(float(
-                    np.mean(preds == y_test) if classify else np.mean((preds - y_test) ** 2)
+                    np.mean(preds == test.targets) if classify
+                    else np.mean((preds - test.targets) ** 2)
                 ))
                 # the probe, a prefix of the training rows, reads the
                 # vocabulary those rows filled
@@ -777,24 +758,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
                 f"{kind},{copies},{_fmt(stats.theory_rel)},{_fmt(stats.empirical_rel)},"
                 f"{_fmt(stats.stderr_rel)},{_fmt(np.mean(metrics))}"
             )
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_bench(args) -> int:
-    cfg = ExperimentConfig(
-        data_path=args.data,
-        task=args.task,
-        kinds=tuple(k.strip() for k in args.map.split(",")),
-        kernel_text=args.kernel,
-        law_text=args.fourier_law,
-        tau=args.tau,
-        sizes=_ints(args.copies),
-        trials=args.trials,
-        lam=args.lam,
-        seed=args.seed,
-        subsample=args.subsample,
-    )
-    _emit(run_experiment(cfg), args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -928,7 +892,8 @@ def main(argv=None) -> int:
         return code
     try:
         return args.func(args)
-    except (PolyakernError, ValueError, KeyError, OSError) as exc:
+    except (PolyakernError, ValueError, KeyError, OSError, MemoryError,
+            ArithmeticError) as exc:
         _error_record(str(exc) or exc.__class__.__name__)
         return 1
 

@@ -307,20 +307,13 @@ class ShiftedPoisson(Distribution):
         _positive("mu", self.mu)
 
     def density(self, x):
-        k = round(float(x))
-        if abs(x - k) > 1e-9 or k < 1:
-            return 0.0
-        return math.exp(-self.mu + (k - 1) * math.log(self.mu) - math.lgamma(float(k)))
+        return Poisson(self.mu).density(x - 1.0)
 
     def cdf(self, x):
-        if x < 1.0:
-            return 0.0
-        return float(gammaincc(math.floor(x), self.mu))
+        return Poisson(self.mu).cdf(x - 1.0)
 
     def sf(self, x):
-        if x < 1.0:
-            return 1.0
-        return float(gammainc(math.floor(x), self.mu))
+        return Poisson(self.mu).sf(x - 1.0)
 
     def mean(self):
         return self.mu + 1.0

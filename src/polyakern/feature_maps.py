@@ -282,8 +282,10 @@ BLOCK_CELLS = 2 ** 21
 class FeatureBatch:
     """Featurized points.
 
-    A binning batch holds per-copy column indices and the column-space
-    width, one sparse block.  A Fourier batch holds its map and a private
+    Every batch carries ``width``, its number of feature columns: the
+    vocabulary size or hash bucket count for binning, the copy count for
+    Fourier kinds.  A binning batch holds per-copy column indices, one
+    sparse block.  A Fourier batch holds its map and a private
     copy of its validated points, and computes its dense copies x n feature
     matrix only when read: ``feature_blocks`` gives it as blocks of points
     of at most ``BLOCK_CELLS`` cells each, and ``feature_matrix`` gives it
@@ -293,8 +295,8 @@ class FeatureBatch:
     kind: str
     n: int
     copies: int
+    width: int
     indices: np.ndarray = None  # binning: copies x n int64
-    width: int = 0  # binning: number of feature columns
     state: FourierMapState = None  # fourier kinds
     points: np.ndarray = None  # fourier kinds: n x dim, read-only
 
@@ -403,8 +405,8 @@ def featurize(state, X):
     if cfg.kind != BINNING:
         points = X.copy(order="K")
         points.flags.writeable = False
-        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, state=state,
-                            points=points)
+        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, width=cfg.copies,
+                            state=state, points=points)
     rows = _bin_keys(state, X).reshape(-1, cfg.dim + 1)  # copy-major
     if cfg.hash_buckets is not None:
         indices = _hash_rows(rows, cfg.hash_buckets).reshape(cfg.copies, n)

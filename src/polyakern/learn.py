@@ -90,14 +90,16 @@ def shape_grid(family: str) -> Tuple[float, ...]:
 # Datasets
 
 
+#: Share of the points ``train_test_split`` holds out for testing.
+TEST_FRACTION = 0.2
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Points with targets and a train/test index split."""
+    """Points (n × d) with one target each."""
 
     points: np.ndarray
     targets: np.ndarray
-    train_idx: np.ndarray
-    test_idx: np.ndarray
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -111,50 +113,18 @@ class Dataset:
             )
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "targets", targets)
-        for name in ("train_idx", "test_idx"):
-            idx = np.asarray(getattr(self, name), dtype=int)
-            if idx.size and (idx.min() < 0 or idx.max() >= points.shape[0]):
-                raise ValueError(f"{name} out of range")
-            object.__setattr__(self, name, idx)
-
-    @classmethod
-    def full(cls, points, targets) -> "Dataset":
-        """Dataset using every point for training; the test side is empty."""
-        points = np.asarray(points, dtype=float)
-        n = points.shape[0] if points.ndim == 2 else 0
-        return cls(points, targets, np.arange(n), np.empty(0, dtype=int))
-
-    @property
-    def train_points(self) -> np.ndarray:
-        return self.points[self.train_idx]
-
-    @property
-    def train_targets(self) -> np.ndarray:
-        return self.targets[self.train_idx]
-
-    @property
-    def test_points(self) -> np.ndarray:
-        return self.points[self.test_idx]
-
-    @property
-    def test_targets(self) -> np.ndarray:
-        return self.targets[self.test_idx]
 
 
-def train_test_split(points, targets, seed: int, test_fraction: float = 0.2) -> Dataset:
-    """Deterministic shuffled split, four training points to one test point
-    by default."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-D array")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie strictly between 0 and 1")
-    n = points.shape[0]
-    n_test = int(round(n * test_fraction))
+def train_test_split(points, targets, seed: int) -> Tuple[Dataset, Dataset]:
+    """Deterministic shuffled (train, test) split, four training points to
+    one test point; each side keeps its rows in their original order."""
+    data = Dataset(points, targets)
+    n = data.points.shape[0]
+    n_test = int(round(n * TEST_FRACTION))
     perm = np.argsort(RandomStream(seed).uniform(n))
-    return Dataset(
-        points, targets, np.sort(perm[n_test:]), np.sort(perm[:n_test])
-    )
+    train, test = np.sort(perm[n_test:]), np.sort(perm[:n_test])
+    return (Dataset(data.points[train], data.targets[train]),
+            Dataset(data.points[test], data.targets[test]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +234,7 @@ def _ridge_weights(batch, Y, lams):
     block's Z_b Z_bᵀ and Z_b Y_b are taken as they are and later ones added,
     so one block gives the products of the whole matrix, bit for bit.  The
     dual system needs every pair of points, so it reads the whole matrix."""
-    p = batch.width if batch.kind == BINNING else batch.copies
-    if p <= batch.n:
+    if batch.width <= batch.n:
         G = B = None
         for start, stop, Z in feature_blocks(batch):
             ZY, ZZ = np.asarray(Z @ Y[start:stop]), _dense(Z @ Z.T)
@@ -399,7 +368,7 @@ def _fold_scores(state, task, X_fit, y_fit, X_hold, y_hold, lams):
     return scores
 
 
-def cross_validate(train: Dataset, space: CvSearchSpace) -> CvResult:
+def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
     """k-fold grid search over (distribution shape, τ, λ) for a binning map.
 
     Regression minimizes mean-squared validation error; classification
@@ -423,8 +392,7 @@ def cross_validate(train: Dataset, space: CvSearchSpace) -> CvResult:
     if space.folds < 2:
         raise ValueError("cross-validation needs at least two folds")
 
-    X = train.train_points
-    y = train.train_targets
+    X, y = data.points, data.targets
     n, dim = X.shape
     if n < space.folds:
         raise ValueError(f"need at least {space.folds} points, got {n}")

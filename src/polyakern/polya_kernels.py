@@ -387,14 +387,26 @@ def eval_ft(spec, t):
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     a = abs(t) / spec.rho
-    if a * a < sys.float_info.min:
-        # the a^2 term of the transform is below double precision, and the
-        # closed forms would divide by an underflowed a^2
+    if _below_resolution(spec.dist, a):
         return SpectralValue(t, spec.dist.mean() / spec.rho)
-    v = _tilt_ft(spec.dist, a)
+    d, b = spec.dist, 1.0
+    if a * a < sys.float_info.min:
+        # the closed forms would divide by an underflowed a^2, so a law of
+        # large scale b is taken at unit scale: FT_b(a) = b FT_1(a b)
+        shape, b, power = d.triple()
+        d = dists.GeneralizedGamma(shape, 1.0, power)
+    v = _tilt_ft(d, a * b)
     if v is None:
-        v = eval_ft_numeric(spec.dist, a)
-    return SpectralValue(t, _nonneg(v) / spec.rho)
+        v = eval_ft_numeric(d, a * b)
+    return SpectralValue(t, b * _nonneg(v) / spec.rho)
+
+
+def _below_resolution(d, a):
+    """Whether (a b)^2 is below double precision for a law of scale b (b = 1
+    for a count law): then 1 - cos(aX) = (aX)^2 / 2 and the transform at
+    a is the mean."""
+    scaled = a if d.discrete else a * d.triple()[1]
+    return scaled * scaled < sys.float_info.min
 
 
 def _nonneg(v):
@@ -417,10 +429,7 @@ def eval_ft_numeric(d, t):
     if t == 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be nonzero and finite, got {t}")
     a = abs(t)
-    scaled = a if d.discrete else a * d.triple()[1]
-    if scaled * scaled < sys.float_info.min:
-        # for a law of scale b, (a b)^2 is below double precision, so
-        # 1 - cos(aX) = (aX)^2 / 2 and the transform is the mean
+    if _below_resolution(d, a):
         return d.mean()
     unit, b = _unit_law(d, a)
     first = _ft_from_law(unit, a * b, b)

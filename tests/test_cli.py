@@ -113,27 +113,23 @@ class TestParseLibsvm:
 class TestNormalize:
     def test_train_column_spans_unit_interval(self):
         X = np.array([[0.0], [10.0], [5.0]])
-        ds = learn.Dataset.full(X, np.zeros(3))
-        out = cli.normalize(ds)
+        out = cli.normalize(learn.Dataset(X, np.zeros(3)))
         np.testing.assert_allclose(out.points[:, 0], [-1.0, 1.0, 0.0])
 
     def test_constant_column_maps_to_zero(self):
         X = np.array([[3.0, 1.0], [3.0, 2.0]])
-        ds = learn.Dataset.full(X, np.zeros(2))
-        out = cli.normalize(ds)
+        out = cli.normalize(learn.Dataset(X, np.zeros(2)))
         np.testing.assert_array_equal(out.points[:, 0], [0.0, 0.0])
 
     def test_map_is_fit_on_train_rows_only(self):
         X = np.array([[0.0], [10.0], [20.0]])
-        ds = learn.Dataset(X, np.zeros(3), train_idx=[0, 1], test_idx=[2])
-        out = cli.normalize(ds)
+        normalizer = cli.fit_normalizer(X[:2])
         # Train spans {0,10} → [−1,1]; the held-out 20 exceeds the range.
-        np.testing.assert_allclose(out.points[:, 0], [-1.0, 1.0, 3.0])
+        np.testing.assert_allclose(normalizer.apply(X)[:, 0], [-1.0, 1.0, 3.0])
 
     def test_empty_train_rejected(self):
-        ds = learn.Dataset(np.zeros((2, 1)), np.zeros(2), train_idx=[], test_idx=[0, 1])
         with pytest.raises(ValueError):
-            cli.normalize(ds)
+            cli.fit_normalizer(np.zeros((0, 1)))
 
 
 class TestKernelCommands:
@@ -394,6 +390,21 @@ class TestApproxError:
             assert cli.main(args + ["--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("subsample", ["0", "-3"])
+    def test_subsample_below_one_rejected(self, tmp_path, capsys, subsample):
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=45, n=20)
+        out = tmp_path / "err.csv"
+        code = cli.main([
+            "approx-error", str(data), "--kernel", "gamma:s=2,theta=1", "--map",
+            "binning", "--copies", "2", "--trials", "2", "--subsample", subsample,
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[0])["error"] == "subsample must keep at least 1 point"
+        assert not out.exists()
 
 
 class TestFitPredict:
@@ -923,6 +934,32 @@ class TestErrorRecords:
         assert len(err) == 1
         assert "unknown family 'no_such_family'" in json.loads(err[0])["error"]
         assert not out.exists()
+
+    def single_error(self, capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return json.loads(err[0])["error"]
+
+    # Each size below lies past the address space, so the allocation fails
+    # at once and touches no memory.
+    def test_libsvm_too_wide_to_densify(self, tmp_path, capsys):
+        data = tmp_path / "wide.txt"
+        write_lines(data, ["1 1:0.5 1000000000000000:1"])
+        code = cli.main(["features", str(data), "--map", "binning",
+                         "--kernel", "gamma:s=2,theta=1", "--copies", "2",
+                         "--out", str(tmp_path / "f")])
+        assert code == 1
+        assert "Unable to allocate" in self.single_error(capsys)
+
+    def test_bundle_with_too_many_copies(self, tmp_path, capsys):
+        data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")
+        rewrite_bundle(model_path, lambda b: b["map"].update(copies=10 ** 15))
+        assert "Unable to allocate" in predict_error(data, model_path, capsys)
+
+    def test_transform_overflow(self, capsys):
+        code = cli.main(["kernel", "ft", "--kernel", "half_normal:sigma=1e300", "1e300"])
+        assert code == 1
+        assert self.single_error(capsys) == "math range error"
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"

@@ -11,7 +11,7 @@ Oracles used here:
 """
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,42 +65,44 @@ def dual_oracle_predictions(batch, y, lam, center=True):
 
 
 class TestDataset:
-    def test_full_uses_every_point_for_training(self):
-        X = np.arange(12.0).reshape(6, 2)
-        y = np.arange(6.0)
-        ds = learn.Dataset.full(X, y)
-        assert ds.train_points.shape == (6, 2)
-        assert ds.test_points.shape == (0, 2)
-        np.testing.assert_array_equal(ds.train_targets, y)
+    def test_holds_points_and_targets(self):
+        X = np.arange(12).reshape(6, 2)
+        y = np.arange(6)
+        ds = learn.Dataset(X, y)
+        assert [f.name for f in fields(ds)] == ["points", "targets"]
+        assert ds.points.dtype == ds.targets.dtype == float
+        np.testing.assert_array_equal(ds.points, X)
+        np.testing.assert_array_equal(ds.targets, y)
 
     def test_split_is_four_to_one_and_partitions(self):
         X = np.arange(200.0).reshape(100, 2)
         y = np.arange(100.0)
-        ds = learn.train_test_split(X, y, seed=3)
-        assert len(ds.train_idx) == 80
-        assert len(ds.test_idx) == 20
-        combined = np.sort(np.concatenate([ds.train_idx, ds.test_idx]))
-        np.testing.assert_array_equal(combined, np.arange(100))
+        train, test = learn.train_test_split(X, y, seed=3)
+        assert train.points.shape == (80, 2)
+        assert test.points.shape == (20, 2)
+        combined = np.sort(np.concatenate([train.targets, test.targets]))
+        np.testing.assert_array_equal(combined, y)
 
     def test_split_deterministic_in_seed(self):
         X = np.arange(60.0).reshape(30, 2)
         y = np.arange(30.0)
-        a = learn.train_test_split(X, y, seed=11)
-        b = learn.train_test_split(X, y, seed=11)
-        c = learn.train_test_split(X, y, seed=12)
-        np.testing.assert_array_equal(a.train_idx, b.train_idx)
-        assert not np.array_equal(a.train_idx, c.train_idx)
+        a, _ = learn.train_test_split(X, y, seed=11)
+        b, _ = learn.train_test_split(X, y, seed=11)
+        c, _ = learn.train_test_split(X, y, seed=12)
+        np.testing.assert_array_equal(a.points, b.points)
+        assert not np.array_equal(a.points, c.points)
 
-    def test_split_rows_match_indices(self):
+    def test_split_keeps_rows_ascending_with_their_targets(self):
         X = np.arange(40.0).reshape(20, 2)
         y = np.arange(20.0)
-        ds = learn.train_test_split(X, y, seed=5)
-        np.testing.assert_array_equal(ds.train_points, X[ds.train_idx])
-        np.testing.assert_array_equal(ds.test_targets, y[ds.test_idx])
+        for side in learn.train_test_split(X, y, seed=5):
+            rows = side.targets.astype(int)
+            assert np.all(np.diff(rows) > 0)
+            np.testing.assert_array_equal(side.points, X[rows])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            learn.Dataset.full(np.zeros((4, 2)), np.zeros(5))
+            learn.Dataset(np.zeros((4, 2)), np.zeros(5))
 
 
 class TestFit:
@@ -568,7 +570,7 @@ class TestCrossValidate:
             family="gamma", shapes=(2.0,), taus=(1.0,), lambdas=(0.1,),
             copies=8, seed=5,
         )
-        result = learn.cross_validate(learn.Dataset.full(X, y), space)
+        result = learn.cross_validate(learn.Dataset(X, y), space)
         assert (result.shape, result.tau, result.lam) == (2.0, 1.0, 0.1)
         assert len(result.table) == 1
         assert np.isfinite(result.score)
@@ -581,7 +583,7 @@ class TestCrossValidate:
             family="gamma", shapes=(1.0, 2.0), taus=(0.5, 2.0), lambdas=(0.01, 0.1),
             copies=8, seed=5,
         )
-        ds = learn.Dataset.full(X, y)
+        ds = learn.Dataset(X, y)
         assert learn.cross_validate(ds, space) == learn.cross_validate(ds, space)
 
     def test_tie_breaking_prefers_larger_lambda_then_tau(self):
@@ -607,7 +609,7 @@ class TestCrossValidate:
             family="gamma", shapes=(2.0,), taus=(0.125, 0.5, 2.0, 8.0),
             lambdas=(0.1,), copies=48, seed=29,
         )
-        result = learn.cross_validate(learn.Dataset.full(X, y), space)
+        result = learn.cross_validate(learn.Dataset(X, y), space)
         assert result.tau in (0.5, 2.0)
 
     def test_classification_scoring(self):
@@ -616,7 +618,7 @@ class TestCrossValidate:
             family="gamma", shapes=(2.0,), taus=(1.0, 4.0), lambdas=(0.1,),
             copies=16, seed=9, task="classification",
         )
-        result = learn.cross_validate(learn.Dataset.full(X, labels), space)
+        result = learn.cross_validate(learn.Dataset(X, labels), space)
         assert len(result.table) == 2
         assert 0.0 <= result.score <= 1.0
         # Well-separated blobs: the chosen setting should classify well.
@@ -638,7 +640,7 @@ class TestCrossValidate:
             family="gamma", shapes=(1.0, 2.0, 3.0), taus=(0.5, 1.0, 4.0),
             lambdas=(0.01, 0.1), copies=8, folds=3, seed=4, task=task,
         )
-        result = learn.cross_validate(learn.Dataset.full(X, y), space)
+        result = learn.cross_validate(learn.Dataset(X, y), space)
         assert len(calls) == 3 * 3
         assert len(result.table) == 3 * 3 * 2
         assert all(cfg.kernel.rho == 1.0 for cfg in calls)
@@ -647,7 +649,7 @@ class TestCrossValidate:
     def test_validation_errors(self):
         X = np.zeros((8, 1))
         y = np.zeros(8)
-        ds = learn.Dataset.full(X, y)
+        ds = learn.Dataset(X, y)
         with pytest.raises(ValueError):
             learn.cross_validate(ds, learn.CvSearchSpace(shapes=(), taus=(1.0,)))
         with pytest.raises(ValueError):

@@ -297,6 +297,17 @@ class TestEvalFt:
             expected = d.mean() - t * t * third / 12.0
             assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-11), t
 
+    @pytest.mark.parametrize("d,t,expected", [
+        # t^2 underflows but (t theta)^2 does not: 2 theta / (1 + theta^2 t^2)
+        (dist.Gamma(2.0, 1e300), 1e-160, 2e300 / (1.0 + 1e280)),
+        (dist.Gamma(2.0, 1e300), 1e-170, 2e300 / (1.0 + 1e260)),
+        # (t sigma)^2 underflows though t^2 does not: the transform is the
+        # mean sigma sqrt(pi / 2), which 1 - Re phi would lose
+        (dist.Rayleigh(1e-300), 1.0, 1e-300 * math.sqrt(math.pi / 2.0)),
+    ], ids=repr)
+    def test_small_frequency_guard_reads_the_law_scale(self, d, t, expected):
+        assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("d", [
         dist.HalfNormal(0.7), dist.HalfNormal(1.0), dist.HalfNormal(2.0),
         dist.Chi(1), dist.Nakagami(0.5, 1.5),
