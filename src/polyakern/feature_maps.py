@@ -35,7 +35,9 @@ they are computed when read, in dense blocks of points of at most
 one block at a time.  Sums over points, like the primal ridge system and
 scoring, read the blocks; what needs every pair of points at once (the dual
 ridge system, ``gram``, ``complex_gram``) reads the whole matrix, the
-one-block case.  A binning batch is one sparse block.
+one-block case.  A binning batch is one sparse block; ``dense_gram`` turns
+its Gram matrix into a dense array a block of rows at a time, so that the
+whole sparse product is never held next to it.
 
 A map draws from one stream seeded by its seed: copy l reads row l of a
 block of uniforms and turns it into spacings or frequencies by the law's
@@ -447,10 +449,29 @@ def feature_blocks(batch):
     if batch.kind == BINNING:
         yield 0, batch.n, to_sparse(batch)
         return
-    step = max(1, BLOCK_CELLS // batch.copies)
-    for start in range(0, batch.n, step):
-        stop = min(start + step, batch.n)
+    for start, stop in row_blocks(batch.n, batch.copies):
         yield start, stop, _fourier_features(batch.state, batch.points[start:stop])
+
+
+def row_blocks(n, width):
+    """(start, stop) of each block of ``n`` rows of ``width`` cells: as many
+    rows as fit in BLOCK_CELLS cells, at least one, the last block partial."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return [(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def dense_gram(A):
+    """A Aᵀ as a dense C-ordered array.  For a sparse A the array is filled
+    by row blocks (``row_blocks``), each one block of rows of A times Aᵀ,
+    so at most one block of the sparse product exists at a time, and each
+    entry sums the same products as the whole sparse product does."""
+    if not sp.issparse(A):
+        return A @ A.T
+    A, At = A.tocsr(), A.T.tocsr()
+    out = np.empty((A.shape[0], A.shape[0]))
+    for start, stop in row_blocks(A.shape[0], A.shape[0]):
+        (A[start:stop] @ At).toarray(out=out[start:stop])
+    return out
 
 
 def feature_matrix(batch):
@@ -490,8 +511,9 @@ def gram(batch):
     bin, and with hashed columns it also counts copies whose bins collide.
     A sentinel (unseen-bin) index matches nothing."""
     if batch.kind == BINNING:
-        U = _incidence(batch, 1.0)
-        return (U.T @ U).toarray() / float(batch.copies)
+        G = dense_gram(_incidence(batch, 1.0).T)
+        G /= float(batch.copies)
+        return G
     Z = feature_matrix(batch)
     if batch.kind == FOURIER_COMPLEX:
         return (Z.conj().T @ Z).real

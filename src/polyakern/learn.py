@@ -17,7 +17,11 @@ for all target columns.  ``fit`` is its one-penalty case.  The primal
 system sums Z_b Z_bᵀ and Z_b Y_b over the batch's blocks of points
 (``feature_blocks``), and scoring runs block by block, so a Fourier fit or
 predict holds O(D² + D·block) memory, not the D × n feature matrix; the
-dual system pairs every two points and reads the whole matrix.
+dual system pairs every two points and reads the whole matrix.  Either
+system is the one dense matrix of its size that a fit holds: a sparse
+Gram is densified into it by row blocks (``dense_gram``), each penalty's
+Cholesky factor overwrites it in place, and the next penalty restores it
+from the triangle the factor leaves intact.
 
 ``cross_validate`` grid-searches a binning map's distribution shape, its
 area parameter τ, and the ridge penalty λ by k-fold validation, breaking
@@ -34,7 +38,6 @@ from typing import Callable, Tuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .distributions import Distribution, Gamma, Nakagami, ShiftedPoisson, Weibull
 from .errors import NumericalError
@@ -43,10 +46,12 @@ from .feature_maps import (
     FOURIER_COMPLEX,
     FeatureMapConfig,
     build_map,
+    dense_gram,
     feature_blocks,
     feature_matrix,
     featurize,
     rescale_map,
+    row_blocks,
 )
 from .polya_kernels import KernelSpec
 from .rng import RandomStream, default_seed, derived_seed
@@ -152,15 +157,31 @@ class RidgeModel:
 
 def _solve_spd(A, b):
     """Solve A x = b for a vector or for each column of a matrix b, with
-    one Cholesky factorization and a residual check on every column."""
-    try:
-        factor = scipy.linalg.cho_factor(A, check_finite=False)
-        x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"SPD factorization failed: {exc}") from exc
+    one Cholesky factorization and a residual check on every column.
+
+    A is a symmetric matrix, factored in place: LAPACK's upper-triangle
+    ``potrf`` runs on the F-ordered view A.T, which holds A's values as A
+    is symmetric, so no copy is made.  The factor overwrites A's lower
+    triangle and diagonal; the diagonal is then put back from a saved
+    copy, and the residual reads A from its diagonal and strict upper
+    triangle, which is how this function leaves it."""
+    diag = A.diagonal().copy()
+    factor, info = scipy.linalg.lapack.dpotrf(A.T, overwrite_a=1, clean=0)
+    # info < 0 would flag an illegal argument, which f2py's shape checks rule out
+    if info != 0:
+        raise NumericalError(
+            f"SPD factorization failed: {info}-th leading minor of the array "
+            "is not positive definite"
+        )
+    x, _ = scipy.linalg.lapack.dpotrs(factor, b)  # info as for potrf: always 0 here
     if not np.all(np.isfinite(x)):
         raise NumericalError("linear solve produced non-finite values")
-    residual = np.linalg.norm(A @ x - b, axis=0)
+    np.fill_diagonal(A, diag)
+    n = A.shape[0]
+    residual = np.linalg.norm(
+        scipy.linalg.blas.dsymm(1.0, A.T, x.reshape(n, -1), lower=1) - b.reshape(n, -1),
+        axis=0,
+    )
     if np.any(residual > RESIDUAL_TOLERANCE * np.maximum(1.0, np.linalg.norm(b, axis=0))):
         raise NumericalError(
             f"linear-system residual {np.max(residual):.3e} exceeds tolerance"
@@ -168,15 +189,20 @@ def _solve_spd(A, b):
     return x
 
 
-def _dense(M):
-    return np.asarray(M.todense()) if scipy.sparse.issparse(M) else np.asarray(M)
-
-
 def _ridge_systems(M, lams):
-    """Yield M + λI for each λ in turn, written into M itself: the diagonal
-    is reset from a saved copy, so no second matrix of M's size is made."""
+    """Yield M + λI for each λ in turn, written into the symmetric M itself.
+    ``_solve_spd`` leaves M's diagonal and strict upper triangle intact and
+    its factor in the strict lower triangle, so before each later λ the
+    lower triangle is copied back from the upper one, a block of rows
+    (``row_blocks``) at a time, and the diagonal is reset from a saved copy:
+    no second matrix of M's size, and no temporary of that size, is made."""
+    n = M.shape[0]
     diag = M.diagonal().copy()
-    for lam in lams:
+    for i, lam in enumerate(lams):
+        if i:
+            for start, stop in row_blocks(n, n):
+                lower = np.tri(stop - start, stop, start - 1, dtype=bool)
+                np.copyto(M[start:stop, :stop], M[:stop, start:stop].T, where=lower)
         np.fill_diagonal(M, diag + lam)
         yield M
 
@@ -237,7 +263,7 @@ def _ridge_weights(batch, Y, lams):
     if batch.width <= batch.n:
         G = B = None
         for start, stop, Z in feature_blocks(batch):
-            ZY, ZZ = np.asarray(Z @ Y[start:stop]), _dense(Z @ Z.T)
+            ZY, ZZ = np.asarray(Z @ Y[start:stop]), dense_gram(Z)
             del Z  # so that one block is alive while the next is made
             if G is None:
                 G, B = ZZ, ZY
@@ -246,7 +272,7 @@ def _ridge_weights(batch, Y, lams):
                 B += ZY
         return [_solve_spd(A, B) for A in _ridge_systems(G, lams)], "primal"
     Z = feature_matrix(batch)
-    systems = _ridge_systems(_dense(Z.T @ Z), lams)
+    systems = _ridge_systems(dense_gram(Z.T), lams)
     return [np.asarray(Z @ _solve_spd(G, Y)) for G in systems], "dual"
 
 

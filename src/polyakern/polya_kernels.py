@@ -210,28 +210,51 @@ def _tilt_kernel(d, r):
     return d.sf(x) - moment, -moment
 
 
+#: The w = log(u / u0) past which ``_spectral_identity`` takes Im phi(u) as
+#: its power law: there b u > e^300 / E[X / b], where the relative error of
+#: the power law is below 1e-100 and b u squared is still a finite double.
+_SPECTRAL_HEAD = 300.0
+
+
 def _spectral_identity(law, a):
     """(2 / a^2) integral_0^a Im phi(u) du for a law with closed im_cf.
 
     Up to u0 = min(a, 1 / mean) the integrand is about u E X, so the
     integral runs over [0, 1] in v = u / u0 and keeps its relative accuracy
     as a -> 0. Beyond u0 it decays like a power of u, which is smooth in
-    w = log(u / u0)."""
+    w = log(u / u0). Past w = _SPECTRAL_HEAD, Im phi(u) is c u^-q with
+    q = shape * power <= 1 (the laws with C infinite) to double precision,
+    so the rest of the integral is exact in closed form; it is summed in
+    logs, as e^w and a / u0 can overflow where the transform does not."""
     u0 = min(a, 1.0 / law.mean())
     total, err = _quad(lambda v: law.im_cf(u0 * v), 0.0, 1.0, epsrel=1e-12)
-    if a > u0:
-        def f(w):
-            g = math.exp(w)
-            return law.im_cf(u0 * g) * g
 
-        more, more_err = _quad(f, 0.0, math.log(a / u0), epsrel=1e-12)
+    def f(w):
+        g = math.exp(w)
+        return law.im_cf(u0 * g) * g
+
+    span = math.log(a / u0)
+    if span > 0.0:
+        more, more_err = _quad(f, 0.0, min(span, _SPECTRAL_HEAD), epsrel=1e-12)
         total += more
         err += more_err
     if err > 1e-10 * total:
         raise QuadratureError(
             f"spectral identity quadrature error {err:.2e} too large at t={a} for {law!r}"
         )
-    return 2.0 * u0 * total / a / a
+    if span <= _SPECTRAL_HEAD:
+        return 2.0 * u0 * total / a / a
+    # f(w) = f(head) e^((1 - q)(w - head)) from the head to log(a / u0)
+    shape, _, power = law.triple()
+    q = shape * power
+    rest = math.log(a) - math.log(u0) - _SPECTRAL_HEAD
+    growth = (1.0 - q) * rest
+    log_tail = math.log(f(_SPECTRAL_HEAD)) + (
+        math.log(rest) if growth == 0.0
+        else growth + math.log(-math.expm1(-growth) / (1.0 - q))
+    )
+    log_total = float(np.logaddexp(log_tail, math.log(total)))
+    return math.exp(math.log(2.0 * u0) - 2.0 * math.log(a) + log_total)
 
 
 def _tilt_ft(d, a):

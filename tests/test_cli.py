@@ -197,6 +197,19 @@ class TestKernelCommands:
         value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(expected, rel=1e-5, abs=0.0)
 
+    @pytest.mark.parametrize("spec,t,expected", [
+        # log(t E X) is past 1400: the transform underflows to zero
+        ("half_normal:sigma=1e300", "1e300", 0.0),
+        # log(t E X) is past the largest double's log, 709.8, yet the
+        # transform is a normal double; mpmath (Dawson's integral integrated
+        # as a 2F2 at 40 digits) gives 1.2605334948654537e-306
+        ("half_normal:sigma=1e308", "3", 1.2605334948654537e-306),
+    ])
+    def test_ft_half_normal_sigma_1e300(self, capsys, spec, t, expected):
+        assert cli.main(["kernel", "ft", "--kernel", spec, t]) == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_table_has_three_columns(self, tmp_path):
         out = tmp_path / "table.csv"
         code = cli.main([
@@ -956,8 +969,12 @@ class TestErrorRecords:
         rewrite_bundle(model_path, lambda b: b["map"].update(copies=10 ** 15))
         assert "Unable to allocate" in predict_error(data, model_path, capsys)
 
-    def test_transform_overflow(self, capsys):
-        code = cli.main(["kernel", "ft", "--kernel", "half_normal:sigma=1e300", "1e300"])
+    def test_transform_overflow(self, monkeypatch, capsys):
+        def overflow(law, a):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(kernels, "_spectral_identity", overflow)
+        code = cli.main(["kernel", "ft", "--kernel", "half_normal:sigma=1", "1"])
         assert code == 1
         assert self.single_error(capsys) == "math range error"
 

@@ -214,24 +214,62 @@ class TestFitPath:
         state = build_map(make_cfg())
         batch = featurize(state, X)
         grams, factorizations = [], []
-        dense, cho_factor = learn._dense, learn.scipy.linalg.cho_factor
+        dense_gram, potrf = learn.dense_gram, learn.scipy.linalg.lapack.dpotrf
 
-        def counting_dense(M):
-            grams.append(M.shape)
-            return dense(M)
+        def counting_dense_gram(A):
+            G = dense_gram(A)
+            grams.append(G.shape)
+            return G
 
-        def counting_cho_factor(A, **kwargs):
+        def counting_potrf(A, **kwargs):
             factorizations.append(A.shape)
-            return cho_factor(A, **kwargs)
+            return potrf(A, **kwargs)
 
-        monkeypatch.setattr(learn, "_dense", counting_dense)
-        monkeypatch.setattr(learn.scipy.linalg, "cho_factor", counting_cho_factor)
+        monkeypatch.setattr(learn, "dense_gram", counting_dense_gram)
+        monkeypatch.setattr(learn.scipy.linalg.lapack, "dpotrf", counting_potrf)
         path = learn.fit_path(state, batch, labels, self.LAMS, classify=True)
         side = n if route == "dual" else batch.copies
         assert [m.route for m in path] == [route] * len(self.LAMS)
         assert [m.weights.shape[1] for m in path] == [3] * len(self.LAMS)
         assert grams == [(side, side)]
         assert factorizations == [(side, side)] * len(self.LAMS)
+
+    @pytest.mark.parametrize("make_cfg,n,route,cells", [
+        (lambda: binning_cfg(dim=2, copies=16), 120, "dual", 30 * 120),
+        (lambda: fourier_cfg(copies=40), 300, "primal", 12 * 40),
+    ])
+    @pytest.mark.parametrize("classify", [True, False])
+    def test_bit_equal_to_separate_fits_across_row_blocks(
+            self, monkeypatch, make_cfg, n, route, cells, classify):
+        # blocks of 30 (dual) or 12 (primal) rows: the Gram matrix is
+        # densified, and the system restored between penalties, in 4 blocks
+        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", cells)
+        stream = RandomStream(73)
+        X = stream.uniform(2 * n).reshape(n, 2) * 3.0
+        y = np.sin(2.0 * X[:, 0]) + 0.1 * stream.child(1).normal(n)
+        if classify:
+            y = np.digitize(y, (-0.3, 0.3)).astype(float)
+        state = build_map(make_cfg())
+        batch = featurize(state, X)
+        side = n if route == "dual" else batch.copies
+        assert len(feature_maps.row_blocks(side, side)) == 4
+        path = learn.fit_path(state, batch, y, self.LAMS, classify=classify)
+        for lam, model in zip(self.LAMS, path):
+            single = learn.fit(state, batch, y, lam, classify=classify)
+            assert model.route == single.route == route
+            assert model.weights.tobytes() == single.weights.tobytes()
+
+    @pytest.mark.parametrize("hash_buckets", [None, 7])
+    def test_dense_gram_by_blocks_equals_whole_product(self, monkeypatch, hash_buckets):
+        X = RandomStream(74).uniform(2 * 100).reshape(100, 2) * 3.0
+        cfg = replace(binning_cfg(dim=2, copies=16), hash_buckets=hash_buckets)
+        Z = feature_matrix(featurize(build_map(cfg), X))
+        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", 30 * 100)
+        for A in (Z, Z.T):
+            whole = (A @ A.T).toarray()
+            blocked = feature_maps.dense_gram(A)
+            assert blocked.flags.c_contiguous
+            assert blocked.tobytes() == whole.tobytes()
 
     def test_rejects_any_bad_penalty(self):
         X = np.linspace(0.0, 1.0, 6).reshape(6, 1)
@@ -394,6 +432,60 @@ class TestFeatureBlocks:
         bound = 8 * (feature_maps.BLOCK_CELLS + 4 * copies ** 2 + (dim + 4) * n)
         assert bound < 8 * copies * n
         assert peak < bound, (peak, bound)
+
+
+class TestSolveSpd:
+    """``_solve_spd`` factors its matrix in place and checks every column's
+    residual against the matrix, read from the triangle the factor left."""
+
+    @staticmethod
+    def spd(n=6):
+        M = RandomStream(81).normal(n * n).reshape(n, n)
+        return M @ M.T + n * np.eye(n)
+
+    def test_solves_and_keeps_diagonal_and_upper_triangle(self):
+        A = self.spd()
+        original = A.copy()
+        b = RandomStream(82).normal(12).reshape(6, 2)
+        x = learn._solve_spd(A, b)
+        np.testing.assert_allclose(original @ x, b, atol=1e-10)
+        assert np.array_equal(np.triu(A), np.triu(original))
+        assert not np.array_equal(np.tril(A, -1), np.tril(original, -1))
+
+    def test_rejects_matrix_not_positive_definite(self):
+        A = self.spd()
+        A[2, 2] = -1.0
+        with pytest.raises(NumericalError, match="leading minor"):
+            learn._solve_spd(A, np.ones(6))
+
+    def test_residual_check_reads_the_matrix(self, monkeypatch):
+        potrs = learn.scipy.linalg.lapack.dpotrs
+
+        def perturbed_potrs(c, b, **kwargs):
+            x, info = potrs(c, b, **kwargs)
+            return x * (1.0 + 1e-6), info
+
+        monkeypatch.setattr(learn.scipy.linalg.lapack, "dpotrs", perturbed_potrs)
+        with pytest.raises(NumericalError, match="residual"):
+            learn._solve_spd(self.spd(), np.ones((6, 2)))
+
+    def test_dual_fit_memory_is_one_system(self, monkeypatch):
+        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", 2 ** 16)
+        n = 2500
+        X = RandomStream(83).normal(3 * n).reshape(n, 3)
+        state = build_map(binning_cfg(dim=3, copies=32))
+        batch = featurize(state, X)
+        tracemalloc.start()
+        try:
+            model = learn.fit(state, batch, np.sin(X[:, 0]), 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.route == "dual"
+        # Alive at the peak: the one n x n system, 8 n² bytes, one block of
+        # rows of the sparse Gram product and O(n) vectors; a second n x n
+        # matrix (a whole sparse Gram, a dense or a factor copy) does not fit.
+        assert peak < 1.2 * 8 * n * n, (peak, 8 * n * n)
 
 
 class TestInvariances:

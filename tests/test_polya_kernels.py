@@ -321,6 +321,17 @@ class TestEvalFt:
             expected = infinite_tilt_ft_reference(d, t)
             assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-12), t
 
+    @pytest.mark.parametrize("d,t", [
+        (dist.HalfNormal(1e308), 1.0), (dist.HalfNormal(1e308), 3.0),
+        (dist.HalfNormal(1e150), 1e100), (dist.Exponential(1e300), 1e5),
+        (dist.Gamma(0.1, 1e300), 1e8), (dist.Gamma(0.1, 1e300), 1e10),
+    ], ids=repr)
+    def test_infinite_tilt_laws_at_extreme_scale(self, d, t):
+        # log(t E X) is past 300, where the spectral identity takes Im phi as
+        # its power law, and for some also past 709.8, where t E X overflows
+        expected = infinite_tilt_ft_reference(d, t)
+        assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_numeric_rejects_zero(self):
         with pytest.raises(ValueError):
             kernels.eval_ft_numeric(dist.Gamma(2.0, 1.0), 0.0)
