@@ -223,7 +223,11 @@ class GeneralizedGamma(Distribution):
         with y = (x / b)^p, finite where f(x) overflows near zero."""
         a, b, p = self.triple()
         v = p * (w - math.log(b))
-        return math.exp(a * v - math.exp(v) - math.lgamma(a) + math.log(p))
+        try:
+            y = math.exp(v)
+        except OverflowError:  # y past the largest double, where e^-y is 0
+            return 0.0
+        return math.exp(a * v - y - math.lgamma(a) + math.log(p))
 
     def cdf(self, x):
         if x <= 0.0:

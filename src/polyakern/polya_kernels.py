@@ -32,7 +32,9 @@ g(x) dF(x) (in w = log x, or by QUADPACK's cosine rule QAWO when weighted
 by cos(ax)), and ``_kernel_cos_integral``, the integral of k(r) cos(ar)
 over r > 0 by QAWO between the kernel's knots. The numeric transform takes
 both, as (2 / a^2) E[(1 - cos aX) / X] and as twice the cosine integral,
-each on the unit-scale law through FT_b(a) = b FT_1(ab).
+each on the unit-scale law through FT_b(a) = b FT_1(ab). ``_quad`` imports
+QUADPACK (``scipy.integrate``) at the first quadrature, so commands that never
+integrate, such as binning or Fourier fit, predict and cv, start without it.
 """
 
 import math
@@ -41,8 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-
 from scipy.special import exp1, gammaincc
 
 from . import distributions as dists
@@ -106,6 +106,8 @@ class SpectralValue:
 def _quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200, **weight):
     """Adaptive quadrature with warnings silenced; accuracy is checked by
     the caller through the returned error estimate."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **weight)

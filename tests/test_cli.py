@@ -12,6 +12,11 @@ The CLI is exercised in-process through ``cli.main(argv)``.  Oracles:
 import base64
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -987,3 +992,57 @@ class TestErrorRecords:
         assert code != 0
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "line 2" in record["error"]
+
+
+class TestStartup:
+    """Commands that never integrate must start without QUADPACK."""
+
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from polyakern import cli
+
+        data, out = sys.argv[1], sys.argv[2]
+        codes = []
+        for kernel, family, shape in [
+            ("gamma:s=2,theta=1", "gamma", "2.0"),
+            ("weibull:theta=1,alpha=0.4", "weibull", "0.4"),
+            ("nakagami:m=1.5,omega=1", "nakagami", "1.5"),
+            ("shifted_poisson:mu=2", "shifted_poisson", "2.0"),
+        ]:
+            model = f"{out}/{family}.json"
+            codes.append(cli.main(["fit", data, "--task", "regression", "--map", "binning",
+                                   "--kernel", kernel, "--copies", "8", "--lambda", "0.1",
+                                   "--seed", "3", "--out", model]))
+            codes.append(cli.main(["predict", data, "--model", model,
+                                   "--out", f"{out}/{family}.csv"]))
+            codes.append(cli.main(["cv", data, "--family", family, "--shapes", shape,
+                                   "--taus", "0.5,2", "--lambdas", "0.1", "--copies", "4",
+                                   "--folds", "2", "--seed", "3",
+                                   "--out", f"{out}/{family}-cv.csv"]))
+        codes.append(cli.main(["fit", data, "--task", "regression", "--map", "fourier_real",
+                               "--kernel", "cauchy:scale=1", "--copies", "8",
+                               "--lambda", "0.1", "--seed", "3",
+                               "--out", f"{out}/fourier.json"]))
+        before = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            codes.append(cli.main(["kernel", "ft", "--kernel", "gamma:s=0.5,theta=1", "1"]))
+        print(json.dumps({"codes": codes, "before": before, "ft": text.getvalue(),
+                          "after": "scipy.integrate" in sys.modules}))
+    """)
+
+    def test_binning_and_fourier_commands_leave_quadpack_unloaded(self, tmp_path):
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=41, n=30)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(data), str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["codes"] == [0] * 14
+        assert result["before"] == []
+        assert result["ft"].splitlines() == ["t,ft", "1.0,0.3947364538712399"]
+        assert result["after"]
