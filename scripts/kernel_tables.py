@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         for r in grid:
             lines.append(
                 f"{float(r)!r},{eval_kernel(spec, r)!r},"
-                f"{eval_ft(spec, r).value!r},{kernel_to_cdf(spec, r)!r}"
+                f"{eval_ft(spec, r)!r},{kernel_to_cdf(spec, r)!r}"
             )
         path = out_dir / f"{dist.family}.csv"
         path.write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -57,6 +57,7 @@ from .feature_maps import (
     TensorCauchy,
     build_map,
     feature_blocks,
+    feature_width,
     featurize,
 )
 from .polya_kernels import KernelSpec, eval_ft, eval_kernel, format_kernel_spec, parse_kernel_spec
@@ -283,7 +284,7 @@ def _emit(text: str, out) -> None:
 # ---------------------------------------------------------------------------
 # Model bundles
 
-MODEL_FORMAT = "polyakern-model-v4"
+MODEL_FORMAT = "polyakern-model-v5"
 TASKS = ("regression", "binary", "multiclass")
 
 # Bulk arrays travel as {"dtype", "shape", "data": base64 of the raw bytes};
@@ -386,18 +387,13 @@ def _config_from_metadata(meta) -> FeatureMapConfig:
     )
 
 
-def _vocabulary_to_json(state) -> dict:
-    """One row per column, in column order: the copy, then the bins.  Maps
-    without a vocabulary store zero rows."""
-    cfg = state.cfg
-    if cfg.kind == BINNING:
-        rows = state.vocabulary.rows.reshape(-1, cfg.dim + 1)
-    else:
-        rows = np.empty((0, cfg.dim + 1), dtype=np.int64)
-    return _encode_array(rows, _narrowest_int(rows))
+def _has_vocabulary(cfg) -> bool:
+    return cfg.kind == BINNING and cfg.hash_buckets is None
 
 
 def _restore_vocabulary(state, blob) -> None:
+    """Fill the exact binning map ``state`` with the bundle's vocabulary:
+    one row per column, in column order, the copy then the bins."""
     cfg = state.cfg
     rows = _decode_array(blob, "vocabulary", _INT_DTYPES)
     if rows.ndim != 2 or rows.shape[1] != cfg.dim + 1:
@@ -405,8 +401,7 @@ def _restore_vocabulary(state, blob) -> None:
             f"bundle vocabulary rows must hold a copy and {cfg.dim} bins, "
             f"got shape {list(rows.shape)}"
         )
-    if not rows.size:
-        return
+    _expect(rows.size, "binning bundle has an empty vocabulary")
     copies = rows[:, 0]
     if copies.min() < 0 or copies.max() >= cfg.copies:
         raise ParseError(f"bundle vocabulary copies must lie in [0, {cfg.copies})")
@@ -416,20 +411,21 @@ def _restore_vocabulary(state, blob) -> None:
 
 
 def save_model(path, task, normalizer, model) -> None:
-    """Serialize a fitted model: map metadata, normalizer, vocabulary, and
-    one ``models`` entry per weight column (one per class for a classifier)."""
+    """Serialize a fitted model: map metadata, normalizer, the vocabulary of
+    an exact binning map, and the one weight array (a column per class for
+    a classifier) with its target mean, penalty and solver route."""
+    state = model.state
     bundle = {
         "format": MODEL_FORMAT,
         "task": task,
-        "map": _map_metadata(model.state.cfg),
+        "map": _map_metadata(state.cfg),
         "normalizer": normalizer.to_json(),
-        "vocabulary": _vocabulary_to_json(model.state),
-        "models": [
-            {"weights": _encode_array(w, "<f8"), "y_mean": model.y_mean,
-             "lambda": model.lam, "route": model.route}
-            for w in model.weights.reshape(model.weights.shape[0], -1).T
-        ],
     }
+    if _has_vocabulary(state.cfg):
+        rows = state.vocabulary.rows
+        bundle["vocabulary"] = _encode_array(rows, _narrowest_int(rows))
+    bundle["weights"] = _encode_array(model.weights, "<f8")
+    bundle.update({"y_mean": model.y_mean, "lambda": model.lam, "route": model.route})
     if model.classes is not None:
         bundle["classes"] = list(model.classes)
     Path(path).write_text(json.dumps(bundle), encoding="ascii")
@@ -438,9 +434,7 @@ def save_model(path, task, normalizer, model) -> None:
 def load_model(path):
     """Rebuild (task, state, normalizer, (model,), classes) from a bundle.
 
-    The ``models`` entries are the weight columns of the one model, stacked
-    back into a matrix for a classifier.  A bundle that is not one this
-    version writes raises :class:`ParseError`.
+    A bundle that is not one this version writes raises :class:`ParseError`.
     """
     bundle = json.loads(Path(path).read_text(encoding="ascii"))
     found = bundle.get("format") if isinstance(bundle, dict) else None
@@ -448,64 +442,31 @@ def load_model(path):
         raise ParseError(
             f"{path} has model format {found!r}; this version reads {MODEL_FORMAT!r}"
         )
-    task, entries, classes = bundle["task"], bundle["models"], bundle.get("classes")
+    task, classes = bundle["task"], bundle.get("classes")
     _expect(task in TASKS, f"bundle task {task!r} is not one of {list(TASKS)}")
     cfg = _config_from_metadata(bundle["map"])
     state = build_map(cfg)
-    if cfg.kind == BINNING:
+    if _has_vocabulary(cfg):
         _restore_vocabulary(state, bundle["vocabulary"])
     normalizer = AffineNormalizer.from_json(bundle["normalizer"], cfg.dim)
-    _expect(isinstance(entries, list) and entries
-            and all(isinstance(m, dict) for m in entries),
-            "bundle models must be a non-empty list of objects")
-    first = entries[0]
-    _expect(
-        _finite_numbers([first["y_mean"], first["lambda"]]) and first["lambda"] > 0
-        and first["route"] in ("primal", "dual")
-        and all(m[key] == first[key] for m in entries for key in ("y_mean", "lambda", "route")),
-        "bundle models need one shared finite y_mean, positive lambda, and route",
-    )
+    y_mean, lam, route = bundle["y_mean"], bundle["lambda"], bundle["route"]
+    _expect(_finite_numbers([y_mean, lam]) and lam > 0 and route in ("primal", "dual"),
+            "bundle needs a finite y_mean, a positive finite lambda, and a "
+            "primal or dual route")
     _expect(classes is None if task == "regression"
-            else _finite_numbers(classes) and len(set(classes)) == len(classes),
+            else _finite_numbers(classes) and len(set(classes)) == len(classes) >= 2,
             "bundle classes: a regression bundle has none, a classifier's are "
-            "distinct finite numbers")
-    columns = [_decode_array(m["weights"], "weights", _WEIGHT_DTYPES).astype(float)
-               for m in entries]
-    _check_columns(task, state, columns, classes)
+            "two or more distinct finite numbers")
+    weights = _decode_array(bundle["weights"], "weights", _WEIGHT_DTYPES).astype(float)
+    wanted = (feature_width(state),) + (() if classes is None else (len(classes),))
+    _expect(weights.shape == wanted,
+            f"bundle weights have shape {list(weights.shape)}; its map and classes "
+            f"need {list(wanted)}")
     model = learn.RidgeModel(
-        state=state,
-        weights=columns[0] if classes is None else np.column_stack(columns),
-        lam=float(first["lambda"]),
-        y_mean=float(first["y_mean"]),
-        route=first["route"],
+        state=state, weights=weights, lam=float(lam), y_mean=float(y_mean), route=route,
         classes=None if classes is None else tuple(map(float, classes)),
     )
     return task, state, normalizer, (model,), model.classes
-
-
-def _check_columns(task, state, columns, classes) -> None:
-    """Reject a bundle whose weight columns do not fit its map or its classes."""
-    cfg = state.cfg
-    if cfg.kind != BINNING:
-        width = cfg.copies
-    elif cfg.hash_buckets is not None:
-        width = cfg.hash_buckets
-    else:
-        width = len(state.vocabulary)
-        if not width:
-            raise ParseError("binning bundle has an empty vocabulary")
-    for w in columns:
-        if w.shape != (width,):
-            raise ParseError(
-                f"bundle weights have {w.size} entries; the map has "
-                f"{width} feature columns"
-            )
-    wanted = 1 if task == "regression" else len(classes or ())
-    if len(columns) != wanted or (task != "regression" and wanted < 2):
-        raise ParseError(
-            f"bundle holds {len(columns)} models for task {task!r} with "
-            f"{len(classes or ())} classes"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +480,12 @@ def _cmd_kernel(args) -> int:
         lines += [f"{_fmt(r)},{_fmt(eval_kernel(spec, r))}" for r in args.values]
     elif args.kernel_cmd == "ft":
         lines = ["t,ft"]
-        lines += [f"{_fmt(t)},{_fmt(eval_ft(spec, t).value)}" for t in args.values]
+        lines += [f"{_fmt(t)},{_fmt(eval_ft(spec, t))}" for t in args.values]
     else:  # table
         grid = np.linspace(0.0, args.max, args.points)
         lines = ["r,k,ft"]
         lines += [
-            f"{_fmt(r)},{_fmt(eval_kernel(spec, r))},{_fmt(eval_ft(spec, r).value)}"
+            f"{_fmt(r)},{_fmt(eval_kernel(spec, r))},{_fmt(eval_ft(spec, r))}"
             for r in grid
         ]
     _emit("\n".join(lines) + "\n", args.out)

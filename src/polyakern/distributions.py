@@ -33,7 +33,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import dawsn, gammainc, gammaincc, gammainccinv, hyp1f1, poch
+from scipy.special import (
+    dawsn, gammainc, gammaincc, gammainccinv, gammaln, hyp1f1, poch, rgamma,
+)
 
 from .errors import ConvergenceError, InfiniteTiltError, ParseError
 
@@ -56,8 +58,13 @@ def _kummer_gap(m, z):
 
     While z and m z are at most 1/2 the Kummer series terms fall by a
     factor of three or more from the first, 2 m z, and alternate, so the
-    sum keeps full relative accuracy; beyond that 1 - M is not small.
+    sum keeps full relative accuracy; beyond that 1 - M is not small.  From
+    z = 60 + 6 m on, M is its large-z expansion (``_kummer_tail``): scipy's
+    ``hyp1f1`` there slows down with z where 1/2 - m is a non-positive
+    integer and returns NaN once z passes about 1e19.
     """
+    if z >= 60.0 + 6.0 * m:
+        return 1.0 - _kummer_tail(m, z)
     if z > 0.5 or m * z > 0.5:
         return 1.0 - float(hyp1f1(m, 0.5, -z))
     term = total = 2.0 * m * z
@@ -67,6 +74,30 @@ def _kummer_gap(m, z):
         if abs(term) <= 1e-17 * total:
             break
     return total
+
+
+def _kummer_tail(m, z):
+    """M(m, 1/2, -z) for m > 0 and z >= 60 + 6 m, by DLMF 13.7.2:
+    Gamma(1/2) / Gamma(1/2 - m) z^-m sum_k (m)_k (m + 1/2)_k / (k! z^k).
+
+    The sum's terms, all positive, fall below 1e-17 of it before they
+    would grow again, and the term e^-z z^(m - 1/2) Gamma(1/2) / Gamma(m)
+    the expansion leaves out is below double precision: within 5e-15 of
+    mpmath for 1 - M with m in [0.01, 1000].  Where 1/2 - m is a
+    non-positive integer, 1/Gamma(1/2 - m) = 0 and so is M; at z = inf M
+    is 0 too."""
+    inverse = float(rgamma(0.5 - m))
+    if inverse == 0.0:
+        return 0.0
+    term = total = 1.0
+    k = 0
+    while term > 1e-17 * total:
+        term *= (m + k) * (m + k + 0.5) / ((k + 1) * z)
+        total += term
+        k += 1
+    # in logs, as 1/Gamma(1/2 - m) overflows past m = 171 and z^-m underflows
+    lead = math.exp(-float(gammaln(0.5 - m)) - m * math.log(z))
+    return math.copysign(_SQRT_PI * lead * total, inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,18 @@ def _hash_rows(rows, buckets):
     return (h % np.uint64(buckets)).astype(np.int64)
 
 
+def feature_width(state):
+    """The map's number of feature columns: the copy count for Fourier
+    kinds, the hash bucket count for a hashed binning map, and the
+    vocabulary size (0 until the first ``featurize``) for an exact one."""
+    cfg = state.cfg
+    if cfg.kind != BINNING:
+        return cfg.copies
+    if cfg.hash_buckets is not None:
+        return cfg.hash_buckets
+    return len(state.vocabulary)
+
+
 def featurize(state, X):
     """Map points to features.
 
@@ -407,20 +419,16 @@ def featurize(state, X):
     if cfg.kind != BINNING:
         points = X.copy(order="K")
         points.flags.writeable = False
-        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, width=cfg.copies,
-                            state=state, points=points)
+        return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies,
+                            width=feature_width(state), state=state, points=points)
     rows = _bin_keys(state, X).reshape(-1, cfg.dim + 1)  # copy-major
     if cfg.hash_buckets is not None:
-        indices = _hash_rows(rows, cfg.hash_buckets).reshape(cfg.copies, n)
-        width = cfg.hash_buckets
+        indices = _hash_rows(rows, cfg.hash_buckets)
     else:
         vocab = state.vocabulary
-        found = vocab.lookup(rows) if len(vocab) else vocab.assign(rows)
-        indices = found.reshape(cfg.copies, n)
-        width = len(vocab)
-    return FeatureBatch(
-        kind=cfg.kind, n=n, copies=cfg.copies, indices=indices, width=width
-    )
+        indices = vocab.lookup(rows) if len(vocab) else vocab.assign(rows)
+    return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies,
+                        indices=indices.reshape(cfg.copies, n), width=feature_width(state))
 
 
 def _fourier_features(state, X):

@@ -33,6 +33,7 @@ featurizes its rows once and fits every λ from one Gram matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
@@ -65,30 +66,28 @@ LAMBDA_GRID: Tuple[float, ...] = (0.01, 0.1, 1.0)
 #: starting at 0.12, spanning roughly 0.12 … 40.
 TAU_GRID: Tuple[float, ...] = tuple(0.12 * 1.905 ** k for k in range(10))
 
-_SHAPE_FAMILIES: dict[str, Callable[[float], Distribution]] = {
-    "shifted_poisson": lambda s: ShiftedPoisson(mu=s),
-    "gamma": lambda s: Gamma(s=s, theta=1.0),
-    "nakagami": lambda s: Nakagami(m=s, omega=1.0),
-    "weibull": lambda s: Weibull(theta=1.0, alpha=s),
+#: Per family searched by cross-validation: the law at a given shape, and
+#: the default shape grid.
+_SHAPE_FAMILIES: dict[str, Tuple[Callable[[float], Distribution], Tuple[float, ...]]] = {
+    "shifted_poisson": (lambda s: ShiftedPoisson(mu=s), tuple(0.5 * k for k in range(1, 9))),
+    "gamma": (lambda s: Gamma(s=s, theta=1.0), tuple(0.5 * k for k in range(1, 7))),
+    "nakagami": (lambda s: Nakagami(m=s, omega=1.0), tuple(0.5 * k for k in range(1, 7))),
+    "weibull": (lambda s: Weibull(theta=1.0, alpha=s), (1.0, 2.0, 3.0)),
 }
 
-_SHAPE_GRIDS: dict[str, Tuple[float, ...]] = {
-    "shifted_poisson": tuple(0.5 * k for k in range(1, 9)),
-    "gamma": tuple(0.5 * k for k in range(1, 7)),
-    "nakagami": tuple(0.5 * k for k in range(1, 7)),
-    "weibull": (1.0, 2.0, 3.0),
-}
+
+def _shape_family(family: str):
+    try:
+        return _SHAPE_FAMILIES[family]
+    except KeyError:
+        raise ValueError(
+            f"unknown family {family!r}; expected one of {sorted(_SHAPE_FAMILIES)}"
+        ) from None
 
 
 def shape_grid(family: str) -> Tuple[float, ...]:
     """Default half-integer shape grid searched for ``family``."""
-    try:
-        return _SHAPE_GRIDS[family]
-    except KeyError:
-        raise ValueError(
-            f"no shape grid for family {family!r}; expected one of "
-            f"{sorted(_SHAPE_GRIDS)}"
-        ) from None
+    return _shape_family(family)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,8 @@ def _solve_spd(A, b):
         scipy.linalg.blas.dsymm(1.0, A.T, x.reshape(n, -1), lower=1) - b.reshape(n, -1),
         axis=0,
     )
-    if np.any(residual > RESIDUAL_TOLERANCE * np.maximum(1.0, np.linalg.norm(b, axis=0))):
+    # written so that a NaN residual fails it
+    if not np.all(residual <= RESIDUAL_TOLERANCE * np.maximum(1.0, np.linalg.norm(b, axis=0))):
         raise NumericalError(
             f"linear-system residual {np.max(residual):.3e} exceeds tolerance"
         )
@@ -220,8 +220,8 @@ def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel,
     """
     lams = tuple(float(lam) for lam in lams)
     for lam in lams:
-        if not lam > 0.0:
-            raise ValueError(f"ridge penalty must be positive, got {lam}")
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != batch.n:
         raise ValueError(
@@ -368,18 +368,6 @@ class CvResult:
     table: Tuple[Tuple[float, float, float, float], ...]
 
 
-def _is_better(candidate, incumbent) -> bool:
-    """Compare (score, λ, τ) triples: lower score wins; exact score ties go
-    to the larger λ, then the larger τ."""
-    score, lam, tau = candidate
-    inc_score, inc_lam, inc_tau = incumbent
-    if score != inc_score:
-        return score < inc_score
-    if lam != inc_lam:
-        return lam > inc_lam
-    return tau > inc_tau
-
-
 def _fold_scores(state, task, X_fit, y_fit, X_hold, y_hold, lams):
     """Validation score of each penalty in ``lams`` for one map and fold:
     mean-squared error for regression, error rate for classification."""
@@ -407,12 +395,8 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
     """
     if space.task not in ("regression", "classification"):
         raise ValueError(f"unknown task {space.task!r}")
-    if space.family not in _SHAPE_FAMILIES:
-        raise ValueError(
-            f"unknown family {space.family!r}; expected one of "
-            f"{sorted(_SHAPE_FAMILIES)}"
-        )
-    shapes = space.shapes if space.shapes is not None else shape_grid(space.family)
+    make_dist, grid = _shape_family(space.family)
+    shapes = space.shapes if space.shapes is not None else grid
     if not shapes or not space.taus or not space.lambdas:
         raise ValueError("search grid must be non-empty in every dimension")
     if space.folds < 2:
@@ -423,12 +407,10 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
     if n < space.folds:
         raise ValueError(f"need at least {space.folds} points, got {n}")
 
-    make_dist = _SHAPE_FAMILIES[space.family]
     perm = np.argsort(RandomStream(space.seed).uniform(n))
     fold_of = np.empty(n, dtype=int)
     fold_of[perm] = np.arange(n) % space.folds
 
-    best = None  # (score, lam, tau, shape)
     rows = []
     for shape_index, shape in enumerate(shapes):
         dist = make_dist(shape)
@@ -449,10 +431,9 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
             for j, lam in enumerate(space.lambdas):
                 score = float(np.mean(fold_scores[t, j]))
                 rows.append((float(shape), float(tau), float(lam), score))
-                key = (score, float(lam), float(tau))
-                if best is None or _is_better(key, best[:3]):
-                    best = (score, float(lam), float(tau), float(shape))
 
-    score, lam, tau, shape = best
+    # lowest score; exact ties go to the larger λ, then the larger τ, then
+    # the first row
+    shape, tau, lam, score = min(rows, key=lambda r: (r[3], -r[2], -r[1]))
     return CvResult(family=space.family, shape=shape, tau=tau, lam=lam,
                     score=score, table=tuple(rows))

@@ -17,7 +17,7 @@ LAPLACE = KernelSpec(dist.Gamma(2.0, 1.0))
 class TestExactGram:
     def test_laplace_pair(self):
         K = approx.exact_gram(LAPLACE, np.array([[0.0], [1.0]]))
-        assert K.values[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert K.values[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0.0)
         assert K.values[0, 0] == 1.0 and K.values[1, 1] == 1.0
 
     def test_single_point(self):
@@ -38,14 +38,14 @@ class TestExactGram:
     def test_frequency_law_kernels(self):
         X = np.array([[0.0, 0.0], [1.0, 2.0]])
         Kc = approx.exact_gram(fm.TensorCauchy(1.0), X).values
-        assert Kc[0, 1] == pytest.approx(math.exp(-3.0), rel=1e-12)
+        assert Kc[0, 1] == pytest.approx(math.exp(-3.0), rel=1e-12, abs=0.0)
         Kn = approx.exact_gram(fm.IsotropicNormal(1.0), X).values
-        assert Kn[0, 1] == pytest.approx(math.exp(-2.5), rel=1e-12)
+        assert Kn[0, 1] == pytest.approx(math.exp(-2.5), rel=1e-12, abs=0.0)
 
     def test_doubled_differences(self):
         X = np.array([[0.0], [0.7]])
         K2 = approx.exact_gram(LAPLACE, X, double=True).values
-        assert K2[0, 1] == pytest.approx(math.exp(-1.4), rel=1e-12)
+        assert K2[0, 1] == pytest.approx(math.exp(-1.4), rel=1e-12, abs=0.0)
         assert K2[0, 0] == 1.0
 
     @pytest.mark.parametrize("law", [fm.TensorCauchy(0.7), fm.IsotropicNormal(1.3)], ids=repr)
@@ -79,18 +79,18 @@ class TestExpectedSqFrobenius:
 
     def test_frozen_complex(self):
         got = approx.expected_sq_frobenius(fm.FOURIER_COMPLEX, self.K_half(), 1)
-        assert got == pytest.approx(1.5, rel=1e-12)
+        assert got == pytest.approx(1.5, rel=1e-12, abs=0.0)
 
     def test_frozen_binning(self):
         got = approx.expected_sq_frobenius(fm.BINNING, self.K_half(), 1)
-        assert got == pytest.approx(0.5, rel=1e-12)
+        assert got == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_frozen_real(self):
         X = np.array([[0.0], [1.0]])
         K = approx.exact_gram(LAPLACE, X)
         K2 = approx.exact_gram(LAPLACE, X, double=True)
         got = approx.expected_sq_frobenius(fm.FOURIER_REAL, K, 1, k2=K2)
-        assert got == pytest.approx(3.0 - math.exp(-2.0), rel=1e-12)
+        assert got == pytest.approx(3.0 - math.exp(-2.0), rel=1e-12, abs=0.0)
 
     def test_all_ones_binning_zero(self):
         K = approx.KernelMatrix(np.ones((3, 3)))
@@ -101,7 +101,7 @@ class TestExpectedSqFrobenius:
         K = self.K_half()
         a = approx.expected_sq_frobenius(fm.FOURIER_COMPLEX, K, 1)
         b = approx.expected_sq_frobenius(fm.FOURIER_COMPLEX, K, 2)
-        assert a == pytest.approx(2.0 * b, rel=1e-12)
+        assert a == pytest.approx(2.0 * b, rel=1e-12, abs=0.0)
 
     def test_real_requires_k2(self):
         with pytest.raises(ValueError):
@@ -119,7 +119,7 @@ class TestExpectedSqFrobenius:
             for i in range(8):
                 for j in range(8):
                     total += fm.variance_theory(kind, K.values[i, j], K2.values[i, j])
-            assert expect == pytest.approx(total / 3.0, rel=1e-12)
+            assert expect == pytest.approx(total / 3.0, rel=1e-12, abs=0.0)
 
     def test_binning_dominates_complex(self):
         rng = np.random.default_rng(23)
@@ -149,16 +149,16 @@ class TestEmpiricalError:
             stats = approx.empirical_error(LAPLACE, X, self.make(kind), trials=400)
             # statistically sound bound plus a sanity cap
             assert abs(stats.mean_sq - stats.theory_sq) <= 4.0 * stats.stderr_sq, kind
-            assert stats.mean_sq == pytest.approx(stats.theory_sq, rel=0.10), kind
+            assert stats.mean_sq == pytest.approx(stats.theory_sq, rel=0.10, abs=0.0), kind
 
     def test_relative_forms(self):
         X = np.random.default_rng(37).uniform(-1, 1, size=(6, 1))
         stats = approx.empirical_error(LAPLACE, X, self.make(fm.BINNING), trials=50)
         assert stats.theory_rel == pytest.approx(
-            math.sqrt(stats.theory_sq / stats.norm_k_sq), rel=1e-12
+            math.sqrt(stats.theory_sq / stats.norm_k_sq), rel=1e-12, abs=0.0
         )
         assert stats.empirical_rel == pytest.approx(
-            math.sqrt(stats.mean_sq / stats.norm_k_sq), rel=1e-12
+            math.sqrt(stats.mean_sq / stats.norm_k_sq), rel=1e-12, abs=0.0
         )
 
     def test_deterministic(self):
@@ -174,7 +174,7 @@ class TestEmpiricalError:
             kind=fm.FOURIER_REAL, kernel=law, dim=2, copies=8, seed=99
         )
         stats = approx.empirical_error(law, X, cfg, trials=200)
-        assert stats.mean_sq == pytest.approx(stats.theory_sq, rel=0.15)
+        assert stats.mean_sq == pytest.approx(stats.theory_sq, rel=0.15, abs=0.0)
 
     def test_trials_validation(self):
         X = np.zeros((2, 1))

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,7 @@ class TestKernelCommands:
         code = cli.main(["kernel", "ft", "--kernel", "weibull:theta=1e300,alpha=3", "1"])
         assert code == 0
         value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
-        assert value == pytest.approx(2.0 * math.gamma(2.0 / 3.0) / 1e300, rel=1e-9)
+        assert value == pytest.approx(2.0 * math.gamma(2.0 / 3.0) / 1e300, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("theta,t,expected", [
         # t (t b) overflows, so the law keeps its own scale; about
@@ -201,6 +202,18 @@ class TestKernelCommands:
         assert code == 0
         value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(expected, rel=1e-5, abs=0.0)
+
+    def test_ft_rayleigh_at_large_frequency(self, capsys):
+        # the tilted law's 1 - M(1/2, 1/2, -z) = 1 - e^-z: scipy's hyp1f1
+        # took seconds to minutes here and returned NaN past z = 1e19, which
+        # printed 0.0; the transform is 2 C / t^2 with C = sqrt(pi / 2)
+        start = time.perf_counter()
+        assert cli.main(["kernel", "ft", "--kernel", "rayleigh:sigma=1", "1e7"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert cli.main(["kernel", "ft", "--kernel", "rayleigh:sigma=1", "1e10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        value = float(lines[3].split(",")[1])
+        assert value == pytest.approx(2.5066282746310005e-20, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("spec,t,expected", [
         # log(t E X) is past 1400: the transform underflows to zero
@@ -231,7 +244,7 @@ class TestKernelCommands:
         spec = parse_kernel_spec("rayleigh:sigma=1")
         r, k, ft = map(float, lines[4].split(","))
         assert k == pytest.approx(eval_kernel(spec, r), abs=1e-15)
-        assert ft == pytest.approx(eval_ft(spec, r).value, abs=1e-12)
+        assert ft == pytest.approx(eval_ft(spec, r), abs=1e-12)
 
     def test_bad_kernel_spec_is_single_line_error(self, capsys):
         code = cli.main(["kernel", "eval", "--kernel", "nosuch:a=1", "1"])
@@ -486,6 +499,20 @@ class TestFitPredict:
         bundle = json.loads(model_path.read_text())
         assert bundle["classes"] == [0.0, 1.0, 2.0]
 
+    def test_infinite_lambda_is_json_error(self, tmp_path, capsys):
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=21, n=20)
+        model_path = tmp_path / "model.json"
+        code = cli.main([
+            "fit", str(data), "--task", "regression", "--map", "binning",
+            "--kernel", "gamma:s=2,theta=1", "--copies", "4", "--lambda", "inf",
+            "--out", str(model_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[0])["error"] == "ridge penalty must be positive and finite, got inf"
+        assert not model_path.exists()
+
     def test_binary_task_rejects_three_classes(self, tmp_path):
         data = tmp_path / "train.txt"
         make_classification_file(data, classes=3, per_class=5)
@@ -597,7 +624,8 @@ class TestFitPredict:
             assert "int64" in json.loads(err[0])["error"]
 
 
-def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,theta=1"):
+def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,theta=1",
+               extra=()):
     data = tmp_path / "train.txt"
     if task == "regression":
         make_regression_file(data, seed=25, n=20)
@@ -606,7 +634,7 @@ def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,th
     model_path = tmp_path / "model.json"
     assert cli.main([
         "fit", str(data), "--task", task, "--map", kind, "--kernel", kernel,
-        "--copies", "8", "--lambda", "0.1", "--seed", "2", "--out", str(model_path),
+        "--copies", "8", "--lambda", "0.1", "--seed", "2", "--out", str(model_path), *extra,
     ]) == 0
     return data, model_path
 
@@ -638,8 +666,7 @@ def array_of(blob):
 
 
 def edit_weights(bundle, change):
-    model = bundle["models"][0]
-    model["weights"] = typed_array(change(array_of(model["weights"])), "<f8")
+    bundle["weights"] = typed_array(change(array_of(bundle["weights"])), "<f8")
 
 
 class TestBundleChecks:
@@ -648,19 +675,21 @@ class TestBundleChecks:
         width = json.loads(model_path.read_text())["vocabulary"]["shape"][0]
         rewrite_bundle(model_path, lambda b: edit_weights(b, lambda w: w[:2]))
         message = predict_error(data, model_path, capsys)
-        assert f"weights have 2 entries; the map has {width} feature columns" in message
+        assert f"weights have shape [2]; its map and classes need [{width}]" in message
 
     def test_fourier_weights_not_one_per_copy(self, tmp_path, capsys):
         data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")
         rewrite_bundle(model_path, lambda b: edit_weights(b, lambda w: np.append(w, 0.5)))
         message = predict_error(data, model_path, capsys)
-        assert "weights have 9 entries; the map has 8 feature columns" in message
+        assert "weights have shape [9]; its map and classes need [8]" in message
 
     def test_classes_do_not_match_models(self, tmp_path, capsys):
+        # three weight columns against two classes
         data, model_path = fit_bundle(tmp_path, task="multiclass")
+        width = json.loads(model_path.read_text())["vocabulary"]["shape"][0]
         rewrite_bundle(model_path, lambda b: b["classes"].pop())
         message = predict_error(data, model_path, capsys)
-        assert "3 models for task 'multiclass' with 2 classes" in message
+        assert f"weights have shape [{width}, 3]; its map and classes need [{width}, 2]" in message
 
     def test_empty_binning_vocabulary(self, tmp_path, capsys):
         data, model_path = fit_bundle(tmp_path)
@@ -678,12 +707,34 @@ class TestBundleFormat:
     def test_layout(self, tmp_path):
         _, model_path = fit_bundle(tmp_path)
         bundle = json.loads(model_path.read_text())
-        assert bundle["format"] == "polyakern-model-v4"
+        assert list(bundle) == ["format", "task", "map", "normalizer", "vocabulary",
+                                "weights", "y_mean", "lambda", "route"]
+        assert bundle["format"] == "polyakern-model-v5"
         vocab = array_of(bundle["vocabulary"])
         assert vocab.shape[1] == 3  # the copy, then dim = 2 bins
         assert sorted(set(vocab[:, 0].tolist())) == list(range(8))
         assert bundle["vocabulary"]["dtype"] in ("<i1", "<i2")
-        assert array_of(bundle["models"][0]["weights"]).shape == (vocab.shape[0],)
+        assert array_of(bundle["weights"]).shape == (vocab.shape[0],)
+        assert (bundle["lambda"], bundle["route"]) == (0.1, "dual")
+
+    def test_classifier_weights_are_one_matrix(self, tmp_path):
+        _, model_path = fit_bundle(tmp_path, task="multiclass")
+        bundle = json.loads(model_path.read_text())
+        width = bundle["vocabulary"]["shape"][0]
+        assert bundle["weights"]["shape"] == [width, 3]
+        assert (bundle["classes"], bundle["y_mean"]) == ([0.0, 1.0, 2.0], 0.0)
+
+    @pytest.mark.parametrize("kind,kernel,extra", [
+        ("fourier_real", "cauchy:scale=1", []),
+        ("binning", "gamma:s=2,theta=1", ["--hash-buckets", "16"]),
+    ], ids=["fourier", "hashed"])
+    def test_no_vocabulary_without_an_exact_binning_map(self, tmp_path, kind, kernel, extra):
+        data, model_path = fit_bundle(tmp_path, kind=kind, kernel=kernel, extra=extra)
+        bundle = json.loads(model_path.read_text())
+        assert "vocabulary" not in bundle
+        assert bundle["weights"]["shape"] == [16 if extra else 8]
+        assert cli.main(["predict", str(data), "--model", str(model_path),
+                         "--out", str(tmp_path / "p.csv")]) == 0
 
     @pytest.mark.parametrize("values,dtype", [
         ([0], "<i1"), ([-128, 127], "<i1"), ([128], "<i2"), ([-129], "<i2"),
@@ -702,15 +753,15 @@ class TestBundleFormat:
             assert np.array_equal(back, rows)
 
     @pytest.mark.parametrize("edit,needle,task", [
-        (lambda b: b["models"][0]["weights"].update(data="not*base64!"), "not valid base64",
+        (lambda b: b["weights"].update(data="not*base64!"), "not valid base64",
          "regression"),
         (lambda b: b["vocabulary"].update(data="-" + b["vocabulary"]["data"][1:]),
          "not valid base64", "regression"),
         (lambda b: b["vocabulary"].update(dtype="<f8"), "dtype '<f8'", "regression"),
         (lambda b: b["vocabulary"].update(dtype=">i8"), "dtype '>i8'", "regression"),
-        (lambda b: b["models"][0]["weights"].update(dtype="|O"), "dtype '|O'", "regression"),
-        (lambda b: b["models"][0]["weights"].update(dtype=">f8"), "dtype '>f8'", "regression"),
-        (lambda b: b["models"][0]["weights"]["shape"].__setitem__(0, 3), "needs 24",
+        (lambda b: b["weights"].update(dtype="|O"), "dtype '|O'", "regression"),
+        (lambda b: b["weights"].update(dtype=">f8"), "dtype '>f8'", "regression"),
+        (lambda b: b["weights"]["shape"].__setitem__(0, 3), "needs 24",
          "regression"),
         (lambda b: b["vocabulary"]["shape"].__setitem__(1, 2), "bytes; shape", "regression"),
         (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"])[:, :2], "<i2")),
@@ -722,34 +773,37 @@ class TestBundleFormat:
         (lambda b: b["vocabulary"].update(
             typed_array(np.repeat(array_of(b["vocabulary"])[:1], 2, axis=0), "<i2")),
          "repeats a (copy, bins) key", "regression"),
-        (lambda b: b["models"][0].update(weights=[0.5, 0.25]), "dtype, shape and data",
+        (lambda b: b.update(weights=[0.5, 0.25]), "dtype, shape and data",
          "regression"),
         (lambda b: b["vocabulary"].update(shape=[-1, 3]), "list of sizes", "regression"),
-        (lambda b: b.update(models={}), "models must be a non-empty list", "regression"),
-        (lambda b: b.update(models=["x"]), "models must be a non-empty list", "regression"),
-        (lambda b: b["models"][0].update({"lambda": None}), "positive lambda", "regression"),
-        (lambda b: b["models"][0].update(y_mean=[1, 2]), "finite y_mean", "regression"),
+        (lambda b: b.update({"lambda": None}), "positive finite lambda", "regression"),
+        (lambda b: b.update(y_mean=[1, 2]), "finite y_mean", "regression"),
         (lambda b: b.update(map=[1]), "map must be an object", "regression"),
         (lambda b: b.update(normalizer={"center": [0.0], "halfwidth": [1.0]}),
          "needs 2 finite centers", "regression"),
         (lambda b: b["map"].update(copies=8.5), "integer dim, copies and seed", "regression"),
         (lambda b: b.update(task="foo"), "task 'foo' is not one of", "binary"),
         (lambda b: b.update(classes=[0.0]), "regression bundle has none", "regression"),
-        (lambda b: b["models"][1].update({"lambda": 0.2}), "one shared", "binary"),
         (lambda b: b.update(classes=[0.0, 0.0]), "distinct finite numbers", "binary"),
-        (lambda b: b["models"][0].update(y_mean=10 ** 400), "finite y_mean", "regression"),
+        (lambda b: b.update(y_mean=10 ** 400), "finite y_mean", "regression"),
         (lambda b: b["normalizer"]["center"].__setitem__(0, -(10 ** 400)),
          "needs 2 finite centers", "regression"),
         (lambda b: b.update(classes=[0.0, 10 ** 400]), "distinct finite numbers", "binary"),
+        (lambda b: b.update({"lambda": float("inf")}), "positive finite lambda", "regression"),
+        (lambda b: b.update(route="cg"), "primal or dual route", "regression"),
+        (lambda b: b.update(classes=[0.0]), "two or more distinct", "binary"),
+        (lambda b: b["weights"].update(typed_array(array_of(b["weights"])[:, 0], "<f8")),
+         "weights have shape [", "binary"),
     ], ids=[
         "weights-not-base64", "vocabulary-not-base64", "vocabulary-f8", "vocabulary-big-endian",
         "weights-object", "weights-big-endian", "weights-byte-count", "vocabulary-byte-count",
         "vocabulary-row-narrow", "vocabulary-one-dim", "vocabulary-copy-range",
         "vocabulary-repeated-key", "weights-plain-list", "negative-shape",
-        "models-object", "models-string", "lambda-null", "y_mean-list", "map-list",
+        "lambda-null", "y_mean-list", "map-list",
         "normalizer-one-entry", "copies-fraction", "task-unknown", "classes-on-regression",
-        "models-disagree", "classes-repeated", "y_mean-huge-int", "center-huge-int",
-        "classes-huge-int",
+        "classes-repeated", "y_mean-huge-int", "center-huge-int",
+        "classes-huge-int", "lambda-infinite", "route-unknown", "classes-one",
+        "weights-one-column",
     ])
     def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle, task):
         data, model_path = fit_bundle(tmp_path, task=task)
@@ -757,7 +811,15 @@ class TestBundleFormat:
         assert needle in predict_error(data, model_path, capsys)
 
     def test_v1_bundle_names_both_formats(self, tmp_path, capsys):
+        def to_v4(bundle):
+            # one models entry per weight column, each with its own copy of
+            # y_mean, lambda and route
+            bundle["format"] = "polyakern-model-v4"
+            bundle["models"] = [{key: bundle.pop(key)
+                                 for key in ("weights", "y_mean", "lambda", "route")}]
+
         def to_v1(bundle):
+            to_v4(bundle)
             rows = array_of(bundle["vocabulary"]).tolist()
             bundle["format"] = "polyakern-model-v1"
             bundle["vocabulary"] = [[r[0], r[1:], j] for j, r in enumerate(rows)]
@@ -766,21 +828,36 @@ class TestBundleFormat:
 
         def to_v2(bundle):
             # the v2 layout is v4's; its map was drawn by other samplers
+            to_v4(bundle)
             bundle["format"] = "polyakern-model-v2"
 
         def to_v3(bundle):
             # the v3 layout is v4's; some laws drew other last bits
+            to_v4(bundle)
             bundle["format"] = "polyakern-model-v3"
 
-        for old, edit in (("v1", to_v1), ("v2", to_v2), ("v3", to_v3)):
+        for old, edit in (("v1", to_v1), ("v2", to_v2), ("v3", to_v3), ("v4", to_v4)):
             data, model_path = fit_bundle(tmp_path)
             rewrite_bundle(model_path, edit)
             message = predict_error(data, model_path, capsys)
             assert f"'polyakern-model-{old}'" in message, old
-            assert "'polyakern-model-v4'" in message, old
+            assert "'polyakern-model-v5'" in message, old
 
 
 class TestCv:
+    def test_infinite_lambda_is_json_error(self, tmp_path, capsys):
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=31, n=20)
+        code = cli.main([
+            "cv", str(data), "--shapes", "2.0", "--taus", "1.0", "--lambdas", "0.1,inf",
+            "--copies", "4", "--folds", "2", "--seed", "17",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert json.loads(err[0])["error"] == "ridge penalty must be positive and finite, got inf"
+
     def test_cv_reports_best_and_table(self, tmp_path, capsys):
         data = tmp_path / "train.txt"
         make_regression_file(data, seed=31, n=40)

@@ -140,13 +140,13 @@ class TestValidation:
 class TestDensity:
     def test_frozen_values(self):
         assert dist.ShiftedPoisson(2.0).density(1) == pytest.approx(
-            math.exp(-2), rel=1e-12
+            math.exp(-2), rel=1e-12, abs=0.0
         )
         assert dist.Exponential(1.0).density(0.5) == pytest.approx(
-            math.exp(-0.5), rel=1e-12
+            math.exp(-0.5), rel=1e-12, abs=0.0
         )
         assert dist.Nakagami(1.0, 2.0).density(1.0) == pytest.approx(
-            math.exp(-0.5), rel=1e-12
+            math.exp(-0.5), rel=1e-12, abs=0.0
         )
 
     def test_normalization(self):
@@ -155,7 +155,7 @@ class TestDensity:
                 total = pmf_series_sum(d, lambda x, p: p)
             else:
                 total = integral_0_inf(d.density, mid=max(d.mean(), 0.5))
-            assert total == pytest.approx(1.0, rel=1e-9), d
+            assert total == pytest.approx(1.0, rel=1e-9, abs=0.0), d
 
     def test_zero_off_support(self):
         sp = dist.ShiftedPoisson(2.0)
@@ -167,16 +167,16 @@ class TestDensity:
 class TestCdf:
     def test_frozen_values(self):
         assert dist.Rayleigh(1.0).cdf(1.0) == pytest.approx(
-            -math.expm1(-0.5), rel=1e-12
+            -math.expm1(-0.5), rel=1e-12, abs=0.0
         )
         assert dist.Gamma(2.0, 1.0).cdf(3.0) == pytest.approx(
-            1.0 - 4.0 * math.exp(-3.0), rel=1e-12
+            1.0 - 4.0 * math.exp(-3.0), rel=1e-12, abs=0.0
         )
         # shifted counts: cdf jumps at the integers
         sp = dist.ShiftedPoisson(2.0)
         assert sp.cdf(0.5) == 0.0
-        assert sp.cdf(1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert sp.cdf(1.99) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert sp.cdf(1.0) == pytest.approx(math.exp(-2.0), rel=1e-12, abs=0.0)
+        assert sp.cdf(1.99) == pytest.approx(math.exp(-2.0), rel=1e-12, abs=0.0)
 
     def test_matches_quadrature_of_density(self):
         for d in ALL_SETTINGS:
@@ -191,7 +191,7 @@ class TestCdf:
         for d in SETTINGS["shifted_poisson"]:
             for x in [1, 2, 5, int(d.mean()) + 3]:
                 ref = sum(d.density(k) for k in range(1, int(x) + 1))
-                assert d.cdf(x) == pytest.approx(ref, rel=1e-10), (d, x)
+                assert d.cdf(x) == pytest.approx(ref, rel=1e-10, abs=0.0), (d, x)
 
     def test_monotone_and_bounded(self):
         grid = np.linspace(0.0, 12.0, 200)
@@ -214,7 +214,7 @@ class TestSurvival:
                 continue
             x = 8.0 * d.mean()
             ref, _ = quad(d.density, x, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-            assert d.sf(x) == pytest.approx(ref, rel=1e-8), (d, x)
+            assert d.sf(x) == pytest.approx(ref, rel=1e-8, abs=0.0), (d, x)
 
     @pytest.mark.parametrize("d,x", [
         (dist.Gamma(0.01, 3.0), 5e-324),  # x / b underflows
@@ -241,17 +241,17 @@ class TestSurvival:
         for d in SETTINGS["shifted_poisson"]:
             for x in [0.5, 1, 2.5, int(d.mean()) + 3]:
                 ref = pmf_series_sum(d, lambda k, p: p if k > x else 0.0)
-                assert d.sf(x) == pytest.approx(ref, rel=1e-10), (d, x)
+                assert d.sf(x) == pytest.approx(ref, rel=1e-10, abs=0.0), (d, x)
 
 
 class TestMean:
     def test_frozen_values(self):
-        assert dist.ShiftedPoisson(2.0).mean() == pytest.approx(3.0, rel=1e-12)
-        assert dist.Gamma(2.0, 1.5).mean() == pytest.approx(3.0, rel=1e-12)
-        assert dist.Weibull(1.0, 1.0).mean() == pytest.approx(1.0, rel=1e-12)
-        assert dist.Chi(3).mean() == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
+        assert dist.ShiftedPoisson(2.0).mean() == pytest.approx(3.0, rel=1e-12, abs=0.0)
+        assert dist.Gamma(2.0, 1.5).mean() == pytest.approx(3.0, rel=1e-12, abs=0.0)
+        assert dist.Weibull(1.0, 1.0).mean() == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert dist.Chi(3).mean() == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12, abs=0.0)
         assert dist.HalfNormal(1.0).mean() == pytest.approx(
-            math.sqrt(2.0 / math.pi), rel=1e-12
+            math.sqrt(2.0 / math.pi), rel=1e-12, abs=0.0
         )
 
     def test_matches_quadrature(self):
@@ -262,7 +262,7 @@ class TestMean:
                 ref = integral_0_inf(
                     lambda x: x * d.density(x), mid=max(d.mean(), 0.5)
                 )
-            assert d.mean() == pytest.approx(ref, rel=1e-9), d
+            assert d.mean() == pytest.approx(ref, rel=1e-9, abs=0.0), d
 
 
 class TestSamplers:
@@ -365,26 +365,26 @@ class TestDecompose:
 
     def test_gamma_closed_form(self):
         t = dist.Gamma(2.0, 1.0).decompose()
-        assert t.c == pytest.approx(1.0, rel=1e-12)
+        assert t.c == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert t.tilted.triple() == dist.Gamma(1.0, 1.0).triple()
         t = dist.Gamma(3.5, 0.7).decompose()
-        assert t.c == pytest.approx(1.0 / (2.5 * 0.7), rel=1e-12)
+        assert t.c == pytest.approx(1.0 / (2.5 * 0.7), rel=1e-12, abs=0.0)
         assert t.tilted.triple() == dist.Gamma(2.5, 0.7).triple()
 
     def test_shifted_poisson_closed_form(self):
         t = dist.ShiftedPoisson(3.0).decompose()
-        assert t.c == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert t.c == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
         assert isinstance(t.tilted, dist.Poisson)
         assert t.tilted.mu == 3.0
         # the tilted law starts at zero, with the plain count cdf
         assert t.tilted.cdf(-0.5) == 0.0
-        assert t.tilted.cdf(0.0) == pytest.approx(math.exp(-3.0), rel=1e-12)
+        assert t.tilted.cdf(0.0) == pytest.approx(math.exp(-3.0), rel=1e-12, abs=0.0)
         ref = sum(math.exp(-3.0) * 3.0 ** k / math.factorial(k) for k in range(3))
-        assert t.tilted.cdf(2.5) == pytest.approx(ref, rel=1e-12)
+        assert t.tilted.cdf(2.5) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_rayleigh_tilts_to_half_normal(self):
         t = dist.Rayleigh(2.0).decompose()
-        assert t.c == pytest.approx(math.sqrt(math.pi / 2.0) / 2.0, rel=1e-12)
+        assert t.c == pytest.approx(math.sqrt(math.pi / 2.0) / 2.0, rel=1e-12, abs=0.0)
         assert t.tilted.triple() == dist.HalfNormal(2.0).triple()
 
     def test_chi_steps_down(self):
@@ -399,7 +399,7 @@ class TestDecompose:
 
     def test_chi_square_delegates_to_gamma(self):
         t = dist.ChiSquare(5).decompose()
-        assert t.c == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert t.c == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
         assert t.tilted.triple() == dist.Gamma(1.5, 2.0).triple()
 
     @pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
@@ -408,10 +408,10 @@ class TestDecompose:
         d = dist.Nakagami(m, 1.3)
         t = d.decompose()
         ref = integral_0_inf(lambda x: d.density(x) / x, mid=d.mean())
-        assert t.c == pytest.approx(ref, rel=1e-9)
+        assert t.c == pytest.approx(ref, rel=1e-9, abs=0.0)
         for x in [0.1, 0.5, 1.0, 2.0]:
             tail = integral_to_cutoff(lambda u: d.density(u) / u, d, lo=x)
-            assert t.tilted.sf(x) == pytest.approx(tail / t.c, rel=1e-9), x
+            assert t.tilted.sf(x) == pytest.approx(tail / t.c, rel=1e-9, abs=0.0), x
 
     def test_tilted_tail_and_cosine_transform(self):
         # C S_G(x) is the tail of f(x)/x; Re phi_G(a) the cosine transform
@@ -425,7 +425,7 @@ class TestDecompose:
             t = d.decompose()
             for x in [0.3, 1.0, 2.5]:
                 tail = integral_to_cutoff(lambda u: d.density(u) / u, d, lo=x)
-                assert t.c * t.tilted.sf(x) == pytest.approx(tail, rel=1e-9), (d, x)
+                assert t.c * t.tilted.sf(x) == pytest.approx(tail, rel=1e-9, abs=0.0), (d, x)
             if isinstance(d, dist.Weibull) and d.alpha != 2.0:
                 assert t.tilted.one_minus_re_cf(1.0) is None  # no closed form
                 continue
@@ -440,7 +440,7 @@ class TestDecompose:
         t = d.decompose()
         for x in [0.0, 1.5, 4.0]:
             tail = pmf_series_sum(d, lambda k, p: p / k if k > x else 0.0)
-            assert t.c * t.tilted.sf(x) == pytest.approx(tail, rel=1e-12), x
+            assert t.c * t.tilted.sf(x) == pytest.approx(tail, rel=1e-12, abs=0.0), x
         for a in [0.4, 1.0, 2.7]:
             ref = pmf_series_sum(d, lambda k, p: math.cos(a * (k - 1)) * p)
             assert 1.0 - t.tilted.one_minus_re_cf(a) == pytest.approx(ref, abs=1e-12), a
@@ -448,7 +448,7 @@ class TestDecompose:
     def test_weibull_numeric_tilt(self):
         d = dist.Weibull(1.0, 2.0)
         t = d.decompose()
-        assert t.c == pytest.approx(SQRT_PI, rel=1e-10)
+        assert t.c == pytest.approx(SQRT_PI, rel=1e-10, abs=0.0)
         # tilted cdf against the analytic tilted cdf for this case
         for x in [0.2, 0.7, 1.5, 3.0]:
             ref = 1.0 - gammaincc(0.5, x * x)
@@ -464,7 +464,7 @@ class TestDecompose:
         ]
         for d in cases:
             ref = integral_0_inf(lambda x: d.density(x) / x, mid=max(d.mean(), 0.5))
-            assert d.decompose().c == pytest.approx(ref, rel=1e-9), d
+            assert d.decompose().c == pytest.approx(ref, rel=1e-9, abs=0.0), d
 
     def test_tilted_density_normalizes(self):
         for d in [dist.Gamma(2.0, 1.0), dist.Rayleigh(1.0), dist.Weibull(1.0, 2.0)]:
@@ -472,7 +472,7 @@ class TestDecompose:
             total = integral_0_inf(
                 lambda x: d.density(x) / (t.c * x), mid=max(d.mean(), 0.5)
             )
-            assert total == pytest.approx(1.0, rel=1e-8), d
+            assert total == pytest.approx(1.0, rel=1e-8, abs=0.0), d
 
     def test_infinite_cases_raise(self):
         divergent = [
@@ -492,6 +492,33 @@ class TestDecompose:
                 d.decompose()
 
 
+def kummer_gap_reference(m, z):
+    """1 - M(m, 1/2, -z) at 40 digits."""
+    with mpmath.workdps(40):
+        return float(1 - mpmath.hyp1f1(mpmath.mpf(m), 0.5, -mpmath.mpf(z), maxterms=10 ** 6))
+
+
+class TestKummerGap:
+    """1 - M(m, 1/2, -z), the power-2 cosine gap: scipy's ``hyp1f1`` below
+    z = 60 + 6 m, the large-z expansion from there on."""
+
+    # 1/2 - m is a non-positive integer at m = 0.5, 1.5 and 2.5 (the tilted
+    # laws of Rayleigh, chi 4 and Nakagami 3), where scipy slows with z
+    @pytest.mark.parametrize("m", [0.01, 0.3, 0.5, 1.0, 1.5, 2.5, 3.3, 10.0])
+    def test_matches_mpmath_across_the_threshold(self, m):
+        z0 = 60.0 + 6.0 * m
+        below = z0 * (1.0 - 1e-12)
+        assert dist._kummer_gap(m, below) == pytest.approx(
+            kummer_gap_reference(m, below), rel=5e-14, abs=0.0)
+        for z in (z0, 1.5 * z0, 1e4, 1e19, 1e20, 1e300):
+            ref = kummer_gap_reference(m, z)
+            assert dist._kummer_gap(m, z) == pytest.approx(ref, rel=5e-15, abs=0.0), z
+
+    @pytest.mark.parametrize("m", [0.01, 0.5, 2.5, 3.3, 400.2])
+    def test_one_at_infinity(self, m):
+        assert dist._kummer_gap(m, math.inf) == 1.0
+
+
 class TestFamilyIdentities:
     """Cross-family equalities implied by the parameterizations."""
 
@@ -501,7 +528,7 @@ class TestFamilyIdentities:
         for x in self.GRID:
             assert a.density(x) == pytest.approx(b.density(x), rel=1e-10, abs=1e-300)
             assert a.cdf(x) == pytest.approx(b.cdf(x), rel=1e-10, abs=1e-300)
-        assert a.mean() == pytest.approx(b.mean(), rel=1e-10)
+        assert a.mean() == pytest.approx(b.mean(), rel=1e-10, abs=0.0)
 
     def test_exponential_equals_gamma_one(self):
         self.assert_same_law(dist.Exponential(1.3), dist.Gamma(1.0, 1.3))

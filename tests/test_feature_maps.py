@@ -68,14 +68,14 @@ class TestFrequencyLaws:
         law = fm.TensorCauchy(2.0)
         x = np.array([0.0, 1.0])
         xp = np.array([1.0, -0.5])
-        assert law.kernel_value(x, xp) == pytest.approx(math.exp(-2.0 * 2.5), rel=1e-12)
+        assert law.kernel_value(x, xp) == pytest.approx(math.exp(-2.0 * 2.5), rel=1e-12, abs=0.0)
 
     def test_isotropic_normal_kernel(self):
         law = fm.IsotropicNormal(0.5)
         x = np.array([0.0, 0.0])
         xp = np.array([1.0, 2.0])
         assert law.kernel_value(x, xp) == pytest.approx(
-            math.exp(-0.25 * 5.0 / 2.0), rel=1e-12
+            math.exp(-0.25 * 5.0 / 2.0), rel=1e-12, abs=0.0
         )
 
 
@@ -136,7 +136,7 @@ class TestBuildMap:
         # the mean over many copies reflects mean / rho
         spec = KernelSpec(dist.Gamma(2.0, 1.0), rho=2.0)
         st = fm.build_map(cfg(fm.BINNING, 4000, kernel=spec))
-        assert st.spacings.mean() == pytest.approx(2.0 / 2.0, rel=0.05)
+        assert st.spacings.mean() == pytest.approx(2.0 / 2.0, rel=0.05, abs=0.0)
 
 
 class TestFeaturize:
@@ -397,7 +397,7 @@ class TestVarianceTheory:
         assert fm.variance_theory(fm.BINNING, 0.5) == pytest.approx(0.25)
         assert fm.variance_theory(fm.FOURIER_COMPLEX, 1.0) == 0.0
         got = fm.variance_theory(fm.FOURIER_REAL, math.exp(-1), math.exp(-2))
-        assert got == pytest.approx(1.0 - math.exp(-2) / 2.0, rel=1e-12)
+        assert got == pytest.approx(1.0 - math.exp(-2) / 2.0, rel=1e-12, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -419,7 +419,7 @@ class TestVarianceTheory:
             samples = fm.per_copy_inner_products(state, x, xp)
             emp = float(np.var(samples))
             theory = fm.variance_theory(kind, k, k2)
-            assert emp == pytest.approx(theory, rel=0.05), kind
+            assert emp == pytest.approx(theory, rel=0.05, abs=0.0), kind
 
     def test_binning_samples_are_bernoulli(self):
         state = fm.build_map(cfg(fm.BINNING, 2000, seed=21))
@@ -433,7 +433,7 @@ class TestVarianceTheory:
         base = float(np.var(samples))
         for d in (4, 16):
             means = samples.reshape(-1, d).mean(axis=1)
-            assert float(np.var(means)) == pytest.approx(base / d, rel=0.10), d
+            assert float(np.var(means)) == pytest.approx(base / d, rel=0.10, abs=0.0), d
 
 
 class TestHashedVariant:
@@ -497,6 +497,12 @@ def oracle_cases():
     return [pytest.param(train, test, id=name) for name, (train, test) in cases.items()]
 
 
+def vocabulary_blob(state):
+    """The bundle array of the exact binning map's vocabulary."""
+    rows = state.vocabulary.rows
+    return cli._encode_array(rows, cli._narrowest_int(rows))
+
+
 class TestDictOracle:
     @pytest.mark.parametrize("train_X,test_X", oracle_cases())
     def test_matches_dict_loop(self, train_X, test_X):
@@ -508,13 +514,13 @@ class TestDictOracle:
         assert train.width == len(vocab)
         # bundle rows in the dict's (copy, bins) order, and a bundle reload
         # that looks bins up the same way
-        blob = json.loads(json.dumps(cli._vocabulary_to_json(state)))
+        blob = json.loads(json.dumps(vocabulary_blob(state)))
         raw = np.frombuffer(base64.b64decode(blob["data"]), dtype=blob["dtype"])
         saved = raw.reshape(blob["shape"]).tolist()
         assert saved == [[copy, *bins] for copy, bins in vocab]
         loaded = fm.build_map(c)
         cli._restore_vocabulary(loaded, blob)
-        assert cli._vocabulary_to_json(loaded) == blob
+        assert vocabulary_blob(loaded) == blob
         # at inference the dict grew; the sentinel stands for every new key
         width = len(vocab)
         grown = dict_featurize(state, test_X, vocab)
@@ -545,7 +551,7 @@ def reloaded(state):
     """A fresh copy of the binning map ``state`` with the vocabulary of its
     model bundle."""
     loaded = fm.build_map(state.cfg)
-    blob = json.loads(json.dumps(cli._vocabulary_to_json(state)))
+    blob = json.loads(json.dumps(vocabulary_blob(state)))
     cli._restore_vocabulary(loaded, blob)
     return loaded
 

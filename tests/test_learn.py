@@ -458,6 +458,14 @@ class TestSolveSpd:
         with pytest.raises(NumericalError, match="leading minor"):
             learn._solve_spd(A, np.ones(6))
 
+    def test_infinite_diagonal_fails_the_residual_check(self):
+        # potrf factors it (info 0) and potrs returns x = 0 there; the
+        # residual is then inf * 0 = NaN, which must not pass
+        A = self.spd()
+        A[1, 1] = np.inf
+        with pytest.raises(NumericalError, match="residual nan"):
+            learn._solve_spd(A, np.ones(6))
+
     def test_residual_check_reads_the_matrix(self, monkeypatch):
         potrs = learn.scipy.linalg.lapack.dpotrs
 
@@ -629,7 +637,7 @@ class TestGrids:
         assert grid[0] == pytest.approx(0.12)
         # Successive ratio and the spot value 0.12 * 1.905**3.
         assert grid[1] / grid[0] == pytest.approx(1.905)
-        assert grid[3] == pytest.approx(0.829595115, rel=1e-8)
+        assert grid[3] == pytest.approx(0.829595115, rel=1e-8, abs=0.0)
 
     def test_shape_grids(self):
         assert learn.shape_grid("shifted_poisson") == tuple(
@@ -678,12 +686,29 @@ class TestCrossValidate:
         ds = learn.Dataset(X, y)
         assert learn.cross_validate(ds, space) == learn.cross_validate(ds, space)
 
-    def test_tie_breaking_prefers_larger_lambda_then_tau(self):
-        assert learn._is_better((1.0, 0.1, 0.5), (1.0, 0.01, 0.5))
-        assert not learn._is_better((1.0, 0.01, 0.5), (1.0, 0.1, 0.5))
-        assert learn._is_better((1.0, 0.1, 2.0), (1.0, 0.1, 0.5))
-        assert learn._is_better((0.9, 0.01, 0.5), (1.0, 1.0, 8.0))
-        assert not learn._is_better((1.1, 1.0, 8.0), (1.0, 0.01, 0.5))
+    def test_tie_breaking_prefers_larger_lambda_then_tau(self, monkeypatch):
+        # (shape, tau, lambda) -> score, with every fold scoring the same
+        cases = [
+            (lambda s, tau, lam: 1.0, (1.0, 2.0, 0.1)),  # last: first shape
+            (lambda s, tau, lam: 0.5 if tau == 0.5 else 1.0, (1.0, 0.5, 0.1)),
+            (lambda s, tau, lam: 0.9 if (s, tau, lam) == (2.0, 0.5, 0.01) else 1.0,
+             (2.0, 0.5, 0.01)),
+            (lambda s, tau, lam: 0.5 if s == 2.0 else 1.0, (2.0, 2.0, 0.1)),
+        ]
+        X = np.linspace(0.0, 1.0, 8).reshape(8, 1)
+        space = learn.CvSearchSpace(
+            family="gamma", shapes=(1.0, 2.0), taus=(0.5, 2.0), lambdas=(0.01, 0.1),
+            copies=4, folds=2, seed=5,
+        )
+        for score_of, winner in cases:
+            def fold_scores(state, task, X_fit, y_fit, X_hold, y_hold, lams):
+                kernel = state.cfg.kernel
+                return [score_of(kernel.dist.s, kernel.tau, lam) for lam in lams]
+
+            monkeypatch.setattr(learn, "_fold_scores", fold_scores)
+            result = learn.cross_validate(learn.Dataset(X, X[:, 0]), space)
+            assert (result.shape, result.tau, result.lam) == winner
+            assert len(result.table) == 8
 
     def test_recovers_injected_scale_within_one_grid_step(self):
         # Targets generated at tau = 1.0; the searched grid brackets it with

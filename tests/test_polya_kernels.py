@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyakern import distributions as dist
 from polyakern import polya_kernels as kernels
-from polyakern.errors import ParseError, SpectralMismatchError
+from polyakern.errors import ParseError, QuadratureError, SpectralMismatchError
 
 E1_AT_1 = 0.21938393439552027368
 
@@ -86,7 +86,7 @@ class TestEvalKernel:
         # a gamma source with shape two gives exp(-r/theta)
         k = spec(dist.Gamma(2.0, 1.0))
         for r in [0.0, 0.5, 1.0, 3.0]:
-            assert kernels.eval_kernel(k, r) == pytest.approx(math.exp(-r), rel=1e-12)
+            assert kernels.eval_kernel(k, r) == pytest.approx(math.exp(-r), rel=1e-12, abs=0.0)
 
     def test_exponential_source_value(self):
         k = spec(dist.Exponential(1.0))
@@ -96,7 +96,7 @@ class TestEvalKernel:
     def test_shifted_count_piecewise_linear(self):
         k = spec(dist.ShiftedPoisson(2.0))
         expected = 1.0 - 0.25 * (1.0 - math.exp(-2.0))
-        assert kernels.eval_kernel(k, 0.5) == pytest.approx(expected, rel=1e-12)
+        assert kernels.eval_kernel(k, 0.5) == pytest.approx(expected, rel=1e-12, abs=0.0)
         # linear between the integer knots
         v1 = kernels.eval_kernel(k, 1.25)
         v2 = kernels.eval_kernel(k, 1.5)
@@ -163,7 +163,7 @@ class TestEvalKernel:
             with mpmath.workdps(40):
                 x = (mpmath.mpf(r) / 2) ** mpmath.mpf(0.7)
                 ref = mpmath.exp(-x) - r * mpmath.gammainc(1 - 1 / mpmath.mpf(0.7), x) / 2
-            assert kernels.eval_kernel(spec(d), r) == pytest.approx(float(ref), rel=1e-14), r
+            assert kernels.eval_kernel(spec(d), r) == pytest.approx(float(ref), rel=1e-14, abs=0.0), r
 
     def test_scaling_is_exact(self):
         d = dist.Gamma(3.5, 0.7)
@@ -234,21 +234,21 @@ class TestEvalFt:
     def test_log_two_anchor(self):
         # exponential source, theta 1: transform at t = 1 is log 2
         v = kernels.eval_ft(spec(dist.Gamma(1.0, 1.0)), 1.0)
-        assert v.value == pytest.approx(math.log(2.0), rel=1e-12)
+        assert v == pytest.approx(math.log(2.0), rel=1e-12, abs=0.0)
 
     def test_rayleigh_anchors(self):
         k = spec(dist.Rayleigh(1.0))
-        assert kernels.eval_ft(k, 0.0).value == pytest.approx(
-            math.sqrt(math.pi / 2.0), rel=1e-12
+        assert kernels.eval_ft(k, 0.0) == pytest.approx(
+            math.sqrt(math.pi / 2.0), rel=1e-12, abs=0.0
         )
         expected = math.sqrt(2.0 * math.pi) / 4.0 * (1.0 - math.exp(-2.0))
-        assert kernels.eval_ft(k, 2.0).value == pytest.approx(expected, rel=1e-12)
+        assert kernels.eval_ft(k, 2.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_zero_frequency_is_scaled_mean(self):
         for d in CLOSED_FORM_SETTINGS:
             for rho in [1.0, 2.0]:
                 v = kernels.eval_ft(spec(d, rho=rho), 0.0)
-                assert v.value == pytest.approx(d.mean() / rho, abs=1e-8), d
+                assert v == pytest.approx(d.mean() / rho, abs=1e-8), d
 
     def test_even_and_nonnegative(self):
         for d in FT_SETTINGS:
@@ -256,14 +256,14 @@ class TestEvalFt:
             for t in T_GRID:
                 a = kernels.eval_ft(k, t)
                 b = kernels.eval_ft(k, -t)
-                assert a.value == b.value
-                assert a.value >= 0.0
+                assert a == b
+                assert a >= 0.0
 
     def test_closed_forms_match_numeric(self):
         for d in FT_SETTINGS:
             k = spec(d)
             for t in T_GRID:
-                closed = kernels.eval_ft(k, t).value
+                closed = kernels.eval_ft(k, t)
                 numeric = kernels.eval_ft_numeric(d, t)
                 assert closed == pytest.approx(numeric, abs=1e-6), (d, t)
 
@@ -272,26 +272,32 @@ class TestEvalFt:
             d = dist.HalfNormal(sigma)
             k = spec(d)
             for t in [0.5, 1.5]:
-                closed = kernels.eval_ft(k, t).value
+                closed = kernels.eval_ft(k, t)
                 numeric = kernels.eval_ft_numeric(d, t)
                 assert closed == pytest.approx(numeric, abs=1e-5), (sigma, t)
 
     def test_half_normal_matches_nakagami_half(self):
-        a = kernels.eval_ft(spec(dist.HalfNormal(1.3)), 0.8).value
-        b = kernels.eval_ft(spec(dist.Nakagami(0.5, 1.3 ** 2)), 0.8).value
-        assert a == pytest.approx(b, rel=1e-9)
+        a = kernels.eval_ft(spec(dist.HalfNormal(1.3)), 0.8)
+        b = kernels.eval_ft(spec(dist.Nakagami(0.5, 1.3 ** 2)), 0.8)
+        assert a == pytest.approx(b, rel=1e-9, abs=0.0)
+
+    def test_nan_is_an_error_not_zero(self):
+        for bad in (math.nan, -1e-6):
+            with pytest.raises(QuadratureError, match="negative or NaN"):
+                kernels._nonneg(bad)
+        assert kernels._nonneg(-1e-10) == 0.0
 
     def test_weibull_delegates_to_numeric(self):
         d = dist.Weibull(1.0, 2.0)
         v = kernels.eval_ft(spec(d), 1.2)
-        assert v.value == pytest.approx(kernels.eval_ft_numeric(d, 1.2), rel=1e-12)
-        assert v.value >= 0.0
+        assert v == pytest.approx(kernels.eval_ft_numeric(d, 1.2), rel=1e-12, abs=0.0)
+        assert v >= 0.0
 
     def test_scaling(self):
         d = dist.Gamma(2.0, 1.0)
         for t in [0.0, 0.9, 2.2]:
-            lhs = kernels.eval_ft(spec(d, rho=2.0), t).value
-            rhs = kernels.eval_ft(spec(d), t / 2.0).value / 2.0
+            lhs = kernels.eval_ft(spec(d, rho=2.0), t)
+            rhs = kernels.eval_ft(spec(d), t / 2.0) / 2.0
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("d,third", [
@@ -306,7 +312,7 @@ class TestEvalFt:
         # cancel, and t^2 may underflow
         for t in [1e-3, 1e-6, 1e-9, 1e-160, -1e-300]:
             expected = d.mean() - t * t * third / 12.0
-            assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-11), t
+            assert kernels.eval_ft(spec(d), t) == pytest.approx(expected, rel=1e-11, abs=0.0), t
 
     @pytest.mark.parametrize("d,t,expected", [
         # t^2 underflows but (t theta)^2 does not: 2 theta / (1 + theta^2 t^2)
@@ -317,7 +323,7 @@ class TestEvalFt:
         (dist.Rayleigh(1e-300), 1.0, 1e-300 * math.sqrt(math.pi / 2.0)),
     ], ids=repr)
     def test_small_frequency_guard_reads_the_law_scale(self, d, t, expected):
-        assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert kernels.eval_ft(spec(d), t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("d", [
         dist.HalfNormal(0.7), dist.HalfNormal(1.0), dist.HalfNormal(2.0),
@@ -330,7 +336,7 @@ class TestEvalFt:
         # hold its relative accuracy from tiny to large frequencies
         for t in [1e-9, 1e-6, 1e-4, 1e-3, 1.0, 20.0, 1e3, 1e6]:
             expected = infinite_tilt_ft_reference(d, t)
-            assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-12), t
+            assert kernels.eval_ft(spec(d), t) == pytest.approx(expected, rel=1e-12, abs=0.0), t
 
     @pytest.mark.parametrize("d,t", [
         (dist.HalfNormal(1e308), 1.0), (dist.HalfNormal(1e308), 3.0),
@@ -343,7 +349,7 @@ class TestEvalFt:
         expected = FROZEN_FT_REFERENCES.get((d, t))
         if expected is None:
             expected = infinite_tilt_ft_reference(d, t)
-        assert kernels.eval_ft(spec(d), t).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert kernels.eval_ft(spec(d), t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_numeric_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -367,7 +373,7 @@ class TestGammaTail:
             with mpmath.workdps(30):
                 ref = mpmath.gammainc(s - 1, r / theta) / (theta * mpmath.gamma(s))
             got = kernels._tilted_tail(dist.Gamma(s, theta), r)
-            assert got == pytest.approx(float(ref), rel=1e-11), r
+            assert got == pytest.approx(float(ref), rel=1e-11, abs=0.0), r
 
     @pytest.mark.parametrize("s", [
         0.3, 0.5, 0.9,
@@ -413,7 +419,7 @@ class TestGammaTail:
                 x = mpmath.mpf(r)
                 ref = mpmath.gammainc(s, x, mpmath.inf, regularized=True) - x * mpmath.gammainc(
                     s - 1, x) / mpmath.gamma(s)
-            assert kernels.eval_kernel(spec(d), r) == pytest.approx(float(ref), rel=1e-14), r
+            assert kernels.eval_kernel(spec(d), r) == pytest.approx(float(ref), rel=1e-14, abs=0.0), r
 
 
 def weibull_kernel_reference(r, alpha, theta=1.0):
@@ -474,7 +480,7 @@ class TestNumericRoutes:
     ], ids=repr)
     def test_transform_routes_match_closed_forms(self, d):
         for t in NUMERIC_T_GRID:
-            closed = kernels.eval_ft(spec(d), t).value
+            closed = kernels.eval_ft(spec(d), t)
             assert kernels._ft_from_law(d, t) == pytest.approx(closed, rel=1e-12, abs=0.0), t
             assert kernels._ft_from_kernel(d, t) == pytest.approx(closed, rel=1e-9, abs=0.0), t
 
@@ -484,7 +490,7 @@ class TestNumericRoutes:
         for t in NUMERIC_T_GRID:
             law = kernels._ft_from_law(d, t)
             assert kernels._ft_from_kernel(d, t) == pytest.approx(law, rel=1e-9, abs=0.0), t
-            assert kernels.eval_ft(spec(d), t).value == law
+            assert kernels.eval_ft(spec(d), t) == law
 
     @pytest.mark.parametrize("alpha", [0.7, 3.0])
     def test_numeric_transform_is_scale_covariant(self, alpha):
@@ -539,13 +545,13 @@ class TestKernelToCdf:
         k = spec(dist.Exponential(1.5))
         for x in [0.2, 1.0, 4.0]:
             assert kernels.kernel_to_cdf(k, x) == pytest.approx(
-                -math.expm1(-x / 1.5), rel=1e-10
+                -math.expm1(-x / 1.5), rel=1e-10, abs=0.0
             )
 
     def test_shifted_count_anchor(self):
         k = spec(dist.ShiftedPoisson(2.0))
         assert kernels.kernel_to_cdf(k, 1.5) == pytest.approx(
-            math.exp(-2.0), rel=1e-10
+            math.exp(-2.0), rel=1e-10, abs=0.0
         )
 
     def test_roundtrip_closed_forms(self):
@@ -574,11 +580,13 @@ class TestKernelToCdf:
 
     @pytest.mark.parametrize("s,u", [(0.01, 1e-320), (0.05, 1e-320), (0.01, 1e-300)])
     def test_subnormal_point_matches_reference(self, s, u):
-        # T(u) overflows there, but u k'(u) = -u T(u) is finite
+        # T(u) overflows there, but u k'(u) = -u T(u) is finite.  F is
+        # 1 - k + u k' in doubles, so it is good to about one ulp of 1 in
+        # absolute terms: at s = 0.05 F is 1.03e-16 and reads 1.06e-16
         with mpmath.workdps(40):
             ref = mpmath.gammainc(s, 0, mpmath.mpf(u), regularized=True)
         got = kernels.kernel_to_cdf(spec(dist.Gamma(s, 1.0)), u)
-        assert got == pytest.approx(float(ref), rel=1e-12)
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=2.0 ** -52)
 
     def test_scaled_spec_recovers_scaled_cdf(self):
         d = dist.Rayleigh(1.0)
@@ -618,7 +626,7 @@ class TestTensorEval:
         k = spec(dist.Gamma(2.0, 1.0))
         x = np.array([0.0, 0.0])
         xp = np.array([1.0, 2.0])
-        assert kernels.tensor_eval(k, x, xp) == pytest.approx(math.exp(-3.0), rel=1e-12)
+        assert kernels.tensor_eval(k, x, xp) == pytest.approx(math.exp(-3.0), rel=1e-12, abs=0.0)
 
     def test_matches_univariate_product(self):
         k = spec(dist.Rayleigh(1.0), rho=1.5)
@@ -627,7 +635,7 @@ class TestTensorEval:
         expected = 1.0
         for a, b in zip(x, xp):
             expected *= kernels.eval_kernel(k, abs(a - b))
-        assert kernels.tensor_eval(k, x, xp) == pytest.approx(expected, rel=1e-12)
+        assert kernels.tensor_eval(k, x, xp) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_dimension_mismatch(self):
         k = spec(dist.Gamma(2.0, 1.0))

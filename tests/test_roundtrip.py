@@ -95,7 +95,8 @@ class TestBundleRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
             cli.save_model(first, task, cli.fit_normalizer(X), model)
-            assert len(json.loads(first.read_text())["models"]) == n_classes
+            assert json.loads(first.read_text())["weights"]["shape"] == [model.weights.shape[0],
+                                                                         n_classes]
             loaded_task, _, norm, (loaded,), classes = cli.load_model(first)
             cli.save_model(second, loaded_task, norm, loaded)
             assert first.read_bytes() == second.read_bytes()

@@ -40,28 +40,28 @@ def upper_inc_gamma(s, t):
 
 class TestGammaFn:
     def test_half_integer_value(self):
-        assert math.gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-13)
+        assert math.gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-13, abs=0.0)
 
     def test_small_integers(self):
         for n, fact in [(1, 1.0), (2, 1.0), (3, 2.0), (5, 24.0), (8, 5040.0)]:
-            assert math.gamma(n) == pytest.approx(fact, rel=1e-13)
+            assert math.gamma(n) == pytest.approx(fact, rel=1e-13, abs=0.0)
 
     def test_quadrature_of_defining_integral(self):
         # gamma(s) = int_0^inf x^(s-1) exp(-x) dx
         for s in [0.3, 0.75, 1.5, 2.2, 4.8]:
             ref, err = quad(lambda x: x ** (s - 1) * math.exp(-x), 0, np.inf)
-            assert math.gamma(s) == pytest.approx(ref, rel=1e-9)
+            assert math.gamma(s) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_random_sweep_against_reference(self):
         pts = np.exp(RNG.uniform(np.log(0.05), np.log(60.0), size=100))
         for s in pts:
             ref = mp_float(mpmath.gamma(s))
-            assert math.gamma(s) == pytest.approx(ref, rel=1e-12)
+            assert math.gamma(s) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @given(st.floats(min_value=0.1, max_value=50.0))
     def test_recurrence(self, s):
         assert math.gamma(s + 1) == pytest.approx(
-            s * math.gamma(s), rel=1e-11
+            s * math.gamma(s), rel=1e-11, abs=0.0
         )
 
 
@@ -78,33 +78,33 @@ class TestUpperIncGamma:
         # gamma(1, t) = exp(-t)
         for t in [0.0, 0.4, 2.0, 9.0]:
             assert upper_inc_gamma(1.0, t) == pytest.approx(
-                math.exp(-t), rel=1e-12
+                math.exp(-t), rel=1e-12, abs=0.0
             )
 
     def test_shape_two_special_case(self):
         # gamma(2, t) = (1 + t) exp(-t)
         for t in [0.0, 0.7, 3.3, 12.0]:
             assert upper_inc_gamma(2.0, t) == pytest.approx(
-                (1 + t) * math.exp(-t), rel=1e-12
+                (1 + t) * math.exp(-t), rel=1e-12, abs=0.0
             )
 
     def test_at_zero_equals_complete(self):
         for s in [0.4, 1.0, 2.5, 6.0]:
             assert upper_inc_gamma(s, 0.0) == pytest.approx(
-                math.gamma(s), rel=1e-13
+                math.gamma(s), rel=1e-13, abs=0.0
             )
 
     def test_quadrature_of_defining_integral(self):
         for s, t in [(0.5, 0.25), (1.5, 2.0), (3.0, 1.0), (2.5, 8.0)]:
             ref, err = quad(lambda x: x ** (s - 1) * math.exp(-x), t, np.inf)
-            assert upper_inc_gamma(s, t) == pytest.approx(ref, rel=1e-9)
+            assert upper_inc_gamma(s, t) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_random_sweep_against_reference(self):
         s_pts = np.exp(RNG.uniform(np.log(0.05), np.log(40.0), size=100))
         t_pts = np.exp(RNG.uniform(np.log(1e-3), np.log(60.0), size=100))
         for s, t in zip(s_pts, t_pts):
             ref = mp_float(mpmath.gammainc(s, t))
-            assert upper_inc_gamma(s, t) == pytest.approx(ref, rel=1e-10)
+            assert upper_inc_gamma(s, t) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_regularized_sweep(self):
         s_pts = np.exp(RNG.uniform(np.log(0.05), np.log(200.0), size=100))
@@ -137,7 +137,7 @@ class TestUpperIncGammaNegativeOrder:
     def test_quadrature_of_defining_integral(self):
         for s, t in [(0.3, 0.5), (0.5, 1.0), (0.9, 2.0), (0.5, 8.0)]:
             ref, err = quad(lambda x: x ** (s - 2) * math.exp(-x), t, np.inf)
-            assert upper_inc_gamma_below_zero(s, t) == pytest.approx(ref, rel=1e-9)
+            assert upper_inc_gamma_below_zero(s, t) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_random_sweep_against_reference(self):
         rng = np.random.default_rng(60311)
@@ -145,7 +145,7 @@ class TestUpperIncGammaNegativeOrder:
         t_pts = np.exp(rng.uniform(np.log(1e-6), np.log(30.0), size=100))
         for s, t in zip(s_pts, t_pts):
             ref = mp_float(mpmath.gammainc(s - 1, t))
-            assert upper_inc_gamma_below_zero(s, t) == pytest.approx(ref, rel=1e-11)
+            assert upper_inc_gamma_below_zero(s, t) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 class TestPochhammer:
@@ -163,32 +163,32 @@ class TestPochhammer:
         x_pts = 1.0 / rng.uniform(0.3, 5.0, size=100)
         for a, x in zip(a_pts, x_pts):
             ref = mp_float(mpmath.rf(a, x))
-            assert poch(a, x) == pytest.approx(ref, rel=1e-13), (a, x)
+            assert poch(a, x) == pytest.approx(ref, rel=1e-13, abs=0.0), (a, x)
 
 
 class TestDawson:
     def test_small_argument_series(self):
         # D(x) = x - 2 x^3 / 3 + 4 x^5 / 15 - ...
         for x in [1e-300, 1e-9, 1e-4]:
-            assert dawsn(x) == pytest.approx(x - 2.0 * x ** 3 / 3.0, rel=1e-15)
+            assert dawsn(x) == pytest.approx(x - 2.0 * x ** 3 / 3.0, rel=1e-15, abs=0.0)
 
     def test_quadrature_of_defining_integral(self):
         # D(x) = exp(-x^2) int_0^x exp(t^2) dt
         for x in [0.2, 0.9, 2.0, 5.0]:
             ref, err = quad(lambda t: math.exp(t * t - x * x), 0.0, x)
-            assert dawsn(x) == pytest.approx(ref, rel=1e-10)
+            assert dawsn(x) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_random_sweep_against_reference(self):
         pts = np.exp(np.random.default_rng(60312).uniform(np.log(1e-6), np.log(1e6), size=100))
         for x in pts:
             m = mpmath.mpf(float(x))
             ref = mp_float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-m * m) * mpmath.erfi(m))
-            assert dawsn(x) == pytest.approx(ref, rel=1e-13)
+            assert dawsn(x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_large_argument_asymptote(self):
         # D(x) -> 1 / (2x) + 1 / (4 x^3) as x -> infinity
         for x in [1e4, 1e8, 1e100]:
-            assert dawsn(x) == pytest.approx(0.5 / x + 0.25 / x ** 3, rel=1e-14)
+            assert dawsn(x) == pytest.approx(0.5 / x + 0.25 / x ** 3, rel=1e-14, abs=0.0)
 
 
 class TestExpIntegralE1:
@@ -198,7 +198,7 @@ class TestExpIntegralE1:
     def test_quadrature_of_defining_integral(self):
         for z in [0.1, 0.5, 1.0, 2.5, 7.0]:
             ref, err = quad(lambda x: math.exp(-x) / x, z, np.inf)
-            assert exp1(z) == pytest.approx(ref, rel=1e-9)
+            assert exp1(z) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_random_sweep_against_reference(self):
         pts = np.exp(RNG.uniform(np.log(1e-3), np.log(80.0), size=100))
@@ -212,7 +212,7 @@ class TestExpIntegralE1:
         # implementations switch expansions at 1; values must agree there
         for z in [0.999999, 1.0, 1.000001]:
             ref = mp_float(mpmath.expint(1, z))
-            assert exp1(z) == pytest.approx(ref, rel=1e-11)
+            assert exp1(z) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 class TestKummerM:
@@ -222,14 +222,14 @@ class TestKummerM:
     def test_equal_parameters_give_exp(self):
         for z in [-3.0, -0.5, 0.2, 4.0]:
             assert hyp1f1(1.5, 1.5, z) == pytest.approx(
-                math.exp(z), rel=1e-12
+                math.exp(z), rel=1e-12, abs=0.0
             )
 
     def test_one_two_closed_form(self):
         # M(1, 2, z) = (exp(z) - 1)/z
         for z in [-2.0, 0.3, 1.7, 6.0]:
             assert hyp1f1(1.0, 2.0, z) == pytest.approx(
-                math.expm1(z) / z, rel=1e-12
+                math.expm1(z) / z, rel=1e-12, abs=0.0
             )
 
     def test_random_sweep_against_reference(self):
@@ -257,7 +257,7 @@ class TestErfFamily:
         for x in [0.2, 1.0, 1.8]:
             ref, err = quad(lambda t: math.exp(-t * t), -x, x)
             ref /= SQRT_PI
-            assert math.erf(x) == pytest.approx(ref, rel=1e-9)
+            assert math.erf(x) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_random_sweep_against_reference(self):
         pts = RNG.uniform(-6.0, 6.0, size=100)
@@ -266,13 +266,13 @@ class TestErfFamily:
                 mp_float(mpmath.erf(x)), rel=1e-11, abs=1e-14
             )
             assert math.erfc(x) == pytest.approx(
-                mp_float(mpmath.erfc(x)), rel=1e-11
+                mp_float(mpmath.erfc(x)), rel=1e-11, abs=0.0
             )
 
     def test_erfc_tail_is_relatively_accurate(self):
         for x in [3.0, 5.0, 8.0, 12.0]:
             assert math.erfc(x) == pytest.approx(
-                mp_float(mpmath.erfc(x)), rel=1e-10
+                mp_float(mpmath.erfc(x)), rel=1e-10, abs=0.0
             )
 
     def test_odd_symmetry(self):
