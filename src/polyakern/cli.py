@@ -175,7 +175,7 @@ class AffineNormalizer:
     def from_json(cls, blob, dim):
         _expect(
             isinstance(blob, dict)
-            and all(_finite_numbers(blob[key], dim) for key in ("center", "halfwidth"))
+            and all(_finite_numbers(blob.get(key), dim) for key in ("center", "halfwidth"))
             and min(blob["halfwidth"]) >= 0.0,
             f"bundle normalizer needs {dim} finite centers and {dim} half-widths >= 0",
         )
@@ -298,6 +298,14 @@ def _expect(ok, message) -> None:
         raise ParseError(message)
 
 
+def _field(bundle, key):
+    """``bundle[key]``, or a :class:`ParseError` naming the missing field."""
+    try:
+        return bundle[key]
+    except KeyError:
+        raise ParseError(f"bundle has no {key!r} field") from None
+
+
 def _finite_numbers(values, count=None) -> bool:
     """Whether ``values`` is a JSON list of finite numbers (``count`` of
     them); an integer too large for a float is not one."""
@@ -372,8 +380,8 @@ def _map_metadata(cfg: FeatureMapConfig) -> dict:
 def _config_from_metadata(meta) -> FeatureMapConfig:
     _expect(
         isinstance(meta, dict)
-        and all(isinstance(meta[key], str) for key in ("kind", "kernel"))
-        and all(type(meta[key]) is int for key in ("dim", "copies", "seed")),
+        and all(isinstance(meta.get(key), str) for key in ("kind", "kernel"))
+        and all(type(meta.get(key)) is int for key in ("dim", "copies", "seed")),
         "bundle map must be an object with string kind and kernel and integer "
         "dim, copies and seed",
     )
@@ -442,14 +450,14 @@ def load_model(path):
         raise ParseError(
             f"{path} has model format {found!r}; this version reads {MODEL_FORMAT!r}"
         )
-    task, classes = bundle["task"], bundle.get("classes")
+    task, classes = _field(bundle, "task"), bundle.get("classes")
     _expect(task in TASKS, f"bundle task {task!r} is not one of {list(TASKS)}")
-    cfg = _config_from_metadata(bundle["map"])
+    cfg = _config_from_metadata(_field(bundle, "map"))
     state = build_map(cfg)
     if _has_vocabulary(cfg):
-        _restore_vocabulary(state, bundle["vocabulary"])
-    normalizer = AffineNormalizer.from_json(bundle["normalizer"], cfg.dim)
-    y_mean, lam, route = bundle["y_mean"], bundle["lambda"], bundle["route"]
+        _restore_vocabulary(state, _field(bundle, "vocabulary"))
+    normalizer = AffineNormalizer.from_json(_field(bundle, "normalizer"), cfg.dim)
+    y_mean, lam, route = (_field(bundle, key) for key in ("y_mean", "lambda", "route"))
     _expect(_finite_numbers([y_mean, lam]) and lam > 0 and route in ("primal", "dual"),
             "bundle needs a finite y_mean, a positive finite lambda, and a "
             "primal or dual route")
@@ -457,7 +465,7 @@ def load_model(path):
             else _finite_numbers(classes) and len(set(classes)) == len(classes) >= 2,
             "bundle classes: a regression bundle has none, a classifier's are "
             "two or more distinct finite numbers")
-    weights = _decode_array(bundle["weights"], "weights", _WEIGHT_DTYPES).astype(float)
+    weights = _decode_array(_field(bundle, "weights"), "weights", _WEIGHT_DTYPES).astype(float)
     wanted = (feature_width(state),) + (() if classes is None else (len(classes),))
     _expect(weights.shape == wanted,
             f"bundle weights have shape {list(weights.shape)}; its map and classes "

@@ -26,9 +26,13 @@ from the triangle the factor leaves intact.
 ``cross_validate`` grid-searches a binning map's distribution shape, its
 area parameter τ, and the ridge penalty λ by k-fold validation, breaking
 exact score ties toward the larger λ and then the larger τ.  It draws one
-unit-scale map per (shape, fold): τ only rescales that map's spacings and
-offsets, and λ does not touch the features, so each (shape, τ, fold)
-featurizes its rows once and fits every λ from one Gram matrix.
+unit-scale map per shape: τ only rescales that map's spacings and offsets,
+so each (shape, τ) featurizes all rows once and takes their bin
+co-occurrence Gram matrix C.  The binning inner product is that kernel, so
+every fold and λ is scored in kernel form from C, with no per-fold
+features, vocabulary or weights: the dual system on C[fit, fit] and the
+held-out scores C[hold, fit] α.  It holds one n × n matrix C, one
+n_fit × n_fit system and the n_hold × n_fit block at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .feature_maps import (
     feature_blocks,
     feature_matrix,
     featurize,
+    gram,
     rescale_map,
     row_blocks,
 )
@@ -207,6 +212,29 @@ def _ridge_systems(M, lams):
         yield M
 
 
+def _penalties(lams):
+    """The ridge penalties ``lams`` as floats, each positive and finite."""
+    lams = tuple(float(lam) for lam in lams)
+    for lam in lams:
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
+    return lams
+
+
+def _ridge_targets(y, classify):
+    """(Y, classes, y_mean): the right-hand sides, as ``fit_path`` describes
+    them, the classes (None for regression) and the target mean."""
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("targets contain non-finite values")
+    if not classify:
+        y_mean = float(y.mean())
+        return y - y_mean, None, y_mean
+    classes = tuple(float(c) for c in np.unique(y))
+    if len(classes) < 2:
+        raise ValueError(f"one-vs-all needs at least two classes, got {len(classes)}")
+    return np.where(y[:, None] == np.asarray(classes), 1.0, -1.0), classes, 0.0
+
+
 def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel, ...]:
     """Ridge-fit targets ``y`` against featurized points ``batch`` once per
     penalty in ``lams``, in that order.
@@ -218,32 +246,19 @@ def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel,
     are built once; each penalty then gets one Cholesky solve for every
     target column, with a residual check per column.
     """
-    lams = tuple(float(lam) for lam in lams)
-    for lam in lams:
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
+    lams = _penalties(lams)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != batch.n:
         raise ValueError(
             f"targets must be 1-D with one entry per point ({batch.n}), "
             f"got shape {y.shape}"
         )
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("targets contain non-finite values")
     if batch.kind == FOURIER_COMPLEX:
         raise ValueError(
             "complex feature maps are for spectral analysis; fit on the "
             "real map or the binning map"
         )
-
-    if classify:
-        classes, y_mean = tuple(float(c) for c in np.unique(y)), 0.0
-        if len(classes) < 2:
-            raise ValueError(f"one-vs-all needs at least two classes, got {len(classes)}")
-        Y = np.where(y[:, None] == np.asarray(classes), 1.0, -1.0)
-    else:
-        classes, y_mean = None, float(y.mean())
-        Y = y - y_mean
+    Y, classes, y_mean = _ridge_targets(y, classify)
     weights, route = _ridge_weights(batch, Y, lams)
     return tuple(
         RidgeModel(state=state, weights=w, lam=lam, y_mean=y_mean, route=route,
@@ -270,6 +285,7 @@ def _ridge_weights(batch, Y, lams):
             else:
                 G += ZZ
                 B += ZY
+            del ZZ  # so that no block's Gram is alive while the next is made
         return [_solve_spd(A, B) for A in _ridge_systems(G, lams)], "primal"
     Z = feature_matrix(batch)
     systems = _ridge_systems(dense_gram(Z.T), lams)
@@ -368,16 +384,25 @@ class CvResult:
     table: Tuple[Tuple[float, float, float, float], ...]
 
 
-def _fold_scores(state, task, X_fit, y_fit, X_hold, y_hold, lams):
+def _fold_scores(C, fold, y, lams):
     """Validation score of each penalty in ``lams`` for one map and fold:
-    mean-squared error for regression, error rate for classification."""
-    batch = featurize(state, X_fit)  # fills the vocabulary
-    hold = featurize(state, X_hold)
-    classify = task == "classification"
+    mean-squared error for regression, error rate for classification.
+
+    ``C`` is the map's co-occurrence Gram matrix over all rows, and ``fold``
+    is (fit rows, held-out rows) followed by ``_ridge_targets`` of the fit
+    rows' targets ``y[fit]``.  Each penalty solves the dual system on
+    C[fit, fit], and the held-out scores are C[hold, fit] α + y_mean: the
+    scores ``fit`` then ``_predict`` give on the same map, because a bin
+    the fit rows never saw adds zero to both."""
+    fit, hold, Y, classes, y_mean = fold
+    cross = C[np.ix_(hold, fit)]
     scores = []
-    for model in fit_path(state, batch, y_fit, lams, classify=classify):
-        preds = _predict(model, hold)
-        loss = preds != y_hold if classify else (preds - y_hold) ** 2
+    for A in _ridge_systems(C[np.ix_(fit, fit)], lams):
+        held = cross @ _solve_spd(A, Y) + y_mean
+        if classes is None:
+            loss = (held - y[hold]) ** 2
+        else:
+            loss = np.asarray(classes)[np.argmax(held, axis=1)] != y[hold]
         scores.append(float(np.mean(loss)))
     return scores
 
@@ -386,12 +411,13 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
     """k-fold grid search over (distribution shape, τ, λ) for a binning map.
 
     Regression minimizes mean-squared validation error; classification
-    minimizes the validation error rate.  Each (shape, fold) draws one
-    binning map at unit scale, with a seed derived from ``space.seed``, the
-    shape's index and the fold; every τ rescales that map (``rescale_map``)
-    and every λ reuses the τ's featurized rows and Gram matrix
-    (``fit_path``).  All grid points thus share common random numbers.
-    Deterministic given ``space.seed``.
+    minimizes the validation error rate.  Each shape draws one binning map
+    at unit scale, seeded from ``space.seed`` and the shape's index, so all
+    grid points of a shape share common random numbers.  Each τ rescales it
+    (``rescale_map``) and takes the co-occurrence Gram matrix C of all rows
+    (``gram``), from which every fold and λ is scored (``_fold_scores``).
+    Penalties, targets and every fold's classes are checked before any map
+    is drawn.  Deterministic given ``space.seed``.
     """
     if space.task not in ("regression", "classification"):
         raise ValueError(f"unknown task {space.task!r}")
@@ -401,7 +427,7 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
         raise ValueError("search grid must be non-empty in every dimension")
     if space.folds < 2:
         raise ValueError("cross-validation needs at least two folds")
-
+    lams = _penalties(space.lambdas)
     X, y = data.points, data.targets
     n, dim = X.shape
     if n < space.folds:
@@ -410,30 +436,33 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
     perm = np.argsort(RandomStream(space.seed).uniform(n))
     fold_of = np.empty(n, dtype=int)
     fold_of[perm] = np.arange(n) % space.folds
+    folds = []  # every row is a fit row of some fold, so all targets are checked
+    for fold in range(space.folds):
+        fit_rows = np.flatnonzero(fold_of != fold)
+        folds.append((fit_rows, np.flatnonzero(fold_of == fold),
+                      *_ridge_targets(y[fit_rows], space.task == "classification")))
 
     rows = []
     for shape_index, shape in enumerate(shapes):
         dist = make_dist(shape)
-        kernels = [KernelSpec(dist, tau=tau) for tau in space.taus]
-        fold_scores = np.empty((len(kernels), len(space.lambdas), space.folds))
-        for fold in range(space.folds):
-            hold = fold_of == fold
-            unit = build_map(FeatureMapConfig(
-                kind=BINNING, kernel=KernelSpec(dist), dim=dim, copies=space.copies,
-                seed=derived_seed(space.seed, (shape_index, fold)),
-            ))
-            for t, kernel in enumerate(kernels):
-                fold_scores[t, :, fold] = _fold_scores(
-                    rescale_map(unit, kernel), space.task,
-                    X[~hold], y[~hold], X[hold], y[hold], space.lambdas,
-                )
+        unit = build_map(FeatureMapConfig(
+            kind=BINNING, kernel=KernelSpec(dist), dim=dim, copies=space.copies,
+            seed=derived_seed(space.seed, (shape_index,)),
+        ))
+        fold_scores = np.empty((len(space.taus), len(lams), space.folds))
         for t, tau in enumerate(space.taus):
-            for j, lam in enumerate(space.lambdas):
+            C = gram(featurize(rescale_map(unit, KernelSpec(dist, tau=tau)), X))
+            for f, fold in enumerate(folds):
+                fold_scores[t, :, f] = _fold_scores(C, fold, y, lams)
+            del C  # so that the next C is made with this one gone
+        for t, tau in enumerate(space.taus):
+            for j, lam in enumerate(lams):
                 score = float(np.mean(fold_scores[t, j]))
                 rows.append((float(shape), float(tau), float(lam), score))
 
-    # lowest score; exact ties go to the larger λ, then the larger τ, then
-    # the first row
-    shape, tau, lam, score = min(rows, key=lambda r: (r[3], -r[2], -r[1]))
+    # lowest score, NaN last; exact ties go to the larger λ, then the larger
+    # τ, then the first row
+    shape, tau, lam, score = min(
+        rows, key=lambda r: (math.isnan(r[3]), r[3], -r[2], -r[1]))
     return CvResult(family=space.family, shape=shape, tau=tau, lam=lam,
                     score=score, table=tuple(rows))

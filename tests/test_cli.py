@@ -794,6 +794,8 @@ class TestBundleFormat:
         (lambda b: b.update(classes=[0.0]), "two or more distinct", "binary"),
         (lambda b: b["weights"].update(typed_array(array_of(b["weights"])[:, 0], "<f8")),
          "weights have shape [", "binary"),
+        (lambda b: b["map"].pop("kind"), "string kind and kernel", "regression"),
+        (lambda b: b["normalizer"].pop("center"), "needs 2 finite centers", "regression"),
     ], ids=[
         "weights-not-base64", "vocabulary-not-base64", "vocabulary-f8", "vocabulary-big-endian",
         "weights-object", "weights-big-endian", "weights-byte-count", "vocabulary-byte-count",
@@ -803,12 +805,20 @@ class TestBundleFormat:
         "normalizer-one-entry", "copies-fraction", "task-unknown", "classes-on-regression",
         "classes-repeated", "y_mean-huge-int", "center-huge-int",
         "classes-huge-int", "lambda-infinite", "route-unknown", "classes-one",
-        "weights-one-column",
+        "weights-one-column", "map-without-kind", "normalizer-without-center",
     ])
     def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle, task):
         data, model_path = fit_bundle(tmp_path, task=task)
         rewrite_bundle(model_path, edit)
         assert needle in predict_error(data, model_path, capsys)
+
+    @pytest.mark.parametrize("field", [
+        "task", "map", "normalizer", "vocabulary", "weights", "y_mean", "lambda", "route",
+    ])
+    def test_missing_field_is_named(self, tmp_path, capsys, field):
+        data, model_path = fit_bundle(tmp_path)
+        rewrite_bundle(model_path, lambda b: b.pop(field))
+        assert predict_error(data, model_path, capsys) == f"bundle has no {field!r} field"
 
     def test_v1_bundle_names_both_formats(self, tmp_path, capsys):
         def to_v4(bundle):
@@ -857,6 +867,22 @@ class TestCv:
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert json.loads(err[0])["error"] == "ridge penalty must be positive and finite, got inf"
+
+    def test_nan_label_is_json_error(self, tmp_path, capsys):
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=31, n=20)
+        lines = data.read_text().splitlines()
+        lines[3] = "nan " + lines[3].split(" ", 1)[1]
+        data.write_text("\n".join(lines) + "\n")
+        code = cli.main([
+            "cv", str(data), "--shapes", "2.0", "--taus", "1.0", "--lambdas", "0.1",
+            "--copies", "4", "--folds", "2", "--seed", "17",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert json.loads(err[0])["error"] == "targets contain non-finite values"
 
     def test_cv_reports_best_and_table(self, tmp_path, capsys):
         data = tmp_path / "train.txt"

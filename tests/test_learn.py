@@ -10,6 +10,7 @@ Oracles used here:
   * invariance facts (reordering training points cannot change predictions).
 """
 
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -661,6 +662,20 @@ def bump_targets(X, spec, anchors, weights, noise, stream):
     return clean + noise * stream.normal(len(X))
 
 
+def scores_by_call(space, score_of):
+    """A stand-in for ``learn._fold_scores`` that scores each penalty as
+    ``score_of(shape, tau, lam)``; cross_validate calls it shape by shape,
+    tau by tau, then fold by fold."""
+    calls = iter([(s, tau) for s in space.shapes for tau in space.taus
+                  for _ in range(space.folds)])
+
+    def fold_scores(C, fold, y, lams):
+        s, tau = next(calls)
+        return [score_of(s, tau, lam) for lam in lams]
+
+    return fold_scores
+
+
 class TestCrossValidate:
     def test_single_combination_grid(self):
         stream = RandomStream(61)
@@ -701,14 +716,22 @@ class TestCrossValidate:
             copies=4, folds=2, seed=5,
         )
         for score_of, winner in cases:
-            def fold_scores(state, task, X_fit, y_fit, X_hold, y_hold, lams):
-                kernel = state.cfg.kernel
-                return [score_of(kernel.dist.s, kernel.tau, lam) for lam in lams]
-
-            monkeypatch.setattr(learn, "_fold_scores", fold_scores)
+            monkeypatch.setattr(learn, "_fold_scores", scores_by_call(space, score_of))
             result = learn.cross_validate(learn.Dataset(X, X[:, 0]), space)
             assert (result.shape, result.tau, result.lam) == winner
             assert len(result.table) == 8
+
+    def test_nan_scores_rank_last(self, monkeypatch):
+        X = np.linspace(0.0, 1.0, 8).reshape(8, 1)
+        space = learn.CvSearchSpace(
+            family="gamma", shapes=(1.0, 2.0), taus=(0.5, 2.0), lambdas=(0.01, 0.1),
+            copies=4, folds=2, seed=5,
+        )
+        score_of = lambda s, tau, lam: math.nan if s == 1.0 else 1.0  # noqa: E731
+        monkeypatch.setattr(learn, "_fold_scores", scores_by_call(space, score_of))
+        result = learn.cross_validate(learn.Dataset(X, X[:, 0]), space)
+        assert (result.shape, result.tau, result.lam, result.score) == (2.0, 2.0, 0.1, 1.0)
+        assert sum(math.isnan(row[3]) for row in result.table) == 4
 
     def test_recovers_injected_scale_within_one_grid_step(self):
         # Targets generated at tau = 1.0; the searched grid brackets it with
@@ -742,7 +765,7 @@ class TestCrossValidate:
         assert result.score <= 0.2
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_one_map_per_shape_and_fold(self, monkeypatch, task):
+    def test_one_map_per_shape(self, monkeypatch, task):
         X, labels = make_blobs(seed=95, per_class=10)
         y = labels if task == "classification" else np.sin(X[:, 0]) + X[:, 1]
         calls = []
@@ -758,10 +781,66 @@ class TestCrossValidate:
             lambdas=(0.01, 0.1), copies=8, folds=3, seed=4, task=task,
         )
         result = learn.cross_validate(learn.Dataset(X, y), space)
-        assert len(calls) == 3 * 3
+        assert len(calls) == 3
         assert len(result.table) == 3 * 3 * 2
         assert all(cfg.kernel.rho == 1.0 for cfg in calls)
         assert len({cfg.seed for cfg in calls}) == len(calls)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_kernel_form_scores_match_fit_and_predict(self, task):
+        # The kernel-form fold scores against fit then _predict on the same
+        # rescaled map, whose vocabulary holds only the fit rows' bins; at
+        # tau = 1 the fit takes the dual route, at tau = 32 the primal one.
+        classify = task == "classification"
+        X, labels = make_blobs(seed=96, per_class=12)
+        rows = np.arange(len(X))
+        # a quarter of the labels move to the next class, so that the
+        # held-out error rates are not all zero
+        labels = np.where(rows % 4 == 0, (labels + 1) % 3, labels)
+        y = labels if classify else np.sin(X[:, 0]) + X[:, 1]
+        fit_rows, hold_rows = rows[rows % 3 != 0], rows[rows % 3 == 0]
+        fold = (fit_rows, hold_rows, *learn._ridge_targets(y[fit_rows], classify))
+        lams = (0.01, 0.1, 1.0)
+        unit = build_map(binning_cfg(dim=2, copies=8, seed=3))
+        routes = set()
+        for tau in (1.0, 32.0):
+            kernel = KernelSpec(LAPLACE.dist, tau=tau)
+            C = gram(featurize(feature_maps.rescale_map(unit, kernel), X))
+            state = feature_maps.rescale_map(unit, kernel)
+            batch = featurize(state, X[fit_rows])
+            hold = featurize(state, X[hold_rows])
+            expected = []
+            for lam in lams:
+                model = learn.fit(state, batch, y[fit_rows], lam, classify=classify)
+                routes.add(model.route)
+                preds = learn._predict(model, hold)
+                loss = preds != y[hold_rows] if classify else (preds - y[hold_rows]) ** 2
+                expected.append(float(np.mean(loss)))
+            assert learn._fold_scores(C, fold, y, lams) == pytest.approx(
+                expected, rel=1e-12, abs=0.0)
+        assert routes == {"primal", "dual"}
+
+    def test_inputs_are_checked_before_any_map_is_drawn(self, monkeypatch):
+        def no_build_map(cfg):
+            raise AssertionError("a map was drawn")
+
+        monkeypatch.setattr(learn, "build_map", no_build_map)
+        X = np.linspace(0.0, 1.0, 8).reshape(8, 1)
+        space = learn.CvSearchSpace(shapes=(1.0,), taus=(1.0,), lambdas=(0.1,),
+                                    copies=4, folds=2, seed=5)
+        y = X[:, 0].copy()
+        with pytest.raises(ValueError, match="positive and finite, got inf"):
+            learn.cross_validate(learn.Dataset(X, y), replace(space, lambdas=(0.1, math.inf)))
+        with pytest.raises(ValueError, match="positive and finite, got -0.1"):
+            learn.cross_validate(learn.Dataset(X, y), replace(space, lambdas=(-0.1,)))
+        y[3] = math.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            learn.cross_validate(learn.Dataset(X, y), space)
+        # one point of class 1: the fold that holds it out fits on one class
+        labels = np.where(np.arange(8) == 3, 1.0, 0.0)
+        with pytest.raises(ValueError, match="at least two classes, got 1"):
+            learn.cross_validate(learn.Dataset(X, labels),
+                                 replace(space, task="classification"))
 
     def test_validation_errors(self):
         X = np.zeros((8, 1))
