@@ -20,7 +20,14 @@ import numpy as np
 
 from polyakern import learn
 from polyakern.distributions import Gamma
-from polyakern.feature_maps import BINNING, FOURIER_REAL, FeatureMapConfig, TensorCauchy
+from polyakern.feature_maps import (
+    BINNING,
+    FOURIER_REAL,
+    FeatureMapConfig,
+    TensorCauchy,
+    build_map,
+    featurize,
+)
 from polyakern.polya_kernels import KernelSpec
 from polyakern.rng import RandomStream
 
@@ -65,7 +72,8 @@ def main(argv=None) -> int:
                     kind=kind, kernel=kern, dim=1, copies=copies,
                     seed=seed * 7 + copies,
                 )
-                model = learn.fit_regression(X_tr, y_tr, cfg, args.lam)
+                state = build_map(cfg)
+                model = learn.fit(state, featurize(state, X_tr), y_tr, args.lam)
                 mse = float(np.mean((learn.predict(model, X_te) - y_te) ** 2))
                 lines.append(f"{seed},{kind},{copies},{mse!r}")
                 sums.setdefault((kind, copies), []).append(mse)

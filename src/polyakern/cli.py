@@ -526,18 +526,20 @@ def _cmd_features(args) -> int:
     features_path = prefix.with_name(prefix.name + ".features.txt")
     meta_path = prefix.with_name(prefix.name + ".meta.json")
     with open(features_path, "w", encoding="ascii", newline="\n") as out:
-        if batch.kind == BINNING:
-            weight = 1.0 / math.sqrt(batch.copies)
-            for column in batch.indices.T:
-                out.write(" ".join(f"{int(row)}:{weight!r}" for row in column) + "\n")
-        else:
-            # one block of points at a time, a line per point
-            for _, _, Z in feature_blocks(batch):
-                out.writelines(
-                    " ".join(f"{row}:{_format_feature_value(v)}"
-                             for row, v in enumerate(column)) + "\n"
-                    for column in Z.T
-                )
+        # one block of points at a time, a line per point; a binning batch is
+        # one sparse block, whose column lists a point's rows once each, in
+        # ascending order, with the copies that share a hashed row summed
+        for _, _, Z in feature_blocks(batch):
+            if batch.kind == BINNING:
+                Z = Z.tocsc()
+                lines = (zip(Z.indices[a:b], Z.data[a:b])
+                         for a, b in zip(Z.indptr, Z.indptr[1:]))
+            else:
+                lines = (enumerate(column) for column in Z.T)
+            out.writelines(
+                " ".join(f"{row}:{_format_feature_value(v)}" for row, v in line) + "\n"
+                for line in lines
+            )
     meta = _map_metadata(cfg)
     meta["n"] = batch.n
     meta["width"] = int(batch.width)

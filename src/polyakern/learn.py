@@ -11,17 +11,15 @@ indicators, its weights one column per class, and it predicts the class
 with the largest score (Rifkin & Klautau, "In Defense of One-Vs-All
 Classification", JMLR 2004).
 
-``fit_path`` fits one batch for several penalties, sharing the feature
-matrix and its Gram matrix; each penalty gets one Cholesky factorization
-for all target columns.  ``fit`` is its one-penalty case.  The primal
-system sums Z_b Z_bᵀ and Z_b Y_b over the batch's blocks of points
+``fit`` builds the one system of its penalty and solves it with one
+Cholesky factorization for all target columns.  The primal system sums
+Z_b Z_bᵀ and Z_b Y_b over the batch's blocks of points
 (``feature_blocks``), and scoring runs block by block, so a Fourier fit or
 predict holds O(D² + D·block) memory, not the D × n feature matrix; the
 dual system pairs every two points and reads the whole matrix.  Either
 system is the one dense matrix of its size that a fit holds: a sparse
-Gram is densified into it by row blocks (``dense_gram``), each penalty's
-Cholesky factor overwrites it in place, and the next penalty restores it
-from the triangle the factor leaves intact.
+Gram is densified into it by row blocks (``dense_gram``), the penalty is
+added to its diagonal in place, and the Cholesky factor overwrites it.
 
 ``cross_validate`` grid-searches a binning map's distribution shape, its
 area parameter τ, and the ridge penalty λ by k-fold validation, breaking
@@ -30,9 +28,10 @@ unit-scale map per shape: τ only rescales that map's spacings and offsets,
 so each (shape, τ) featurizes all rows once and takes their bin
 co-occurrence Gram matrix C.  The binning inner product is that kernel, so
 every fold and λ is scored in kernel form from C, with no per-fold
-features, vocabulary or weights: the dual system on C[fit, fit] and the
-held-out scores C[hold, fit] α.  It holds one n × n matrix C, one
-n_fit × n_fit system and the n_hold × n_fit block at a time.
+features, vocabulary or weights: the dual system on a fresh copy of
+C[fit, fit] for each λ and the held-out scores C[hold, fit] α.  It holds
+one n × n matrix C, one n_fit × n_fit system and the n_hold × n_fit block
+at a time.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .feature_maps import (
     featurize,
     gram,
     rescale_map,
-    row_blocks,
 )
 from .polya_kernels import KernelSpec
 from .rng import RandomStream, default_seed, derived_seed
@@ -194,35 +192,16 @@ def _solve_spd(A, b):
     return x
 
 
-def _ridge_systems(M, lams):
-    """Yield M + λI for each λ in turn, written into the symmetric M itself.
-    ``_solve_spd`` leaves M's diagonal and strict upper triangle intact and
-    its factor in the strict lower triangle, so before each later λ the
-    lower triangle is copied back from the upper one, a block of rows
-    (``row_blocks``) at a time, and the diagonal is reset from a saved copy:
-    no second matrix of M's size, and no temporary of that size, is made."""
-    n = M.shape[0]
-    diag = M.diagonal().copy()
-    for i, lam in enumerate(lams):
-        if i:
-            for start, stop in row_blocks(n, n):
-                lower = np.tri(stop - start, stop, start - 1, dtype=bool)
-                np.copyto(M[start:stop, :stop], M[:stop, start:stop].T, where=lower)
-        np.fill_diagonal(M, diag + lam)
-        yield M
-
-
-def _penalties(lams):
-    """The ridge penalties ``lams`` as floats, each positive and finite."""
-    lams = tuple(float(lam) for lam in lams)
-    for lam in lams:
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
-    return lams
+def _penalty(lam):
+    """The ridge penalty ``lam`` as a float, checked positive and finite."""
+    lam = float(lam)
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
+    return lam
 
 
 def _ridge_targets(y, classify):
-    """(Y, classes, y_mean): the right-hand sides, as ``fit_path`` describes
+    """(Y, classes, y_mean): the right-hand sides, as ``fit`` describes
     them, the classes (None for regression) and the target mean."""
     if not np.all(np.isfinite(y)):
         raise NumericalError("targets contain non-finite values")
@@ -235,18 +214,17 @@ def _ridge_targets(y, classify):
     return np.where(y[:, None] == np.asarray(classes), 1.0, -1.0), classes, 0.0
 
 
-def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel, ...]:
-    """Ridge-fit targets ``y`` against featurized points ``batch`` once per
-    penalty in ``lams``, in that order.
+def fit(state, batch, y, lam: float, classify: bool = False) -> RidgeModel:
+    """Ridge-fit targets ``y`` against featurized points ``batch`` with
+    penalty ``lam``.
 
     Regression centers ``y``.  With ``classify``, ``y`` holds class labels
     and the targets are an n × K matrix of uncentered ±1 class indicators,
-    one column per class in sorted order.  The feature matrix and the Gram
-    matrix of the smaller of the two regularized normal-equation systems
-    are built once; each penalty then gets one Cholesky solve for every
-    target column, with a residual check per column.
+    one column per class in sorted order.  The smaller of the two
+    regularized normal-equation systems is built and gets one Cholesky
+    solve for every target column, with a residual check per column.
     """
-    lams = _penalties(lams)
+    lam = _penalty(lam)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != batch.n:
         raise ValueError(
@@ -259,17 +237,14 @@ def fit_path(state, batch, y, lams, classify: bool = False) -> Tuple[RidgeModel,
             "real map or the binning map"
         )
     Y, classes, y_mean = _ridge_targets(y, classify)
-    weights, route = _ridge_weights(batch, Y, lams)
-    return tuple(
-        RidgeModel(state=state, weights=w, lam=lam, y_mean=y_mean, route=route,
-                   classes=classes)
-        for w, lam in zip(weights, lams)
-    )
+    weights, route = _ridge_weights(batch, Y, lam)
+    return RidgeModel(state=state, weights=weights, lam=lam, y_mean=y_mean, route=route,
+                      classes=classes)
 
 
-def _ridge_weights(batch, Y, lams):
-    """Weights solving (Z Zᵀ + λI) W = Z Y for each λ, for a target vector
-    or matrix Y, through the smaller SPD system; returns (weights, route).
+def _ridge_weights(batch, Y, lam):
+    """Weights solving (Z Zᵀ + λI) W = Z Y, for a target vector or matrix Y,
+    through the smaller SPD system; returns (weights, route).
 
     The primal system sums over the batch's blocks of points: the first
     block's Z_b Z_bᵀ and Z_b Y_b are taken as they are and later ones added,
@@ -286,16 +261,12 @@ def _ridge_weights(batch, Y, lams):
                 G += ZZ
                 B += ZY
             del ZZ  # so that no block's Gram is alive while the next is made
-        return [_solve_spd(A, B) for A in _ridge_systems(G, lams)], "primal"
+        G.flat[::len(G) + 1] += lam
+        return _solve_spd(G, B), "primal"
     Z = feature_matrix(batch)
-    systems = _ridge_systems(dense_gram(Z.T), lams)
-    return [np.asarray(Z @ _solve_spd(G, Y)) for G in systems], "dual"
-
-
-def fit(state, batch, y, lam: float, classify: bool = False) -> RidgeModel:
-    """Ridge-fit targets ``y`` against featurized points ``batch``: the
-    one-penalty case of ``fit_path``."""
-    return fit_path(state, batch, y, (lam,), classify=classify)[0]
+    G = dense_gram(Z.T)
+    G.flat[::len(G) + 1] += lam
+    return np.asarray(Z @ _solve_spd(G, Y)), "dual"
 
 
 def _scores(model: RidgeModel, batch) -> np.ndarray:
@@ -347,13 +318,6 @@ def decision_scores(model: RidgeModel, X) -> np.ndarray:
     return _scores(model, featurize(model.state, X))
 
 
-def fit_regression(X, y, cfg: FeatureMapConfig, lam: float) -> RidgeModel:
-    """Build the map, featurize ``X``, and ridge-fit in one step."""
-    state = build_map(cfg)
-    batch = featurize(state, X)
-    return fit(state, batch, y, lam)
-
-
 # ---------------------------------------------------------------------------
 # Cross-validated selection of (shape, τ, λ)
 
@@ -390,15 +354,18 @@ def _fold_scores(C, fold, y, lams):
 
     ``C`` is the map's co-occurrence Gram matrix over all rows, and ``fold``
     is (fit rows, held-out rows) followed by ``_ridge_targets`` of the fit
-    rows' targets ``y[fit]``.  Each penalty solves the dual system on
-    C[fit, fit], and the held-out scores are C[hold, fit] α + y_mean: the
-    scores ``fit`` then ``_predict`` give on the same map, because a bin
-    the fit rows never saw adds zero to both."""
+    rows' targets ``y[fit]``.  Each penalty solves the dual system on a
+    fresh copy of C[fit, fit], and the held-out scores are
+    C[hold, fit] α + y_mean: the scores ``fit`` then ``_predict`` give on
+    the same map, because a bin the fit rows never saw adds zero to both."""
     fit, hold, Y, classes, y_mean = fold
-    cross = C[np.ix_(hold, fit)]
+    cross = C.take(hold, 0).take(fit, 1)
     scores = []
-    for A in _ridge_systems(C[np.ix_(fit, fit)], lams):
+    for lam in lams:
+        A = C.take(fit, 0).take(fit, 1)
+        A.flat[::len(A) + 1] += lam
         held = cross @ _solve_spd(A, Y) + y_mean
+        del A  # so that the next system is made with this one gone
         if classes is None:
             loss = (held - y[hold]) ** 2
         else:
@@ -427,7 +394,7 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
         raise ValueError("search grid must be non-empty in every dimension")
     if space.folds < 2:
         raise ValueError("cross-validation needs at least two folds")
-    lams = _penalties(space.lambdas)
+    lams = tuple(_penalty(lam) for lam in space.lambdas)
     X, y = data.points, data.targets
     n, dim = X.shape
     if n < space.folds:

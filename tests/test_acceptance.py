@@ -276,9 +276,9 @@ def _gp_learning_curves(seed):
                 kind=kind, kernel=kern, dim=1, copies=copies,
                 seed=seed * 7 + copies,
             )
-            model = learn.fit_regression(
-                X[~test_mask], targets[~test_mask], cfg, lam=0.1
-            )
+            state = build_map(cfg)
+            batch = featurize(state, X[~test_mask])
+            model = learn.fit(state, batch, targets[~test_mask], lam=0.1)
             preds = learn.predict(model, X[test_mask])
             mses.append(float(np.mean((preds - targets[test_mask]) ** 2)))
         curves[kind] = mses

@@ -302,6 +302,36 @@ class TestFeatures:
         assert meta["seed"] == 5
         assert "gamma" in meta["kernel"]
 
+    @pytest.mark.parametrize("hash_buckets", [None, 3])
+    def test_binning_lines_match_gram(self, tmp_path, hash_buckets):
+        # 16 copies in 3 hashed rows share rows: each row is written once,
+        # with its copies summed, so the lines' inner products are gram's
+        data = tmp_path / "d.txt"
+        make_regression_file(data, n=12)
+        args = ["features", str(data), "--map", "binning", "--kernel", "gamma:s=2,theta=1",
+                "--copies", "16", "--seed", "5", "--out", str(tmp_path / "h")]
+        if hash_buckets is not None:
+            args += ["--hash-buckets", str(hash_buckets)]
+        assert cli.main(args) == 0
+        state = build_map(FeatureMapConfig(
+            kind=BINNING, kernel=cli._kernel_for_kind(BINNING, "gamma:s=2,theta=1", None),
+            dim=2, copies=16, seed=5, hash_buckets=hash_buckets))
+        batch = featurize(state, cli._load_normalized(data).points)
+        lines = (tmp_path / "h.features.txt").read_text(encoding="ascii").splitlines()
+        Z = np.zeros((batch.width, batch.n))
+        for i, line in enumerate(lines):
+            entries = [entry.split(":") for entry in line.split()]
+            rows = [int(row) for row, _ in entries]
+            assert rows == sorted(set(rows))  # strictly increasing
+            for row, value in entries:
+                Z[int(row), i] = float(value)
+        assert len(lines) == batch.n
+        np.testing.assert_allclose(Z.T @ Z, feature_maps.gram(batch), rtol=0.0, atol=1e-12)
+        if hash_buckets is None:  # exact bins: one entry per copy, each 1/sqrt(D)
+            weight = 1.0 / math.sqrt(16)
+            assert lines == [" ".join(f"{int(row)}:{weight!r}" for row in column)
+                             for column in batch.indices.T]
+
     def test_fourier_features_dense(self, tmp_path):
         data = tmp_path / "d.txt"
         make_regression_file(data, n=6)

@@ -177,6 +177,9 @@ class TestFit:
 
 
 class TestFitPath:
+    """Fits along a path of penalties: each fit builds and solves the one
+    system of its own penalty."""
+
     LAMS = (0.01, 0.1, 1.0, 5.0)
 
     @pytest.mark.parametrize("make_cfg,n,route", [
@@ -187,6 +190,8 @@ class TestFitPath:
     ])
     @pytest.mark.parametrize("classify", [True, False])
     def test_bit_equal_to_separate_fits(self, make_cfg, n, route, classify):
+        # fits one after another on one batch against fits on a fresh map
+        # and batch each: the penalty added in place leaves nothing behind
         stream = RandomStream(71)
         X = stream.uniform(2 * n).reshape(n, 2)[:, : make_cfg().dim] * 3.0
         y = np.sin(2.0 * X[:, 0]) + 0.1 * stream.child(1).normal(n)
@@ -194,16 +199,15 @@ class TestFitPath:
             y = np.digitize(y, (-0.3, 0.3)).astype(float)  # three classes
         state = build_map(make_cfg())
         batch = featurize(state, X)
-        path = learn.fit_path(state, batch, y, self.LAMS, classify=classify)
-        assert [m.lam for m in path] == list(self.LAMS)
-        for lam, model in zip(self.LAMS, path):
-            single = learn.fit(state, batch, y, lam, classify=classify)
+        for lam in self.LAMS:
+            model = learn.fit(state, batch, y, lam, classify=classify)
+            single, _ = fit_on(make_cfg(), X, y, lam, classify=classify)
+            assert model.lam == lam
             assert model.route == single.route == route
-            assert model.y_mean == single.y_mean
+            assert model.y_mean == single.y_mean == (0.0 if classify else y.mean())
             assert model.classes == single.classes == ((0.0, 1.0, 2.0) if classify else None)
             assert model.weights.shape[1:] == ((3,) if classify else ())
-            assert model.state is single.state is state
-            assert np.array_equal(model.weights, single.weights)
+            assert model.state is state
             assert model.weights.tobytes() == single.weights.tobytes()
 
     @pytest.mark.parametrize("make_cfg,n,route", [
@@ -228,37 +232,33 @@ class TestFitPath:
 
         monkeypatch.setattr(learn, "dense_gram", counting_dense_gram)
         monkeypatch.setattr(learn.scipy.linalg.lapack, "dpotrf", counting_potrf)
-        path = learn.fit_path(state, batch, labels, self.LAMS, classify=True)
         side = n if route == "dual" else batch.copies
-        assert [m.route for m in path] == [route] * len(self.LAMS)
-        assert [m.weights.shape[1] for m in path] == [3] * len(self.LAMS)
-        assert grams == [(side, side)]
-        assert factorizations == [(side, side)] * len(self.LAMS)
+        for i, lam in enumerate(self.LAMS, start=1):
+            model = learn.fit(state, batch, labels, lam, classify=True)
+            assert model.route == route
+            assert model.weights.shape[1] == 3
+            assert grams == factorizations == [(side, side)] * i
 
     @pytest.mark.parametrize("make_cfg,n,route,cells", [
         (lambda: binning_cfg(dim=2, copies=16), 120, "dual", 30 * 120),
-        (lambda: fourier_cfg(copies=40), 300, "primal", 12 * 40),
     ])
     @pytest.mark.parametrize("classify", [True, False])
     def test_bit_equal_to_separate_fits_across_row_blocks(
             self, monkeypatch, make_cfg, n, route, cells, classify):
-        # blocks of 30 (dual) or 12 (primal) rows: the Gram matrix is
-        # densified, and the system restored between penalties, in 4 blocks
-        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", cells)
+        # a fit whose Gram matrix is densified in 4 blocks of 30 rows against
+        # the same fit densified in one block
         stream = RandomStream(73)
         X = stream.uniform(2 * n).reshape(n, 2) * 3.0
         y = np.sin(2.0 * X[:, 0]) + 0.1 * stream.child(1).normal(n)
         if classify:
             y = np.digitize(y, (-0.3, 0.3)).astype(float)
-        state = build_map(make_cfg())
-        batch = featurize(state, X)
-        side = n if route == "dual" else batch.copies
-        assert len(feature_maps.row_blocks(side, side)) == 4
-        path = learn.fit_path(state, batch, y, self.LAMS, classify=classify)
-        for lam, model in zip(self.LAMS, path):
-            single = learn.fit(state, batch, y, lam, classify=classify)
-            assert model.route == single.route == route
-            assert model.weights.tobytes() == single.weights.tobytes()
+        assert len(feature_maps.row_blocks(n, n)) == 1
+        whole, _ = fit_on(make_cfg(), X, y, 0.1, classify=classify)
+        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", cells)
+        assert len(feature_maps.row_blocks(n, n)) == 4
+        blocked, _ = fit_on(make_cfg(), X, y, 0.1, classify=classify)
+        assert blocked.route == whole.route == route
+        assert blocked.weights.tobytes() == whole.weights.tobytes()
 
     @pytest.mark.parametrize("hash_buckets", [None, 7])
     def test_dense_gram_by_blocks_equals_whole_product(self, monkeypatch, hash_buckets):
@@ -276,9 +276,9 @@ class TestFitPath:
         X = np.linspace(0.0, 1.0, 6).reshape(6, 1)
         state = build_map(binning_cfg(dim=1, copies=4))
         batch = featurize(state, X)
-        with pytest.raises(ValueError, match="positive"):
-            learn.fit_path(state, batch, X[:, 0], (0.1, 0.0))
-        assert learn.fit_path(state, batch, X[:, 0], ()) == ()
+        for lam in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                learn.fit(state, batch, X[:, 0], lam)
 
 
 class TestSolveRoutes:
@@ -592,13 +592,13 @@ class TestOneVsAll:
         K vector products)."""
         X, labels = make_blobs(seed=96, per_class=20)
         X = X[:, : cfg.dim]
-        lams = (0.01, 0.3, 2.0)
         state = build_map(cfg)
         batch = featurize(state, X)
-        path = learn.fit_path(state, batch, labels, lams, classify=True)
-        for k, c in enumerate(path[0].classes):
-            singles, route = learn._ridge_weights(batch, np.where(labels == c, 1.0, -1.0), lams)
-            for model, single in zip(path, singles):
+        for lam in (0.01, 0.3, 2.0):
+            model = learn.fit(state, batch, labels, lam, classify=True)
+            for k, c in enumerate(model.classes):
+                single, route = learn._ridge_weights(
+                    batch, np.where(labels == c, 1.0, -1.0), lam)
                 assert model.route == route
                 assert single.shape == (model.weights.shape[0],)
                 if cfg.kind == BINNING:
@@ -819,6 +819,35 @@ class TestCrossValidate:
             assert learn._fold_scores(C, fold, y, lams) == pytest.approx(
                 expected, rel=1e-12, abs=0.0)
         assert routes == {"primal", "dual"}
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_each_penalty_solves_a_fresh_system(self, monkeypatch, task):
+        X, labels = make_blobs(seed=97, per_class=10)
+        y = labels if task == "classification" else np.sin(X[:, 0]) + X[:, 1]
+        systems, calls = [], []
+        solve_spd, fold_scores = learn._solve_spd, learn._fold_scores
+
+        def copying_solve_spd(A, b):
+            systems.append(A.copy())
+            return solve_spd(A, b)
+
+        def recording_fold_scores(C, fold, y, lams):
+            calls.append((C, fold[0], lams))
+            return fold_scores(C, fold, y, lams)
+
+        monkeypatch.setattr(learn, "_solve_spd", copying_solve_spd)
+        monkeypatch.setattr(learn, "_fold_scores", recording_fold_scores)
+        space = learn.CvSearchSpace(
+            family="gamma", shapes=(1.0, 2.0), taus=(0.5, 4.0),
+            lambdas=(0.01, 0.1, 1.0), copies=8, folds=3, seed=4, task=task,
+        )
+        learn.cross_validate(learn.Dataset(X, y), space)
+        expected = [C[np.ix_(fit, fit)] + lam * np.eye(len(fit))
+                    for C, fit, lams in calls for lam in lams]
+        assert len(calls) == 2 * 2 * 3
+        assert len(systems) == len(expected) == 2 * 2 * 3 * 3
+        for A, E in zip(systems, expected):
+            assert A.tobytes() == E.tobytes()
 
     def test_inputs_are_checked_before_any_map_is_drawn(self, monkeypatch):
         def no_build_map(cfg):
