@@ -20,6 +20,9 @@ Subcommands
 
 Conventions
 -----------
+Kernel arguments are catalog text, ``family:key=value,...``: a binning
+map's kernel spec may end in one ``;tau=V`` or ``;rho=V`` scale clause, and
+a Fourier map's frequency law is ``cauchy:scale=V`` or ``normal:stddev=V``.
 Input data is LIBSVM text (``label idx:value ...``, 1-based indices).
 Attributes are normalized per column to [−1, 1] by an affine map fit on
 the training rows; the map is stored in model bundles so prediction
@@ -46,21 +49,21 @@ from typing import Tuple
 import numpy as np
 
 from . import approx, learn
+from .distributions import format_distribution, parse_distribution
 from .errors import ParseError, PolyakernError
 from .feature_maps import (
     BINNING,
     FOURIER_COMPLEX,
     FOURIER_REAL,
+    FREQUENCY_LAWS,
     KINDS,
     FeatureMapConfig,
-    IsotropicNormal,
-    TensorCauchy,
     build_map,
     feature_blocks,
     feature_width,
     featurize,
 )
-from .polya_kernels import KernelSpec, eval_ft, eval_kernel, format_kernel_spec, parse_kernel_spec
+from .polya_kernels import eval_ft, eval_kernel, format_kernel_spec, parse_kernel_spec
 from .rng import RandomStream, default_seed, derived_seed
 
 # ---------------------------------------------------------------------------
@@ -202,58 +205,31 @@ def normalize(ds: learn.Dataset) -> learn.Dataset:
 # ---------------------------------------------------------------------------
 # Map/kernel argument plumbing
 
-_LAW_FAMILIES = {"cauchy": (TensorCauchy, "scale"), "normal": (IsotropicNormal, "stddev")}
+
+def _kernel_for_kind(kind: str, text: str):
+    """A map's kernel argument: a kernel spec for binning, else a frequency
+    law of the same catalog grammar."""
+    if kind == BINNING:
+        return parse_kernel_spec(text)
+    return parse_distribution(text, {law.family: law for law in FREQUENCY_LAWS})
 
 
-def parse_fourier_law(text: str):
-    """Parse ``cauchy:scale=v`` or ``normal:stddev=v`` frequency laws."""
-    name, sep, params = text.partition(":")
-    if name not in _LAW_FAMILIES:
-        raise ParseError(
-            f"unknown frequency law {name!r}; expected one of "
-            f"{sorted(_LAW_FAMILIES)}"
-        )
-    cls, param_name = _LAW_FAMILIES[name]
-    if not sep or not params:
-        raise ParseError(f"frequency law needs {param_name}=<value>")
-    key, sep, value = params.partition("=")
-    if key != param_name or not sep:
-        raise ParseError(f"frequency law {name!r} takes exactly {param_name}=<value>")
-    try:
-        return cls(**{param_name: float(value)})
-    except ValueError as exc:
-        raise ParseError(f"bad frequency-law parameter: {exc}") from None
-
-
-def format_fourier_law(law) -> str:
-    if isinstance(law, TensorCauchy):
-        return f"cauchy:scale={law.scale!r}"
-    return f"normal:stddev={law.stddev!r}"
-
-
-def _kernel_for_kind(kind: str, kernel_text: str, tau, law_text=None) -> object:
-    """Parse the --kernel argument for a given map kind.
-
-    Binning maps take a distribution-backed kernel spec; Fourier maps take
-    a frequency law — from ``law_text`` when a command mixes both kinds,
-    otherwise from the --kernel slot itself.  ``tau`` (if given) overrides
-    the spec's scaling.  Where ``law_text`` is given, --kernel is a kernel
-    spec and is parsed for every kind, so a malformed one fails even when
-    no map kind uses it.
-    """
-    if kind == BINNING or law_text is not None:
-        spec = parse_kernel_spec(kernel_text)
-        if tau is not None:
-            spec = KernelSpec(spec.dist, tau=float(tau))
-        if kind == BINNING:
-            return spec
-    return parse_fourier_law(law_text if law_text is not None else kernel_text)
-
-
-def _kernel_to_text(kernel) -> str:
-    if isinstance(kernel, KernelSpec):
-        return format_kernel_spec(kernel)
-    return format_fourier_law(kernel)
+def _map_runs(args, kinds):
+    """The (kind, kernel) pairs of ``--map``, each kind one of ``kinds`` and
+    named once, and the ``--copies`` counts, nonempty, ascending, distinct.
+    ``--kernel`` and ``--fourier-law`` are parsed whichever kinds run."""
+    named = tuple(k.strip() for k in args.map.split(","))
+    for kind in named:
+        if kind not in kinds:
+            raise ValueError(f"map kind {kind!r} is not one of {kinds}")
+    if len(set(named)) != len(named):
+        raise ValueError(f"map kinds must be distinct, got {args.map!r}")
+    sizes = _ints(args.copies)
+    if not sizes or list(sizes) != sorted(set(sizes)):
+        raise ValueError("copy counts must be nonempty, ascending, distinct")
+    spec = _kernel_for_kind(BINNING, args.kernel)
+    law = _kernel_for_kind(FOURIER_REAL, args.fourier_law)
+    return [(kind, spec if kind == BINNING else law) for kind in named], sizes
 
 
 def _floats(text: str) -> Tuple[float, ...]:
@@ -369,7 +345,8 @@ def _narrowest_int(values) -> str:
 def _map_metadata(cfg: FeatureMapConfig) -> dict:
     return {
         "kind": cfg.kind,
-        "kernel": _kernel_to_text(cfg.kernel),
+        "kernel": (format_kernel_spec if cfg.kind == BINNING
+                   else format_distribution)(cfg.kernel),
         "dim": cfg.dim,
         "copies": cfg.copies,
         "seed": cfg.seed,
@@ -387,7 +364,7 @@ def _config_from_metadata(meta) -> FeatureMapConfig:
     )
     return FeatureMapConfig(
         kind=meta["kind"],
-        kernel=_kernel_for_kind(meta["kind"], meta["kernel"], tau=None),
+        kernel=_kernel_for_kind(meta["kind"], meta["kernel"]),
         dim=meta["dim"],
         copies=meta["copies"],
         seed=meta["seed"],
@@ -482,7 +459,7 @@ def load_model(path):
 
 
 def _cmd_kernel(args) -> int:
-    spec = _kernel_for_kind(BINNING, args.kernel, args.tau)
+    spec = parse_kernel_spec(args.kernel)
     if args.kernel_cmd == "eval":
         lines = ["r,k"]
         lines += [f"{_fmt(r)},{_fmt(eval_kernel(spec, r))}" for r in args.values]
@@ -515,7 +492,7 @@ def _cmd_features(args) -> int:
     if not args.out:
         raise ValueError("features requires --out PREFIX for its two files")
     ds = _load_normalized(args.data)
-    kernel = _kernel_for_kind(args.map, args.kernel, args.tau)
+    kernel = _kernel_for_kind(args.map, args.kernel)
     cfg = FeatureMapConfig(
         kind=args.map, kernel=kernel, dim=ds.points.shape[1],
         copies=args.copies, seed=args.seed, hash_buckets=args.hash_buckets,
@@ -552,10 +529,7 @@ def _synthetic_points(seed: int, n: int = 50, dim: int = 3) -> np.ndarray:
 
 
 def _cmd_approx_error(args) -> int:
-    kinds = tuple(k.strip() for k in args.map.split(","))
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown map kind {kind!r}; expected one of {KINDS}")
+    runs, sizes = _map_runs(args, KINDS)
     if args.subsample is not None and args.subsample < 1:
         raise ValueError("subsample must keep at least 1 point")
     if args.data is not None:
@@ -564,10 +538,8 @@ def _cmd_approx_error(args) -> int:
             points = points[: args.subsample]
     else:
         points = _synthetic_points(args.seed)
-    sizes = _ints(args.copies)
     lines = ["kind,copies,theory,empirical_mean,empirical_stderr"]
-    for kind in kinds:
-        kernel = _kernel_for_kind(kind, args.kernel, args.tau, args.fourier_law)
+    for kind, kernel in runs:
         for copies in sizes:
             cfg = FeatureMapConfig(
                 kind=kind, kernel=kernel, dim=points.shape[1],
@@ -595,7 +567,7 @@ def _cmd_fit(args) -> int:
     X = normalizer.apply(ds.points)
     y = ds.targets
     _check_classes(args.task, y)
-    kernel = _kernel_for_kind(args.map, args.kernel, args.tau)
+    kernel = _kernel_for_kind(args.map, args.kernel)
     state = build_map(FeatureMapConfig(
         kind=args.map, kernel=kernel, dim=X.shape[1],
         copies=args.copies, seed=args.seed, hash_buckets=args.hash_buckets,
@@ -666,16 +638,7 @@ BENCH_PROBE = 100
 
 
 def _cmd_bench(args) -> int:
-    sizes = _ints(args.copies)
-    kinds = tuple(k.strip() for k in args.map.split(","))
-    for kind in kinds:
-        if kind not in (FOURIER_REAL, BINNING):
-            raise ValueError(
-                f"bench compares learnable maps; {kind!r} is not one of "
-                f"('{FOURIER_REAL}', '{BINNING}')"
-            )
-    if not sizes or list(sizes) != sorted(set(sizes)):
-        raise ValueError("copy counts must be nonempty, ascending, distinct")
+    runs, sizes = _map_runs(args, (FOURIER_REAL, BINNING))  # the learnable kinds
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     if args.subsample is not None and args.subsample < 5:
@@ -702,8 +665,7 @@ def _cmd_bench(args) -> int:
         "empirical_stderr,metric"
     ]
     classify = args.task != "regression"
-    for kind_index, kind in enumerate(kinds):
-        kernel = _kernel_for_kind(kind, args.kernel, args.tau, args.fourier_law)
+    for kind_index, (kind, kernel) in enumerate(runs):
         reference = approx.ErrorReference(kernel, probe, kind)
         for copies in sizes:
             errors = []
@@ -737,15 +699,11 @@ def _cmd_bench(args) -> int:
 # Argument parsing
 
 
-def _add_common(parser, *, seed=True, out=True, tau=False):
+def _add_common(parser, *, seed=True):
     if seed:
         parser.add_argument("--seed", type=int, default=default_seed(),
                             help="master seed (default: POLYAKERN_SEED or built-in)")
-    if out:
-        parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    if tau:
-        parser.add_argument("--tau", type=float, default=None,
-                            help="override the kernel's area parameter")
+    parser.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -762,13 +720,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = ksub.add_parser(name)
         p.add_argument("--kernel", required=True, help="kernel spec, e.g. gamma:s=2,theta=1;tau=1")
         p.add_argument("values", nargs="+", type=float, metavar=value_name)
-        _add_common(p, seed=False, tau=True)
+        _add_common(p, seed=False)
         p.set_defaults(func=_cmd_kernel)
     table = ksub.add_parser("table")
     table.add_argument("--kernel", required=True)
     table.add_argument("--max", type=float, default=10.0)
     table.add_argument("--points", type=int, default=101)
-    _add_common(table, seed=False, tau=True)
+    _add_common(table, seed=False)
     table.set_defaults(func=_cmd_kernel)
 
     features = sub.add_parser("features", help="featurize a dataset")
@@ -777,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     features.add_argument("--kernel", required=True)
     features.add_argument("--copies", type=int, required=True)
     features.add_argument("--hash-buckets", type=int, default=None)
-    _add_common(features, tau=True)
+    _add_common(features)
     features.set_defaults(func=_cmd_features)
 
     approx_err = sub.add_parser("approx-error", help="approximation error curves")
@@ -793,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fourier-law", default="cauchy:scale=1",
         help="frequency law used by fourier kinds (match it to --kernel yourself)",
     )
-    _add_common(approx_err, tau=True)
+    _add_common(approx_err)
     approx_err.set_defaults(func=_cmd_approx_error)
 
     fit = sub.add_parser("fit", help="fit a ridge model")
@@ -806,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--copies", type=int, required=True)
     fit.add_argument("--lambda", dest="lam", type=float, required=True)
     fit.add_argument("--hash-buckets", type=int, default=None)
-    _add_common(fit, tau=True)
+    _add_common(fit)
     fit.set_defaults(func=_cmd_fit)
 
     predict = sub.add_parser("predict", help="predict with a model bundle")
@@ -842,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fourier-law", default="cauchy:scale=1",
         help="frequency law used by fourier kinds (match it to --kernel yourself)",
     )
-    _add_common(bench, tau=True)
+    _add_common(bench)
     bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -496,7 +496,9 @@ def format_distribution(d):
     return f"{d.family}:{parts}"
 
 
-def parse_distribution(text):
+def parse_distribution(text, families=FAMILIES):
+    """Parse "family:key=value,..." into a law of ``families``, a table of
+    dataclasses by their ``family`` name (the catalog by default)."""
     t = text.strip()
     fam, sep, rest = t.partition(":")
     fam = fam.strip().lower()
@@ -505,9 +507,9 @@ def parse_distribution(text):
         raise ParseError(
             f"expected 'family:key=value,...', got {text!r}"
         )
-    cls = FAMILIES.get(fam)
+    cls = families.get(fam)
     if cls is None:
-        raise ParseError(f"unknown family {fam!r} (known: {sorted(FAMILIES)})")
+        raise ParseError(f"unknown family {fam!r} (known: {sorted(families)})")
     names = [f.name for f in fields(cls)]
     kv = {}
     for part in rest.split(","):

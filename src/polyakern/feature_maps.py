@@ -69,6 +69,7 @@ class TensorCauchy:
     for exp(-r/sigma) use scale = 1/sigma.
     """
 
+    family = "cauchy"
     scale: float
 
     def __post_init__(self):
@@ -97,6 +98,7 @@ class IsotropicNormal:
     exp(-r^2/(2 sigma^2)) use stddev = 1/sigma.
     """
 
+    family = "normal"
     stddev: float
 
     def __post_init__(self):

@@ -383,8 +383,8 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
     grid points of a shape share common random numbers.  Each τ rescales it
     (``rescale_map``) and takes the co-occurrence Gram matrix C of all rows
     (``gram``), from which every fold and λ is scored (``_fold_scores``).
-    Penalties, targets and every fold's classes are checked before any map
-    is drawn.  Deterministic given ``space.seed``.
+    The law of every (shape, τ), the penalties, the targets and every fold's
+    classes are checked before any map is drawn.  Deterministic given ``space.seed``.
     """
     if space.task not in ("regression", "classification"):
         raise ValueError(f"unknown task {space.task!r}")
@@ -395,6 +395,8 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
     if space.folds < 2:
         raise ValueError("cross-validation needs at least two folds")
     lams = tuple(_penalty(lam) for lam in space.lambdas)
+    specs = [[KernelSpec(make_dist(shape), tau=tau) for tau in space.taus]
+             for shape in shapes]
     X, y = data.points, data.targets
     n, dim = X.shape
     if n < space.folds:
@@ -410,15 +412,14 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
                       *_ridge_targets(y[fit_rows], space.task == "classification")))
 
     rows = []
-    for shape_index, shape in enumerate(shapes):
-        dist = make_dist(shape)
+    for shape_index, (shape, shape_specs) in enumerate(zip(shapes, specs)):
         unit = build_map(FeatureMapConfig(
-            kind=BINNING, kernel=KernelSpec(dist), dim=dim, copies=space.copies,
-            seed=derived_seed(space.seed, (shape_index,)),
+            kind=BINNING, kernel=KernelSpec(shape_specs[0].dist), dim=dim,
+            copies=space.copies, seed=derived_seed(space.seed, (shape_index,)),
         ))
         fold_scores = np.empty((len(space.taus), len(lams), space.folds))
-        for t, tau in enumerate(space.taus):
-            C = gram(featurize(rescale_map(unit, KernelSpec(dist, tau=tau)), X))
+        for t, spec in enumerate(shape_specs):
+            C = gram(featurize(rescale_map(unit, spec), X))
             for f, fold in enumerate(folds):
                 fold_scores[t, :, f] = _fold_scores(C, fold, y, lams)
             del C  # so that the next C is made with this one gone

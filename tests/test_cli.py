@@ -24,11 +24,13 @@ import pytest
 
 from polyakern import cli, feature_maps, learn
 from polyakern import polya_kernels as kernels
-from polyakern.distributions import Gamma
+from polyakern.distributions import Gamma, format_distribution
 from polyakern.errors import ParseError
 from polyakern.feature_maps import (
     BINNING,
+    FOURIER_REAL,
     FeatureMapConfig,
+    IsotropicNormal,
     TensorCauchy,
     build_map,
     featurize,
@@ -314,7 +316,7 @@ class TestFeatures:
             args += ["--hash-buckets", str(hash_buckets)]
         assert cli.main(args) == 0
         state = build_map(FeatureMapConfig(
-            kind=BINNING, kernel=cli._kernel_for_kind(BINNING, "gamma:s=2,theta=1", None),
+            kind=BINNING, kernel=cli._kernel_for_kind(BINNING, "gamma:s=2,theta=1"),
             dim=2, copies=16, seed=5, hash_buckets=hash_buckets))
         batch = featurize(state, cli._load_normalized(data).points)
         lines = (tmp_path / "h.features.txt").read_text(encoding="ascii").splitlines()
@@ -467,6 +469,30 @@ class TestApproxError:
         assert json.loads(err[0])["error"] == "subsample must keep at least 1 point"
         assert not out.exists()
 
+    @pytest.mark.parametrize("maps,copies,message", [
+        ("binning", "", "copy counts must be nonempty, ascending, distinct"),
+        ("binning", "4,4", "copy counts must be nonempty, ascending, distinct"),
+        ("binning", "4,1", "copy counts must be nonempty, ascending, distinct"),
+        ("binning,binning", "1,4", "map kinds must be distinct, got 'binning,binning'"),
+        ("binning,fourier_real,binning", "1",
+         "map kinds must be distinct, got 'binning,fourier_real,binning'"),
+        ("binning,laplace", "1", "map kind 'laplace' is not one of "
+         "('fourier_complex', 'fourier_real', 'binning')"),
+    ], ids=["copies-empty", "copies-repeated", "copies-descending", "map-repeated",
+            "map-repeated-apart", "map-unknown"])
+    def test_list_arguments_are_checked(self, tmp_path, capsys, maps, copies, message):
+        # an empty, unordered or repeating list is the JSON error, and no file is written
+        out = tmp_path / "err.csv"
+        code = cli.main([
+            "approx-error", "--kernel", "gamma:s=2,theta=1", "--map", maps,
+            "--copies", copies, "--trials", "2", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == message
+        assert not out.exists()
+
 
 class TestFitPredict:
     def test_regression_fit_predict_matches_library(self, tmp_path):
@@ -475,7 +501,7 @@ class TestFitPredict:
         model_path = tmp_path / "model.json"
         assert cli.main([
             "fit", str(data), "--task", "regression", "--map", "binning",
-            "--kernel", "gamma:s=2,theta=1", "--tau", "1.0", "--copies", "16",
+            "--kernel", "gamma:s=2,theta=1;tau=1.0", "--copies", "16",
             "--lambda", "0.1", "--seed", "13", "--out", str(model_path),
         ]) == 0
         bundle = json.loads(model_path.read_text())
@@ -914,6 +940,29 @@ class TestCv:
         err = captured.err.strip().splitlines()
         assert json.loads(err[0])["error"] == "targets contain non-finite values"
 
+    @pytest.mark.parametrize("grid,message", [
+        (["--taus", "1,inf"], "tau must be positive and finite, got inf"),
+        (["--shapes", "1,0"], "s must be positive and finite, got 0.0"),
+        (["--family", "nakagami", "--shapes", "1,0.25"], "m must be >= 1/2, got 0.25"),
+    ], ids=["tau-infinite", "gamma-shape-zero", "nakagami-shape-below-half"])
+    def test_grid_is_checked_before_any_map_is_drawn(self, tmp_path, capsys, monkeypatch,
+                                                     grid, message):
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=31, n=20)
+        calls = []
+        build = learn.build_map
+        monkeypatch.setattr(learn, "build_map", lambda cfg: calls.append(cfg) or build(cfg))
+        args = ["cv", str(data), "--shapes", "1.0", "--taus", "1.0", "--lambdas", "0.1",
+                "--copies", "4", "--folds", "2", "--seed", "17"]
+        code = cli.main(args + grid)  # a later option overrides an earlier one
+        assert code == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert message in json.loads(err[0])["error"]
+
     def test_cv_reports_best_and_table(self, tmp_path, capsys):
         data = tmp_path / "train.txt"
         make_regression_file(data, seed=31, n=40)
@@ -1035,6 +1084,22 @@ class TestBench:
             "binary task needs exactly two classes, found 3"
         )
 
+    def test_repeated_map_kind_rejected(self, tmp_path, capsys):
+        # a kind named twice would run twice, under two different seeds
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=44, n=40)
+        out = tmp_path / "bench.csv"
+        code = cli.main([
+            "bench", str(data), "--task", "regression", "--map", "binning,binning",
+            "--kernel", "gamma:s=2,theta=1", "--copies", "4", "--trials", "1",
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "map kinds must be distinct, got 'binning,binning'"
+        assert not out.exists()
+
     def test_subsample_and_descending_sizes_rejected(self, tmp_path):
         data = tmp_path / "train.txt"
         make_regression_file(data, seed=44, n=40)
@@ -1125,6 +1190,95 @@ class TestErrorRecords:
         assert code != 0
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "line 2" in record["error"]
+
+
+MALFORMED_LAWS = [
+    ("cauchy", "expected 'family:key=value,...', got 'cauchy'"),
+    ("cauchy:", "expected 'family:key=value,...', got 'cauchy:'"),
+    ("cauchy:sigma=1", "unknown parameter 'sigma' for family 'cauchy'"),
+    ("cauchy:scale=1,scale=2", "duplicate parameter 'scale' in 'cauchy:scale=1,scale=2'"),
+    ("cauchy:scale=-1", "scale must be positive and finite, got -1.0"),
+    ("levy:scale=1", "unknown family 'levy' (known: ['cauchy', 'normal'])"),
+]
+
+
+class TestKernelArguments:
+    """One catalog grammar for every map's kernel argument, and no --tau."""
+
+    @pytest.mark.parametrize("text,law", [
+        ("cauchy:scale=0.25", TensorCauchy(0.25)), ("normal:stddev=1.5", IsotropicNormal(1.5)),
+    ])
+    def test_laws_round_trip(self, tmp_path, text, law):
+        assert cli._kernel_for_kind(FOURIER_REAL, text) == law
+        assert format_distribution(law) == text
+        _, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel=text)
+        assert json.loads(model_path.read_text())["map"]["kernel"] == text
+
+    @pytest.mark.parametrize("text,message", MALFORMED_LAWS)
+    def test_malformed_law_is_json_error_from_fit(self, tmp_path, capsys, text, message):
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=25, n=20)
+        out = tmp_path / "model.json"
+        code = cli.main([
+            "fit", str(data), "--task", "regression", "--map", "fourier_real",
+            "--kernel", text, "--copies", "8", "--lambda", "0.1", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", MALFORMED_LAWS)
+    def test_malformed_law_in_bundle_is_json_error(self, tmp_path, capsys, text, message):
+        data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")
+        rewrite_bundle(model_path, lambda b: b["map"].update(kernel=text))
+        assert predict_error(data, model_path, capsys) == message
+
+    @pytest.mark.parametrize("command", ["approx-error", "bench"])
+    def test_malformed_fourier_law_fails_with_binning_only(self, tmp_path, capsys, command):
+        # --fourier-law is a frequency law even where no map kind reads it
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=48, n=30)
+        out = tmp_path / "out.csv"
+        code = cli.main([
+            command, str(data), "--kernel", "gamma:s=2,theta=1", "--map", "binning",
+            "--fourier-law", "cauchy:sigma=1", "--copies", "2", "--trials", "1",
+            "--seed", "3", "--out", str(out),
+        ] + (["--task", "regression"] if command == "bench" else []))
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "unknown parameter 'sigma' for family 'cauchy'" in json.loads(err[0])["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "eval", "--kernel", "gamma:s=2,theta=1", "1"],
+        ["kernel", "ft", "--kernel", "gamma:s=2,theta=1", "1"],
+        ["kernel", "table", "--kernel", "gamma:s=2,theta=1"],
+        ["features", "{data}", "--map", "binning", "--kernel", "gamma:s=2,theta=1",
+         "--copies", "2"],
+        ["approx-error", "--kernel", "gamma:s=2,theta=1", "--map", "binning",
+         "--copies", "2", "--trials", "1"],
+        ["fit", "{data}", "--task", "regression", "--map", "binning",
+         "--kernel", "gamma:s=2,theta=1", "--copies", "4", "--lambda", "0.1"],
+        ["fit", "{data}", "--task", "regression", "--map", "fourier_real",
+         "--kernel", "cauchy:scale=1", "--copies", "4", "--lambda", "0.1"],
+        ["bench", "{data}", "--task", "regression", "--map", "binning",
+         "--kernel", "gamma:s=2,theta=1", "--copies", "2", "--trials", "1"],
+    ], ids=["kernel-eval", "kernel-ft", "kernel-table", "features", "approx-error",
+            "fit-binning", "fit-fourier", "bench"])
+    def test_tau_option_is_rejected(self, tmp_path, capsys, argv):
+        # the scale goes in the spec's own ;tau= clause, and a frequency law
+        # has none; the same command without --tau runs
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=25, n=20)
+        argv = [arg.format(data=data) for arg in argv] + ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(argv + ["--tau", "2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1]) == {"error": "invalid command-line arguments"}
 
 
 class TestStartup:
