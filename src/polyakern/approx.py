@@ -43,10 +43,6 @@ class KernelMatrix:
         return self.values.shape[0]
 
 
-# Most coordinate differences one block of exact_gram holds at a time.
-_GRAM_BLOCK = 1 << 20
-
-
 def _as_matrix(K):
     if isinstance(K, KernelMatrix):
         return K.values
@@ -74,15 +70,15 @@ def exact_gram(kernel, X, double=False):
     elif isinstance(kernel, fm.FREQUENCY_LAWS):
         # log k of every pair in a block of rows at once, each coordinate sum
         # in the order kernel_value sums it; math.exp, not np.exp, so that
-        # every entry equals kernel_value exactly
+        # every entry equals kernel_value exactly; a block of rows holds at
+        # most fm.BLOCK_CELLS coordinate differences
         F = factor * X
-        rows = max(1, _GRAM_BLOCK // max(1, n * X.shape[1]))
-        for lo in range(0, n, rows):
-            logk = kernel.log_kernel(F[lo:lo + rows, None, :] - F[None, :, :])
-            upper = np.arange(n) > np.arange(lo, lo + logk.shape[0])[:, None]
+        for lo, hi in fm.row_blocks(n, n * X.shape[1]):
+            logk = kernel.log_kernel(F[lo:hi, None, :] - F[None, :, :])
+            upper = np.arange(n) > np.arange(lo, hi)[:, None]
             v = np.fromiter(map(math.exp, logk[upper].tolist()), float)
-            out[lo:lo + rows][upper] = v
-            out[:, lo:lo + rows].T[upper] = v
+            out[lo:hi][upper] = v
+            out[:, lo:hi].T[upper] = v
     else:
         raise ValueError(f"unsupported kernel object {kernel!r}")
     return KernelMatrix(out)

@@ -21,15 +21,19 @@ Subcommands
 Conventions
 -----------
 Kernel arguments are catalog text, ``family:key=value,...``: a binning
-map's kernel spec may end in one ``;tau=V`` or ``;rho=V`` scale clause, and
-a Fourier map's frequency law is ``cauchy:scale=V`` or ``normal:stddev=V``.
+map's kernel spec may end in one ``;tau=V`` or ``;rho=V`` scale clause,
+read by the catalog's ``key=value`` reader, and a Fourier map's frequency
+law is ``cauchy:scale=V`` or ``normal:stddev=V``.
 Input data is LIBSVM text (``label idx:value ...``, 1-based indices).
 Attributes are normalized per column to [−1, 1] by an affine map fit on
 the training rows; the map is stored in model bundles so prediction
 applies the identical transform.  All randomness derives from ``--seed``
 (default from ``POLYAKERN_SEED`` or a built-in constant), and reruns with
-the same arguments produce byte-identical output files.  Failures print a
-single-line JSON record ``{"error": ...}`` to stderr and exit nonzero.
+the same arguments produce byte-identical output files.  Every failure,
+a bad command-line argument or a non-integer ``POLYAKERN_SEED`` included,
+prints one single-line JSON record ``{"error": ...}`` to stderr and exits
+1; a comma-separated number list with an empty entry is one such failure,
+not a shorter list.
 Trials are independent by construction (per-trial child seeds), so they
 may be distributed; this implementation runs them sequentially for
 reproducibility, and each output file has a single writer.
@@ -225,17 +229,27 @@ def _map_runs(args, kinds):
     if len(set(named)) != len(named):
         raise ValueError(f"map kinds must be distinct, got {args.map!r}")
     sizes = _ints(args.copies)
-    if not sizes or list(sizes) != sorted(set(sizes)):
+    if list(sizes) != sorted(set(sizes)):
         raise ValueError("copy counts must be nonempty, ascending, distinct")
     spec = _kernel_for_kind(BINNING, args.kernel)
     law = _kernel_for_kind(FOURIER_REAL, args.fourier_law)
     return [(kind, spec if kind == BINNING else law) for kind in named], sizes
 
 
+def _map_from_args(args, dim: int) -> FeatureMapConfig:
+    """The map that ``features`` and ``fit`` build from their options, on
+    points of ``dim`` coordinates."""
+    return FeatureMapConfig(
+        kind=args.map, kernel=_kernel_for_kind(args.map, args.kernel), dim=dim,
+        copies=args.copies, seed=args.seed, hash_buckets=args.hash_buckets,
+    )
+
+
 def _floats(text: str) -> Tuple[float, ...]:
+    """The numbers of a comma-separated list; an empty entry is an error."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
         raise ParseError(f"expected comma-separated numbers, got {text!r}") from None
 
 
@@ -467,6 +481,8 @@ def _cmd_kernel(args) -> int:
         lines = ["t,ft"]
         lines += [f"{_fmt(t)},{_fmt(eval_ft(spec, t))}" for t in args.values]
     else:  # table
+        if args.points < 1:
+            raise ValueError("points must be >= 1")
         grid = np.linspace(0.0, args.max, args.points)
         lines = ["r,k,ft"]
         lines += [
@@ -492,11 +508,7 @@ def _cmd_features(args) -> int:
     if not args.out:
         raise ValueError("features requires --out PREFIX for its two files")
     ds = _load_normalized(args.data)
-    kernel = _kernel_for_kind(args.map, args.kernel)
-    cfg = FeatureMapConfig(
-        kind=args.map, kernel=kernel, dim=ds.points.shape[1],
-        copies=args.copies, seed=args.seed, hash_buckets=args.hash_buckets,
-    )
+    cfg = _map_from_args(args, ds.points.shape[1])
     state = build_map(cfg)
     batch = featurize(state, ds.points)
     prefix = Path(str(args.out))
@@ -532,12 +544,8 @@ def _cmd_approx_error(args) -> int:
     runs, sizes = _map_runs(args, KINDS)
     if args.subsample is not None and args.subsample < 1:
         raise ValueError("subsample must keep at least 1 point")
-    if args.data is not None:
-        points = _load_normalized(args.data).points
-        if args.subsample is not None and args.subsample < len(points):
-            points = points[: args.subsample]
-    else:
-        points = _synthetic_points(args.seed)
+    points = (_synthetic_points(args.seed) if args.data is None
+              else _load_normalized(args.data).points)[:args.subsample]
     lines = ["kind,copies,theory,empirical_mean,empirical_stderr"]
     for kind, kernel in runs:
         for copies in sizes:
@@ -567,11 +575,7 @@ def _cmd_fit(args) -> int:
     X = normalizer.apply(ds.points)
     y = ds.targets
     _check_classes(args.task, y)
-    kernel = _kernel_for_kind(args.map, args.kernel)
-    state = build_map(FeatureMapConfig(
-        kind=args.map, kernel=kernel, dim=X.shape[1],
-        copies=args.copies, seed=args.seed, hash_buckets=args.hash_buckets,
-    ))
+    state = build_map(_map_from_args(args, X.shape[1]))
     model = learn.fit(state, featurize(state, X), y, lam=args.lam,
                       classify=args.task != "regression")
     save_model(args.out, args.task, normalizer, model)
@@ -599,9 +603,9 @@ def _cmd_cv(args) -> int:
     ds = _load_normalized(args.data)
     space = learn.CvSearchSpace(
         family=args.family,
-        shapes=_floats(args.shapes) if args.shapes else None,
-        taus=_floats(args.taus) if args.taus else learn.TAU_GRID,
-        lambdas=_floats(args.lambdas) if args.lambdas else learn.LAMBDA_GRID,
+        shapes=None if args.shapes is None else _floats(args.shapes),
+        taus=learn.TAU_GRID if args.taus is None else _floats(args.taus),
+        lambdas=learn.LAMBDA_GRID if args.lambdas is None else _floats(args.lambdas),
         copies=args.copies,
         folds=args.folds,
         seed=args.seed,
@@ -706,8 +710,16 @@ def _add_common(parser, *, seed=True):
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise :class:`ParseError`, so that a
+    bad argument ends in the same one-line JSON record as any other error."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyakern",
         description="Distribution-built kernels, random feature maps, and "
                     "ridge learning.",
@@ -806,24 +818,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_record(message: str) -> None:
-    sys.stderr.write(json.dumps({"error": message}) + "\n")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = 0 if exc.code is None else int(exc.code)
-        if code != 0:
-            _error_record("invalid command-line arguments")
-        return code
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # argparse exits only after printing --help
+        return 0
     except (PolyakernError, ValueError, KeyError, OSError, MemoryError,
             ArithmeticError) as exc:
-        _error_record(str(exc) or exc.__class__.__name__)
+        sys.stderr.write(json.dumps({"error": str(exc) or exc.__class__.__name__}) + "\n")
         return 1
 
 

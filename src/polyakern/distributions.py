@@ -211,9 +211,6 @@ class Distribution:
             x *= 2.0
         raise ConvergenceError(f"{self!r}: tail cutoff search did not terminate")
 
-    def spec_string(self):
-        return format_distribution(self)
-
 
 class GeneralizedGamma(Distribution):
     """Law of scale * Y**(1/power) with Y ~ Gamma(shape, 1).
@@ -496,6 +493,28 @@ def format_distribution(d):
     return f"{d.family}:{parts}"
 
 
+def parse_parameters(text, names, where, owner):
+    """The "key=value,..." list ``text`` as a dict of numbers, each key one
+    of ``names`` and given once; messages quote ``where``, the whole text,
+    and name ``owner``, whose parameters they are."""
+    kv = {}
+    for part in text.split(","):
+        key, eq, raw = part.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if not eq or not key or not raw:
+            raise ParseError(f"malformed parameter {part!r} in {where!r}")
+        if key not in names:
+            raise ParseError(f"unknown parameter {key!r} for {owner}")
+        if key in kv:
+            raise ParseError(f"duplicate parameter {key!r} in {where!r}")
+        try:
+            kv[key] = float(raw)
+        except ValueError:
+            raise ParseError(f"parameter {key!r} is not a number: {raw!r}") from None
+    return kv
+
+
 def parse_distribution(text, families=FAMILIES):
     """Parse "family:key=value,..." into a law of ``families``, a table of
     dataclasses by their ``family`` name (the catalog by default)."""
@@ -511,21 +530,7 @@ def parse_distribution(text, families=FAMILIES):
     if cls is None:
         raise ParseError(f"unknown family {fam!r} (known: {sorted(families)})")
     names = [f.name for f in fields(cls)]
-    kv = {}
-    for part in rest.split(","):
-        key, eq, raw = part.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if not eq or not key or not raw:
-            raise ParseError(f"malformed parameter {part!r} in {text!r}")
-        if key not in names:
-            raise ParseError(f"unknown parameter {key!r} for family {fam!r}")
-        if key in kv:
-            raise ParseError(f"duplicate parameter {key!r} in {text!r}")
-        try:
-            kv[key] = float(raw)
-        except ValueError:
-            raise ParseError(f"parameter {key!r} is not a number: {raw!r}") from None
+    kv = parse_parameters(rest, names, text, f"family {fam!r}")
     missing = [n for n in names if n not in kv]
     if missing:
         raise ParseError(f"family {fam!r} is missing parameters {missing}")

@@ -48,7 +48,6 @@ from scipy.special import exp1, gammaincc
 from . import distributions as dists
 from .errors import (
     InfiniteTiltError,
-    ParseError,
     QuadratureError,
     SpectralMismatchError,
 )
@@ -551,38 +550,18 @@ def tensor_eval(spec, x, xp):
 
 
 def parse_kernel_spec(text):
-    """Parse a kernel description like "gamma:s=2,theta=1;tau=0.5"."""
-    parts = [p.strip() for p in str(text).strip().split(";")]
-    d = dists.parse_distribution(parts[0])
-    rho = None
-    tau = None
-    for part in parts[1:]:
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ParseError(f"expected key=value after ';', got {part!r}")
-        key = key.strip()
-        try:
-            num = float(value.strip())
-        except ValueError:
-            raise ParseError(f"scale value is not a number: {value.strip()!r}") from None
-        if key == "rho":
-            if rho is not None:
-                raise ParseError("duplicate rho clause")
-            rho = num
-        elif key == "tau":
-            if tau is not None:
-                raise ParseError("duplicate tau clause")
-            tau = num
-        else:
-            raise ParseError(f"unknown scale key {key!r} (expected rho or tau)")
-    if rho is not None and tau is not None:
-        raise ParseError("give rho or tau, not both")
-    return KernelSpec(d, rho=rho, tau=tau)
+    """Parse a kernel description like "gamma:s=2,theta=1;tau=0.5": a
+    catalog law, then an optional scale clause read by the catalog's own
+    parameter reader."""
+    base, sep, clause = str(text).partition(";")
+    scale = {} if not sep else dists.parse_parameters(
+        clause, ("rho", "tau"), text, "a kernel scale")
+    return KernelSpec(dists.parse_distribution(base), **scale)
 
 
 def format_kernel_spec(spec):
     """Inverse of parse_kernel_spec."""
-    base = spec.dist.spec_string()
+    base = dists.format_distribution(spec.dist)
     if spec.tau is not None:
         return f"{base};tau={spec.tau!r}"
     if spec.rho != 1.0:

@@ -55,7 +55,7 @@ class TestExactGram:
         # bit for bit, including across row blocks and at widths where numpy
         # sums a row in several lanes
         if block is not None:
-            monkeypatch.setattr(approx, "_GRAM_BLOCK", block)
+            monkeypatch.setattr(fm, "BLOCK_CELLS", block)
         X = np.random.default_rng(29).uniform(-2.0, 2.0, size=(60, dim))
         X[7] = X[3]
         factor = 2.0 if double else 1.0

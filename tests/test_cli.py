@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyakern import cli, feature_maps, learn
+from polyakern import approx, cli, feature_maps, learn
 from polyakern import polya_kernels as kernels
 from polyakern.distributions import Gamma, format_distribution
 from polyakern.errors import ParseError
@@ -454,6 +454,23 @@ class TestApproxError:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_subsample_keeps_first_synthetic_points(self, tmp_path):
+        # without a data file --subsample keeps the first N synthetic points
+        argv = ["approx-error", "--kernel", "gamma:s=2,theta=1", "--map", "binning",
+                "--copies", "2", "--trials", "2", "--seed", "3"]
+        kept, whole = tmp_path / "kept.csv", tmp_path / "whole.csv"
+        assert cli.main(argv + ["--subsample", "3", "--out", str(kept)]) == 0
+        assert cli.main(argv + ["--out", str(whole)]) == 0
+        spec = parse_kernel_spec("gamma:s=2,theta=1")
+        stats = approx.empirical_error(
+            spec, cli._synthetic_points(3)[:3],
+            FeatureMapConfig(kind=BINNING, kernel=spec, dim=3, copies=2, seed=3), trials=2,
+        )
+        row = ",".join(repr(float(v)) for v in (
+            stats.theory_rel, stats.empirical_rel, stats.stderr_rel))
+        assert kept.read_text().splitlines()[1] == f"binning,2,{row}"
+        assert kept.read_bytes() != whole.read_bytes()
+
     @pytest.mark.parametrize("subsample", ["0", "-3"])
     def test_subsample_below_one_rejected(self, tmp_path, capsys, subsample):
         data = tmp_path / "train.txt"
@@ -470,7 +487,7 @@ class TestApproxError:
         assert not out.exists()
 
     @pytest.mark.parametrize("maps,copies,message", [
-        ("binning", "", "copy counts must be nonempty, ascending, distinct"),
+        ("binning", "", "expected comma-separated numbers, got ''"),
         ("binning", "4,4", "copy counts must be nonempty, ascending, distinct"),
         ("binning", "4,1", "copy counts must be nonempty, ascending, distinct"),
         ("binning,binning", "1,4", "map kinds must be distinct, got 'binning,binning'"),
@@ -1129,11 +1146,50 @@ class TestErrorRecords:
         record = json.loads(err[-1])
         assert "error" in record
 
-    def test_unknown_subcommand(self, capsys):
-        code = cli.main(["frobnicate"])
-        assert code != 0
-        err = capsys.readouterr().err.strip().splitlines()
-        assert any(line.startswith("{") for line in err)
+    KERNEL = ["--kernel", "gamma:s=2,theta=1"]
+    CV = ["cv", "{data}", "--copies", "4", "--folds", "2"]
+
+    @pytest.mark.parametrize("argv,env,message", [
+        (["kernel", "eval", *KERNEL, "1", "--frobnicate"], None,
+         "unrecognized arguments: --frobnicate"),
+        (["fit", "{data}", "--task", "regression", "--map", "binning", *KERNEL,
+          "--copies", "x", "--lambda", "0.1"], None, "argument --copies: invalid int value: 'x'"),
+        (["frobnicate"], None, "argument command: invalid choice: 'frobnicate'"),
+        (["kernel", "eval", "1"], None, "the following arguments are required: --kernel"),
+        (["kernel", "eval", *KERNEL, "1"], "abc", "POLYAKERN_SEED must be an integer, got 'abc'"),
+        (["approx-error", *KERNEL, "--copies", "1,,4", "--trials", "1"], None,
+         "expected comma-separated numbers, got '1,,4'"),
+        (CV + ["--taus", "1,,2"], None, "expected comma-separated numbers, got '1,,2'"),
+        (CV + ["--shapes", ""], None, "expected comma-separated numbers, got ''"),
+        (CV + ["--taus", ""], None, "expected comma-separated numbers, got ''"),
+        (CV + ["--lambdas", ""], None, "expected comma-separated numbers, got ''"),
+        (["kernel", "table", *KERNEL, "--points", "0"], None, "points must be >= 1"),
+    ], ids=["unknown-option", "copies-not-int", "unknown-subcommand", "missing-kernel",
+            "seed-env", "copies-empty-entry", "cv-taus-empty-entry", "cv-shapes-empty",
+            "cv-taus-empty", "cv-lambdas-empty", "table-no-points"])
+    def test_argument_error_is_one_json_line(self, tmp_path, capsys, monkeypatch,
+                                             argv, env, message):
+        data, out = tmp_path / "train.txt", tmp_path / "out"
+        make_regression_file(data, seed=48, n=20)
+        if env is not None:
+            monkeypatch.setenv("POLYAKERN_SEED", env)
+        argv = [arg.format(data=data) for arg in argv] + ["--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        # a prefix, since argparse words its list of choices differently
+        # across Python versions
+        assert json.loads(err[0])["error"].startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+    def test_help_is_printed_and_returns_zero(self, capsys, argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: polyakern")
+        assert captured.err == ""
 
     @pytest.mark.parametrize("command", ["approx-error", "bench"])
     def test_malformed_kernel_fails_with_fourier_maps_only(self, tmp_path, capsys, command):
@@ -1276,9 +1332,12 @@ class TestKernelArguments:
         argv = [arg.format(data=data) for arg in argv] + ["--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert cli.main(argv + ["--tau", "2"]) == 2
+        assert cli.main(argv + ["--tau", "2"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert json.loads(err[-1]) == {"error": "invalid command-line arguments"}
+        assert len(err) == 1
+        # approx-error's optional data file positional takes the "2"
+        left = "--tau" if argv[0] == "approx-error" else "--tau 2"
+        assert json.loads(err[0]) == {"error": f"unrecognized arguments: {left}"}
 
 
 class TestStartup:

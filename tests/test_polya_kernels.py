@@ -676,3 +676,20 @@ class TestSpecStrings:
         ]:
             with pytest.raises((ParseError, ValueError)):
                 kernels.parse_kernel_spec(text)
+
+    @pytest.mark.parametrize("clause,message", [
+        ("tau=1,rho=2", "give rho or tau, not both"),
+        ("x=1", "unknown parameter 'x' for a kernel scale"),
+        ("tau=", "malformed parameter 'tau=' in 'gamma:s=2,theta=1;tau='"),
+        ("tau=1,tau=2", "duplicate parameter 'tau' in 'gamma:s=2,theta=1;tau=1,tau=2'"),
+        ("tau=abc", "parameter 'tau' is not a number: 'abc'"),
+    ], ids=["both", "unknown", "empty", "duplicate", "not-a-number"])
+    def test_scale_clause_errors(self, clause, message):
+        # the clause is read by the catalog's parameter reader
+        with pytest.raises(ValueError) as info:
+            kernels.parse_kernel_spec(f"gamma:s=2,theta=1;{clause}")
+        assert str(info.value) == message
+
+    def test_scale_clause_allows_spaces(self):
+        k = kernels.parse_kernel_spec("rayleigh:sigma=1 ; rho = 2.5")
+        assert k == kernels.KernelSpec(dist.Rayleigh(1.0), rho=2.5)
