@@ -64,6 +64,7 @@ from .feature_maps import (
     FeatureMapConfig,
     build_map,
     feature_blocks,
+    feature_matrix,
     feature_width,
     featurize,
 )
@@ -274,13 +275,11 @@ def _emit(text: str, out) -> None:
 # ---------------------------------------------------------------------------
 # Model bundles
 
-MODEL_FORMAT = "polyakern-model-v5"
+MODEL_FORMAT = "polyakern-model-v6"
 TASKS = ("regression", "binary", "multiclass")
 
-# Bulk arrays travel as {"dtype", "shape", "data": base64 of the raw bytes};
-# vocabulary rows take the narrowest integer type that holds them.
-_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
-_WEIGHT_DTYPES = ("<f8",)
+# Bulk arrays: {"dtype": "<f8", "shape", "data": base64 of the raw bytes}.
+_DTYPE = "<f8"
 
 
 def _expect(ok, message) -> None:
@@ -306,17 +305,17 @@ def _finite_numbers(values, count=None) -> bool:
     )
 
 
-def _encode_array(values, dtype) -> dict:
-    values = np.ascontiguousarray(values, dtype=dtype)
+def _encode_array(values) -> dict:
+    values = np.ascontiguousarray(values, dtype=_DTYPE)
     return {
-        "dtype": dtype,
+        "dtype": _DTYPE,
         "shape": list(values.shape),
         "data": base64.b64encode(values.tobytes()).decode("ascii"),
     }
 
 
-def _decode_array(blob, name, dtypes) -> np.ndarray:
-    """Inverse of :func:`_encode_array`, limited to ``dtypes``; anything it
+def _decode_array(blob, name) -> np.ndarray:
+    """Inverse of :func:`_encode_array`, a read-only array; anything it
     cannot read back exactly raises :class:`ParseError`."""
     try:
         dtype, shape, data = blob["dtype"], blob["shape"], blob["data"]
@@ -324,8 +323,8 @@ def _decode_array(blob, name, dtypes) -> np.ndarray:
         raise ParseError(
             f"bundle {name} must be an object with dtype, shape and data"
         ) from None
-    if dtype not in dtypes:
-        raise ParseError(f"bundle {name} dtype {dtype!r} is not one of {list(dtypes)}")
+    if dtype != _DTYPE:
+        raise ParseError(f"bundle {name} dtype {dtype!r} is not {_DTYPE!r}")
     if not (
         isinstance(shape, list)
         and all(type(n) is int and n >= 0 for n in shape)
@@ -345,15 +344,6 @@ def _decode_array(blob, name, dtypes) -> np.ndarray:
             f"{dtype} needs {wanted}"
         )
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
-
-
-def _narrowest_int(values) -> str:
-    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
-    for dtype in _INT_DTYPES[:-1]:
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return dtype
-    return _INT_DTYPES[-1]
 
 
 def _map_metadata(cfg: FeatureMapConfig) -> dict:
@@ -390,40 +380,24 @@ def _has_vocabulary(cfg) -> bool:
     return cfg.kind == BINNING and cfg.hash_buckets is None
 
 
-def _restore_vocabulary(state, blob) -> None:
-    """Fill the exact binning map ``state`` with the bundle's vocabulary:
-    one row per column, in column order, the copy then the bins."""
-    cfg = state.cfg
-    rows = _decode_array(blob, "vocabulary", _INT_DTYPES)
-    if rows.ndim != 2 or rows.shape[1] != cfg.dim + 1:
-        raise ParseError(
-            f"bundle vocabulary rows must hold a copy and {cfg.dim} bins, "
-            f"got shape {list(rows.shape)}"
-        )
-    _expect(rows.size, "binning bundle has an empty vocabulary")
-    copies = rows[:, 0]
-    if copies.min() < 0 or copies.max() >= cfg.copies:
-        raise ParseError(f"bundle vocabulary copies must lie in [0, {cfg.copies})")
-    state.vocabulary.assign(rows.astype(np.int64))
-    if len(state.vocabulary) != len(rows):
-        raise ParseError("bundle vocabulary repeats a (copy, bins) key")
-
-
 def save_model(path, task, normalizer, model) -> None:
-    """Serialize a fitted model: map metadata, normalizer, the vocabulary of
-    an exact binning map, and the one weight array (a column per class for
-    a classifier) with its target mean, penalty and solver route."""
+    """Serialize a fitted model: map metadata, normalizer, the solution of
+    the system ``fit`` solved (dual ``alpha``, else ``weights``) with its
+    target mean, penalty and route, and the training ``points`` on the dual
+    route or an exact binning map, whose vocabulary they must have filled."""
     state = model.state
+    if _has_vocabulary(state.cfg) and not np.array_equal(model.points, state.vocabulary.points):
+        raise ValueError("an exact binning model must be fit on the points that filled its map")
     bundle = {
         "format": MODEL_FORMAT,
         "task": task,
         "map": _map_metadata(state.cfg),
         "normalizer": normalizer.to_json(),
     }
-    if _has_vocabulary(state.cfg):
-        rows = state.vocabulary.rows
-        bundle["vocabulary"] = _encode_array(rows, _narrowest_int(rows))
-    bundle["weights"] = _encode_array(model.weights, "<f8")
+    if model.route == "dual" or _has_vocabulary(state.cfg):
+        bundle["points"] = _encode_array(model.points)
+    solution = "alpha" if model.route == "dual" else "weights"
+    bundle[solution] = _encode_array(getattr(model, solution))
     bundle.update({"y_mean": model.y_mean, "lambda": model.lam, "route": model.route})
     if model.classes is not None:
         bundle["classes"] = list(model.classes)
@@ -433,7 +407,9 @@ def save_model(path, task, normalizer, model) -> None:
 def load_model(path):
     """Rebuild (task, state, normalizer, (model,), classes) from a bundle.
 
-    A bundle that is not one this version writes raises :class:`ParseError`.
+    One ``featurize`` of the points refills an exact binning map's vocabulary,
+    and dual weights are ``learn.dual_weights`` as in ``fit``.  A bundle
+    that is not one this version writes raises :class:`ParseError`.
     """
     bundle = json.loads(Path(path).read_text(encoding="ascii"))
     found = bundle.get("format") if isinstance(bundle, dict) else None
@@ -445,8 +421,6 @@ def load_model(path):
     _expect(task in TASKS, f"bundle task {task!r} is not one of {list(TASKS)}")
     cfg = _config_from_metadata(_field(bundle, "map"))
     state = build_map(cfg)
-    if _has_vocabulary(cfg):
-        _restore_vocabulary(state, _field(bundle, "vocabulary"))
     normalizer = AffineNormalizer.from_json(_field(bundle, "normalizer"), cfg.dim)
     y_mean, lam, route = (_field(bundle, key) for key in ("y_mean", "lambda", "route"))
     _expect(_finite_numbers([y_mean, lam]) and lam > 0 and route in ("primal", "dual"),
@@ -456,14 +430,22 @@ def load_model(path):
             else _finite_numbers(classes) and len(set(classes)) == len(classes) >= 2,
             "bundle classes: a regression bundle has none, a classifier's are "
             "two or more distinct finite numbers")
-    weights = _decode_array(_field(bundle, "weights"), "weights", _WEIGHT_DTYPES).astype(float)
-    wanted = (feature_width(state),) + (() if classes is None else (len(classes),))
-    _expect(weights.shape == wanted,
-            f"bundle weights have shape {list(weights.shape)}; its map and classes "
-            f"need {list(wanted)}")
+    dual, points = route == "dual", None
+    if dual or _has_vocabulary(cfg):
+        points = _decode_array(_field(bundle, "points"), "points")
+        _expect(points.size, "bundle points are empty")
+        batch = featurize(state, points)  # which checks them: n x dim, finite
+    solution, rows = ("alpha", len(points)) if dual else ("weights", feature_width(state))
+    values = _decode_array(_field(bundle, solution), solution).astype(float)
+    wanted = (rows,) + (() if classes is None else (len(classes),))
+    _expect(values.shape == wanted,
+            f"bundle {solution} have shape {list(values.shape)}; its "
+            f"{'points' if dual else 'map'} and classes need {list(wanted)}")
     model = learn.RidgeModel(
-        state=state, weights=weights, lam=float(lam), y_mean=float(y_mean), route=route,
-        classes=None if classes is None else tuple(map(float, classes)),
+        state=state, lam=float(lam), y_mean=float(y_mean), route=route,
+        classes=None if classes is None else tuple(map(float, classes)), points=points,
+        weights=learn.dual_weights(feature_matrix(batch), values) if dual else values,
+        alpha=values if dual else None,
     )
     return task, state, normalizer, (model,), model.classes
 
@@ -483,6 +465,8 @@ def _cmd_kernel(args) -> int:
     else:  # table
         if args.points < 1:
             raise ValueError("points must be >= 1")
+        if not (math.isfinite(args.max) and args.max >= 0.0):
+            raise ValueError(f"max must be finite and >= 0, got {args.max}")
         grid = np.linspace(0.0, args.max, args.points)
         lines = ["r,k,ft"]
         lines += [

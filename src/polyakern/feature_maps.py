@@ -200,6 +200,7 @@ class BinVocabulary:
 
     def __init__(self):
         self.rows = np.empty((0, 0), dtype=np.int64)
+        self.points = None  # the points whose featurize filled the table
         self._plan = []  # per key column: lo, hi, prefix and entry ranks or None
         self._keys = np.empty(0, dtype=np.int64)
         self._columns = np.empty(0, dtype=np.int64)
@@ -241,9 +242,10 @@ class BinVocabulary:
                 self._plan.append((lo, hi, prefixes, levels))
         return key, inside
 
-    def assign(self, rows):
+    def assign(self, rows, points=None):
         """Number the distinct rows by first appearance, fill the empty table
-        with them, and return the column of every row."""
+        with them, keep ``points`` as its source, and return the column of
+        every row."""
         if len(self):
             raise ValueError("the vocabulary is already filled")
         self._plan = []
@@ -253,7 +255,7 @@ class BinVocabulary:
         order = np.argsort(first)
         columns = np.empty(keys.shape[0], dtype=np.int64)
         columns[order] = np.arange(keys.shape[0])
-        self._keys, self._columns = keys, columns
+        self._keys, self._columns, self.points = keys, columns, points
         self.rows = rows[first[order]]  # last: len(self) > 0 means filled
         return columns[inverse]
 
@@ -286,11 +288,11 @@ BLOCK_CELLS = 2 ** 21
 class FeatureBatch:
     """Featurized points.
 
-    Every batch carries ``width``, its number of feature columns: the
+    Every batch carries ``width``, its number of feature columns (the
     vocabulary size or hash bucket count for binning, the copy count for
-    Fourier kinds.  A binning batch holds per-copy column indices, one
-    sparse block.  A Fourier batch holds its map and a private
-    copy of its validated points, and computes its dense copies x n feature
+    Fourier kinds), and a private read-only copy of its validated points.
+    A binning batch holds per-copy column indices, one sparse block.  A
+    Fourier batch holds its map, and computes its dense copies x n feature
     matrix only when read: ``feature_blocks`` gives it as blocks of points
     of at most ``BLOCK_CELLS`` cells each, and ``feature_matrix`` gives it
     whole, the one-block case, built anew on each call.
@@ -300,9 +302,9 @@ class FeatureBatch:
     n: int
     copies: int
     width: int
+    points: np.ndarray  # n x dim, read-only
     indices: np.ndarray = None  # binning: copies x n int64
     state: FourierMapState = None  # fourier kinds
-    points: np.ndarray = None  # fourier kinds: n x dim, read-only
 
 
 def build_map(cfg):
@@ -409,28 +411,28 @@ def feature_width(state):
 def featurize(state, X):
     """Map points to features.
 
-    The points are validated here.  A Fourier batch keeps them and computes
-    its features when they are read (``feature_blocks``, ``feature_matrix``).
-    For binning, the first call on a map fills its vocabulary: columns are
-    numbered by first appearance, copy by copy and point by point.  Later
-    calls only read it; a bin it does not hold gets the sentinel index
-    ``width`` (the vocabulary size), which has no column and no feature."""
-    X = _check_points(state, X)
-    n = X.shape[0]
+    The points are validated here and kept.  A Fourier batch computes its
+    features when they are read (``feature_blocks``, ``feature_matrix``).
+    For binning, the first call on a map fills its vocabulary and keeps the
+    points there: columns are numbered by first appearance, copy by copy
+    and point by point.  Later calls only read it; a bin it does not hold
+    gets the sentinel index ``width`` (the vocabulary size), which has no
+    column and no feature."""
+    points = _check_points(state, X).copy(order="C")
+    points.flags.writeable = False
+    n = points.shape[0]
     cfg = state.cfg
     if cfg.kind != BINNING:
-        points = X.copy(order="K")
-        points.flags.writeable = False
         return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies,
-                            width=feature_width(state), state=state, points=points)
-    rows = _bin_keys(state, X).reshape(-1, cfg.dim + 1)  # copy-major
+                            width=feature_width(state), points=points, state=state)
+    rows = _bin_keys(state, points).reshape(-1, cfg.dim + 1)  # copy-major
     if cfg.hash_buckets is not None:
         indices = _hash_rows(rows, cfg.hash_buckets)
     else:
         vocab = state.vocabulary
-        indices = vocab.lookup(rows) if len(vocab) else vocab.assign(rows)
-    return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies,
-                        indices=indices.reshape(cfg.copies, n), width=feature_width(state))
+        indices = vocab.lookup(rows) if len(vocab) else vocab.assign(rows, points)
+    return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, width=feature_width(state),
+                        points=points, indices=indices.reshape(cfg.copies, n))
 
 
 def _fourier_features(state, X):

@@ -146,7 +146,8 @@ class RidgeModel:
     ``weights`` has one row per feature column seen at training time (a
     vector for regression, a matrix with one column per entry of
     ``classes`` for a classifier); a bin unseen in training has the
-    sentinel index ``len(weights)`` and contributes zero score.
+    sentinel index ``len(weights)`` and contributes zero score.  A bundle
+    rebuilds them from the training ``points`` and, if dual, ``alpha``.
     """
 
     state: object
@@ -155,6 +156,8 @@ class RidgeModel:
     y_mean: float  # 0.0 for a classifier, whose targets are not centered
     route: str  # "primal" or "dual"
     classes: Tuple[float, ...] | None = None  # None for regression
+    points: np.ndarray | None = None
+    alpha: np.ndarray | None = None  # None on the primal route
 
 
 def _solve_spd(A, b):
@@ -237,14 +240,20 @@ def fit(state, batch, y, lam: float, classify: bool = False) -> RidgeModel:
             "real map or the binning map"
         )
     Y, classes, y_mean = _ridge_targets(y, classify)
-    weights, route = _ridge_weights(batch, Y, lam)
+    weights, alpha, route = _ridge_weights(batch, Y, lam)
     return RidgeModel(state=state, weights=weights, lam=lam, y_mean=y_mean, route=route,
-                      classes=classes)
+                      classes=classes, points=batch.points, alpha=alpha)
+
+
+def dual_weights(Z, alpha):
+    """Z α, with α read in C order so that any copy of α gives the same bits."""
+    return np.asarray(Z @ np.ascontiguousarray(alpha))
 
 
 def _ridge_weights(batch, Y, lam):
     """Weights solving (Z Zᵀ + λI) W = Z Y, for a target vector or matrix Y,
-    through the smaller SPD system; returns (weights, route).
+    through the smaller SPD system; returns (weights, alpha, route), with
+    alpha the dual coefficients on the dual route and None on the primal.
 
     The primal system sums over the batch's blocks of points: the first
     block's Z_b Z_bᵀ and Z_b Y_b are taken as they are and later ones added,
@@ -262,11 +271,13 @@ def _ridge_weights(batch, Y, lam):
                 B += ZY
             del ZZ  # so that no block's Gram is alive while the next is made
         G.flat[::len(G) + 1] += lam
-        return _solve_spd(G, B), "primal"
+        return _solve_spd(G, B), None, "primal"
     Z = feature_matrix(batch)
     G = dense_gram(Z.T)
     G.flat[::len(G) + 1] += lam
-    return np.asarray(Z @ _solve_spd(G, Y)), "dual"
+    alpha = _solve_spd(G, Y)
+    del G  # so that the weights are made with the system gone
+    return dual_weights(Z, alpha), alpha, "dual"
 
 
 def _scores(model: RidgeModel, batch) -> np.ndarray:
@@ -383,15 +394,17 @@ def cross_validate(data: Dataset, space: CvSearchSpace) -> CvResult:
     grid points of a shape share common random numbers.  Each τ rescales it
     (``rescale_map``) and takes the co-occurrence Gram matrix C of all rows
     (``gram``), from which every fold and λ is scored (``_fold_scores``).
-    The law of every (shape, τ), the penalties, the targets and every fold's
-    classes are checked before any map is drawn.  Deterministic given ``space.seed``.
+    The grids (non-empty, no value repeated), the law of every (shape, τ),
+    the penalties, the targets and every fold's classes are checked before
+    any map is drawn.  Deterministic given ``space.seed``.
     """
     if space.task not in ("regression", "classification"):
         raise ValueError(f"unknown task {space.task!r}")
     make_dist, grid = _shape_family(space.family)
     shapes = space.shapes if space.shapes is not None else grid
-    if not shapes or not space.taus or not space.lambdas:
-        raise ValueError("search grid must be non-empty in every dimension")
+    for name, values in (("shapes", shapes), ("taus", space.taus), ("lambdas", space.lambdas)):
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"search grid {name} must be non-empty and distinct, got {values}")
     if space.folds < 2:
         raise ValueError("cross-validation needs at least two folds")
     lams = tuple(_penalty(lam) for lam in space.lambdas)

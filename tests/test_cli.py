@@ -697,6 +697,23 @@ class TestFitPredict:
             assert "int64" in json.loads(err[0])["error"]
 
 
+#: A kernel whose bins are wide enough that an exact binning fit on
+#: ``fit_bundle``'s regression or multiclass data has no more columns than
+#: points, so that it takes the primal route.
+WIDE_BINS = "gamma:s=2,theta=1;rho=0.2"
+
+
+#: ``fit_bundle`` arguments of each bundle the format checks edit: dual
+#: exact binning bundles of each task, and primal exact binning ones.
+BUNDLES = {
+    "regression": {},
+    "binary": {"task": "binary"},
+    "multiclass": {"task": "multiclass"},
+    "primal": {"kernel": WIDE_BINS},
+    "primal-multiclass": {"task": "multiclass", "kernel": WIDE_BINS},
+}
+
+
 def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,theta=1",
                extra=()):
     data = tmp_path / "train.txt"
@@ -713,9 +730,13 @@ def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,th
 
 
 def predict_error(data, model_path, capsys):
+    """The one JSON error line of ``predict`` on a bad bundle, which exits 1
+    and writes no predictions."""
     capsys.readouterr()
     assert cli.main(["predict", str(data), "--model", str(model_path)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
     assert len(err) == 1
     return json.loads(err[0])["error"]
 
@@ -738,17 +759,54 @@ def array_of(blob):
     return np.frombuffer(raw, dtype=blob["dtype"]).reshape(blob["shape"])
 
 
+def edit_array(bundle, name, change):
+    bundle[name] = typed_array(change(array_of(bundle[name])), "<f8")
+
+
 def edit_weights(bundle, change):
-    bundle["weights"] = typed_array(change(array_of(bundle["weights"])), "<f8")
+    edit_array(bundle, "weights", change)
 
 
 class TestBundleChecks:
     def test_binning_weights_cut_short(self, tmp_path, capsys):
-        data, model_path = fit_bundle(tmp_path)
-        width = json.loads(model_path.read_text())["vocabulary"]["shape"][0]
+        # a primal exact binning bundle: the points rebuild the vocabulary,
+        # and the weights must have one row per column of it
+        data, model_path = fit_bundle(tmp_path, kernel=WIDE_BINS)
+        bundle = json.loads(model_path.read_text())
+        assert bundle["route"] == "primal"
+        _, state, _, _, _ = cli.load_model(model_path)
+        width = len(state.vocabulary)
+        assert bundle["weights"]["shape"] == [width] and width > 2
         rewrite_bundle(model_path, lambda b: edit_weights(b, lambda w: w[:2]))
         message = predict_error(data, model_path, capsys)
         assert f"weights have shape [2]; its map and classes need [{width}]" in message
+
+    def test_exact_binning_model_needs_the_points_that_filled_its_map(self, tmp_path):
+        # a bundle rebuilds the vocabulary from the model's points, so a model
+        # fit on other points is not saved; a hashed map has no vocabulary
+        X = np.linspace(0.0, 1.0, 6).reshape(-1, 1)
+        y = np.arange(6.0)
+        path = tmp_path / "m.json"
+        for buckets in (None, 16):
+            state = build_map(FeatureMapConfig(kind=BINNING, kernel=KernelSpec(Gamma(2.0, 1.0)),
+                                               dim=1, copies=2, seed=7, hash_buckets=buckets))
+            featurize(state, X)
+            for other in (X[::-1], X[:4], 2.0 * X):
+                model = learn.fit(state, featurize(state, other), y[:len(other)], lam=0.1)
+                if buckets is None:
+                    with pytest.raises(ValueError, match="points that filled its map"):
+                        cli.save_model(path, "regression", cli.fit_normalizer(X), model)
+                    assert not path.exists()
+                else:
+                    cli.save_model(path, "regression", cli.fit_normalizer(X), model)
+                    loaded = cli.load_model(path)[3][0]
+                    assert np.array_equal(learn.predict(loaded, X), learn.predict(model, X))
+            # the same points featurized again are the points that filled it
+            model = learn.fit(state, featurize(state, X.copy()), y, lam=0.1)
+            cli.save_model(path, "regression", cli.fit_normalizer(X), model)
+            assert np.array_equal(learn.predict(cli.load_model(path)[3][0], X),
+                                  learn.predict(model, X))
+            path.unlink()
 
     def test_fourier_weights_not_one_per_copy(self, tmp_path, capsys):
         data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")
@@ -757,98 +815,133 @@ class TestBundleChecks:
         assert "weights have shape [9]; its map and classes need [8]" in message
 
     def test_classes_do_not_match_models(self, tmp_path, capsys):
-        # three weight columns against two classes
-        data, model_path = fit_bundle(tmp_path, task="multiclass")
-        width = json.loads(model_path.read_text())["vocabulary"]["shape"][0]
-        rewrite_bundle(model_path, lambda b: b["classes"].pop())
-        message = predict_error(data, model_path, capsys)
-        assert f"weights have shape [{width}, 3]; its map and classes need [{width}, 2]" in message
+        # three solution columns against two classes, on either route
+        for kernel, name, rows_of in (("gamma:s=2,theta=1", "alpha", "points"),
+                                      (WIDE_BINS, "weights", "map")):
+            data, model_path = fit_bundle(tmp_path, task="multiclass", kernel=kernel)
+            rows = json.loads(model_path.read_text())[name]["shape"][0]
+            rewrite_bundle(model_path, lambda b: b["classes"].pop())
+            message = predict_error(data, model_path, capsys)
+            assert (f"{name} have shape [{rows}, 3]; its {rows_of} and classes need "
+                    f"[{rows}, 2]") in message
 
     def test_empty_binning_vocabulary(self, tmp_path, capsys):
-        data, model_path = fit_bundle(tmp_path)
+        # no points rebuild an empty vocabulary, on either route
+        for kernel in ("gamma:s=2,theta=1", WIDE_BINS):
+            data, model_path = fit_bundle(tmp_path, kernel=kernel)
 
-        def empty(bundle):
-            bundle["vocabulary"] = typed_array(np.empty((0, 3)), "<i1")
-            edit_weights(bundle, lambda w: w[:0])
+            def empty(bundle):
+                bundle["points"] = typed_array(np.empty((0, 2)), "<f8")
+                solution = "alpha" if "alpha" in bundle else "weights"
+                edit_array(bundle, solution, lambda a: a[:0])
 
-        rewrite_bundle(model_path, empty)
-        message = predict_error(data, model_path, capsys)
-        assert "empty vocabulary" in message
+            rewrite_bundle(model_path, empty)
+            message = predict_error(data, model_path, capsys)
+            assert message == "bundle points are empty"
+
+
+def normalized_points(data):
+    """The training points of a LIBSVM file as ``fit`` normalizes them."""
+    ds = cli.parse_libsvm(data)
+    return cli.fit_normalizer(ds.points).apply(ds.points)
 
 
 class TestBundleFormat:
     def test_layout(self, tmp_path):
-        _, model_path = fit_bundle(tmp_path)
+        # a dual bundle: the normalized training points and the dual
+        # coefficients, one per point
+        data, model_path = fit_bundle(tmp_path)
         bundle = json.loads(model_path.read_text())
-        assert list(bundle) == ["format", "task", "map", "normalizer", "vocabulary",
-                                "weights", "y_mean", "lambda", "route"]
-        assert bundle["format"] == "polyakern-model-v5"
-        vocab = array_of(bundle["vocabulary"])
-        assert vocab.shape[1] == 3  # the copy, then dim = 2 bins
-        assert sorted(set(vocab[:, 0].tolist())) == list(range(8))
-        assert bundle["vocabulary"]["dtype"] in ("<i1", "<i2")
-        assert array_of(bundle["weights"]).shape == (vocab.shape[0],)
+        assert list(bundle) == ["format", "task", "map", "normalizer", "points",
+                                "alpha", "y_mean", "lambda", "route"]
+        assert bundle["format"] == "polyakern-model-v6"
+        points = array_of(bundle["points"])
+        assert points.tobytes() == normalized_points(data).tobytes()
+        assert bundle["points"]["dtype"] == bundle["alpha"]["dtype"] == "<f8"
+        assert array_of(bundle["alpha"]).shape == (20,)
         assert (bundle["lambda"], bundle["route"]) == (0.1, "dual")
 
-    def test_classifier_weights_are_one_matrix(self, tmp_path):
-        _, model_path = fit_bundle(tmp_path, task="multiclass")
+    def test_primal_exact_binning_keeps_its_points(self, tmp_path):
+        data, model_path = fit_bundle(tmp_path, kernel=WIDE_BINS)
         bundle = json.loads(model_path.read_text())
-        width = bundle["vocabulary"]["shape"][0]
-        assert bundle["weights"]["shape"] == [width, 3]
-        assert (bundle["classes"], bundle["y_mean"]) == ([0.0, 1.0, 2.0], 0.0)
+        assert list(bundle) == ["format", "task", "map", "normalizer", "points",
+                                "weights", "y_mean", "lambda", "route"]
+        assert array_of(bundle["points"]).tobytes() == normalized_points(data).tobytes()
+        assert bundle["route"] == "primal"
+
+    def test_classifier_weights_are_one_matrix(self, tmp_path):
+        # one array with a column per class: the weights on the primal
+        # route, the dual coefficients on the dual route
+        for kernel, name, rows in ((WIDE_BINS, "weights", None),
+                                   ("gamma:s=2,theta=1", "alpha", 18)):
+            _, model_path = fit_bundle(tmp_path, task="multiclass", kernel=kernel)
+            bundle = json.loads(model_path.read_text())
+            _, state, _, _, _ = cli.load_model(model_path)
+            assert bundle[name]["shape"] == [rows or len(state.vocabulary), 3]
+            assert {"alpha", "weights"} & set(bundle) == {name}
+            assert (bundle["classes"], bundle["y_mean"]) == ([0.0, 1.0, 2.0], 0.0)
 
     @pytest.mark.parametrize("kind,kernel,extra", [
         ("fourier_real", "cauchy:scale=1", []),
         ("binning", "gamma:s=2,theta=1", ["--hash-buckets", "16"]),
     ], ids=["fourier", "hashed"])
     def test_no_vocabulary_without_an_exact_binning_map(self, tmp_path, kind, kernel, extra):
+        # a primal bundle of a map without a vocabulary holds its weights only
         data, model_path = fit_bundle(tmp_path, kind=kind, kernel=kernel, extra=extra)
         bundle = json.loads(model_path.read_text())
-        assert "vocabulary" not in bundle
+        assert bundle["route"] == "primal"
+        assert not {"vocabulary", "points", "alpha"} & set(bundle)
         assert bundle["weights"]["shape"] == [16 if extra else 8]
         assert cli.main(["predict", str(data), "--model", str(model_path),
                          "--out", str(tmp_path / "p.csv")]) == 0
 
-    @pytest.mark.parametrize("values,dtype", [
-        ([0], "<i1"), ([-128, 127], "<i1"), ([128], "<i2"), ([-129], "<i2"),
-        ([-32768, 32767], "<i2"), ([32768], "<i4"), ([-(2 ** 31)], "<i4"),
-        ([2 ** 31], "<i8"), ([-(2 ** 63), 2 ** 63 - 1], "<i8"), ([], "<i1"),
-    ])
-    def test_narrowest_vocabulary_dtype(self, values, dtype):
-        assert cli._narrowest_int(np.array(values, dtype=np.int64)) == dtype
-
     def test_reload_is_exact_for_every_dtype(self):
-        for dtype, big in (("<i1", 100), ("<i2", 30000), ("<i4", 2 ** 30), ("<i8", 2 ** 40)):
-            rows = np.array([[0, big, -big], [1, -big, 7]])
-            blob = cli._encode_array(rows, cli._narrowest_int(rows))
-            assert blob["dtype"] == dtype
-            back = cli._decode_array(json.loads(json.dumps(blob)), "vocabulary", (dtype,))
-            assert np.array_equal(back, rows)
+        # bundles write one dtype, little-endian doubles; every value,
+        # signed zeros, subnormals and the extremes included, reads back
+        values = np.array([[0.0, -0.0, 5e-324, -2.2250738585072014e-308],
+                           [1.0 / 3.0, np.pi, 1.7976931348623157e308, -1.7976931348623157e308]])
+        blob = cli._encode_array(values)
+        assert blob["dtype"] == "<f8"
+        back = cli._decode_array(json.loads(json.dumps(blob)), "points")
+        assert back.tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("edit,needle,task", [
-        (lambda b: b["weights"].update(data="not*base64!"), "not valid base64",
-         "regression"),
-        (lambda b: b["vocabulary"].update(data="-" + b["vocabulary"]["data"][1:]),
+    @pytest.mark.parametrize("edit,needle,bundle_of", [
+        (lambda b: b["weights"].update(data="not*base64!"), "not valid base64", "primal"),
+        (lambda b: b["points"].update(data="-" + b["points"]["data"][1:]),
          "not valid base64", "regression"),
-        (lambda b: b["vocabulary"].update(dtype="<f8"), "dtype '<f8'", "regression"),
-        (lambda b: b["vocabulary"].update(dtype=">i8"), "dtype '>i8'", "regression"),
-        (lambda b: b["weights"].update(dtype="|O"), "dtype '|O'", "regression"),
-        (lambda b: b["weights"].update(dtype=">f8"), "dtype '>f8'", "regression"),
-        (lambda b: b["weights"]["shape"].__setitem__(0, 3), "needs 24",
-         "regression"),
-        (lambda b: b["vocabulary"]["shape"].__setitem__(1, 2), "bytes; shape", "regression"),
-        (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"])[:, :2], "<i2")),
-         "a copy and 2 bins", "regression"),
-        (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"])[:, 0], "<i2")),
-         "a copy and 2 bins", "regression"),
-        (lambda b: b["vocabulary"].update(typed_array(array_of(b["vocabulary"]) + 100, "<i2")),
-         "copies must lie in [0, 8)", "regression"),
-        (lambda b: b["vocabulary"].update(
-            typed_array(np.repeat(array_of(b["vocabulary"])[:1], 2, axis=0), "<i2")),
-         "repeats a (copy, bins) key", "regression"),
-        (lambda b: b.update(weights=[0.5, 0.25]), "dtype, shape and data",
-         "regression"),
-        (lambda b: b["vocabulary"].update(shape=[-1, 3]), "list of sizes", "regression"),
+        (lambda b: b["points"].update(typed_array(array_of(b["points"]), "<i8")),
+         "dtype '<i8'", "regression"),
+        (lambda b: b["points"].update(dtype=">f8"), "dtype '>f8'", "regression"),
+        (lambda b: b["weights"].update(dtype="|O"), "dtype '|O'", "primal"),
+        (lambda b: b["weights"].update(dtype=">f8"), "dtype '>f8'", "primal"),
+        (lambda b: b["weights"]["shape"].__setitem__(0, 3), "needs 24", "primal"),
+        (lambda b: b["points"]["shape"].__setitem__(1, 3), "bytes; shape", "regression"),
+        (lambda b: edit_array(b, "points", lambda p: p[:, :1]),
+         "points must be n x 2, got array of shape (20, 1)", "regression"),
+        (lambda b: edit_array(b, "points", lambda p: p[:, 0]),
+         "points must be n x 2, got array of shape (20,)", "regression"),
+        (lambda b: edit_array(b, "points", lambda p: np.hstack([p, p[:, :1]])),
+         "points must be n x 2, got array of shape (20, 3)", "primal"),
+        (lambda b: edit_array(b, "points", lambda p: np.where(p == p.max(), np.nan, p)),
+         "points must be finite", "regression"),
+        (lambda b: edit_array(b, "points", lambda p: np.where(p == p.max(), np.inf, p)),
+         "points must be finite", "primal"),
+        # one point repeated: every copy puts it in one bin, so the points
+        # rebuild a vocabulary of one (copy, bins) key per copy, narrower
+        # than the weights fit on the points that filled the map
+        (lambda b: edit_array(b, "points", lambda p: np.repeat(p[:1], len(p), axis=0)),
+         "weights have shape [13]; its map and classes need [8]", "primal"),
+        (lambda b: edit_array(b, "alpha", lambda a: a[:5]),
+         "alpha have shape [5]; its points and classes need [20]", "regression"),
+        (lambda b: edit_array(b, "alpha", lambda a: np.append(a, 0.5)),
+         "alpha have shape [21]; its points and classes need [20]", "regression"),
+        (lambda b: edit_array(b, "alpha", lambda a: a[:, 0]),
+         "alpha have shape [12]; its points and classes need [12, 2]", "binary"),
+        (lambda b: edit_array(b, "alpha", lambda a: np.hstack([a, a[:, :1]])),
+         "alpha have shape [18, 4]; its points and classes need [18, 3]", "multiclass"),
+        (lambda b: b["alpha"].update(dtype="<f4"), "dtype '<f4'", "regression"),
+        (lambda b: b.update(weights=[0.5, 0.25]), "dtype, shape and data", "primal"),
+        (lambda b: b["points"].update(shape=[-1, 2]), "list of sizes", "regression"),
         (lambda b: b.update({"lambda": None}), "positive finite lambda", "regression"),
         (lambda b: b.update(y_mean=[1, 2]), "finite y_mean", "regression"),
         (lambda b: b.update(map=[1]), "map must be an object", "regression"),
@@ -865,66 +958,83 @@ class TestBundleFormat:
         (lambda b: b.update({"lambda": float("inf")}), "positive finite lambda", "regression"),
         (lambda b: b.update(route="cg"), "primal or dual route", "regression"),
         (lambda b: b.update(classes=[0.0]), "two or more distinct", "binary"),
-        (lambda b: b["weights"].update(typed_array(array_of(b["weights"])[:, 0], "<f8")),
-         "weights have shape [", "binary"),
+        (lambda b: edit_weights(b, lambda w: w[:, 0]), "weights have shape [",
+         "primal-multiclass"),
         (lambda b: b["map"].pop("kind"), "string kind and kernel", "regression"),
         (lambda b: b["normalizer"].pop("center"), "needs 2 finite centers", "regression"),
     ], ids=[
-        "weights-not-base64", "vocabulary-not-base64", "vocabulary-f8", "vocabulary-big-endian",
-        "weights-object", "weights-big-endian", "weights-byte-count", "vocabulary-byte-count",
-        "vocabulary-row-narrow", "vocabulary-one-dim", "vocabulary-copy-range",
-        "vocabulary-repeated-key", "weights-plain-list", "negative-shape",
+        "weights-not-base64", "points-not-base64", "points-i8", "points-big-endian",
+        "weights-object", "weights-big-endian", "weights-byte-count", "points-byte-count",
+        "points-narrow", "points-one-dim", "points-wide", "points-nan", "points-inf",
+        "vocabulary-repeated-key",
+        "alpha-short", "alpha-long", "alpha-one-column", "alpha-extra-column", "alpha-f4",
+        "weights-plain-list", "negative-shape",
         "lambda-null", "y_mean-list", "map-list",
         "normalizer-one-entry", "copies-fraction", "task-unknown", "classes-on-regression",
         "classes-repeated", "y_mean-huge-int", "center-huge-int",
         "classes-huge-int", "lambda-infinite", "route-unknown", "classes-one",
         "weights-one-column", "map-without-kind", "normalizer-without-center",
     ])
-    def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle, task):
-        data, model_path = fit_bundle(tmp_path, task=task)
+    def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle, bundle_of):
+        data, model_path = fit_bundle(tmp_path, **BUNDLES[bundle_of])
         rewrite_bundle(model_path, edit)
         assert needle in predict_error(data, model_path, capsys)
 
-    @pytest.mark.parametrize("field", [
-        "task", "map", "normalizer", "vocabulary", "weights", "y_mean", "lambda", "route",
-    ])
-    def test_missing_field_is_named(self, tmp_path, capsys, field):
-        data, model_path = fit_bundle(tmp_path)
+    @pytest.mark.parametrize("field,bundle_of", [
+        ("task", "regression"), ("map", "regression"), ("normalizer", "regression"),
+        ("points", "primal"), ("points", "regression"), ("alpha", "regression"),
+        ("weights", "primal"), ("y_mean", "regression"), ("lambda", "regression"),
+        ("route", "regression"),
+    ], ids=["task", "map", "normalizer", "points", "points-dual", "alpha", "weights",
+            "y_mean", "lambda", "route"])
+    def test_missing_field_is_named(self, tmp_path, capsys, field, bundle_of):
+        data, model_path = fit_bundle(tmp_path, **BUNDLES[bundle_of])
         rewrite_bundle(model_path, lambda b: b.pop(field))
         assert predict_error(data, model_path, capsys) == f"bundle has no {field!r} field"
 
     def test_v1_bundle_names_both_formats(self, tmp_path, capsys):
-        def to_v4(bundle):
+        def to_v5(bundle, model_path):
+            # the vocabulary rows and the weights in place of the points and
+            # the dual coefficients
+            _, state, _, (model,), _ = cli.load_model(model_path)
+            del bundle["points"], bundle["alpha"]
+            bundle["format"] = "polyakern-model-v5"
+            bundle["vocabulary"] = typed_array(state.vocabulary.rows, "<i8")
+            bundle["weights"] = typed_array(model.weights, "<f8")
+
+        def to_v4(bundle, model_path):
             # one models entry per weight column, each with its own copy of
             # y_mean, lambda and route
+            to_v5(bundle, model_path)
             bundle["format"] = "polyakern-model-v4"
             bundle["models"] = [{key: bundle.pop(key)
                                  for key in ("weights", "y_mean", "lambda", "route")}]
 
-        def to_v1(bundle):
-            to_v4(bundle)
+        def to_v1(bundle, model_path):
+            to_v4(bundle, model_path)
             rows = array_of(bundle["vocabulary"]).tolist()
             bundle["format"] = "polyakern-model-v1"
             bundle["vocabulary"] = [[r[0], r[1:], j] for j, r in enumerate(rows)]
             for m in bundle["models"]:
                 m["weights"] = array_of(m["weights"]).tolist()
 
-        def to_v2(bundle):
+        def to_v2(bundle, model_path):
             # the v2 layout is v4's; its map was drawn by other samplers
-            to_v4(bundle)
+            to_v4(bundle, model_path)
             bundle["format"] = "polyakern-model-v2"
 
-        def to_v3(bundle):
+        def to_v3(bundle, model_path):
             # the v3 layout is v4's; some laws drew other last bits
-            to_v4(bundle)
+            to_v4(bundle, model_path)
             bundle["format"] = "polyakern-model-v3"
 
-        for old, edit in (("v1", to_v1), ("v2", to_v2), ("v3", to_v3), ("v4", to_v4)):
+        for old, edit in (("v1", to_v1), ("v2", to_v2), ("v3", to_v3), ("v4", to_v4),
+                          ("v5", to_v5)):
             data, model_path = fit_bundle(tmp_path)
-            rewrite_bundle(model_path, edit)
+            rewrite_bundle(model_path, lambda b: edit(b, model_path))
             message = predict_error(data, model_path, capsys)
             assert f"'polyakern-model-{old}'" in message, old
-            assert "'polyakern-model-v5'" in message, old
+            assert "'polyakern-model-v6'" in message, old
 
 
 class TestCv:
@@ -1164,9 +1274,21 @@ class TestErrorRecords:
         (CV + ["--taus", ""], None, "expected comma-separated numbers, got ''"),
         (CV + ["--lambdas", ""], None, "expected comma-separated numbers, got ''"),
         (["kernel", "table", *KERNEL, "--points", "0"], None, "points must be >= 1"),
+        (["kernel", "table", *KERNEL, "--max", "-1", "--points", "3"], None,
+         "max must be finite and >= 0, got -1.0"),
+        (["kernel", "table", *KERNEL, "--max", "nan"], None, "max must be finite and >= 0"),
+        (["kernel", "table", *KERNEL, "--max", "inf"], None, "max must be finite and >= 0"),
+        (CV + ["--shapes", "2,2", "--taus", "1"], None,
+         "search grid shapes must be non-empty and distinct, got (2.0, 2.0)"),
+        (CV + ["--shapes", "2", "--taus", "1,1"], None,
+         "search grid taus must be non-empty and distinct, got (1.0, 1.0)"),
+        (CV + ["--shapes", "2", "--taus", "1", "--lambdas", "0.1,0.10"], None,
+         "search grid lambdas must be non-empty and distinct, got (0.1, 0.1)"),
     ], ids=["unknown-option", "copies-not-int", "unknown-subcommand", "missing-kernel",
             "seed-env", "copies-empty-entry", "cv-taus-empty-entry", "cv-shapes-empty",
-            "cv-taus-empty", "cv-lambdas-empty", "table-no-points"])
+            "cv-taus-empty", "cv-lambdas-empty", "table-no-points", "table-negative-max",
+            "table-nan-max", "table-infinite-max", "cv-shapes-repeated", "cv-taus-repeated",
+            "cv-lambdas-repeated"])
     def test_argument_error_is_one_json_line(self, tmp_path, capsys, monkeypatch,
                                              argv, env, message):
         data, out = tmp_path / "train.txt", tmp_path / "out"

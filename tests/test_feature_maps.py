@@ -5,8 +5,6 @@ against Monte Carlo with seeded streams; tolerances are stated in standard
 errors or relative terms.
 """
 
-import base64
-import json
 import math
 import warnings
 
@@ -497,30 +495,32 @@ def oracle_cases():
     return [pytest.param(train, test, id=name) for name, (train, test) in cases.items()]
 
 
-def vocabulary_blob(state):
-    """The bundle array of the exact binning map's vocabulary."""
-    rows = state.vocabulary.rows
-    return cli._encode_array(rows, cli._narrowest_int(rows))
+def reloaded(state, train_X, tmp_path):
+    """The exact binning map ``state``, whose vocabulary ``train_X`` filled,
+    as ``load_model`` rebuilds it from a bundle of a ridge fit on those
+    points: a fresh map of the same seed, featurized on the stored points."""
+    model = learn.fit(state, fm.featurize(state, train_X), np.arange(len(train_X)), lam=0.1)
+    path = tmp_path / "model.json"
+    cli.save_model(path, "regression", cli.fit_normalizer(train_X), model)
+    _, loaded, _, _, _ = cli.load_model(path)
+    assert loaded is not state and loaded.cfg == state.cfg
+    return loaded
 
 
 class TestDictOracle:
     @pytest.mark.parametrize("train_X,test_X", oracle_cases())
-    def test_matches_dict_loop(self, train_X, test_X):
+    def test_matches_dict_loop(self, train_X, test_X, tmp_path):
         c = cfg(fm.BINNING, 16, seed=4, dim=train_X.shape[1])
         state = fm.build_map(c)
         vocab = {}
         train = fm.featurize(state, train_X)
         assert np.array_equal(train.indices, dict_featurize(state, train_X, vocab))
         assert train.width == len(vocab)
-        # bundle rows in the dict's (copy, bins) order, and a bundle reload
-        # that looks bins up the same way
-        blob = json.loads(json.dumps(vocabulary_blob(state)))
-        raw = np.frombuffer(base64.b64decode(blob["data"]), dtype=blob["dtype"])
-        saved = raw.reshape(blob["shape"]).tolist()
-        assert saved == [[copy, *bins] for copy, bins in vocab]
-        loaded = fm.build_map(c)
-        cli._restore_vocabulary(loaded, blob)
-        assert vocabulary_blob(loaded) == blob
+        # vocabulary rows in the dict's (copy, bins) order, and a bundle
+        # reload that rebuilds the same rows and looks bins up the same way
+        assert state.vocabulary.rows.tolist() == [[copy, *bins] for copy, bins in vocab]
+        loaded = reloaded(state, train_X, tmp_path)
+        assert np.array_equal(loaded.vocabulary.rows, state.vocabulary.rows)
         # at inference the dict grew; the sentinel stands for every new key
         width = len(vocab)
         grown = dict_featurize(state, test_X, vocab)
@@ -547,17 +547,8 @@ class TestDictOracle:
         assert not np.all(unseen)
 
 
-def reloaded(state):
-    """A fresh copy of the binning map ``state`` with the vocabulary of its
-    model bundle."""
-    loaded = fm.build_map(state.cfg)
-    blob = json.loads(json.dumps(vocabulary_blob(state)))
-    cli._restore_vocabulary(loaded, blob)
-    return loaded
-
-
 class TestPackedKeys:
-    def test_extreme_span_matches_dict_loop(self):
+    def test_extreme_span_matches_dict_loop(self, tmp_path):
         # one coordinate bins near both ends of int64, so its key column's
         # training span is at least 2**63
         with warnings.catch_warnings():
@@ -579,15 +570,16 @@ class TestPackedKeys:
             width = len(vocab)
             grown = dict_featurize(state, test_X, vocab)
             expected = np.where(grown < width, grown, width)
-            for s in (state, reloaded(state)):
+            for s in (state, reloaded(state, train_X, tmp_path)):
                 test = fm.featurize(s, test_X)
                 assert np.array_equal(test.indices, expected)
                 assert test.width == width
             assert np.any(expected == width) and np.any(expected < width)
 
-    def test_one_bin_past_the_training_span_is_unseen(self):
+    def test_one_bin_past_the_training_span_is_unseen(self, tmp_path):
         state = fm.build_map(cfg(fm.BINNING, 4, seed=12, dim=2))
-        fm.featurize(state, np.random.default_rng(3).uniform(-1, 1, (30, 2)))
+        train_X = np.random.default_rng(3).uniform(-1, 1, (30, 2))
+        fm.featurize(state, train_X)
         rows = state.vocabulary.rows
         width = len(rows)
 
@@ -595,7 +587,7 @@ class TestPackedKeys:
             """The point in the middle of these bins of this copy."""
             return state.offsets[copy] + (bins + 0.5) * state.spacings[copy]
 
-        loaded = reloaded(state)
+        loaded = reloaded(state, train_X, tmp_path)
         for j in (1, 2):
             for extreme, step in ((np.argmax, 1), (np.argmin, -1)):
                 column = extreme(rows[:, j])

@@ -589,7 +589,8 @@ class TestOneVsAll:
         """Column k of a K-class fit solves the same system as an uncentered
         fit of class k's ±1 targets alone: bit for bit on binning maps (sparse
         products), to 1e-12 on Fourier maps (one BLAS matrix product against
-        K vector products)."""
+        K vector products).  On the dual route the same holds of the dual
+        coefficients, which one Cholesky solve gives bit for bit."""
         X, labels = make_blobs(seed=96, per_class=20)
         X = X[:, : cfg.dim]
         state = build_map(cfg)
@@ -597,10 +598,14 @@ class TestOneVsAll:
         for lam in (0.01, 0.3, 2.0):
             model = learn.fit(state, batch, labels, lam, classify=True)
             for k, c in enumerate(model.classes):
-                single, route = learn._ridge_weights(
+                single, alpha, route = learn._ridge_weights(
                     batch, np.where(labels == c, 1.0, -1.0), lam)
                 assert model.route == route
                 assert single.shape == (model.weights.shape[0],)
+                if route == "dual":
+                    assert model.alpha[:, k].tobytes() == alpha.tobytes()
+                else:
+                    assert alpha is None and model.alpha is None
                 if cfg.kind == BINNING:
                     assert model.weights[:, k].tobytes() == single.tobytes()
                 else:
@@ -677,6 +682,19 @@ def scores_by_call(space, score_of):
 
 
 class TestCrossValidate:
+    @pytest.mark.parametrize("grid,name", [
+        ({"shapes": (2.0, 2.0)}, "shapes"),
+        ({"taus": (1.0, 0.5, 1.0)}, "taus"),
+        ({"lambdas": (0.1, 0.1)}, "lambdas"),
+    ], ids=["shapes", "taus", "lambdas"])
+    def test_repeated_grid_value_is_rejected(self, grid, name):
+        # a repeated shape would be scored twice, on two different maps
+        X = np.linspace(0.0, 1.0, 8).reshape(8, 1)
+        space = learn.CvSearchSpace(**{"family": "gamma", "shapes": (2.0,), "taus": (1.0,),
+                                       "lambdas": (0.1,), "copies": 4, "folds": 2, **grid})
+        with pytest.raises(ValueError, match=f"search grid {name} must be non-empty and distinct"):
+            learn.cross_validate(learn.Dataset(X, np.sin(X[:, 0])), space)
+
     def test_single_combination_grid(self):
         stream = RandomStream(61)
         X = stream.uniform(30).reshape(30, 1) * 4.0

@@ -3,7 +3,7 @@
   * a model bundle: save -> load -> predict gives the same scores (or, for
     a multiclass model, the same per-class scores and labels), and a
     re-save of the loaded model writes the same bytes (exact and hashed
-    binning, fourier_real);
+    binning, fourier_real, each on the primal and the dual route);
   * LIBSVM text: ``write_libsvm`` -> ``parse_libsvm`` gives the same
     points and labels;
   * kernel specs: ``format_kernel_spec`` -> ``parse_kernel_spec`` gives an
@@ -16,6 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,7 +24,7 @@ from polyakern import cli, learn
 from polyakern import distributions as dist
 from polyakern import polya_kernels as kernels
 from polyakern.feature_maps import (
-    BINNING, FOURIER_REAL, FeatureMapConfig, TensorCauchy, build_map, featurize,
+    BINNING, FOURIER_REAL, FeatureMapConfig, TensorCauchy, build_map, feature_width, featurize,
 )
 from polyakern.rng import RandomStream
 
@@ -95,8 +96,12 @@ class TestBundleRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
             cli.save_model(first, task, cli.fit_normalizer(X), model)
-            assert json.loads(first.read_text())["weights"]["shape"] == [model.weights.shape[0],
-                                                                         n_classes]
+            # one solution array with a column per class: the dual
+            # coefficients, a row per point, or the weights, a row per column
+            bundle = json.loads(first.read_text())
+            solution, rows = (("alpha", n) if model.route == "dual"
+                              else ("weights", model.weights.shape[0]))
+            assert bundle[solution]["shape"] == [rows, n_classes]
             loaded_task, _, norm, (loaded,), classes = cli.load_model(first)
             cli.save_model(second, loaded_task, norm, loaded)
             assert first.read_bytes() == second.read_bytes()
@@ -107,6 +112,78 @@ class TestBundleRoundTrip:
             assert np.array_equal(learn.decision_scores(loaded, points),
                                   learn.decision_scores(model, points))
             assert np.array_equal(learn.predict(loaded, points), learn.predict(model, points))
+
+
+#: (map kind, hash buckets, kernel, copies) that put a fit on
+#: ``matrix_data``'s 40 points on each route: bins wide enough (rho = 0.2)
+#: or buckets or copies few enough for the primal route, and narrow bins
+#: or many buckets or copies for the dual one.
+MATRIX = {
+    ("exact", "primal"): (BINNING, None, kernels.KernelSpec(dist.Gamma(2.0, 1.0), rho=0.2), 8),
+    ("exact", "dual"): (BINNING, None, kernels.KernelSpec(dist.Gamma(2.0, 1.0), rho=4.0), 8),
+    ("hashed", "primal"): (BINNING, 16, kernels.KernelSpec(dist.Gamma(2.0, 1.0)), 8),
+    ("hashed", "dual"): (BINNING, 256, kernels.KernelSpec(dist.Gamma(2.0, 1.0)), 32),
+    ("fourier_real", "primal"): (FOURIER_REAL, None, TensorCauchy(1.0), 16),
+    ("fourier_real", "dual"): (FOURIER_REAL, None, TensorCauchy(1.0), 64),
+}
+
+
+def matrix_data(seed=5, n=40, dim=2):
+    """Training points and fresh points on [-1, 1]^dim, regression targets
+    and three-class labels."""
+    stream = RandomStream(seed)
+    X = 2.0 * stream.uniform(n * dim).reshape(n, dim) - 1.0
+    X_new = 2.0 * stream.uniform(9 * dim).reshape(9, dim) - 1.0
+    return X, X_new, np.sin(3.0 * X[:, 0]) + X[:, 1], np.arange(n) % 3 - 1.0
+
+
+class TestBundleMatrix:
+    @pytest.mark.parametrize("task", ["regression", "multiclass"])
+    @pytest.mark.parametrize("case", sorted(MATRIX), ids=["-".join(c) for c in sorted(MATRIX)])
+    def test_round_trip(self, tmp_path, case, task):
+        route = case[1]
+        kind, buckets, kernel, copies = MATRIX[case]
+        X, X_new, y, labels = matrix_data()
+        state = build_map(FeatureMapConfig(kind=kind, kernel=kernel, dim=2, copies=copies,
+                                           seed=11, hash_buckets=buckets))
+        batch = featurize(state, X)
+        classify = task == "multiclass"
+        model = learn.fit(state, batch, labels if classify else y, lam=0.1, classify=classify)
+        assert model.route == route
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        cli.save_model(first, task, cli.fit_normalizer(X), model)
+        loaded_task, loaded_state, norm, (loaded,), _ = cli.load_model(first)
+        # the loaded map has the fitted width, and an exact map's vocabulary
+        # is the fitted one, rebuilt from the stored points
+        assert feature_width(loaded_state) == batch.width
+        if kind == BINNING:
+            assert len(loaded_state.vocabulary) == len(state.vocabulary)
+            assert np.array_equal(loaded_state.vocabulary.rows, state.vocabulary.rows)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        for points in (X, X_new):
+            assert (learn.decision_scores(loaded, points).tobytes()
+                    == learn.decision_scores(model, points).tobytes())
+            assert learn.predict(loaded, points).tobytes() == learn.predict(model, points).tobytes()
+        cli.save_model(second, loaded_task, norm, loaded)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_exact_binning_bundle_does_not_grow_with_copies(self, tmp_path):
+        # a dual bundle holds the points and one coefficient per point,
+        # whatever the copy count and so the vocabulary width
+        X, _, y, _ = matrix_data()
+        arrays = []
+        for copies in (8, 64):
+            state = build_map(FeatureMapConfig(kind=BINNING, kernel=MATRIX["exact", "dual"][2],
+                                               dim=2, copies=copies, seed=11))
+            model = learn.fit(state, featurize(state, X), y, lam=0.1)
+            assert model.route == "dual"
+            cli.save_model(tmp_path / "m.json", "regression", cli.fit_normalizer(X), model)
+            bundle = json.loads((tmp_path / "m.json").read_text())
+            assert "weights" not in bundle
+            arrays.append({name: (bundle[name]["shape"], len(bundle[name]["data"]))
+                           for name in ("points", "alpha")})
+        assert arrays[0] == arrays[1]
+        assert arrays[0]["points"][0] == [40, 2]
 
 
 class TestLibsvmRoundTrip:
