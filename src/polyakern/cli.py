@@ -80,13 +80,13 @@ def parse_libsvm(path) -> learn.Dataset:
 
     Indices are 1-based, strictly increasing within a line, and densified
     to the maximum index seen anywhere in the file; absent indices are
-    zero.  Malformed lines, repeated or out-of-order indices, and NaN or
-    infinite feature values raise :class:`ParseError` carrying the 1-based
-    line number.
+    zero.  Malformed lines, repeated or out-of-order indices, NaN or
+    infinite feature values, and a largest index too large to densify raise
+    :class:`ParseError` carrying the 1-based line number.
     """
     labels, linenos = [], []
     rows, cols, vals = [], [], []  # one entry per stored feature value
-    width = 0
+    width = widest = 0  # the largest index and its line
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
             tokens = raw.split()
@@ -124,7 +124,8 @@ def parse_libsvm(path) -> learn.Dataset:
                 cols.append(idx - 1)
                 vals.append(val)
             rows.extend([row] * (len(tokens) - 1))
-            width = max(width, last)
+            if last > width:
+                width, widest = last, lineno
             labels.append(label)
             linenos.append(lineno)
     if not labels:
@@ -137,7 +138,12 @@ def parse_libsvm(path) -> learn.Dataset:
             f"feature {cols[k] + 1} is {vals[k]}; values must be finite",
             line=linenos[rows[k]],
         )
-    points = np.zeros((len(labels), width))
+    try:
+        points = np.zeros((len(labels), width))
+    except (ValueError, MemoryError):
+        raise ParseError(
+            f"feature index {width} is too large to densify", line=widest
+        ) from None
     points[rows, cols] = vals
     return learn.Dataset(points, np.asarray(labels))
 

@@ -23,10 +23,11 @@ to zero.
 A binning map's vocabulary of (copy, bin tuple) -> column is filled by the
 first ``featurize`` call on the map, which is the training data, and is
 read-only afterwards: a bin that training never saw gets the sentinel
-column ``width`` and no feature. Its keys are packed into plain int64s by
-mixed radix over the training span of each key entry, with an exact
-ranking step where the spans multiply past 2**63, so filling is one
-``np.unique`` and lookup one ``np.searchsorted`` on integers; a key
+column ``width`` and no feature. Its keys are made and packed into plain
+int64s one key entry (the copy, then one coordinate's bins) at a time, by
+mixed radix over the training span of each entry, with an exact ranking
+step where the spans multiply past 2**63, so filling is one sort and lookup
+one ``np.searchsorted`` on integers, holding O(copies x n) int64s; a key
 outside the training spans is unseen without a search.
 
 A Fourier batch holds its map and its validated points, not its features:
@@ -36,8 +37,8 @@ one block at a time.  Sums over points, like the primal ridge system and
 scoring, read the blocks; what needs every pair of points at once (the dual
 ridge system, ``gram``, ``complex_gram``) reads the whole matrix, the
 one-block case.  A binning batch is one sparse block; ``dense_gram`` turns
-its Gram matrix into a dense array a block of rows at a time, so that the
-whole sparse product is never held next to it.
+its Gram matrix into a dense array a block of rows at a time, so that only
+one small block of the sparse product is held next to it.
 
 A map draws from one stream seeded by its seed: copy l reads row l of a
 block of uniforms and turns it into spacings or frequencies by the law's
@@ -185,37 +186,37 @@ def _rank(values, levels):
 class BinVocabulary:
     """The (copy, bin tuple) -> column table of a binning map, in arrays.
 
-    ``rows[j]`` is the key of column j: the copy index, then one bin per
-    coordinate.  Each row is packed into one int64 by mixed radix, column
-    by column: a column's digit is its entry less the column's training
-    minimum, and its radix is the column's training span.  Where the next
-    radix would take the packed prefix to 2**63, the prefix is first
-    replaced by its rank among the training prefixes (fewer than the rows),
-    and a column whose span still does not fit is replaced by its rank
-    among its training entries; both are exact.  The sorted packed keys sit
-    next to their column ids for read-only lookups by ``np.searchsorted``.
-    A row outside the training span of a column, or whose prefix or ranked
+    Keys come as columns, one int64 array per key entry: the copy index,
+    then one bin per coordinate.  Each key is packed into one int64 by mixed
+    radix, entry by entry: an entry's digit is its value less the entry's
+    training minimum, and its radix is the entry's training span.  Where the
+    next radix would take the packed prefix to 2**63, the prefix is first
+    replaced by its rank among the training prefixes (fewer than the keys),
+    and an entry whose span still does not fit is replaced by its rank among
+    its training values; both are exact.  Only the sorted packed keys and
+    their column ids are kept, for read-only lookups by ``np.searchsorted``.
+    A key outside the training span of an entry, or whose prefix or ranked
     entry training never saw, is unseen before any search.
     """
 
     def __init__(self):
-        self.rows = np.empty((0, 0), dtype=np.int64)
         self.points = None  # the points whose featurize filled the table
-        self._plan = []  # per key column: lo, hi, prefix and entry ranks or None
+        self._plan = []  # per key entry: lo, hi, prefix and entry ranks or None
         self._keys = np.empty(0, dtype=np.int64)
         self._columns = np.empty(0, dtype=np.int64)
 
     def __len__(self):
-        return self.rows.shape[0]
+        return self._columns.shape[0]
 
-    def _pack(self, rows, fill):
-        """One packed int64 per row, and which rows lie inside the training
-        spans and ranks.  With ``fill`` the rows are the training rows and
+    def _pack(self, columns, fill):
+        """One packed int64 per key, and which keys lie inside the training
+        spans and ranks.  With ``fill`` the keys are the training keys and
         the plan of spans and ranks is made from them; otherwise it is read."""
-        key = np.zeros(rows.shape[0], dtype=np.int64)
-        inside = np.ones(rows.shape[0], dtype=bool)
+        key = inside = None
         size = 1  # the packed prefix lies in [0, size)
-        for j, entries in enumerate(rows.T):
+        for j, entries in enumerate(columns):
+            if key is None:
+                key, inside = np.zeros_like(entries), np.ones(entries.shape, dtype=bool)
             if fill:
                 lo, hi = (int(entries.min()), int(entries.max())) if entries.size else (0, 0)
                 prefixes = levels = None
@@ -242,28 +243,32 @@ class BinVocabulary:
                 self._plan.append((lo, hi, prefixes, levels))
         return key, inside
 
-    def assign(self, rows, points=None):
-        """Number the distinct rows by first appearance, fill the empty table
+    def assign(self, columns, points=None):
+        """Number the distinct keys by first appearance, fill the empty table
         with them, keep ``points`` as its source, and return the column of
-        every row."""
+        every key.  One unstable sort makes runs of equal keys; a key first
+        appears at the least position in its run."""
         if len(self):
             raise ValueError("the vocabulary is already filled")
         self._plan = []
-        keys, first, inverse = np.unique(
-            self._pack(rows, fill=True)[0], return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        columns = np.empty(keys.shape[0], dtype=np.int64)
-        columns[order] = np.arange(keys.shape[0])
-        self._keys, self._columns, self.points = keys, columns, points
-        self.rows = rows[first[order]]  # last: len(self) > 0 means filled
-        return columns[inverse]
+        key = self._pack(columns, fill=True)[0]
+        order = np.argsort(key)
+        run = np.ones(key.shape[0], dtype=bool)  # where a run starts, then run ids
+        np.not_equal(key[order[1:]], key[order[:-1]], out=run[1:])
+        starts = np.flatnonzero(run)
+        ids = np.empty(starts.shape[0], dtype=np.int64)
+        ids[np.argsort(np.minimum.reduceat(order, starts))] = np.arange(starts.shape[0])
+        self._keys = key[order[starts]]
+        run = np.cumsum(run) - 1
+        key[order] = ids[run]  # each key's column, over the packed keys
+        self._columns, self.points = ids, points  # last: len(self) > 0 means filled
+        return key
 
-    def lookup(self, rows):
-        """The column of every row, or ``len(self)`` for a row not in the
+    def lookup(self, columns):
+        """The column of every key, or ``len(self)`` for a key not in the
         table.  The table is not changed."""
         width = len(self)
-        key, inside = self._pack(rows, fill=False)
+        key, inside = self._pack(columns, fill=False)
         out = np.full(key.shape[0], width, dtype=np.int64)
         key = key[inside]
         pos, found = _rank(key, self._keys)
@@ -355,28 +360,26 @@ def _check_points(state, X):
     return X
 
 
-def _bin_keys(state, X):
-    """copies x n x (1 + dim) int64 keys: the copy index, then the bin of
-    each coordinate.  The array is a transposed view in which each of the
-    1 + dim key columns is contiguous, as the vocabulary reads them."""
+def _bin_columns(state, X):
+    """Yield the int64 key columns of the copies x n cells, copy-major: the
+    copy index, then the bin of each coordinate, each made when read."""
     if not np.all(state.spacings > 0.0):
         raise ValueError(
             "a spacing of this binning map underflowed to zero: the law "
             f"{format_kernel_spec(state.cfg.kernel)} puts mass below the "
             "smallest positive double"
         )
-    t = np.ascontiguousarray(X.T)[:, None, :] - state.offsets.T[:, :, None]
-    t /= state.spacings.T[:, :, None]
-    keys = np.empty((t.shape[0] + 1,) + t.shape[1:], dtype=np.int64)
-    keys[0] = np.arange(t.shape[1])[:, None]
-    np.floor(t, out=t)
-    if t.min(initial=0.0) < -2.0 ** 63 or t.max(initial=0.0) >= 2.0 ** 63:
-        raise ValueError(
-            "points lie too far from the origin for this map: a bin index "
-            "exceeds the int64 range"
-        )
-    keys[1:] = t
-    return keys.transpose(1, 2, 0)
+    yield np.repeat(np.arange(state.spacings.shape[0], dtype=np.int64), X.shape[0])
+    for x, offsets, spacings in zip(X.T, state.offsets.T, state.spacings.T):
+        t = x - offsets[:, None]
+        t /= spacings[:, None]
+        np.floor(t, out=t)
+        if t.min(initial=0.0) < -2.0 ** 63 or t.max(initial=0.0) >= 2.0 ** 63:
+            raise ValueError(
+                "points lie too far from the origin for this map: a bin index "
+                "exceeds the int64 range"
+            )
+        yield t.astype(np.int64).reshape(-1)
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -384,12 +387,12 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-def _hash_rows(rows, buckets):
-    """A bucket in [0, buckets) for every int64 key row: each entry in turn
-    is folded into a 64-bit state by the splitmix64 finalizer."""
-    h = np.zeros(rows.shape[0], dtype=np.uint64)
-    for column in rows.view(np.uint64).T:
-        h = (h ^ column) + _GOLDEN
+def _hash_rows(columns, buckets):
+    """A bucket in [0, buckets) for every int64 key, given as columns: each
+    entry in turn is folded into a 64-bit state by the splitmix64 finalizer."""
+    h = np.uint64(0)
+    for column in columns:
+        h = (h ^ column.view(np.uint64)) + _GOLDEN
         h = (h ^ (h >> np.uint64(30))) * _MIX_1
         h = (h ^ (h >> np.uint64(27))) * _MIX_2
         h ^= h >> np.uint64(31)
@@ -425,12 +428,12 @@ def featurize(state, X):
     if cfg.kind != BINNING:
         return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies,
                             width=feature_width(state), points=points, state=state)
-    rows = _bin_keys(state, points).reshape(-1, cfg.dim + 1)  # copy-major
+    columns = _bin_columns(state, points)
     if cfg.hash_buckets is not None:
-        indices = _hash_rows(rows, cfg.hash_buckets)
+        indices = _hash_rows(columns, cfg.hash_buckets)
     else:
         vocab = state.vocabulary
-        indices = vocab.lookup(rows) if len(vocab) else vocab.assign(rows, points)
+        indices = vocab.lookup(columns) if len(vocab) else vocab.assign(columns, points)
     return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, width=feature_width(state),
                         points=points, indices=indices.reshape(cfg.copies, n))
 
@@ -474,14 +477,15 @@ def row_blocks(n, width):
 
 def dense_gram(A):
     """A Aᵀ as a dense C-ordered array.  For a sparse A the array is filled
-    by row blocks (``row_blocks``), each one block of rows of A times Aᵀ,
-    so at most one block of the sparse product exists at a time, and each
-    entry sums the same products as the whole sparse product does."""
+    by row blocks of at most BLOCK_CELLS / 8 entries, each one block of rows
+    of A times Aᵀ, so at most one block of the sparse product (about 3 MB)
+    exists at a time, and each entry sums the same products as the whole
+    sparse product does."""
     if not sp.issparse(A):
         return A @ A.T
     A, At = A.tocsr(), A.T.tocsr()
     out = np.empty((A.shape[0], A.shape[0]))
-    for start, stop in row_blocks(A.shape[0], A.shape[0]):
+    for start, stop in row_blocks(A.shape[0], 8 * A.shape[0]):
         (A[start:stop] @ At).toarray(out=out[start:stop])
     return out
 
@@ -556,8 +560,8 @@ def per_copy_inner_products(state, x, xp):
         phases = state.frequencies @ X.T + state.offsets[:, None]
         c = np.cos(phases)
         return 2.0 * c[:, 0] * c[:, 1]
-    keys = _bin_keys(state, X)
-    return np.all(keys[:, 0, :] == keys[:, 1, :], axis=1).astype(float)
+    same = [np.equal(*column.reshape(-1, 2).T) for column in _bin_columns(state, X)]
+    return np.logical_and.reduce(same).astype(float)
 
 
 def variance_theory(kind, k_value, k_2r_value=None):

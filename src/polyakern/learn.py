@@ -17,9 +17,10 @@ Z_b Z_bᵀ and Z_b Y_b over the batch's blocks of points
 (``feature_blocks``), and scoring runs block by block, so a Fourier fit or
 predict holds O(D² + D·block) memory, not the D × n feature matrix; the
 dual system pairs every two points and reads the whole matrix.  Either
-system is the one dense matrix of its size that a fit holds: a sparse
-Gram is densified into it by row blocks (``dense_gram``), the penalty is
-added to its diagonal in place, and the Cholesky factor overwrites it.
+system is the one dense matrix of its size that a fit holds: a sparse Gram
+is densified into it by row blocks of at most ``BLOCK_CELLS / 8`` entries
+(``dense_gram``), the penalty is added to its diagonal in place, and the
+Cholesky factor overwrites it.  A fit on no points is rejected.
 
 ``cross_validate`` grid-searches a binning map's distribution shape, its
 area parameter τ, and the ridge penalty λ by k-fold validation, breaking
@@ -228,6 +229,8 @@ def fit(state, batch, y, lam: float, classify: bool = False) -> RidgeModel:
     solve for every target column, with a residual check per column.
     """
     lam = _penalty(lam)
+    if batch.n == 0:
+        raise ValueError("a ridge fit needs at least one point, got 0")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != batch.n:
         raise ValueError(

@@ -98,6 +98,18 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match=f"line 2: .*increase strictly, {message}"):
             cli.parse_libsvm(f)
 
+    def test_index_too_large_to_densify_names_its_line(self, tmp_path, capsys):
+        # numpy refuses a dimension past int64 before it allocates anything
+        f = tmp_path / "d.txt"
+        write_lines(f, ["1 1:0.5", "0 2:1 99999999999999999999:1", "2 3:1"])
+        message = "line 2: feature index 99999999999999999999 is too large to densify"
+        with pytest.raises(ParseError, match=message):
+            cli.parse_libsvm(f)
+        assert cli.main(["fit", str(f), "--task", "regression", "--map", "binning",
+                         "--kernel", "gamma:s=2,theta=1", "--copies", "2",
+                         "--lambda", "0.1", "--out", str(tmp_path / "m.json")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": message}
+
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("\n\n")
@@ -759,6 +771,16 @@ def array_of(blob):
     return np.frombuffer(raw, dtype=blob["dtype"]).reshape(blob["shape"])
 
 
+def vocabulary_rows(state, points):
+    """The key of each column of an exact binning map that ``points``
+    filled, in column order: (copy, bin of each coordinate), numbered by
+    first appearance copy by copy and point by point (the v5 layout)."""
+    bins = np.floor((points[None, :, :] - state.offsets[:, None, :])
+                    / state.spacings[:, None, :]).astype(np.int64)
+    keys = {(copy, *row): None for copy in range(len(bins)) for row in bins[copy].tolist()}
+    return np.array(list(keys), dtype=np.int64)
+
+
 def edit_array(bundle, name, change):
     bundle[name] = typed_array(change(array_of(bundle[name])), "<f8")
 
@@ -997,9 +1019,11 @@ class TestBundleFormat:
             # the vocabulary rows and the weights in place of the points and
             # the dual coefficients
             _, state, _, (model,), _ = cli.load_model(model_path)
+            rows = vocabulary_rows(state, model.points)
+            assert state.vocabulary.lookup(rows.T).tolist() == list(range(len(rows)))
             del bundle["points"], bundle["alpha"]
             bundle["format"] = "polyakern-model-v5"
-            bundle["vocabulary"] = typed_array(state.vocabulary.rows, "<i8")
+            bundle["vocabulary"] = typed_array(rows, "<i8")
             bundle["weights"] = typed_array(model.weights, "<f8")
 
         def to_v4(bundle, model_path):
@@ -1343,7 +1367,8 @@ class TestErrorRecords:
                          "--kernel", "gamma:s=2,theta=1", "--copies", "2",
                          "--out", str(tmp_path / "f")])
         assert code == 1
-        assert "Unable to allocate" in self.single_error(capsys)
+        assert self.single_error(capsys) == (
+            "line 1: feature index 1000000000000000 is too large to densify")
 
     def test_bundle_with_too_many_copies(self, tmp_path, capsys):
         data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")

@@ -6,10 +6,12 @@ errors or relative terms.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyakern import cli, learn
 from polyakern import distributions as dist
@@ -201,7 +203,6 @@ class TestFeaturize:
         train_X = np.array([[0.0], [0.1]])
         train = fm.featurize(state, train_X)
         width = len(state.vocabulary)
-        rows = state.vocabulary.rows.copy()
         model = learn.fit(state, train, np.array([1.0, 2.0]), lam=0.1)
         a = np.array([[500.0], [0.0]])
         b = np.array([[-700.0], [0.1], [900.0]])
@@ -209,7 +210,7 @@ class TestFeaturize:
         first_b = learn.predict(model, b)
         test = fm.featurize(state, a)
         assert len(state.vocabulary) == width
-        assert np.array_equal(state.vocabulary.rows, rows)
+        assert np.array_equal(fm.featurize(state, train_X).indices, train.indices)
         # the far point's bins are unseen: sentinel index, zero score
         assert test.width == width
         assert np.all(test.indices[:, 0] == width)
@@ -219,14 +220,17 @@ class TestFeaturize:
         assert np.array_equal(learn.predict(model, b), first_b)
         assert np.array_equal(learn.predict(model, a), first_a)
         assert len(state.vocabulary) == width
+        assert np.array_equal(fm.featurize(state, train_X).indices, train.indices)
 
     def test_vocabulary_order_deterministic(self):
         X = np.random.default_rng(9).uniform(-1, 1, size=(30, 2))
         s1 = fm.build_map(cfg(fm.BINNING, 4, dim=2))
         s2 = fm.build_map(cfg(fm.BINNING, 4, dim=2))
-        fm.featurize(s1, X)
-        fm.featurize(s2, X)
-        assert np.array_equal(s1.vocabulary.rows, s2.vocabulary.rows)
+        first = fm.featurize(s1, X).indices
+        assert np.array_equal(fm.featurize(s2, X).indices, first)
+        assert len(s1.vocabulary) == len(s2.vocabulary) == first.max() + 1
+        for s in (s1, s2):
+            assert np.array_equal(fm.featurize(s, X).indices, first)
 
     def test_non_finite_points_rejected(self):
         for kind in (fm.FOURIER_COMPLEX, fm.FOURIER_REAL, fm.BINNING):
@@ -282,12 +286,13 @@ class TestRescaleMap:
     def test_fresh_vocabulary_and_unit_map_untouched(self):
         unit = fm.build_map(cfg(fm.BINNING, 4, dim=2))
         X = np.random.default_rng(3).normal(size=(10, 2))
-        fm.featurize(unit, X)
-        rows = unit.vocabulary.rows.copy()
+        before = fm.featurize(unit, X).indices
+        width = len(unit.vocabulary)
         scaled = fm.rescale_map(unit, KernelSpec(LAPLACE_SPEC.dist, tau=3.0))
         assert len(scaled.vocabulary) == 0
         fm.featurize(scaled, X)
-        assert np.array_equal(unit.vocabulary.rows, rows)
+        assert len(unit.vocabulary) == width
+        assert np.array_equal(fm.featurize(unit, X).indices, before)
         assert scaled.vocabulary is not unit.vocabulary
 
     def test_rejects_other_law_or_map_kind(self):
@@ -460,12 +465,24 @@ class TestHashedVariant:
         assert np.array_equal(fm.gram(exact), fm.gram(hashed))
 
 
+def oracle_bins(state, X):
+    """copies x n x dim int64 bins: floor((x - offset) / spacing) of every
+    coordinate of every point for every copy, in one broadcast."""
+    return np.floor(
+        (X[None, :, :] - state.offsets[:, None, :]) / state.spacings[:, None, :]
+    ).astype(np.int64)
+
+
+def key_columns(keys):
+    """(copy, bins) keys as the vocabulary reads them: one int64 array per
+    key entry, the copy first."""
+    return np.array([[copy, *bins] for copy, bins in keys], dtype=np.int64).T
+
+
 def dict_featurize(state, X, vocab):
     """Reference: the dict loop that numbered binning columns before the
     array vocabulary.  Unseen (copy, bin tuple) keys extend ``vocab``."""
-    bins = np.floor(
-        (X[None, :, :] - state.offsets[:, None, :]) / state.spacings[:, None, :]
-    ).astype(np.int64)
+    bins = oracle_bins(state, X)
     indices = np.empty(bins.shape[:2], dtype=np.int64)
     for l in range(bins.shape[0]):
         for i in range(bins.shape[1]):
@@ -516,11 +533,11 @@ class TestDictOracle:
         train = fm.featurize(state, train_X)
         assert np.array_equal(train.indices, dict_featurize(state, train_X, vocab))
         assert train.width == len(vocab)
-        # vocabulary rows in the dict's (copy, bins) order, and a bundle
-        # reload that rebuilds the same rows and looks bins up the same way
-        assert state.vocabulary.rows.tolist() == [[copy, *bins] for copy, bins in vocab]
+        # the dict's keys, in its order, are the columns 0, 1, ... of the
+        # vocabulary and of a bundle reload that rebuilds it
         loaded = reloaded(state, train_X, tmp_path)
-        assert np.array_equal(loaded.vocabulary.rows, state.vocabulary.rows)
+        for s in (state, loaded):
+            assert s.vocabulary.lookup(key_columns(list(vocab))).tolist() == list(range(len(vocab)))
         # at inference the dict grew; the sentinel stands for every new key
         width = len(vocab)
         grown = dict_featurize(state, test_X, vocab)
@@ -536,13 +553,14 @@ class TestDictOracle:
         # column's training span and are still unseen
         (train_X, test_X), = [p.values for p in oracle_cases() if p.id == "high d"]
         state = fm.build_map(cfg(fm.BINNING, 16, seed=4, dim=train_X.shape[1]))
-        fm.featurize(state, train_X)
-        rows = state.vocabulary.rows
-        lo, hi = rows.min(axis=0), rows.max(axis=0)
-        assert math.prod(h - l + 1 for l, h in zip(lo.tolist(), hi.tolist())) >= 2 ** 63
-        test_rows = fm._bin_keys(state, test_X).reshape(-1, rows.shape[1])
-        inside = np.all((test_rows >= lo) & (test_rows <= hi), axis=1)
-        unseen = fm.featurize(state, test_X).indices.reshape(-1) == len(rows)
+        width = fm.featurize(state, train_X).width
+        rows = oracle_bins(state, train_X)
+        lo, hi = rows.min(axis=(0, 1)), rows.max(axis=(0, 1))
+        spans = [h - l + 1 for l, h in zip(lo.tolist(), hi.tolist())]
+        assert state.cfg.copies * math.prod(spans) >= 2 ** 63  # the copy entry, then the bins
+        test_rows = oracle_bins(state, test_X)
+        inside = np.all((test_rows >= lo) & (test_rows <= hi), axis=2).reshape(-1)
+        unseen = fm.featurize(state, test_X).indices.reshape(-1) == width
         assert np.any(inside & unseen)
         assert not np.all(unseen)
 
@@ -565,7 +583,7 @@ class TestPackedKeys:
             vocab = {}
             train = fm.featurize(state, train_X)
             assert np.array_equal(train.indices, dict_featurize(state, train_X, vocab))
-            bins = state.vocabulary.rows[:, 1].tolist()
+            bins = [first for _, (first, _) in vocab]
             assert max(bins) - min(bins) + 1 >= 2 ** 63
             width = len(vocab)
             grown = dict_featurize(state, test_X, vocab)
@@ -579,8 +597,10 @@ class TestPackedKeys:
     def test_one_bin_past_the_training_span_is_unseen(self, tmp_path):
         state = fm.build_map(cfg(fm.BINNING, 4, seed=12, dim=2))
         train_X = np.random.default_rng(3).uniform(-1, 1, (30, 2))
-        fm.featurize(state, train_X)
-        rows = state.vocabulary.rows
+        vocab = {}
+        assert np.array_equal(fm.featurize(state, train_X).indices,
+                              dict_featurize(state, train_X, vocab))
+        rows = key_columns(list(vocab)).T  # column j's key is rows[j]
         width = len(rows)
 
         def middle(copy, bins):
@@ -606,8 +626,8 @@ class TestPackedKeys:
         rows[0, 1] = 1
         rows[2, 2:] = 1
         vocab = fm.BinVocabulary()
-        assert vocab.assign(rows).tolist() == [0, 1, 2]
-        assert vocab.lookup(rows[::-1]).tolist() == [2, 1, 0]
+        assert vocab.assign(rows.T).tolist() == [0, 1, 2]
+        assert vocab.lookup(rows[::-1].T).tolist() == [2, 1, 0]
 
     def test_unseen_prefix_is_unseen(self):
         # two bins of span 2**40 + 1 pass 2**63 together, so the prefix
@@ -615,6 +635,64 @@ class TestPackedKeys:
         # training ones, and its last bin is the last bin of the second row
         rows = np.array([[0, 0, 0], [0, 2 ** 40, 2 ** 40]], dtype=np.int64)
         vocab = fm.BinVocabulary()
-        vocab.assign(rows)
+        vocab.assign(rows.T)
         query = np.array([[0, 1, 2 ** 40], [0, 2 ** 40, 2 ** 40]], dtype=np.int64)
-        assert vocab.lookup(query).tolist() == [2, 1]
+        assert vocab.lookup(query.T).tolist() == [2, 1]
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(st.one_of(
+        st.lists(st.integers(-3, 3), max_size=300),  # many repeats
+        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=60, unique=True),  # none
+        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=1),  # one key
+    ))
+    def test_numbering_is_first_appearance(self, values):
+        # the one-sort numbering against np.unique's first indices, on one
+        # key column, whose span may pass 2**63 and take the ranking step
+        keys = np.array(values, dtype=np.int64)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        expected = np.empty(first.shape[0], dtype=np.int64)
+        expected[np.argsort(first)] = np.arange(first.shape[0])
+        vocab = fm.BinVocabulary()
+        assert vocab.assign([keys.copy()]).tolist() == expected[inverse].tolist()
+        assert len(vocab) == first.shape[0]
+        if len(vocab):
+            assert vocab.lookup([keys]).tolist() == expected[inverse].tolist()
+
+
+class TestMemory:
+    """A binning featurize and ``dense_gram`` hold O(copies x n) int64s
+    and one small sparse block, at the benchmark's fit size: n = 2000,
+    dim = 8, D = 128 (256,000 cells, 2 MB an int64 per cell)."""
+
+    @staticmethod
+    def fit_batch():
+        X = np.random.default_rng(1).uniform(-1, 1, (2000, 8))
+        state = fm.build_map(cfg(fm.BINNING, 128, seed=1000, dim=8))
+        return state, X
+
+    def test_fill_holds_a_few_columns(self):
+        state, X = self.fit_batch()
+        tracemalloc.start()
+        try:
+            batch = fm.featurize(state, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.width > 50_000
+        # a (1 + dim)-column int64 key matrix alone is 18 MB; the fill
+        # holds a few int64 columns at a time (about 11 MB in all)
+        assert peak < 20 * 2 ** 20, peak
+
+    def test_dense_gram_holds_one_small_block(self):
+        state, X = self.fit_batch()
+        A = fm.feature_matrix(fm.featurize(state, X)).T
+        tracemalloc.start()
+        try:
+            G = fm.dense_gram(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.shape == (2000, 2000)
+        # beyond the 30.5 MB output: a CSR copy of A (3 MB) and one block's
+        # sparse product of at most BLOCK_CELLS / 8 entries
+        assert peak - G.nbytes < 8 * 2 ** 20, peak - G.nbytes

@@ -12,6 +12,7 @@ Oracles used here:
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -246,17 +247,26 @@ class TestFitPath:
     def test_bit_equal_to_separate_fits_across_row_blocks(
             self, monkeypatch, make_cfg, n, route, cells, classify):
         # a fit whose Gram matrix is densified in 4 blocks of 30 rows against
-        # the same fit densified in one block
+        # the same fit densified in one block, as counted in dense_gram
         stream = RandomStream(73)
         X = stream.uniform(2 * n).reshape(n, 2) * 3.0
         y = np.sin(2.0 * X[:, 0]) + 0.1 * stream.child(1).normal(n)
         if classify:
             y = np.digitize(y, (-0.3, 0.3)).astype(float)
-        assert len(feature_maps.row_blocks(n, n)) == 1
+        row_blocks, used = feature_maps.row_blocks, []
+
+        def recording_row_blocks(rows, width):
+            used.append(row_blocks(rows, width))
+            return used[-1]
+
+        monkeypatch.setattr(feature_maps, "row_blocks", recording_row_blocks)
         whole, _ = fit_on(make_cfg(), X, y, 0.1, classify=classify)
-        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", cells)
-        assert len(feature_maps.row_blocks(n, n)) == 4
+        assert used == [[(0, n)]]
+        used.clear()
+        # a dense_gram block holds at most BLOCK_CELLS / 8 entries
+        monkeypatch.setattr(feature_maps, "BLOCK_CELLS", 8 * cells)
         blocked, _ = fit_on(make_cfg(), X, y, 0.1, classify=classify)
+        assert used == [[(start, start + 30) for start in range(0, n, 30)]]
         assert blocked.route == whole.route == route
         assert blocked.weights.tobytes() == whole.weights.tobytes()
 
@@ -271,6 +281,18 @@ class TestFitPath:
             blocked = feature_maps.dense_gram(A)
             assert blocked.flags.c_contiguous
             assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("make_cfg", [lambda: binning_cfg(dim=2, copies=4),
+                                          lambda: fourier_cfg(copies=4)],
+                             ids=["binning", "fourier"])
+    @pytest.mark.parametrize("classify", [True, False])
+    def test_rejects_no_points(self, make_cfg, classify):
+        state = build_map(make_cfg())
+        batch = featurize(state, np.zeros((0, state.cfg.dim)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one point, got 0"):
+                learn.fit(state, batch, np.zeros(0), 0.1, classify=classify)
 
     def test_rejects_any_bad_penalty(self):
         X = np.linspace(0.0, 1.0, 6).reshape(6, 1)

@@ -154,11 +154,14 @@ class TestBundleMatrix:
         cli.save_model(first, task, cli.fit_normalizer(X), model)
         loaded_task, loaded_state, norm, (loaded,), _ = cli.load_model(first)
         # the loaded map has the fitted width, and an exact map's vocabulary
-        # is the fitted one, rebuilt from the stored points
+        # is the fitted one, rebuilt from the stored points: it numbers the
+        # training points' bins and fresh points' bins as the fitted map does
         assert feature_width(loaded_state) == batch.width
         if kind == BINNING:
             assert len(loaded_state.vocabulary) == len(state.vocabulary)
-            assert np.array_equal(loaded_state.vocabulary.rows, state.vocabulary.rows)
+            assert np.array_equal(featurize(loaded_state, X).indices, batch.indices)
+            assert np.array_equal(featurize(loaded_state, X_new).indices,
+                                  featurize(state, X_new).indices)
         assert loaded.weights.tobytes() == model.weights.tobytes()
         for points in (X, X_new):
             assert (learn.decision_scores(loaded, points).tobytes()
