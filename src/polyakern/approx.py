@@ -10,7 +10,7 @@ feature-map Gram matrix and the exact kernel matrix is a closed form in K:
 Since every entry of K lies in [0, 1], the binning expectation never
 exceeds the complex-Fourier one, strictly so once any off-diagonal entry
 is below 1. empirical_error verifies the formulas by Monte Carlo over
-independently seeded maps.
+independently seeded maps, against an ErrorReference that holds K.
 """
 
 import math
@@ -133,14 +133,15 @@ class ErrorStats:
 
 
 class ErrorReference:
-    """The exact kernel matrix K of a point set, against which Gram matrices
-    of one map kind are scored: per-trial squared Frobenius errors and
-    their summary against the closed-form expectation."""
+    """The exact kernel matrix K of a point set, built once, against which
+    maps of one kind are scored: the squared Frobenius errors of their Gram
+    matrices on the points, summarized against the closed-form expectation."""
 
     def __init__(self, kernel, X, kind):
         self.kind = kind
-        self.K = exact_gram(kernel, X)
-        self.k2 = exact_gram(kernel, X, double=True) if kind == fm.FOURIER_REAL else None
+        self.X = np.asarray(X, dtype=float)
+        self.K = exact_gram(kernel, self.X)
+        self.k2 = exact_gram(kernel, self.X, double=True) if kind == fm.FOURIER_REAL else None
 
     def sq_error(self, batch):
         """|| Ktilde - K ||_F^2 for a featurized batch of the points."""
@@ -151,8 +152,10 @@ class ErrorReference:
         diff = fm.gram(batch) - self.K.values
         return float(np.sum(diff * diff))
 
-    def stats(self, copies, errs):
-        """Summary of per-trial squared Frobenius errors, in trial order."""
+    def stats(self, copies, maps):
+        """Summary of the squared Frobenius errors of the points featurized
+        by each of ``maps`` (of ``copies`` copies), reduced in trial order."""
+        errs = [self.sq_error(fm.featurize(state, self.X)) for state in maps]
         trials = len(errs)
         stderr = float(np.std(errs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         return ErrorStats(
@@ -163,17 +166,13 @@ class ErrorReference:
         )
 
 
-def empirical_error(kernel, X, cfg, trials):
-    """Distribution of the squared Frobenius error over independently
-    seeded maps, reduced in trial order for reproducibility."""
+def empirical_error(reference, cfg, trials):
+    """Distribution of the squared Frobenius error against ``reference``
+    over ``trials`` maps of ``cfg``, trial t seeded from (cfg.seed, t)."""
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    X = np.asarray(X, dtype=float)
-    reference = ErrorReference(kernel, X, cfg.kind)
-    errs = [
-        reference.sq_error(fm.featurize(
-            fm.build_map(replace(cfg, seed=derived_seed(cfg.seed, (t,)))), X
-        ))
-        for t in range(trials)
-    ]
-    return reference.stats(cfg.copies, errs)
+    if cfg.kind != reference.kind:
+        raise ValueError(f"the reference scores {reference.kind} maps, got {cfg.kind}")
+    return reference.stats(cfg.copies, (
+        fm.build_map(replace(cfg, seed=derived_seed(cfg.seed, (t,)))) for t in range(trials)
+    ))

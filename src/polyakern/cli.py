@@ -281,7 +281,7 @@ def _emit(text: str, out) -> None:
 # ---------------------------------------------------------------------------
 # Model bundles
 
-MODEL_FORMAT = "polyakern-model-v6"
+MODEL_FORMAT = "polyakern-model-v7"
 TASKS = ("regression", "binary", "multiclass")
 
 # Bulk arrays: {"dtype": "<f8", "shape", "data": base64 of the raw bytes}.
@@ -506,11 +506,10 @@ def _cmd_features(args) -> int:
     meta_path = prefix.with_name(prefix.name + ".meta.json")
     with open(features_path, "w", encoding="ascii", newline="\n") as out:
         # one block of points at a time, a line per point; a binning batch is
-        # one sparse block, whose column lists a point's rows once each, in
-        # ascending order, with the copies that share a hashed row summed
+        # one sparse CSC block, whose column lists a point's rows once each,
+        # in ascending order, with the copies that share a hashed row summed
         for _, _, Z in feature_blocks(batch):
             if batch.kind == BINNING:
-                Z = Z.tocsc()
                 lines = (zip(Z.indices[a:b], Z.data[a:b])
                          for a, b in zip(Z.indptr, Z.indptr[1:]))
             else:
@@ -538,12 +537,13 @@ def _cmd_approx_error(args) -> int:
               else _load_normalized(args.data).points)[:args.subsample]
     lines = ["kind,copies,theory,empirical_mean,empirical_stderr"]
     for kind, kernel in runs:
+        reference = approx.ErrorReference(kernel, points, kind)
         for copies in sizes:
             cfg = FeatureMapConfig(
                 kind=kind, kernel=kernel, dim=points.shape[1],
                 copies=copies, seed=args.seed,
             )
-            stats = approx.empirical_error(kernel, points, cfg, trials=args.trials)
+            stats = approx.empirical_error(reference, cfg, trials=args.trials)
             lines.append(
                 f"{kind},{copies},{_fmt(stats.theory_rel)},"
                 f"{_fmt(stats.empirical_rel)},{_fmt(stats.stderr_rel)}"
@@ -662,8 +662,7 @@ def _cmd_bench(args) -> int:
     for kind_index, (kind, kernel) in enumerate(runs):
         reference = approx.ErrorReference(kernel, probe, kind)
         for copies in sizes:
-            errors = []
-            metrics = []
+            maps, metrics = [], []
             for trial in range(args.trials):
                 seed = derived_seed(args.seed, (kind_index, copies, trial))
                 state = build_map(FeatureMapConfig(
@@ -677,10 +676,10 @@ def _cmd_bench(args) -> int:
                     np.mean(preds == test.targets) if classify
                     else np.mean((preds - test.targets) ** 2)
                 ))
-                # the probe, a prefix of the training rows, reads the
-                # vocabulary those rows filled
-                errors.append(reference.sq_error(featurize(state, probe)))
-            stats = reference.stats(copies, errors)
+                maps.append(state)
+            # the probe, a prefix of the training rows, reads the
+            # vocabulary those rows filled
+            stats = reference.stats(copies, maps)
             lines.append(
                 f"{kind},{copies},{_fmt(stats.theory_rel)},{_fmt(stats.empirical_rel)},"
                 f"{_fmt(stats.stderr_rel)},{_fmt(np.mean(metrics))}"
@@ -706,6 +705,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ParseError(message)
+
+
+_KERNEL_HELP = "binning kernel, e.g. gamma:s=2,theta=1;tau=1; Fourier kinds read --fourier-law"
+_LAW_HELP = "the Fourier kinds' law, cauchy:scale=S or normal:stddev=S; match it to --kernel"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -742,17 +745,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     approx_err = sub.add_parser("approx-error", help="approximation error curves")
     approx_err.add_argument("data", nargs="?", default=None)
-    approx_err.add_argument("--kernel", required=True)
+    approx_err.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     approx_err.add_argument(
         "--map", default=f"{FOURIER_COMPLEX},{FOURIER_REAL},{BINNING}"
     )
     approx_err.add_argument("--copies", default="1,4,16")
     approx_err.add_argument("--trials", type=int, default=50)
     approx_err.add_argument("--subsample", type=int, default=None)
-    approx_err.add_argument(
-        "--fourier-law", default="cauchy:scale=1",
-        help="frequency law used by fourier kinds (match it to --kernel yourself)",
-    )
+    approx_err.add_argument("--fourier-law", default="cauchy:scale=1", help=_LAW_HELP)
     _add_common(approx_err)
     approx_err.set_defaults(func=_cmd_approx_error)
 
@@ -793,15 +793,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--task", required=True,
                        choices=TASKS)
     bench.add_argument("--map", default=f"{FOURIER_REAL},{BINNING}")
-    bench.add_argument("--kernel", required=True)
+    bench.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     bench.add_argument("--copies", default="8,32,128")
     bench.add_argument("--trials", type=int, default=5)
     bench.add_argument("--lambda", dest="lam", type=float, default=0.1)
     bench.add_argument("--subsample", type=int, default=None)
-    bench.add_argument(
-        "--fourier-law", default="cauchy:scale=1",
-        help="frequency law used by fourier kinds (match it to --kernel yourself)",
-    )
+    bench.add_argument("--fourier-law", default="cauchy:scale=1", help=_LAW_HELP)
     _add_common(bench)
     bench.set_defaults(func=_cmd_bench)
 

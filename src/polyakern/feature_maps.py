@@ -28,7 +28,8 @@ int64s one key entry (the copy, then one coordinate's bins) at a time, by
 mixed radix over the training span of each entry, with an exact ranking
 step where the spans multiply past 2**63, so filling is one sort and lookup
 one ``np.searchsorted`` on integers, holding O(copies x n) int64s; a key
-outside the training spans is unseen without a search.
+outside the training spans is unseen without a search.  A column is the
+rank of its key among the training keys, whose leading digit is the copy.
 
 A Fourier batch holds its map and its validated points, not its features:
 they are computed when read, in dense blocks of points of at most
@@ -193,8 +194,9 @@ class BinVocabulary:
     next radix would take the packed prefix to 2**63, the prefix is first
     replaced by its rank among the training prefixes (fewer than the keys),
     and an entry whose span still does not fit is replaced by its rank among
-    its training values; both are exact.  Only the sorted packed keys and
-    their column ids are kept, for read-only lookups by ``np.searchsorted``.
+    its training values; both are exact.  Only the sorted packed keys are
+    kept, one int64 per column, for read-only lookups by ``np.searchsorted``:
+    a key's column is its rank among them.
     A key outside the training span of an entry, or whose prefix or ranked
     entry training never saw, is unseen before any search.
     """
@@ -202,11 +204,10 @@ class BinVocabulary:
     def __init__(self):
         self.points = None  # the points whose featurize filled the table
         self._plan = []  # per key entry: lo, hi, prefix and entry ranks or None
-        self._keys = np.empty(0, dtype=np.int64)
-        self._columns = np.empty(0, dtype=np.int64)
+        self._keys = np.empty(0, dtype=np.int64)  # sorted; a key's column is its rank
 
     def __len__(self):
-        return self._columns.shape[0]
+        return self._keys.shape[0]
 
     def _pack(self, columns, fill):
         """One packed int64 per key, and which keys lie inside the training
@@ -244,24 +245,23 @@ class BinVocabulary:
         return key, inside
 
     def assign(self, columns, points=None):
-        """Number the distinct keys by first appearance, fill the empty table
-        with them, keep ``points`` as its source, and return the column of
-        every key.  One unstable sort makes runs of equal keys; a key first
-        appears at the least position in its run."""
+        """Fill the empty table with the distinct keys, keep ``points`` as
+        its source, and return the column of every key: its rank among the
+        distinct keys.  One sort makes runs of equal keys, and the running
+        count of run starts, written over the sorted keys, is each key's."""
         if len(self):
             raise ValueError("the vocabulary is already filled")
         self._plan = []
         key = self._pack(columns, fill=True)[0]
         order = np.argsort(key)
-        run = np.ones(key.shape[0], dtype=bool)  # where a run starts, then run ids
-        np.not_equal(key[order[1:]], key[order[:-1]], out=run[1:])
-        starts = np.flatnonzero(run)
-        ids = np.empty(starts.shape[0], dtype=np.int64)
-        ids[np.argsort(np.minimum.reduceat(order, starts))] = np.arange(starts.shape[0])
-        self._keys = key[order[starts]]
-        run = np.cumsum(run) - 1
-        key[order] = ids[run]  # each key's column, over the packed keys
-        self._columns, self.points = ids, points  # last: len(self) > 0 means filled
+        ranks = key[order]
+        start = np.ones(key.shape[0], dtype=bool)
+        np.not_equal(ranks[1:], ranks[:-1], out=start[1:])
+        keys = ranks[start]
+        np.cumsum(start, out=ranks)
+        ranks -= 1
+        key[order] = ranks
+        self._keys, self.points = keys, points  # last: len(self) > 0 means filled
         return key
 
     def lookup(self, columns):
@@ -270,9 +270,8 @@ class BinVocabulary:
         width = len(self)
         key, inside = self._pack(columns, fill=False)
         out = np.full(key.shape[0], width, dtype=np.int64)
-        key = key[inside]
-        pos, found = _rank(key, self._keys)
-        out[inside] = np.where(found, self._columns[pos], width)
+        pos, found = _rank(key[inside], self._keys)
+        out[inside] = np.where(found, pos, width)
         return out
 
 
@@ -417,10 +416,10 @@ def featurize(state, X):
     The points are validated here and kept.  A Fourier batch computes its
     features when they are read (``feature_blocks``, ``feature_matrix``).
     For binning, the first call on a map fills its vocabulary and keeps the
-    points there: columns are numbered by first appearance, copy by copy
-    and point by point.  Later calls only read it; a bin it does not hold
-    gets the sentinel index ``width`` (the vocabulary size), which has no
-    column and no feature."""
+    points there: a column is the rank of its packed (copy, bins) key among
+    the training keys, so copy 0's columns come first.  Later calls only
+    read it; a bin it does not hold gets the sentinel index ``width`` (the
+    vocabulary size), which has no column and no feature."""
     points = _check_points(state, X).copy(order="C")
     points.flags.writeable = False
     n = points.shape[0]
@@ -500,19 +499,21 @@ def feature_matrix(batch):
 
 
 def _incidence(batch, value):
-    """Sparse width x n matrix with ``value`` for every copy that puts a
+    """Sparse width x n CSC matrix with ``value`` for every copy that puts a
     point in a column, summed where copies share a hashed column; sentinel
-    (unseen-bin) entries are dropped."""
-    n, copies = batch.n, batch.copies
-    cols = np.repeat(np.arange(n), copies)
-    rows = batch.indices.T.reshape(-1)
-    seen = rows < batch.width
-    vals = np.full(int(seen.sum()), value)
-    return sp.csr_matrix((vals, (rows[seen], cols[seen])), shape=(batch.width, n))
+    (unseen-bin) entries are dropped.  A point's columns, read copy by copy,
+    ascend on an exact map, so only a hashed map's need ``sum_duplicates``."""
+    seen = batch.indices < batch.width  # copies x n
+    indptr = np.concatenate([[0], np.cumsum(seen.sum(axis=0))])
+    rows = batch.indices.T[seen.T]
+    Z = sp.csc_matrix((np.full(rows.shape[0], value), rows, indptr),
+                      shape=(batch.width, batch.n))
+    Z.sum_duplicates()
+    return Z
 
 
 def to_sparse(batch):
-    """Binning batch as a sparse width x n matrix Z with entries 1/sqrt(D)."""
+    """Binning batch as a sparse width x n CSC matrix Z with entries 1/sqrt(D)."""
     if batch.kind != BINNING:
         raise ValueError("to_sparse applies to binning batches only")
     return _incidence(batch, 1.0 / math.sqrt(batch.copies))

@@ -232,11 +232,12 @@ def test_criterion_6_expected_frobenius_error():
     for kind, kern in (
         (FOURIER_COMPLEX, CAUCHY), (FOURIER_REAL, CAUCHY), (BINNING, LAPLACE)
     ):
+        reference = approx.ErrorReference(kern, points, kind)
         for copies in (1, 4, 16):
             cfg = FeatureMapConfig(
                 kind=kind, kernel=kern, dim=3, copies=copies, seed=seed + copies
             )
-            stats = approx.empirical_error(kern, points, cfg, trials=200)
+            stats = approx.empirical_error(reference, cfg, trials=200)
             worst = max(worst, abs(stats.mean_sq / stats.theory_sq - 1.0))
             theory_by_kind[(kind, copies)] = stats.theory_sq
     gap_ok = all(

@@ -143,17 +143,22 @@ class TestEmpiricalError:
             seed=808,
         )
 
+    @staticmethod
+    def reference(X):
+        return approx.ErrorReference(LAPLACE, X, fm.BINNING)
+
     def test_monte_carlo_matches_theory(self):
         X = np.random.default_rng(31).uniform(-1, 1, size=(12, 1))
         for kind in fm.KINDS:
-            stats = approx.empirical_error(LAPLACE, X, self.make(kind), trials=400)
+            stats = approx.empirical_error(
+                approx.ErrorReference(LAPLACE, X, kind), self.make(kind), trials=400)
             # statistically sound bound plus a sanity cap
             assert abs(stats.mean_sq - stats.theory_sq) <= 4.0 * stats.stderr_sq, kind
             assert stats.mean_sq == pytest.approx(stats.theory_sq, rel=0.10, abs=0.0), kind
 
     def test_relative_forms(self):
         X = np.random.default_rng(37).uniform(-1, 1, size=(6, 1))
-        stats = approx.empirical_error(LAPLACE, X, self.make(fm.BINNING), trials=50)
+        stats = approx.empirical_error(self.reference(X), self.make(fm.BINNING), trials=50)
         assert stats.theory_rel == pytest.approx(
             math.sqrt(stats.theory_sq / stats.norm_k_sq), rel=1e-12, abs=0.0
         )
@@ -163,8 +168,8 @@ class TestEmpiricalError:
 
     def test_deterministic(self):
         X = np.random.default_rng(41).uniform(-1, 1, size=(5, 1))
-        a = approx.empirical_error(LAPLACE, X, self.make(fm.BINNING), trials=20)
-        b = approx.empirical_error(LAPLACE, X, self.make(fm.BINNING), trials=20)
+        a = approx.empirical_error(self.reference(X), self.make(fm.BINNING), trials=20)
+        b = approx.empirical_error(self.reference(X), self.make(fm.BINNING), trials=20)
         assert a == b
 
     def test_gaussian_baseline_runs(self):
@@ -173,10 +178,15 @@ class TestEmpiricalError:
         cfg = fm.FeatureMapConfig(
             kind=fm.FOURIER_REAL, kernel=law, dim=2, copies=8, seed=99
         )
-        stats = approx.empirical_error(law, X, cfg, trials=200)
+        stats = approx.empirical_error(approx.ErrorReference(law, X, cfg.kind), cfg, trials=200)
         assert stats.mean_sq == pytest.approx(stats.theory_sq, rel=0.15, abs=0.0)
 
     def test_trials_validation(self):
         X = np.zeros((2, 1))
         with pytest.raises(ValueError):
-            approx.empirical_error(LAPLACE, X, self.make(fm.BINNING), trials=0)
+            approx.empirical_error(self.reference(X), self.make(fm.BINNING), trials=0)
+
+    def test_reference_kind_must_match(self):
+        X = np.zeros((2, 1))
+        with pytest.raises(ValueError, match="scores binning maps, got fourier_real"):
+            approx.empirical_error(self.reference(X), self.make(fm.FOURIER_REAL), trials=1)

@@ -454,6 +454,51 @@ class TestApproxError:
         # Theory is a relative error in (0, 1]-ish range and shrinks with D.
         assert by_key[("binning", 4)][0] < by_key[("binning", 1)][0]
 
+    @staticmethod
+    def count_exact_grams(monkeypatch):
+        calls = []
+        exact_gram = approx.exact_gram
+
+        def counted(kernel, X, double=False):
+            calls.append((type(kernel).__name__, double))
+            return exact_gram(kernel, X, double=double)
+
+        monkeypatch.setattr(approx, "exact_gram", counted)
+        return calls
+
+    def test_one_exact_matrix_per_kind(self, tmp_path, monkeypatch):
+        # every copy count of a kind is scored against the one K of that
+        # kind (and one doubled-distance matrix for fourier_real); the
+        # bytes are those of a K built anew for each copy count
+        calls = self.count_exact_grams(monkeypatch)
+        out = tmp_path / "err.csv"
+        assert cli.main([
+            "approx-error", "--kernel", "gamma:s=2,theta=1", "--fourier-law", "cauchy:scale=1",
+            "--copies", "1,4", "--trials", "3", "--subsample", "12", "--seed", "5",
+            "--out", str(out),
+        ]) == 0
+        assert calls == [("TensorCauchy", False), ("TensorCauchy", False),
+                         ("TensorCauchy", True), ("KernelSpec", False)]
+        assert out.read_text() == (
+            "kind,copies,theory,empirical_mean,empirical_stderr\n"
+            "fourier_complex,1,2.7043752038707956,2.696663813627455,0.10063756964320981\n"
+            "fourier_complex,4,1.3521876019353978,1.3525248001494166,0.018161279062239945\n"
+            "fourier_real,1,2.7952898317189234,2.9081848018583445,0.4764349992533916\n"
+            "fourier_real,4,1.3976449158594617,1.5058654611753495,0.16101246212116768\n"
+            "binning,1,0.9193666892937199,1.3707684375520144,0.13689467741659236\n"
+            "binning,4,0.45968334464685995,0.432166819319369,0.04426970653249285\n"
+        )
+        # bench scores its probe through the same reference, one per kind
+        calls.clear()
+        data = tmp_path / "train.txt"
+        make_regression_file(data, seed=47, n=40)
+        assert cli.main([
+            "bench", str(data), "--task", "regression", "--kernel", "gamma:s=2,theta=1",
+            "--copies", "2,4", "--trials", "1", "--out", str(tmp_path / "bench.csv"),
+        ]) == 0
+        assert calls == [("TensorCauchy", False), ("TensorCauchy", True),
+                         ("KernelSpec", False)]
+
     def test_reruns_identical(self, tmp_path):
         args = [
             "approx-error", "--kernel", "gamma:s=2,theta=1", "--map", "binning",
@@ -475,7 +520,7 @@ class TestApproxError:
         assert cli.main(argv + ["--out", str(whole)]) == 0
         spec = parse_kernel_spec("gamma:s=2,theta=1")
         stats = approx.empirical_error(
-            spec, cli._synthetic_points(3)[:3],
+            approx.ErrorReference(spec, cli._synthetic_points(3)[:3], BINNING),
             FeatureMapConfig(kind=BINNING, kernel=spec, dim=3, copies=2, seed=3), trials=2,
         )
         row = ",".join(repr(float(v)) for v in (
@@ -876,7 +921,7 @@ class TestBundleFormat:
         bundle = json.loads(model_path.read_text())
         assert list(bundle) == ["format", "task", "map", "normalizer", "points",
                                 "alpha", "y_mean", "lambda", "route"]
-        assert bundle["format"] == "polyakern-model-v6"
+        assert bundle["format"] == "polyakern-model-v7"
         points = array_of(bundle["points"])
         assert points.tobytes() == normalized_points(data).tobytes()
         assert bundle["points"]["dtype"] == bundle["alpha"]["dtype"] == "<f8"
@@ -1015,16 +1060,22 @@ class TestBundleFormat:
         assert predict_error(data, model_path, capsys) == f"bundle has no {field!r} field"
 
     def test_v1_bundle_names_both_formats(self, tmp_path, capsys):
+        def to_v6(bundle, model_path):
+            # the v6 layout is v7's; its exact binning columns, and so a
+            # primal bundle's weights, were in first-appearance order
+            bundle["format"] = "polyakern-model-v6"
+
         def to_v5(bundle, model_path):
             # the vocabulary rows and the weights in place of the points and
             # the dual coefficients
             _, state, _, (model,), _ = cli.load_model(model_path)
             rows = vocabulary_rows(state, model.points)
-            assert state.vocabulary.lookup(rows.T).tolist() == list(range(len(rows)))
+            columns = state.vocabulary.lookup(rows.T)
+            assert sorted(columns.tolist()) == list(range(len(rows)))
             del bundle["points"], bundle["alpha"]
             bundle["format"] = "polyakern-model-v5"
             bundle["vocabulary"] = typed_array(rows, "<i8")
-            bundle["weights"] = typed_array(model.weights, "<f8")
+            bundle["weights"] = typed_array(model.weights[columns], "<f8")
 
         def to_v4(bundle, model_path):
             # one models entry per weight column, each with its own copy of
@@ -1053,12 +1104,12 @@ class TestBundleFormat:
             bundle["format"] = "polyakern-model-v3"
 
         for old, edit in (("v1", to_v1), ("v2", to_v2), ("v3", to_v3), ("v4", to_v4),
-                          ("v5", to_v5)):
+                          ("v5", to_v5), ("v6", to_v6)):
             data, model_path = fit_bundle(tmp_path)
             rewrite_bundle(model_path, lambda b: edit(b, model_path))
             message = predict_error(data, model_path, capsys)
             assert f"'polyakern-model-{old}'" in message, old
-            assert "'polyakern-model-v6'" in message, old
+            assert "'polyakern-model-v7'" in message, old
 
 
 class TestCv:
@@ -1197,7 +1248,9 @@ class TestBench:
 
     def test_csv_bytes_pinned(self, tmp_path):
         # frozen output of a fixed seed and file: the error summary
-        # (mean, standard error, relative errors) must not move by a bit
+        # (mean, standard error, relative errors) must not move by a bit;
+        # the binning metric at 4 copies is a primal fit, whose Cholesky
+        # rounding follows the order of the binning columns (key ranks)
         data = tmp_path / "train.txt"
         make_regression_file(data, seed=47, n=40)
         out = tmp_path / "bench.csv"
@@ -1213,7 +1266,7 @@ class TestBench:
             "fourier_real,16,0.6183173928264668,0.5315364942159512,"
             "0.04329405011403044,0.07319898633891785\n"
             "binning,4,0.5402271307721224,0.4778561803351589,"
-            "0.02837393325680895,0.06256916952554525\n"
+            "0.02837393325680895,0.06256916952554524\n"
             "binning,16,0.2701135653860612,0.24926458204322674,"
             "0.013017797730314822,0.02147551525327594\n"
         )

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse as sp
 
 from polyakern import cli, learn
 from polyakern import distributions as dist
@@ -480,14 +481,17 @@ def key_columns(keys):
 
 
 def dict_featurize(state, X, vocab):
-    """Reference: the dict loop that numbered binning columns before the
-    array vocabulary.  Unseen (copy, bin tuple) keys extend ``vocab``."""
+    """Reference: a dict from (copy, bin tuple) keys to columns.  An empty
+    ``vocab`` is filled with the keys of X, each mapped to its rank in
+    ``sorted(vocab)``, since Python's tuple order is the packed key order;
+    a filled one is only read, and a key it does not hold gets the sentinel
+    ``len(vocab)``."""
     bins = oracle_bins(state, X)
-    indices = np.empty(bins.shape[:2], dtype=np.int64)
-    for l in range(bins.shape[0]):
-        for i in range(bins.shape[1]):
-            indices[l, i] = vocab.setdefault((l, tuple(bins[l, i].tolist())), len(vocab))
-    return indices
+    keys = [[(l, tuple(row)) for row in copy.tolist()] for l, copy in enumerate(bins)]
+    if not vocab:
+        vocab.update((key, j) for j, key in enumerate(sorted({k for ks in keys for k in ks})))
+    return np.array([[vocab.get(key, len(vocab)) for key in ks] for ks in keys],
+                    dtype=np.int64).reshape(bins.shape[:2])
 
 
 def oracle_cases():
@@ -533,15 +537,14 @@ class TestDictOracle:
         train = fm.featurize(state, train_X)
         assert np.array_equal(train.indices, dict_featurize(state, train_X, vocab))
         assert train.width == len(vocab)
-        # the dict's keys, in its order, are the columns 0, 1, ... of the
+        # the dict's keys, in sorted order, are the columns 0, 1, ... of the
         # vocabulary and of a bundle reload that rebuilds it
         loaded = reloaded(state, train_X, tmp_path)
         for s in (state, loaded):
             assert s.vocabulary.lookup(key_columns(list(vocab))).tolist() == list(range(len(vocab)))
-        # at inference the dict grew; the sentinel stands for every new key
+        # at inference the sentinel stands for every key the dict lacks
         width = len(vocab)
-        grown = dict_featurize(state, test_X, vocab)
-        expected = np.where(grown < width, grown, width)
+        expected = dict_featurize(state, test_X, vocab)
         for s in (state, loaded):
             test = fm.featurize(s, test_X)
             assert np.array_equal(test.indices, expected)
@@ -586,8 +589,7 @@ class TestPackedKeys:
             bins = [first for _, (first, _) in vocab]
             assert max(bins) - min(bins) + 1 >= 2 ** 63
             width = len(vocab)
-            grown = dict_featurize(state, test_X, vocab)
-            expected = np.where(grown < width, grown, width)
+            expected = dict_featurize(state, test_X, vocab)
             for s in (state, reloaded(state, train_X, tmp_path)):
                 test = fm.featurize(s, test_X)
                 assert np.array_equal(test.indices, expected)
@@ -625,9 +627,10 @@ class TestPackedKeys:
         rows = np.zeros((3, 71), dtype=np.int64)
         rows[0, 1] = 1
         rows[2, 2:] = 1
+        # in key order: row 1 (all zeros), row 2 (0, 0, 1, ...), row 0 (0, 1, ...)
         vocab = fm.BinVocabulary()
-        assert vocab.assign(rows.T).tolist() == [0, 1, 2]
-        assert vocab.lookup(rows[::-1].T).tolist() == [2, 1, 0]
+        assert vocab.assign(rows.T).tolist() == [2, 0, 1]
+        assert vocab.lookup(rows[::-1].T).tolist() == [1, 0, 2]
 
     def test_unseen_prefix_is_unseen(self):
         # two bins of span 2**40 + 1 pass 2**63 together, so the prefix
@@ -645,18 +648,74 @@ class TestPackedKeys:
         st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=60, unique=True),  # none
         st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=1),  # one key
     ))
-    def test_numbering_is_first_appearance(self, values):
-        # the one-sort numbering against np.unique's first indices, on one
-        # key column, whose span may pass 2**63 and take the ranking step
+    def test_numbering_is_key_rank(self, values):
+        # the one-sort numbering against np.unique's inverse, the rank of
+        # each key among the distinct keys, on one key column, whose span
+        # may pass 2**63 and take the ranking step
         keys = np.array(values, dtype=np.int64)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        expected = np.empty(first.shape[0], dtype=np.int64)
-        expected[np.argsort(first)] = np.arange(first.shape[0])
+        distinct, inverse = np.unique(keys, return_inverse=True)
         vocab = fm.BinVocabulary()
-        assert vocab.assign([keys.copy()]).tolist() == expected[inverse].tolist()
-        assert len(vocab) == first.shape[0]
+        assert vocab.assign([keys.copy()]).tolist() == inverse.tolist()
+        assert len(vocab) == distinct.shape[0]
         if len(vocab):
-            assert vocab.lookup([keys]).tolist() == expected[inverse].tolist()
+            assert vocab.lookup([keys]).tolist() == inverse.tolist()
+
+
+def coo_incidence(batch, value):
+    """Reference: the binning matrix as it was built from COO triplets, a
+    (column, point) pair per seen copy, summed by scipy's COO to CSR sort."""
+    n, copies = batch.n, batch.copies
+    cols = np.repeat(np.arange(n), copies)
+    rows = batch.indices.T.reshape(-1)
+    seen = rows < batch.width
+    vals = np.full(int(seen.sum()), value)
+    return sp.csr_matrix((vals, (rows[seen], cols[seen])), shape=(batch.width, n))
+
+
+def incidence_cases():
+    rng = np.random.default_rng(25)
+    X = rng.uniform(-1, 1, (30, 2))
+    mixed = np.vstack([X[:10], rng.uniform(-4, 4, (10, 2))])
+
+    def exact(copies=6, dim=2, hash_buckets=None):
+        return fm.build_map(cfg(fm.BINNING, copies, seed=3, dim=dim, hash_buckets=hash_buckets))
+
+    def trained(state, train_X):
+        fm.featurize(state, train_X)
+        return state
+
+    cases = {
+        "training": lambda: fm.featurize(exact(), X),
+        "unseen sentinels": lambda: fm.featurize(trained(exact(), X), mixed),
+        "all unseen": lambda: fm.featurize(trained(exact(), X), np.full((5, 2), 900.0)),
+        "n=1": lambda: fm.featurize(exact(), X[:1]),
+        "D=1": lambda: fm.featurize(exact(copies=1), X),
+        "hash_buckets=2": lambda: fm.featurize(exact(copies=16, hash_buckets=2), X),
+    }
+    return [pytest.param(make, id=name) for name, make in cases.items()]
+
+
+class TestIncidence:
+    @pytest.mark.parametrize("make", incidence_cases())
+    def test_matches_coo_construction(self, make):
+        batch = make()
+        Z = fm.to_sparse(batch)
+        expected = coo_incidence(batch, 1.0 / math.sqrt(batch.copies))
+        assert Z.format == "csc" and Z.shape == expected.shape
+        assert np.array_equal(Z.toarray(), expected.toarray())
+        # canonical: each point's rows strictly ascend, no stored zeros
+        for a, b in zip(Z.indptr, Z.indptr[1:]):
+            assert np.all(np.diff(Z.indices[a:b]) > 0)
+        assert Z.nnz == expected.nnz and np.all(Z.data != 0.0)
+        ones = coo_incidence(batch, 1.0)
+        assert np.array_equal(fm.gram(batch), (ones.T @ ones).toarray() / batch.copies)
+
+    def test_all_unseen_batch_is_empty(self):
+        (make,) = [p.values[0] for p in incidence_cases() if p.id == "all unseen"]
+        batch = make()
+        assert np.all(batch.indices == batch.width)
+        assert fm.to_sparse(batch).nnz == 0
+        assert np.array_equal(fm.gram(batch), np.zeros((5, 5)))
 
 
 class TestMemory:
@@ -682,6 +741,21 @@ class TestMemory:
         # a (1 + dim)-column int64 key matrix alone is 18 MB; the fill
         # holds a few int64 columns at a time (about 11 MB in all)
         assert peak < 20 * 2 ** 20, peak
+
+    def test_to_sparse_builds_no_triplets(self):
+        # the 256,000 entries as CSC arrays straight from the column ids:
+        # 2 MB of values and 1 to 2 MB of row ids, with no int64 COO
+        # triplets or point-id array next to them
+        state, X = self.fit_batch()
+        batch = fm.featurize(state, X)
+        tracemalloc.start()
+        try:
+            Z = fm.to_sparse(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Z.nnz == 2000 * 128
+        assert peak < 8 * 2 ** 20, peak
 
     def test_dense_gram_holds_one_small_block(self):
         state, X = self.fit_batch()
