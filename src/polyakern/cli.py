@@ -29,11 +29,13 @@ Attributes are normalized per column to [−1, 1] by an affine map fit on
 the training rows; the map is stored in model bundles so prediction
 applies the identical transform.  All randomness derives from ``--seed``
 (default from ``POLYAKERN_SEED`` or a built-in constant), and reruns with
-the same arguments produce byte-identical output files.  Every failure,
-a bad command-line argument or a non-integer ``POLYAKERN_SEED`` included,
-prints one single-line JSON record ``{"error": ...}`` to stderr and exits
-1; a comma-separated number list with an empty entry is one such failure,
-not a shorter list.
+the same arguments produce byte-identical output files on the same
+machine, numpy/scipy/OpenBLAS build and BLAS thread count: the BLAS sums
+in an order set by its thread count.  Every failure, a bad command-line
+argument or a negative or non-integer seed included, prints one
+single-line JSON record ``{"error": ...}`` to stderr and exits 1; a
+comma-separated number list with an empty entry is one such failure, not a
+shorter list.
 Trials are independent by construction (per-trial child seeds), so they
 may be distributed; this implementation runs them sequentially for
 reproducibility, and each output file has a single writer.
@@ -248,7 +250,7 @@ def _map_from_args(args, dim: int) -> FeatureMapConfig:
     points of ``dim`` coordinates."""
     return FeatureMapConfig(
         kind=args.map, kernel=_kernel_for_kind(args.map, args.kernel), dim=dim,
-        copies=args.copies, seed=args.seed, hash_buckets=args.hash_buckets,
+        copies=args.copies, seed=args.seed,
     )
 
 
@@ -360,7 +362,6 @@ def _map_metadata(cfg: FeatureMapConfig) -> dict:
         "dim": cfg.dim,
         "copies": cfg.copies,
         "seed": cfg.seed,
-        "hash_buckets": cfg.hash_buckets,
     }
 
 
@@ -372,35 +373,35 @@ def _config_from_metadata(meta) -> FeatureMapConfig:
         "bundle map must be an object with string kind and kernel and integer "
         "dim, copies and seed",
     )
+    # older bundles name "hash_buckets": null; a hashed map is not read
+    _expect(meta.get("hash_buckets") is None,
+            f"bundle map has hash_buckets {meta.get('hash_buckets')!r}; hashed "
+            "binning maps are no longer supported")
     return FeatureMapConfig(
         kind=meta["kind"],
         kernel=_kernel_for_kind(meta["kind"], meta["kernel"]),
         dim=meta["dim"],
         copies=meta["copies"],
         seed=meta["seed"],
-        hash_buckets=meta.get("hash_buckets"),
     )
-
-
-def _has_vocabulary(cfg) -> bool:
-    return cfg.kind == BINNING and cfg.hash_buckets is None
 
 
 def save_model(path, task, normalizer, model) -> None:
     """Serialize a fitted model: map metadata, normalizer, the solution of
     the system ``fit`` solved (dual ``alpha``, else ``weights``) with its
     target mean, penalty and route, and the training ``points`` on the dual
-    route or an exact binning map, whose vocabulary they must have filled."""
+    route or a binning map, whose vocabulary they must have filled."""
     state = model.state
-    if _has_vocabulary(state.cfg) and not np.array_equal(model.points, state.vocabulary.points):
-        raise ValueError("an exact binning model must be fit on the points that filled its map")
+    binning = state.cfg.kind == BINNING
+    if binning and not np.array_equal(model.points, state.vocabulary.points):
+        raise ValueError("a binning model must be fit on the points that filled its map")
     bundle = {
         "format": MODEL_FORMAT,
         "task": task,
         "map": _map_metadata(state.cfg),
         "normalizer": normalizer.to_json(),
     }
-    if model.route == "dual" or _has_vocabulary(state.cfg):
+    if model.route == "dual" or binning:
         bundle["points"] = _encode_array(model.points)
     solution = "alpha" if model.route == "dual" else "weights"
     bundle[solution] = _encode_array(getattr(model, solution))
@@ -413,7 +414,7 @@ def save_model(path, task, normalizer, model) -> None:
 def load_model(path):
     """Rebuild (task, state, normalizer, (model,), classes) from a bundle.
 
-    One ``featurize`` of the points refills an exact binning map's vocabulary,
+    One ``featurize`` of the points refills a binning map's vocabulary,
     and dual weights are ``learn.dual_weights`` as in ``fit``.  A bundle
     that is not one this version writes raises :class:`ParseError`.
     """
@@ -437,7 +438,7 @@ def load_model(path):
             "bundle classes: a regression bundle has none, a classifier's are "
             "two or more distinct finite numbers")
     dual, points = route == "dual", None
-    if dual or _has_vocabulary(cfg):
+    if dual or cfg.kind == BINNING:
         points = _decode_array(_field(bundle, "points"), "points")
         _expect(points.size, "bundle points are empty")
         batch = featurize(state, points)  # which checks them: n x dim, finite
@@ -506,8 +507,8 @@ def _cmd_features(args) -> int:
     meta_path = prefix.with_name(prefix.name + ".meta.json")
     with open(features_path, "w", encoding="ascii", newline="\n") as out:
         # one block of points at a time, a line per point; a binning batch is
-        # one sparse CSC block, whose column lists a point's rows once each,
-        # in ascending order, with the copies that share a hashed row summed
+        # one sparse CSC block, whose column lists a point's rows, one per
+        # seen copy, in ascending order
         for _, _, Z in feature_blocks(batch):
             if batch.kind == BINNING:
                 lines = (zip(Z.indices[a:b], Z.data[a:b])
@@ -521,6 +522,9 @@ def _cmd_features(args) -> int:
     meta = _map_metadata(cfg)
     meta["n"] = batch.n
     meta["width"] = int(batch.width)
+    # a binning row is its key's rank among the training keys; a Fourier
+    # row is its copy
+    meta["row_ids"] = "key_rank" if cfg.kind == BINNING else "copy"
     meta_path.write_text(json.dumps(meta), encoding="ascii")
     return 0
 
@@ -692,9 +696,20 @@ def _cmd_bench(args) -> int:
 # Argument parsing
 
 
+def _seed(text) -> int:
+    """A ``--seed`` value: an integer, not negative."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _add_common(parser, *, seed=True):
     if seed:
-        parser.add_argument("--seed", type=int, default=default_seed(),
+        parser.add_argument("--seed", type=_seed, default=default_seed(),
                             help="master seed (default: POLYAKERN_SEED or built-in)")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -739,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     features.add_argument("--map", required=True, choices=sorted(KINDS))
     features.add_argument("--kernel", required=True)
     features.add_argument("--copies", type=int, required=True)
-    features.add_argument("--hash-buckets", type=int, default=None)
     _add_common(features)
     features.set_defaults(func=_cmd_features)
 
@@ -751,7 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     approx_err.add_argument("--copies", default="1,4,16")
     approx_err.add_argument("--trials", type=int, default=50)
-    approx_err.add_argument("--subsample", type=int, default=None)
+    approx_err.add_argument("--subsample", type=int, default=None,
+                            help="keep the first N points")
     approx_err.add_argument("--fourier-law", default="cauchy:scale=1", help=_LAW_HELP)
     _add_common(approx_err)
     approx_err.set_defaults(func=_cmd_approx_error)
@@ -765,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--kernel", required=True)
     fit.add_argument("--copies", type=int, required=True)
     fit.add_argument("--lambda", dest="lam", type=float, required=True)
-    fit.add_argument("--hash-buckets", type=int, default=None)
     _add_common(fit)
     fit.set_defaults(func=_cmd_fit)
 
@@ -797,7 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--copies", default="8,32,128")
     bench.add_argument("--trials", type=int, default=5)
     bench.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    bench.add_argument("--subsample", type=int, default=None)
+    bench.add_argument("--subsample", type=int, default=None,
+                       help="keep a seeded random N >= 5 rows, in file order, "
+                            "before the train/test split")
     bench.add_argument("--fourier-law", default="cauchy:scale=1", help=_LAW_HELP)
     _add_common(bench)
     bench.set_defaults(func=_cmd_bench)

@@ -128,20 +128,16 @@ def _difference(x, xp):
 
 @dataclass(frozen=True)
 class FeatureMapConfig:
-    """What to build: map kind, source kernel/frequency law, sizes, seed.
-
-    hash_buckets (binning only) replaces the exact bin vocabulary with a
-    64-bit integer hash (splitmix64) modulo that many columns; colliding
-    bins then share a column, which biases inner products upward. Off by
-    default.
-    """
+    """What to build: map kind, source kernel/frequency law, sizes, seed."""
 
     kind: str
     kernel: object
     dim: int
     copies: int
     seed: int
-    hash_buckets: int = None
+    # not a field, always None: perfbench/layertrace.py's _vocab_size still
+    # reads it, and it goes with that read (ROADMAP item 3)
+    hash_buckets = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -157,13 +153,6 @@ class FeatureMapConfig:
             if not isinstance(self.kernel, FREQUENCY_LAWS):
                 raise ValueError(
                     "Fourier maps require a TensorCauchy or IsotropicNormal law"
-                )
-        if self.hash_buckets is not None:
-            if self.kind != BINNING:
-                raise ValueError("hash_buckets applies to the binning map only")
-            if not (isinstance(self.hash_buckets, int) and self.hash_buckets >= 2):
-                raise ValueError(
-                    f"hash_buckets must be an integer >= 2, got {self.hash_buckets!r}"
                 )
 
 
@@ -293,13 +282,13 @@ class FeatureBatch:
     """Featurized points.
 
     Every batch carries ``width``, its number of feature columns (the
-    vocabulary size or hash bucket count for binning, the copy count for
-    Fourier kinds), and a private read-only copy of its validated points.
-    A binning batch holds per-copy column indices, one sparse block.  A
-    Fourier batch holds its map, and computes its dense copies x n feature
-    matrix only when read: ``feature_blocks`` gives it as blocks of points
-    of at most ``BLOCK_CELLS`` cells each, and ``feature_matrix`` gives it
-    whole, the one-block case, built anew on each call.
+    vocabulary size for binning, the copy count for Fourier kinds), and a
+    private read-only copy of its validated points.  A binning batch holds
+    per-copy column indices, one sparse block.  A Fourier batch holds its
+    map, and computes its dense copies x n feature matrix only when read:
+    ``feature_blocks`` gives it as blocks of points of at most
+    ``BLOCK_CELLS`` cells each, and ``feature_matrix`` gives it whole, the
+    one-block case, built anew on each call.
     """
 
     kind: str
@@ -381,32 +370,12 @@ def _bin_columns(state, X):
         yield t.astype(np.int64).reshape(-1)
 
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-
-
-def _hash_rows(columns, buckets):
-    """A bucket in [0, buckets) for every int64 key, given as columns: each
-    entry in turn is folded into a 64-bit state by the splitmix64 finalizer."""
-    h = np.uint64(0)
-    for column in columns:
-        h = (h ^ column.view(np.uint64)) + _GOLDEN
-        h = (h ^ (h >> np.uint64(30))) * _MIX_1
-        h = (h ^ (h >> np.uint64(27))) * _MIX_2
-        h ^= h >> np.uint64(31)
-    return (h % np.uint64(buckets)).astype(np.int64)
-
-
 def feature_width(state):
     """The map's number of feature columns: the copy count for Fourier
-    kinds, the hash bucket count for a hashed binning map, and the
-    vocabulary size (0 until the first ``featurize``) for an exact one."""
-    cfg = state.cfg
-    if cfg.kind != BINNING:
-        return cfg.copies
-    if cfg.hash_buckets is not None:
-        return cfg.hash_buckets
+    kinds, and the vocabulary size (0 until the first ``featurize``) for
+    binning."""
+    if state.cfg.kind != BINNING:
+        return state.cfg.copies
     return len(state.vocabulary)
 
 
@@ -428,11 +397,8 @@ def featurize(state, X):
         return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies,
                             width=feature_width(state), points=points, state=state)
     columns = _bin_columns(state, points)
-    if cfg.hash_buckets is not None:
-        indices = _hash_rows(columns, cfg.hash_buckets)
-    else:
-        vocab = state.vocabulary
-        indices = vocab.lookup(columns) if len(vocab) else vocab.assign(columns, points)
+    vocab = state.vocabulary
+    indices = vocab.lookup(columns) if len(vocab) else vocab.assign(columns, points)
     return FeatureBatch(kind=cfg.kind, n=n, copies=cfg.copies, width=feature_width(state),
                         points=points, indices=indices.reshape(cfg.copies, n))
 
@@ -500,16 +466,14 @@ def feature_matrix(batch):
 
 def _incidence(batch, value):
     """Sparse width x n CSC matrix with ``value`` for every copy that puts a
-    point in a column, summed where copies share a hashed column; sentinel
-    (unseen-bin) entries are dropped.  A point's columns, read copy by copy,
-    ascend on an exact map, so only a hashed map's need ``sum_duplicates``."""
+    point in a column; sentinel (unseen-bin) entries are dropped.  A
+    point's columns, read copy by copy, strictly ascend, since a column's
+    leading key digit is its copy, so the matrix is canonical as built."""
     seen = batch.indices < batch.width  # copies x n
     indptr = np.concatenate([[0], np.cumsum(seen.sum(axis=0))])
     rows = batch.indices.T[seen.T]
-    Z = sp.csc_matrix((np.full(rows.shape[0], value), rows, indptr),
-                      shape=(batch.width, batch.n))
-    Z.sum_duplicates()
-    return Z
+    return sp.csc_matrix((np.full(rows.shape[0], value), rows, indptr),
+                         shape=(batch.width, batch.n))
 
 
 def to_sparse(batch):
@@ -523,10 +487,9 @@ def gram(batch):
     """Approximate kernel matrix Z^T Z (real part for the complex map).
 
     For binning, Z is ``to_sparse``'s matrix, so entry (i, j) counts the
-    pairs of copies that put i and j in the same column, divided by D: with
-    exact bins that is the fraction of copies that put them in the same
-    bin, and with hashed columns it also counts copies whose bins collide.
-    A sentinel (unseen-bin) index matches nothing."""
+    copies that put i and j in the same column, divided by D: the fraction
+    of copies that put them in the same bin.  A sentinel (unseen-bin) index
+    matches nothing."""
     if batch.kind == BINNING:
         G = dense_gram(_incidence(batch, 1.0).T)
         G /= float(batch.copies)

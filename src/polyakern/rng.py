@@ -20,17 +20,20 @@ DEFAULT_SEED = 20240 + 817
 def default_seed():
     """Master seed used when the caller does not supply one.
 
-    The environment variable ``POLYAKERN_SEED`` overrides the built-in
-    default, which lets scripted runs change the seed without editing
-    command lines.
+    The environment variable ``POLYAKERN_SEED``, a non-negative integer,
+    overrides the built-in default, which lets scripted runs change the
+    seed without editing command lines.
     """
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV_VAR} must be non-negative, got {raw!r}")
+    return seed
 
 
 class RandomStream:

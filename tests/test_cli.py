@@ -316,20 +316,17 @@ class TestFeatures:
         assert meta["seed"] == 5
         assert "gamma" in meta["kernel"]
 
-    @pytest.mark.parametrize("hash_buckets", [None, 3])
-    def test_binning_lines_match_gram(self, tmp_path, hash_buckets):
-        # 16 copies in 3 hashed rows share rows: each row is written once,
-        # with its copies summed, so the lines' inner products are gram's
+    def test_binning_lines_match_gram(self, tmp_path):
+        # each line lists a point's rows once each, ascending, so the
+        # lines' inner products are gram's
         data = tmp_path / "d.txt"
         make_regression_file(data, n=12)
-        args = ["features", str(data), "--map", "binning", "--kernel", "gamma:s=2,theta=1",
-                "--copies", "16", "--seed", "5", "--out", str(tmp_path / "h")]
-        if hash_buckets is not None:
-            args += ["--hash-buckets", str(hash_buckets)]
-        assert cli.main(args) == 0
+        assert cli.main(["features", str(data), "--map", "binning",
+                         "--kernel", "gamma:s=2,theta=1", "--copies", "16", "--seed", "5",
+                         "--out", str(tmp_path / "h")]) == 0
         state = build_map(FeatureMapConfig(
             kind=BINNING, kernel=cli._kernel_for_kind(BINNING, "gamma:s=2,theta=1"),
-            dim=2, copies=16, seed=5, hash_buckets=hash_buckets))
+            dim=2, copies=16, seed=5))
         batch = featurize(state, cli._load_normalized(data).points)
         lines = (tmp_path / "h.features.txt").read_text(encoding="ascii").splitlines()
         Z = np.zeros((batch.width, batch.n))
@@ -341,10 +338,40 @@ class TestFeatures:
                 Z[int(row), i] = float(value)
         assert len(lines) == batch.n
         np.testing.assert_allclose(Z.T @ Z, feature_maps.gram(batch), rtol=0.0, atol=1e-12)
-        if hash_buckets is None:  # exact bins: one entry per copy, each 1/sqrt(D)
-            weight = 1.0 / math.sqrt(16)
-            assert lines == [" ".join(f"{int(row)}:{weight!r}" for row in column)
-                             for column in batch.indices.T]
+        # one entry per copy, each 1/sqrt(D)
+        weight = 1.0 / math.sqrt(16)
+        assert lines == [" ".join(f"{int(row)}:{weight!r}" for row in column)
+                         for column in batch.indices.T]
+
+    @pytest.mark.parametrize("kind,kernel,row_ids", [
+        ("binning", "gamma:s=2,theta=1", "key_rank"),
+        ("fourier_real", "cauchy:scale=1", "copy"),
+    ], ids=["binning", "fourier"])
+    def test_sidecar_names_the_row_numbering(self, tmp_path, kind, kernel, row_ids):
+        # a binning row is the rank of its (copy, bins) key among the
+        # training keys, sorted with the copy first; a Fourier row is its copy
+        data = tmp_path / "d.txt"
+        make_regression_file(data, n=15)
+        assert cli.main(["features", str(data), "--map", kind, "--kernel", kernel,
+                         "--copies", "6", "--seed", "4", "--out", str(tmp_path / "f")]) == 0
+        meta = json.loads((tmp_path / "f.meta.json").read_text())
+        assert list(meta) == ["kind", "kernel", "dim", "copies", "seed", "n", "width",
+                              "row_ids"]
+        assert meta["row_ids"] == row_ids
+        lines = (tmp_path / "f.features.txt").read_text(encoding="ascii").splitlines()
+        rows = [[int(entry.split(":")[0]) for entry in line.split()] for line in lines]
+        if kind == "binning":
+            state = build_map(FeatureMapConfig(kind=BINNING, kernel=parse_kernel_spec(kernel),
+                                               dim=2, copies=6, seed=4))
+            X = cli._load_normalized(data).points
+            bins = np.floor((X[None, :, :] - state.offsets[:, None, :])
+                            / state.spacings[:, None, :]).astype(np.int64)
+            keys = [[(copy, *bins[copy, i]) for copy in range(6)] for i in range(len(X))]
+            ranked = sorted({key for point in keys for key in point})
+            assert meta["width"] == len(ranked)
+            assert rows == [[ranked.index(key) for key in point] for point in keys]
+        else:
+            assert rows == [list(range(6))] * 15
 
     def test_fourier_features_dense(self, tmp_path):
         data = tmp_path / "d.txt"
@@ -771,8 +798,7 @@ BUNDLES = {
 }
 
 
-def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,theta=1",
-               extra=()):
+def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,theta=1"):
     data = tmp_path / "train.txt"
     if task == "regression":
         make_regression_file(data, seed=25, n=20)
@@ -781,7 +807,7 @@ def fit_bundle(tmp_path, task="regression", kind="binning", kernel="gamma:s=2,th
     model_path = tmp_path / "model.json"
     assert cli.main([
         "fit", str(data), "--task", task, "--map", kind, "--kernel", kernel,
-        "--copies", "8", "--lambda", "0.1", "--seed", "2", "--out", str(model_path), *extra,
+        "--copies", "8", "--lambda", "0.1", "--seed", "2", "--out", str(model_path),
     ]) == 0
     return data, model_path
 
@@ -850,30 +876,23 @@ class TestBundleChecks:
 
     def test_exact_binning_model_needs_the_points_that_filled_its_map(self, tmp_path):
         # a bundle rebuilds the vocabulary from the model's points, so a model
-        # fit on other points is not saved; a hashed map has no vocabulary
+        # fit on other points is not saved
         X = np.linspace(0.0, 1.0, 6).reshape(-1, 1)
         y = np.arange(6.0)
         path = tmp_path / "m.json"
-        for buckets in (None, 16):
-            state = build_map(FeatureMapConfig(kind=BINNING, kernel=KernelSpec(Gamma(2.0, 1.0)),
-                                               dim=1, copies=2, seed=7, hash_buckets=buckets))
-            featurize(state, X)
-            for other in (X[::-1], X[:4], 2.0 * X):
-                model = learn.fit(state, featurize(state, other), y[:len(other)], lam=0.1)
-                if buckets is None:
-                    with pytest.raises(ValueError, match="points that filled its map"):
-                        cli.save_model(path, "regression", cli.fit_normalizer(X), model)
-                    assert not path.exists()
-                else:
-                    cli.save_model(path, "regression", cli.fit_normalizer(X), model)
-                    loaded = cli.load_model(path)[3][0]
-                    assert np.array_equal(learn.predict(loaded, X), learn.predict(model, X))
-            # the same points featurized again are the points that filled it
-            model = learn.fit(state, featurize(state, X.copy()), y, lam=0.1)
-            cli.save_model(path, "regression", cli.fit_normalizer(X), model)
-            assert np.array_equal(learn.predict(cli.load_model(path)[3][0], X),
-                                  learn.predict(model, X))
-            path.unlink()
+        state = build_map(FeatureMapConfig(kind=BINNING, kernel=KernelSpec(Gamma(2.0, 1.0)),
+                                           dim=1, copies=2, seed=7))
+        featurize(state, X)
+        for other in (X[::-1], X[:4], 2.0 * X):
+            model = learn.fit(state, featurize(state, other), y[:len(other)], lam=0.1)
+            with pytest.raises(ValueError, match="points that filled its map"):
+                cli.save_model(path, "regression", cli.fit_normalizer(X), model)
+            assert not path.exists()
+        # the same points featurized again are the points that filled it
+        model = learn.fit(state, featurize(state, X.copy()), y, lam=0.1)
+        cli.save_model(path, "regression", cli.fit_normalizer(X), model)
+        assert np.array_equal(learn.predict(cli.load_model(path)[3][0], X),
+                              learn.predict(model, X))
 
     def test_fourier_weights_not_one_per_copy(self, tmp_path, capsys):
         data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")
@@ -922,6 +941,7 @@ class TestBundleFormat:
         assert list(bundle) == ["format", "task", "map", "normalizer", "points",
                                 "alpha", "y_mean", "lambda", "route"]
         assert bundle["format"] == "polyakern-model-v7"
+        assert list(bundle["map"]) == ["kind", "kernel", "dim", "copies", "seed"]
         points = array_of(bundle["points"])
         assert points.tobytes() == normalized_points(data).tobytes()
         assert bundle["points"]["dtype"] == bundle["alpha"]["dtype"] == "<f8"
@@ -948,19 +968,29 @@ class TestBundleFormat:
             assert {"alpha", "weights"} & set(bundle) == {name}
             assert (bundle["classes"], bundle["y_mean"]) == ([0.0, 1.0, 2.0], 0.0)
 
-    @pytest.mark.parametrize("kind,kernel,extra", [
-        ("fourier_real", "cauchy:scale=1", []),
-        ("binning", "gamma:s=2,theta=1", ["--hash-buckets", "16"]),
-    ], ids=["fourier", "hashed"])
-    def test_no_vocabulary_without_an_exact_binning_map(self, tmp_path, kind, kernel, extra):
+    def test_no_vocabulary_without_a_binning_map(self, tmp_path):
         # a primal bundle of a map without a vocabulary holds its weights only
-        data, model_path = fit_bundle(tmp_path, kind=kind, kernel=kernel, extra=extra)
+        data, model_path = fit_bundle(tmp_path, kind="fourier_real", kernel="cauchy:scale=1")
         bundle = json.loads(model_path.read_text())
         assert bundle["route"] == "primal"
         assert not {"vocabulary", "points", "alpha"} & set(bundle)
-        assert bundle["weights"]["shape"] == [16 if extra else 8]
+        assert bundle["weights"]["shape"] == [8]
         assert cli.main(["predict", str(data), "--model", str(model_path),
                          "--out", str(tmp_path / "p.csv")]) == 0
+
+    def test_bundle_with_null_hash_buckets_loads(self, tmp_path):
+        # bundles of this format written with the hashed map still in the
+        # code name "hash_buckets": null in their map; they load and predict
+        # as the bundle without it does
+        data, model_path = fit_bundle(tmp_path)
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", str(data), "--model", str(model_path),
+                         "--out", str(out)]) == 0
+        expected = out.read_bytes()
+        rewrite_bundle(model_path, lambda b: b["map"].update(hash_buckets=None))
+        assert cli.main(["predict", str(data), "--model", str(model_path),
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
 
     def test_reload_is_exact_for_every_dtype(self):
         # bundles write one dtype, little-endian doubles; every value,
@@ -1028,6 +1058,8 @@ class TestBundleFormat:
         (lambda b: edit_weights(b, lambda w: w[:, 0]), "weights have shape [",
          "primal-multiclass"),
         (lambda b: b["map"].pop("kind"), "string kind and kernel", "regression"),
+        (lambda b: b["map"].update(hash_buckets=16), "bundle map has hash_buckets 16; "
+         "hashed binning maps are no longer supported", "regression"),
         (lambda b: b["normalizer"].pop("center"), "needs 2 finite centers", "regression"),
     ], ids=[
         "weights-not-base64", "points-not-base64", "points-i8", "points-big-endian",
@@ -1040,7 +1072,8 @@ class TestBundleFormat:
         "normalizer-one-entry", "copies-fraction", "task-unknown", "classes-on-regression",
         "classes-repeated", "y_mean-huge-int", "center-huge-int",
         "classes-huge-int", "lambda-infinite", "route-unknown", "classes-one",
-        "weights-one-column", "map-without-kind", "normalizer-without-center",
+        "weights-one-column", "map-without-kind", "map-hash-buckets",
+        "normalizer-without-center",
     ])
     def test_malformed_bundle_is_json_error(self, tmp_path, capsys, edit, needle, bundle_of):
         data, model_path = fit_bundle(tmp_path, **BUNDLES[bundle_of])
@@ -1344,6 +1377,17 @@ class TestErrorRecords:
         (["frobnicate"], None, "argument command: invalid choice: 'frobnicate'"),
         (["kernel", "eval", "1"], None, "the following arguments are required: --kernel"),
         (["kernel", "eval", *KERNEL, "1"], "abc", "POLYAKERN_SEED must be an integer, got 'abc'"),
+        (["kernel", "eval", *KERNEL, "1"], "-5", "POLYAKERN_SEED must be non-negative, got '-5'"),
+        (["fit", "{data}", "--task", "regression", "--map", "binning", *KERNEL,
+          "--copies", "2", "--lambda", "0.1"], "-5",
+         "POLYAKERN_SEED must be non-negative, got '-5'"),
+        (CV + ["--seed", "-3"], None, "argument --seed: must be non-negative, got -3"),
+        (["approx-error", *KERNEL, "--seed", "-3"], None,
+         "argument --seed: must be non-negative, got -3"),
+        (CV + ["--seed", "x"], None, "argument --seed: invalid int value: 'x'"),
+        (["fit", "{data}", "--task", "regression", "--map", "binning", *KERNEL,
+          "--copies", "2", "--lambda", "0.1", "--hash-buckets", "8"], None,
+         "unrecognized arguments: --hash-buckets 8"),
         (["approx-error", *KERNEL, "--copies", "1,,4", "--trials", "1"], None,
          "expected comma-separated numbers, got '1,,4'"),
         (CV + ["--taus", "1,,2"], None, "expected comma-separated numbers, got '1,,2'"),
@@ -1362,7 +1406,9 @@ class TestErrorRecords:
         (CV + ["--shapes", "2", "--taus", "1", "--lambdas", "0.1,0.10"], None,
          "search grid lambdas must be non-empty and distinct, got (0.1, 0.1)"),
     ], ids=["unknown-option", "copies-not-int", "unknown-subcommand", "missing-kernel",
-            "seed-env", "copies-empty-entry", "cv-taus-empty-entry", "cv-shapes-empty",
+            "seed-env", "seed-env-negative", "fit-seed-env-negative", "cv-seed-negative",
+            "approx-seed-negative", "cv-seed-not-int", "fit-hash-buckets",
+            "copies-empty-entry", "cv-taus-empty-entry", "cv-shapes-empty",
             "cv-taus-empty", "cv-lambdas-empty", "table-no-points", "table-negative-max",
             "table-nan-max", "table-infinite-max", "cv-shapes-repeated", "cv-taus-repeated",
             "cv-lambdas-repeated"])

@@ -23,13 +23,10 @@ LAPLACE_SPEC = KernelSpec(dist.Gamma(2.0, 1.0))  # kernel exp(-|r|)
 CAUCHY_LAW = fm.TensorCauchy(1.0)  # frequencies for the same kernel
 
 
-def cfg(kind, copies, seed=77, dim=1, kernel=None, hash_buckets=None):
+def cfg(kind, copies, seed=77, dim=1, kernel=None):
     if kernel is None:
         kernel = LAPLACE_SPEC if kind == fm.BINNING else CAUCHY_LAW
-    return fm.FeatureMapConfig(
-        kind=kind, kernel=kernel, dim=dim, copies=copies, seed=seed,
-        hash_buckets=hash_buckets,
-    )
+    return fm.FeatureMapConfig(kind=kind, kernel=kernel, dim=dim, copies=copies, seed=seed)
 
 
 class TestConfig:
@@ -51,11 +48,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg(fm.FOURIER_REAL, 4, kernel=LAPLACE_SPEC)
 
-    def test_hashing_only_for_binning(self):
-        with pytest.raises(ValueError):
-            cfg(fm.FOURIER_REAL, 4, hash_buckets=64)
-        with pytest.raises(ValueError):
-            cfg(fm.BINNING, 4, hash_buckets=1)
+    def test_no_hash_buckets_argument(self):
+        # every binning map is exact: there is no hashed variant to ask for
+        with pytest.raises(TypeError):
+            fm.FeatureMapConfig(kind=fm.BINNING, kernel=LAPLACE_SPEC, dim=1, copies=4,
+                                seed=1, hash_buckets=4)
 
     def test_law_validation(self):
         with pytest.raises(ValueError):
@@ -322,27 +319,15 @@ class TestGram:
         assert fm.gram(batch).tolist() == [[1.0]]
 
     def test_binning_gram_equals_copy_count(self):
-        # exact: the pairs of copies (c, c') with i's column in c equal to
-        # j's in c'; only hashed columns are shared across copies
+        # the pairs of copies (c, c') with i's column in c equal to j's in
+        # c', which are pairs of one copy: no column is shared across copies
         X = np.random.default_rng(17).uniform(-2, 2, size=(15, 2))
-        for buckets in (None, 3):
-            state = fm.build_map(cfg(fm.BINNING, 8, dim=2, hash_buckets=buckets))
-            batch = fm.featurize(state, X)
-            idx = batch.indices
-            eq = idx[:, None, :, None] == idx[None, :, None, :]
-            assert np.array_equal(fm.gram(batch), eq.sum(axis=(0, 1)) / 8.0), buckets
-            same_copy = idx[:, :, None] == idx[:, None, :]
-            assert (buckets is None) == np.array_equal(eq.sum(axis=(0, 1)), same_copy.sum(axis=0))
-
-    def test_hashed_gram_is_gram_of_fitted_features(self):
-        # with collisions, gram is Z^T Z for the Z that learn.fit uses
-        X = np.random.default_rng(19).uniform(-2, 2, size=(40, 2))
-        batch = fm.featurize(fm.build_map(cfg(fm.BINNING, 16, dim=2, hash_buckets=4)), X)
-        Z = fm.to_sparse(batch)
-        g = fm.gram(batch)
-        assert np.array_equal(g, (Z.T @ Z).toarray())
-        # 16 copies in 4 columns: the squared counts sum to at least 16^2 / 4
-        assert np.all(np.diag(g) >= 4.0)
+        batch = fm.featurize(fm.build_map(cfg(fm.BINNING, 8, dim=2)), X)
+        idx = batch.indices
+        eq = idx[:, None, :, None] == idx[None, :, None, :]
+        assert np.array_equal(fm.gram(batch), eq.sum(axis=(0, 1)) / 8.0)
+        same_copy = idx[:, :, None] == idx[:, None, :]
+        assert np.array_equal(eq.sum(axis=(0, 1)), same_copy.sum(axis=0))
 
     def test_sentinel_never_matches(self):
         state = fm.build_map(cfg(fm.BINNING, 5, dim=1))
@@ -438,32 +423,6 @@ class TestVarianceTheory:
         for d in (4, 16):
             means = samples.reshape(-1, d).mean(axis=1)
             assert float(np.var(means)) == pytest.approx(base / d, rel=0.10, abs=0.0), d
-
-
-class TestHashedVariant:
-    def test_deterministic_and_bounded(self):
-        X = np.random.default_rng(6).uniform(-1, 1, size=(9, 2))
-        a = fm.featurize(fm.build_map(cfg(fm.BINNING, 4, dim=2, hash_buckets=128)), X)
-        b = fm.featurize(fm.build_map(cfg(fm.BINNING, 4, dim=2, hash_buckets=128)), X)
-        assert np.array_equal(a.indices, b.indices)
-        assert a.width == 128
-        assert np.all(a.indices >= 0) and np.all(a.indices < 128)
-
-    def test_pinned_buckets(self):
-        # bins (0, 1) and (-4, 7) in copies 0 and 1; a change to the mix
-        # would silently change the columns of saved hashed models
-        c = cfg(fm.BINNING, 2, dim=2, hash_buckets=1 << 20)
-        state = fm.BinningMapState(cfg=c, spacings=np.ones((2, 2)), offsets=np.zeros((2, 2)))
-        batch = fm.featurize(state, np.array([[0.5, 1.5], [-3.2, 7.9]]))
-        assert batch.indices.tolist() == [[425056, 731888], [753203, 714331]]
-
-    def test_matches_exact_without_collisions(self):
-        X = np.random.default_rng(8).uniform(-1, 1, size=(6, 1))
-        exact = fm.featurize(fm.build_map(cfg(fm.BINNING, 4, seed=31)), X)
-        hashed = fm.featurize(
-            fm.build_map(cfg(fm.BINNING, 4, seed=31, hash_buckets=1 << 20)), X
-        )
-        assert np.array_equal(fm.gram(exact), fm.gram(hashed))
 
 
 def oracle_bins(state, X):
@@ -677,8 +636,8 @@ def incidence_cases():
     X = rng.uniform(-1, 1, (30, 2))
     mixed = np.vstack([X[:10], rng.uniform(-4, 4, (10, 2))])
 
-    def exact(copies=6, dim=2, hash_buckets=None):
-        return fm.build_map(cfg(fm.BINNING, copies, seed=3, dim=dim, hash_buckets=hash_buckets))
+    def exact(copies=6, dim=2):
+        return fm.build_map(cfg(fm.BINNING, copies, seed=3, dim=dim))
 
     def trained(state, train_X):
         fm.featurize(state, train_X)
@@ -690,7 +649,6 @@ def incidence_cases():
         "all unseen": lambda: fm.featurize(trained(exact(), X), np.full((5, 2), 900.0)),
         "n=1": lambda: fm.featurize(exact(), X[:1]),
         "D=1": lambda: fm.featurize(exact(copies=1), X),
-        "hash_buckets=2": lambda: fm.featurize(exact(copies=16, hash_buckets=2), X),
     }
     return [pytest.param(make, id=name) for name, make in cases.items()]
 

@@ -270,11 +270,9 @@ class TestFitPath:
         assert blocked.route == whole.route == route
         assert blocked.weights.tobytes() == whole.weights.tobytes()
 
-    @pytest.mark.parametrize("hash_buckets", [None, 7])
-    def test_dense_gram_by_blocks_equals_whole_product(self, monkeypatch, hash_buckets):
+    def test_dense_gram_by_blocks_equals_whole_product(self, monkeypatch):
         X = RandomStream(74).uniform(2 * 100).reshape(100, 2) * 3.0
-        cfg = replace(binning_cfg(dim=2, copies=16), hash_buckets=hash_buckets)
-        Z = feature_matrix(featurize(build_map(cfg), X))
+        Z = feature_matrix(featurize(build_map(binning_cfg(dim=2, copies=16)), X))
         monkeypatch.setattr(feature_maps, "BLOCK_CELLS", 30 * 100)
         for A in (Z, Z.T):
             whole = (A @ A.T).toarray()
