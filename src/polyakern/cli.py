@@ -497,7 +497,7 @@ def _format_feature_value(value) -> str:
 
 def _cmd_features(args) -> int:
     if not args.out:
-        raise ValueError("features requires --out PREFIX for its two files")
+        raise ValueError("features needs a non-empty --out PREFIX for its two files")
     ds = _load_normalized(args.data)
     cfg = _map_from_args(args, ds.points.shape[1])
     state = build_map(cfg)
@@ -707,11 +707,17 @@ def _seed(text) -> int:
     return seed
 
 
-def _add_common(parser, *, seed=True):
+def _add_common(parser, *, seed=True, out=None):
+    """``--seed`` (unless ``seed`` is false) and ``--out``: a required
+    option with the help ``out`` where that is given, or else an output file
+    that defaults to stdout."""
     if seed:
         parser.add_argument("--seed", type=_seed, default=default_seed(),
                             help="master seed (default: POLYAKERN_SEED or built-in)")
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+    if out is None:
+        parser.add_argument("--out", default=None, help="output file (default: stdout)")
+    else:
+        parser.add_argument("--out", required=True, help=out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -754,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     features.add_argument("--map", required=True, choices=sorted(KINDS))
     features.add_argument("--kernel", required=True)
     features.add_argument("--copies", type=int, required=True)
-    _add_common(features)
+    _add_common(features, out="prefix of the PREFIX.features.txt and PREFIX.meta.json files")
     features.set_defaults(func=_cmd_features)
 
     approx_err = sub.add_parser("approx-error", help="approximation error curves")
@@ -780,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--kernel", required=True)
     fit.add_argument("--copies", type=int, required=True)
     fit.add_argument("--lambda", dest="lam", type=float, required=True)
-    _add_common(fit)
+    _add_common(fit, out="model bundle file")
     fit.set_defaults(func=_cmd_fit)
 
     predict = sub.add_parser("predict", help="predict with a model bundle")

@@ -510,8 +510,8 @@ class TestApproxError:
             "kind,copies,theory,empirical_mean,empirical_stderr\n"
             "fourier_complex,1,2.7043752038707956,2.696663813627455,0.10063756964320981\n"
             "fourier_complex,4,1.3521876019353978,1.3525248001494166,0.018161279062239945\n"
-            "fourier_real,1,2.7952898317189234,2.9081848018583445,0.4764349992533916\n"
-            "fourier_real,4,1.3976449158594617,1.5058654611753495,0.16101246212116768\n"
+            "fourier_real,1,2.7952898317189234,2.9081847282779663,0.4764349798154886\n"
+            "fourier_real,4,1.3976449158594617,1.505865456706649,0.1610124741526081\n"
             "binning,1,0.9193666892937199,1.3707684375520144,0.13689467741659236\n"
             "binning,4,0.45968334464685995,0.432166819319369,0.04426970653249285\n"
         )
@@ -1294,10 +1294,10 @@ class TestBench:
         ]) == 0
         assert out.read_text() == (
             "method,copies,theory_rel_error,empirical_rel_error,empirical_stderr,metric\n"
-            "fourier_real,4,1.2366347856529336,1.3802927608826123,"
-            "0.1696298519665566,0.17303194754176418\n"
-            "fourier_real,16,0.6183173928264668,0.5315364942159512,"
-            "0.04329405011403044,0.07319898633891785\n"
+            "fourier_real,4,1.2366347856529336,1.3802927467246162,"
+            "0.1696298492071002,0.17303195040204986\n"
+            "fourier_real,16,0.6183173928264668,0.5315364934051924,"
+            "0.04329405140759462,0.07319898560235463\n"
             "binning,4,0.5402271307721224,0.4778561803351589,"
             "0.02837393325680895,0.06256916952554524\n"
             "binning,16,0.2701135653860612,0.24926458204322674,"
@@ -1368,6 +1368,9 @@ class TestErrorRecords:
 
     KERNEL = ["--kernel", "gamma:s=2,theta=1"]
     CV = ["cv", "{data}", "--copies", "4", "--folds", "2"]
+    FIT = ["fit", "{data}", "--task", "regression", "--map", "binning", *KERNEL,
+           "--copies", "2", "--lambda", "0.1"]
+    NO_OUT = "<no --out>"  # ends a case that runs without the --out the others get
 
     @pytest.mark.parametrize("argv,env,message", [
         (["kernel", "eval", *KERNEL, "1", "--frobnicate"], None,
@@ -1405,21 +1408,24 @@ class TestErrorRecords:
          "search grid taus must be non-empty and distinct, got (1.0, 1.0)"),
         (CV + ["--shapes", "2", "--taus", "1", "--lambdas", "0.1,0.10"], None,
          "search grid lambdas must be non-empty and distinct, got (0.1, 0.1)"),
+        (FIT + [NO_OUT], None, "the following arguments are required: --out"),
+        (["features", "{data}", "--map", "binning", *KERNEL, "--copies", "2", NO_OUT], None,
+         "the following arguments are required: --out"),
     ], ids=["unknown-option", "copies-not-int", "unknown-subcommand", "missing-kernel",
             "seed-env", "seed-env-negative", "fit-seed-env-negative", "cv-seed-negative",
             "approx-seed-negative", "cv-seed-not-int", "fit-hash-buckets",
             "copies-empty-entry", "cv-taus-empty-entry", "cv-shapes-empty",
             "cv-taus-empty", "cv-lambdas-empty", "table-no-points", "table-negative-max",
             "table-nan-max", "table-infinite-max", "cv-shapes-repeated", "cv-taus-repeated",
-            "cv-lambdas-repeated"])
+            "cv-lambdas-repeated", "fit-no-out", "features-no-out"])
     def test_argument_error_is_one_json_line(self, tmp_path, capsys, monkeypatch,
                                              argv, env, message):
         data, out = tmp_path / "train.txt", tmp_path / "out"
         make_regression_file(data, seed=48, n=20)
         if env is not None:
             monkeypatch.setenv("POLYAKERN_SEED", env)
-        argv = [arg.format(data=data) for arg in argv] + ["--out", str(out)]
-        assert cli.main(argv) == 1
+        argv = argv[:-1] if argv[-1] == self.NO_OUT else argv + ["--out", str(out)]
+        assert cli.main([arg.format(data=data) for arg in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()

@@ -153,16 +153,38 @@ class TestFeaturize:
         assert np.all(np.abs(fm.feature_matrix(batch)) <= bound)
 
     def test_fourier_data_equals_plain_expression(self):
-        # the features are written over one array; the bytes are those of
-        # the plain sqrt(2/D) cos(WX + b) and exp(iWX) / sqrt(D)
+        # real: filled a few copies at a time, the bytes are those of
+        # sqrt(2/D) times the float32 cosine of the float64 phases WX + b
+        # reduced to [-pi, pi] by theta - 2 pi rint(theta / 2 pi)
         X = np.random.default_rng(8).uniform(-3.0, 3.0, size=(200, 16))
         real = fm.build_map(cfg(fm.FOURIER_REAL, 64, dim=16))
         phases = real.frequencies @ X.T + real.offsets[:, None]
-        expected = math.sqrt(2.0 / 64) * np.cos(phases)
+        phases -= 2.0 * math.pi * np.rint(phases / (2.0 * math.pi))
+        cosines = np.cos(phases.astype(np.float32)).astype(np.float64)
+        expected = cosines * math.sqrt(2.0 / 64)
         assert np.array_equal(fm.feature_matrix(fm.featurize(real, X)), expected)
+        # complex: written over one array, the bytes of exp(iWX) / sqrt(D)
         cplx = fm.build_map(cfg(fm.FOURIER_COMPLEX, 64, dim=16))
         expected = np.exp(1j * (cplx.frequencies @ X.T)) / math.sqrt(64)
         assert np.array_equal(fm.feature_matrix(fm.featurize(cplx, X)), expected)
+
+    def test_real_phases_are_reduced_before_the_float32_cosine(self):
+        # heavy-tailed frequencies take |theta| past 1e5, where a float32
+        # phase is off by about 1e-2; reduced in float64 first, a feature is
+        # within float32 rounding of the float64 cosine, plus a few units in
+        # the last place of the float64 phase
+        D = 256
+        state = fm.build_map(cfg(fm.FOURIER_REAL, D, dim=4, kernel=fm.TensorCauchy(10.0)))
+        X = np.random.default_rng(9).uniform(-10.0, 10.0, size=(100, 4))
+        phases = state.frequencies @ X.T + state.offsets[:, None]
+        assert np.abs(phases).max() > 1e5
+        scale = math.sqrt(2.0 / D)
+        exact = scale * np.cos(phases)
+        bound = scale * (2.0 ** -22 + 8.0 * np.finfo(float).eps * np.abs(phases))
+        Z = fm.feature_matrix(fm.featurize(state, X))
+        assert np.all(np.abs(Z - exact) <= bound)
+        unreduced = scale * np.cos(phases.astype(np.float32)).astype(np.float64)
+        assert not np.all(np.abs(unreduced - exact) <= bound)
 
     def test_binning_identical_points(self):
         state = fm.build_map(cfg(fm.BINNING, 6, dim=2))
@@ -679,7 +701,25 @@ class TestIncidence:
 class TestMemory:
     """A binning featurize and ``dense_gram`` hold O(copies x n) int64s
     and one small sparse block, at the benchmark's fit size: n = 2000,
-    dim = 8, D = 128 (256,000 cells, 2 MB an int64 per cell)."""
+    dim = 8, D = 128 (256,000 cells, 2 MB an int64 per cell).  A real
+    Fourier block holds its features and one chunk of a few copies."""
+
+    def test_real_fourier_block_holds_one_chunk_of_copies(self):
+        # one full block, D = 1024 copies of 2048 points (16 MB of doubles);
+        # beyond it, one chunk of BLOCK_CELLS / 64 cells: its float64
+        # phases and turns and its float32 phases, 0.63 MiB (0.75 traced)
+        D = 1024
+        n = fm.BLOCK_CELLS // D
+        X = np.random.default_rng(1).normal(size=(n, 16))
+        state = fm.build_map(cfg(fm.FOURIER_REAL, D, seed=1000, dim=16))
+        tracemalloc.start()
+        try:
+            Z = fm._fourier_features(state, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Z.shape == (D, n) and Z.nbytes == 8 * fm.BLOCK_CELLS
+        assert peak - Z.nbytes < 2 ** 20, peak - Z.nbytes
 
     @staticmethod
     def fit_batch():
