@@ -146,8 +146,8 @@ class RidgeModel:
 
     ``weights`` has one row per feature column seen at training time (a
     vector for regression, a matrix with one column per entry of
-    ``classes`` for a classifier); a bin unseen in training has the
-    sentinel index ``len(weights)`` and contributes zero score.  A bundle
+    ``classes`` for a classifier); a bin unseen in training has no column
+    and contributes zero score.  A bundle
     rebuilds them from the training ``points`` and, if dual, ``alpha``.
     """
 
@@ -287,27 +287,16 @@ def _scores(model: RidgeModel, batch) -> np.ndarray:
     """Scores of featurized points, ⟨weights, z(x)⟩ plus the target mean:
     a vector for regression, an n × K matrix for a classifier.
 
-    A classifier is scored a column at a time, with the vector product a
-    one-target model uses (so the same bits), holding one copies × n
-    temporary per class for binning; Fourier features are computed once
-    per block of points and scored there by every column."""
+    Features are computed once per block of points (``feature_blocks``) and
+    scored there by every weight column, with the vector product a
+    one-target model uses, so a classifier's columns get the same bits."""
     w = model.weights
     columns = [np.ascontiguousarray(col) for col in w.T] if w.ndim == 2 else [w]
-    if batch.kind == BINNING:
-        p = w.shape[0]
-        idx = batch.indices  # copies × n
-        seen = idx < p
-        scores = [
-            np.where(seen, col[np.minimum(idx, p - 1)], 0.0).sum(axis=0)
-            / np.sqrt(batch.copies)
-            for col in columns
-        ]
-    else:
-        scores = [np.empty(batch.n) for _ in columns]
-        for start, stop, Z in feature_blocks(batch):
-            for col, out in zip(columns, scores):
-                out[start:stop] = col @ Z
-            del Z  # as in _ridge_weights
+    scores = [np.empty(batch.n) for _ in columns]
+    for start, stop, Z in feature_blocks(batch):
+        for col, out in zip(columns, scores):
+            out[start:stop] = col @ Z
+        del Z  # as in _ridge_weights
     scores = [s + model.y_mean for s in scores]
     return np.column_stack(scores) if w.ndim == 2 else scores[0]
 

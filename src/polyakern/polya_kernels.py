@@ -20,7 +20,8 @@ scale b, power p), and C is infinite where a <= 1/p: gamma shapes s <= 1
 (with the exponential and chi-square with nu <= 2), Weibull exponents
 alpha <= 1, and the half-normal law (with chi nu = 1 and Nakagami m = 1/2).
 There the tail is one incomplete gamma function,
-T(r) = Gamma(a - 1/p, (r / b)^p) / (b Gamma(a)), and the transform of a
+T(r) = Gamma(a - 1/p, (r / b)^p) / (b Gamma(a)), whose moment r T(r) is
+finite even where T(r) overflows, and the transform of a
 law with a closed Im phi_F (power 1, or the half-normal law) comes from the
 spectral identity FT(a) = (2 / a^2) * integral_0^a Im phi_F(u) du: one
 quadrature of a smooth, non-oscillating integrand. Quadrature remains for
@@ -51,8 +52,6 @@ from .errors import (
     QuadratureError,
     SpectralMismatchError,
 )
-
-_LOG_MAX = math.log(sys.float_info.max)
 
 # Agreement demanded between the two independent spectral routes.
 SPECTRAL_AGREEMENT = 1e-6
@@ -124,6 +123,7 @@ def _unit_floor(r):
 #
 # which is E1(x) / (b Gamma(a)) at a' = 0, and for -1 < a' < 0 follows from
 # the recurrence Gamma(a', x) = (x^a' e^-x - Gamma(a' + 1, x)) / (-a'). The
+# kernel needs only r T(r), which ``_tail_moment`` takes as one expression. The
 # transforms of these laws follow from the spectral identity
 #
 #     FT(a) = 2 E[(1 - cos aX) / X] / a^2 = (2 / a^2) integral_0^a Im phi_F(u) du,
@@ -148,42 +148,31 @@ def _recurrence_shape(a, p):
     return a + (1.0 - 1.0 / p)
 
 
-def _tilted_tail(d, r):
-    """T(r) at r > 0 in closed form, or None; inf where it overflows."""
+def _tail_moment(d, r, x):
+    """r T(x) at x > 0 in closed form, or None. Where C is infinite, x = r
+    and, with y = (r / b)^p, the recurrence gives
+
+        r T(r) = (y^a e^-y - y^(1/p) Gamma(a' + 1, y)) / (-a' Gamma(a)),
+
+    which is y^(1/p) E1(y) / Gamma(a) at a' = 0. It is finite wherever T(r)
+    overflows; y^a comes from log y = p (log r - log b) where y underflows
+    to 0, and the moment is 0 where y overflows."""
     t = _tilt(d)
     if t is not None:
-        return t.c * t.tilted.sf(r)
+        return r * (t.c * t.tilted.sf(x))
     a, b, p = d.triple()
-    x = dists.pow_or_inf(r / b, p)
     upper = _recurrence_shape(a, p)
-    if upper == 1.0:
-        return float(exp1(x)) / (b * math.gamma(a))
-    if not 0.0 < upper <= _GAMMA_TAIL_MAX_SHAPE:
+    if not (upper == 1.0 or 0.0 < upper <= _GAMMA_TAIL_MAX_SHAPE):
         return None
-    lead = (upper - 1.0) * math.log(x) - x - math.lgamma(a) if x > 0.0 else math.inf
-    if lead > _LOG_MAX:
-        return math.inf
-    q = float(gammaincc(upper, x)) * (math.gamma(upper) / math.gamma(a))
-    return (math.exp(lead) - q) / ((1.0 - upper) * b)
-
-
-def _overflowed_tail_moment(d, r):
-    """r T(r) where T(r) overflows. At subnormal r for a' < 0, where x^a'
-    overflows,
-
-        r T(r) = (x^a e^-x - x^(1/p) Gamma(a' + 1, x)) / (-a' Gamma(a))
-
-    is finite and need not be small; where x = (r / b)^p underflows to 0,
-    x^a comes from log x = p (log r - log b). At a' = 0, r T(r) -> 0 there."""
-    a, b, p = d.triple()
-    x = dists.pow_or_inf(r / b, p)
-    upper = _recurrence_shape(a, p)
-    root = dists.pow_or_inf(x, 1.0 / p)
+    root = r / b  # y^(1/p)
+    y = dists.pow_or_inf(root, p)
+    if y == math.inf:
+        return 0.0
     if upper == 1.0:
-        return root * float(exp1(x)) / math.gamma(a) if x > 0.0 else 0.0
-    log_x = math.log(x) if x > 0.0 else p * (math.log(r) - math.log(b))
-    lead = math.exp(a * log_x - x - math.lgamma(a))
-    q = root * float(gammaincc(upper, x)) * (math.gamma(upper) / math.gamma(a))
+        return root * float(exp1(y)) / math.gamma(a) if y > 0.0 else 0.0
+    log_y = math.log(y) if y > 0.0 else p * (math.log(r) - math.log(b))
+    lead = math.exp(a * log_y - y - math.lgamma(a))
+    q = root * float(gammaincc(upper, y)) * (math.gamma(upper) / math.gamma(a))
     return (lead - q) / (1.0 - upper)
 
 
@@ -192,10 +181,9 @@ def _tilt_kernel(d, r):
     at the knot at or below r, so a scaled input a hair below a knot takes
     the slope of the segment that starts there."""
     x = float(_unit_floor(r)) if d.discrete else r
-    tail = _tilted_tail(d, x)
-    if tail is None:
+    moment = _tail_moment(d, r, x)
+    if moment is None:
         return None
-    moment = r * tail if tail < math.inf else _overflowed_tail_moment(d, r)
     return d.sf(x) - moment, -moment
 
 
@@ -435,8 +423,9 @@ def eval_ft_numeric(d, t):
     law; route two is the direct cosine transform of the kernel. Both run
     on the unit-scale law, through FT_b(t) = b FT_1(b t) for a law of scale
     b (X = b Y), and are computed every call; they must agree within
-    SPECTRAL_AGREEMENT, else SpectralMismatchError is raised. Returns the
-    first route's value.
+    SPECTRAL_AGREEMENT, else SpectralMismatchError is raised. A
+    QuadratureError of a route run on the unit-scale law is raised again
+    naming d and t. Returns the first route's value.
     """
     t = float(t)
     if t == 0.0 or not math.isfinite(t):
@@ -445,8 +434,13 @@ def eval_ft_numeric(d, t):
     if _below_resolution(d, a):
         return d.mean()
     unit, b = _unit_law(d, a)
-    first = _ft_from_law(unit, a * b, b)
-    second = _ft_from_kernel(unit, a * b, b)
+    try:
+        first = _ft_from_law(unit, a * b, b)
+        second = _ft_from_kernel(unit, a * b, b)
+    except QuadratureError as exc:
+        if unit is d:
+            raise
+        raise QuadratureError(f"{exc}, in the transform of {d!r} at t={t}") from None
     if abs(first - second) > SPECTRAL_AGREEMENT:
         raise SpectralMismatchError(
             f"spectral routes disagree at t={t} for {d!r}", first, second
@@ -508,10 +502,10 @@ def kernel_to_cdf(spec, x):
     The sum is taken in doubles, so its accuracy is absolute, about one ulp
     of 1: a small F keeps few digits, and Gamma(0.1, 1) at u = 1e-300,
     where F = 1.05e-30, reads 0.0."""
-    x = float(x)
-    if x <= 0.0:
+    u = spec.rho * float(x)
+    if u <= 0.0:  # x <= 0, or rho x underflowed to 0
         return 0.0
-    kv, moment = _kernel_and_moment(spec.dist, spec.rho * x)
+    kv, moment = _kernel_and_moment(spec.dist, u)
     return min(1.0, max(0.0, 1.0 - kv + moment))
 
 
@@ -531,18 +525,6 @@ def area_under_curve(spec):
     (and the transform's value at frequency zero)."""
     half, err = _kernel_cos_integral(spec.dist, 0.0)
     return _checked(2.0 * half, 2.0 * err, 1e-9 * half, "area", spec.dist, "t=0") / spec.rho
-
-
-def tensor_eval(spec, x, xp):
-    """Product of one-dimensional kernel values over coordinates."""
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    if x.shape != xp.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {xp.shape}")
-    total = 1.0
-    for a, b in zip(np.ravel(x), np.ravel(xp)):
-        total *= eval_kernel(spec, a - b)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1370,6 +1370,7 @@ class TestErrorRecords:
     CV = ["cv", "{data}", "--copies", "4", "--folds", "2"]
     FIT = ["fit", "{data}", "--task", "regression", "--map", "binning", *KERNEL,
            "--copies", "2", "--lambda", "0.1"]
+    BENCH = ["bench", "{data}", "--task", "regression", *KERNEL]
     NO_OUT = "<no --out>"  # ends a case that runs without the --out the others get
 
     @pytest.mark.parametrize("argv,env,message", [
@@ -1411,13 +1412,27 @@ class TestErrorRecords:
         (FIT + [NO_OUT], None, "the following arguments are required: --out"),
         (["features", "{data}", "--map", "binning", *KERNEL, "--copies", "2", NO_OUT], None,
          "the following arguments are required: --out"),
+        (["approx-error", *KERNEL, "--copies", "1.5", "--trials", "1"], None,
+         "expected comma-separated integers, got '1.5'"),
+        (BENCH + ["--trials", "0"], None, "trials must be >= 1"),
+        (BENCH + ["--subsample", "4"], None, "subsample must keep at least 5 points"),
+        (["cv", "{data}", "--copies", "4", "--folds", "1"], None,
+         "cross-validation needs at least two folds"),
+        (["cv", "{data}", "--copies", "4", "--folds", "21"], None,
+         "need at least 21 points, got 20"),
+        (["features", "{data}", "--map", "binning", *KERNEL, "--copies", "2", "--out", "",
+          NO_OUT], None, "features needs a non-empty --out PREFIX for its two files"),
+        (["kernel", "eval", *KERNEL, "nan"], None, "r must be finite, got nan"),
+        (["kernel", "ft", *KERNEL, "inf"], None, "t must be finite, got inf"),
     ], ids=["unknown-option", "copies-not-int", "unknown-subcommand", "missing-kernel",
             "seed-env", "seed-env-negative", "fit-seed-env-negative", "cv-seed-negative",
             "approx-seed-negative", "cv-seed-not-int", "fit-hash-buckets",
             "copies-empty-entry", "cv-taus-empty-entry", "cv-shapes-empty",
             "cv-taus-empty", "cv-lambdas-empty", "table-no-points", "table-negative-max",
             "table-nan-max", "table-infinite-max", "cv-shapes-repeated", "cv-taus-repeated",
-            "cv-lambdas-repeated", "fit-no-out", "features-no-out"])
+            "cv-lambdas-repeated", "fit-no-out", "features-no-out", "copies-not-integer",
+            "bench-no-trials", "bench-subsample-below-five", "cv-one-fold",
+            "cv-more-folds-than-points", "features-empty-out", "eval-nan", "ft-infinite"])
     def test_argument_error_is_one_json_line(self, tmp_path, capsys, monkeypatch,
                                              argv, env, message):
         data, out = tmp_path / "train.txt", tmp_path / "out"

@@ -151,7 +151,7 @@ class TestEvalKernel:
     ], ids=repr)
     def test_weibull_below_one_closed_matches_quadrature(self, d):
         # exponents 1/2 < alpha < 1 have the closed tail Gamma(1 - 1/alpha, x)
-        assert kernels._tilted_tail(d, 1.0) is not None
+        assert kernels._tail_moment(d, 1.0, 1.0) is not None
         for r in R_GRID + [1e-6, 0.01, 20.0]:
             closed = kernels.eval_kernel(spec(d), r)
             assert closed == pytest.approx(kernels.eval_kernel_numeric(d, r), abs=1e-8), r
@@ -355,6 +355,11 @@ class TestEvalFt:
         with pytest.raises(ValueError):
             kernels.eval_ft_numeric(dist.Gamma(2.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("d", [dist.Gamma(2.0, 1.0), dist.ShiftedPoisson(2.0)], ids=repr)
+    def test_numeric_below_resolution_is_the_mean(self, d):
+        # (t b)^2 underflows, so 1 - cos(tX) = (tX)^2 / 2 and the transform is the mean
+        assert kernels.eval_ft_numeric(d, 1e-170) == d.mean()
+
     def test_numeric_count_anchor(self):
         # shifted count, rate one, at t = pi
         got = kernels.eval_ft_numeric(dist.ShiftedPoisson(1.0), math.pi)
@@ -364,7 +369,8 @@ class TestEvalFt:
 
 class TestGammaTail:
     """The closed tilted tail of a gamma law with shape s < 1,
-    T(r) = Gamma(s - 1, r / theta) / (theta Gamma(s))."""
+    T(r) = Gamma(s - 1, r / theta) / (theta Gamma(s)), read through the
+    moment r T(r) that the kernel takes."""
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.9])
     def test_matches_reference(self, s):
@@ -372,7 +378,7 @@ class TestGammaTail:
         for r in np.concatenate([np.geomspace(1e-8, 1.0, 9), np.linspace(1.5, 30.0, 20)]):
             with mpmath.workdps(30):
                 ref = mpmath.gammainc(s - 1, r / theta) / (theta * mpmath.gamma(s))
-            got = kernels._tilted_tail(dist.Gamma(s, theta), r)
+            got = kernels._tail_moment(dist.Gamma(s, theta), r, r) / r
             assert got == pytest.approx(float(ref), rel=1e-11, abs=0.0), r
 
     @pytest.mark.parametrize("s", [
@@ -384,18 +390,19 @@ class TestGammaTail:
     def test_kernel_matches_quadrature(self, s):
         d = dist.Gamma(s, 1.0)
         closed = s <= kernels._GAMMA_TAIL_MAX_SHAPE
-        assert (kernels._tilted_tail(d, 1.0) is not None) == closed
+        assert (kernels._tail_moment(d, 1.0, 1.0) is not None) == closed
         for r in [1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 20.0]:
             assert kernels.eval_kernel(spec(d), r) == pytest.approx(
                 kernels.eval_kernel_numeric(d, r), abs=1e-9
             ), r
 
     def test_overflowing_tail_is_infinite(self):
-        # the leading power x^(s - 1) overflows, or x = r / theta underflows
-        # to zero; neither may raise
-        assert kernels._tilted_tail(dist.Gamma(0.01, 1.0), 1e-320) == math.inf
+        # the tail T(r) overflows: its leading power x^(s - 1) does, or
+        # x = r / theta underflows to zero; the moment r T(r) stays finite
+        # and neither may raise
+        assert math.isfinite(kernels._tail_moment(dist.Gamma(0.01, 1.0), 1e-320, 1e-320))
         d = dist.Gamma(0.5, 1e10)
-        assert kernels._tilted_tail(d, 5e-324) == math.inf
+        assert math.isfinite(kernels._tail_moment(d, 5e-324, 5e-324))
         assert kernels.eval_kernel(spec(d), 5e-324) == 1.0
         assert kernels.kernel_to_cdf(spec(d), 5e-324) == 0.0
 
@@ -509,6 +516,24 @@ class TestNumericRoutes:
         with pytest.raises(SpectralMismatchError):
             kernels.eval_ft_numeric(dist.Weibull(1e3, 0.7), 1.2)
 
+    def test_unit_law_failure_names_the_callers_law(self, monkeypatch):
+        # a route run on the unit-scale law fails; the error names the law
+        # and the frequency that eval_ft_numeric was given
+        def failing(d, a, b=1.0):
+            return kernels._checked(0.0, 1.0, 0.0, "spectral", d, f"t={a}")
+
+        monkeypatch.setattr(kernels, "_ft_from_kernel", failing)
+        d = dist.Weibull(1e8, 1.5)
+        with pytest.raises(QuadratureError) as info:
+            kernels.eval_ft_numeric(d, 1e-8)
+        assert str(info.value).endswith(f", in the transform of {d!r} at t=1e-08")
+        assert "GeneralizedGamma(shape=1.0, scale=1.0, power=1.5)" in str(info.value)
+        # a law of scale one is its own unit law, and is named as it is
+        d = dist.Weibull(1.0, 1.5)
+        with pytest.raises(QuadratureError) as info:
+            kernels.eval_ft_numeric(d, 1e-8)
+        assert str(info.value) == f"spectral quadrature error 1.00e+00 too large at t=1e-08 for {d!r}"
+
     @pytest.mark.parametrize("theta,t", [
         (1e8, 1e-3), (1e10, 1e-3), (1e12, 1e-3), (1e20, 1e-3), (1e300, 1.0),
     ])
@@ -553,6 +578,15 @@ class TestKernelToCdf:
         assert kernels.kernel_to_cdf(k, 1.5) == pytest.approx(
             math.exp(-2.0), rel=1e-10, abs=0.0
         )
+
+    def test_scaled_input_a_hair_below_a_knot_takes_the_knot(self):
+        # rho x rounds to just below the knot 2: the count law is read at
+        # F(2) = 0.40600584970983794, not at F(1) = 0.1353352832366127; the
+        # sum 1 - k + u k' holds a few ulps of 1
+        k = spec(dist.ShiftedPoisson(2.0), rho=0.013)
+        x = 2 / 0.013
+        assert k.rho * x == 1.9999999999999998
+        assert kernels.kernel_to_cdf(k, x) == pytest.approx(0.40600584970983794, rel=0.0, abs=1e-15)
 
     def test_roundtrip_closed_forms(self):
         for d in CLOSED_FORM_SETTINGS:
@@ -599,6 +633,8 @@ class TestKernelToCdf:
     def test_zero_below_support(self):
         assert kernels.kernel_to_cdf(spec(dist.Gamma(2.0, 1.0)), 0.0) == 0.0
         assert kernels.kernel_to_cdf(spec(dist.Gamma(2.0, 1.0)), -1.0) == 0.0
+        # rho x underflows to 0, where the C = infinite tail moment is not read
+        assert kernels.kernel_to_cdf(spec(dist.Gamma(0.5, 1.0), rho=0.5), 5e-324) == 0.0
 
 
 class TestAreaUnderCurve:
@@ -619,28 +655,6 @@ class TestAreaUnderCurve:
             assert kernels.area_under_curve(k) == pytest.approx(
                 d.mean(), abs=1e-6
             ), d
-
-
-class TestTensorEval:
-    def test_product_structure(self):
-        k = spec(dist.Gamma(2.0, 1.0))
-        x = np.array([0.0, 0.0])
-        xp = np.array([1.0, 2.0])
-        assert kernels.tensor_eval(k, x, xp) == pytest.approx(math.exp(-3.0), rel=1e-12, abs=0.0)
-
-    def test_matches_univariate_product(self):
-        k = spec(dist.Rayleigh(1.0), rho=1.5)
-        x = np.array([0.1, -0.4, 2.0])
-        xp = np.array([1.0, 0.3, 1.2])
-        expected = 1.0
-        for a, b in zip(x, xp):
-            expected *= kernels.eval_kernel(k, abs(a - b))
-        assert kernels.tensor_eval(k, x, xp) == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-    def test_dimension_mismatch(self):
-        k = spec(dist.Gamma(2.0, 1.0))
-        with pytest.raises(ValueError):
-            kernels.tensor_eval(k, np.zeros(2), np.zeros(3))
 
 
 class TestSpecStrings:
