@@ -56,11 +56,9 @@ def main(argv=None) -> int:
     for dist in REPRESENTATIVES:
         spec = KernelSpec(dist) if args.tau is None else KernelSpec(dist, tau=args.tau)
         lines = ["r,k,ft,cdf"]
-        for r in grid:
-            lines.append(
-                f"{float(r)!r},{eval_kernel(spec, r)!r},"
-                f"{eval_ft(spec, r)!r},{kernel_to_cdf(spec, r)!r}"
-            )
+        for r, k, cdf in zip(grid.tolist(), eval_kernel(spec, grid).tolist(),
+                             kernel_to_cdf(spec, grid).tolist()):
+            lines.append(f"{r!r},{k!r},{eval_ft(spec, r)!r},{cdf!r}")
         path = out_dir / f"{dist.family}.csv"
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
         print(f"wrote {path}")

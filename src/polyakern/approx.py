@@ -1,5 +1,8 @@
 """Exact kernel matrices and approximation-error accounting.
 
+exact_gram builds K one way for a KernelSpec and a Fourier frequency law,
+from the object's one-dimensional ``kernel``, as a product over coordinates.
+
 For D averaged copies the expected squared Frobenius distance between the
 feature-map Gram matrix and the exact kernel matrix is a closed form in K:
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import feature_maps as fm
-from .polya_kernels import KernelSpec, eval_kernel
+from .polya_kernels import KernelSpec
 from .rng import derived_seed
 
 
@@ -50,37 +53,22 @@ def _as_matrix(K):
 
 
 def exact_gram(kernel, X, double=False):
-    """K_ij = k(x_i - x_j), built from a KernelSpec (tensor product of
-    one-dimensional evaluations) or a Fourier frequency law's kernel.
-    With double=True, evaluates at 2(x_i - x_j) instead (the real-map
-    correction term)."""
+    """K_ij = prod_j kernel.kernel(|x_ij - x_kj|), in coordinate order, with
+    one call per block of rows against the columns from its first row on
+    (at most fm.BLOCK_CELLS / 8 differences), so each pair is evaluated
+    once. With double=True, at 2(x_i - x_j) (the real-map correction)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"points must be a 2-d array, got shape {X.shape}")
-    n = X.shape[0]
-    factor = 2.0 if double else 1.0
-    out = np.ones((n, n))
-    if isinstance(kernel, KernelSpec):
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = 1.0
-                for a, b in zip(X[i], X[j]):
-                    v *= eval_kernel(kernel, factor * (a - b))
-                out[i, j] = out[j, i] = v
-    elif isinstance(kernel, fm.FREQUENCY_LAWS):
-        # log k of every pair in a block of rows at once, each coordinate sum
-        # in the order kernel_value sums it; math.exp, not np.exp, so that
-        # every entry equals kernel_value exactly; a block of rows holds at
-        # most fm.BLOCK_CELLS coordinate differences
-        F = factor * X
-        for lo, hi in fm.row_blocks(n, n * X.shape[1]):
-            logk = kernel.log_kernel(F[lo:hi, None, :] - F[None, :, :])
-            upper = np.arange(n) > np.arange(lo, hi)[:, None]
-            v = np.fromiter(map(math.exp, logk[upper].tolist()), float)
-            out[lo:hi][upper] = v
-            out[:, lo:hi].T[upper] = v
-    else:
+    if not isinstance(kernel, (KernelSpec,) + fm.FREQUENCY_LAWS):
         raise ValueError(f"unsupported kernel object {kernel!r}")
+    n, dim = X.shape
+    F = (2.0 * X if double else X).T
+    out = np.empty((n, n))
+    for lo, hi in fm.row_blocks(n, 8 * n * dim):
+        block = np.prod(kernel.kernel(F[:, lo:hi, None] - F[:, None, lo:]), axis=0)
+        out[lo:hi, lo:] = block
+        out[lo:, lo:hi] = block.T
     return KernelMatrix(out)
 
 

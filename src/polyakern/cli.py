@@ -463,23 +463,18 @@ def load_model(path):
 
 def _cmd_kernel(args) -> int:
     spec = parse_kernel_spec(args.kernel)
-    if args.kernel_cmd == "eval":
-        lines = ["r,k"]
-        lines += [f"{_fmt(r)},{_fmt(eval_kernel(spec, r))}" for r in args.values]
-    elif args.kernel_cmd == "ft":
-        lines = ["t,ft"]
-        lines += [f"{_fmt(t)},{_fmt(eval_ft(spec, t))}" for t in args.values]
-    else:  # table
+    if args.kernel_cmd == "table":
         if args.points < 1:
             raise ValueError("points must be >= 1")
         if not (math.isfinite(args.max) and args.max >= 0.0):
             raise ValueError(f"max must be finite and >= 0, got {args.max}")
-        grid = np.linspace(0.0, args.max, args.points)
-        lines = ["r,k,ft"]
-        lines += [
-            f"{_fmt(r)},{_fmt(eval_kernel(spec, r))},{_fmt(eval_ft(spec, r))}"
-            for r in grid
-        ]
+        r = np.linspace(0.0, args.max, args.points)
+        columns = {"r": r, "k": eval_kernel(spec, r), "ft": [eval_ft(spec, v) for v in r]}
+    elif args.kernel_cmd == "eval":
+        columns = {"r": args.values, "k": eval_kernel(spec, args.values)}
+    else:
+        columns = {"t": args.values, "ft": [eval_ft(spec, t) for t in args.values]}
+    lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in zip(*columns.values())]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -17,7 +17,7 @@ accuracy as t -> 0 (expm1 and sin^2 forms, a Kummer series at small
 argument), and im_cf(t) = E sin(tX) for power 1 and for the half-normal
 law (a = 1/2, p = 2), the laws with C = infinity that have one. Any other
 power has neither. Special functions come from ``math`` and
-``scipy.special``; values are returned as Python floats, except from ppf.
+``scipy.special``; cdf and sf work elementwise on arrays, the rest on floats.
 
 ppf(u) is the point with upper-tail mass u, sf(ppf(u)) = u (for the count
 law the least k with sf(k) <= u), so ppf of uniforms strictly inside (0, 1)
@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import (
-    dawsn, gammainc, gammaincc, gammainccinv, gammaln, hyp1f1, poch, rgamma,
+    dawsn, erf, erfc, gammainc, gammaincc, gammainccinv, gammaln, hyp1f1, poch, rgamma,
 )
 
 from .errors import ConvergenceError, InfiniteTiltError, ParseError
@@ -104,16 +105,19 @@ def _kummer_tail(m, z):
 # Regularized incomplete gamma functions of z = y^p
 
 
-def pow_or_inf(y, p):
-    """y^p for y >= 0, and inf where it overflows, where float ** raises."""
-    try:
-        return y ** p
-    except OverflowError:
-        return math.inf
+def power(y, p):
+    """y^p elementwise for y >= 0, inf where it overflows. Only p > 1 can
+    overflow, and one value below 1e300^(1/p) skips numpy's error state."""
+    if p == 1.0:
+        return y
+    if p < 1.0 or (isinstance(y, float) and y < 1e300 ** (1.0 / p)):
+        return np.power(y, p)
+    with np.errstate(over="ignore"):
+        return np.power(y, p)
 
 
 def _regularized_gamma(a, b, p, x, lower=False):
-    """Q(a, z), or P(a, z) if lower, at z = (x / b)^p for x > 0.
+    """Q(a, z), or P(a, z) if lower, at z = (x / b)^p, elementwise for x >= 0.
 
     Power 1 is the gamma law and always takes scipy's regularized
     functions. Other powers take the elementary forms of the two elementary
@@ -123,16 +127,18 @@ def _regularized_gamma(a, b, p, x, lower=False):
     log z = p (log x - log b), which is not small for tiny shapes a.
     """
     y = x / b
-    z = pow_or_inf(y, p)
-    if p != 1.0:
-        if a == 1.0:
-            return -math.expm1(-z) if lower else math.exp(-z)
-        if a == 0.5 and p == 2.0:
-            return math.erf(y) if lower else math.erfc(y)
-    if z == 0.0:
-        low = math.exp(a * p * (math.log(x) - math.log(b)) - math.lgamma(a + 1.0))
-        return low if lower else 1.0 - low
-    return float((gammainc if lower else gammaincc)(a, z))
+    if a == 0.5 and p == 2.0:
+        return erf(y) if lower else erfc(y)
+    z = power(y, p)
+    if a == 1.0 and p != 1.0:
+        return -np.expm1(-z) if lower else np.exp(-z)
+    value = (gammainc if lower else gammaincc)(a, z)
+    under = z == 0.0
+    if np.count_nonzero(under):
+        with np.errstate(divide="ignore", over="ignore"):
+            low = np.exp(a * p * (np.log(x) - math.log(b)) - math.lgamma(a + 1.0))
+        value = np.where(under, low if lower else 1.0 - low, value)
+    return value
 
 
 def _inverse_upper_gamma(a, p, u):
@@ -175,14 +181,10 @@ class Poisson:
         return math.exp(-self.mu + k * math.log(self.mu) - math.lgamma(k + 1.0))
 
     def cdf(self, x):
-        if x < 0.0:
-            return 0.0
-        return float(gammaincc(math.floor(x) + 1.0, self.mu))
+        return np.where(x < 0.0, 0.0, gammaincc(np.floor(x) + 1.0, self.mu))
 
     def sf(self, x):
-        if x < 0.0:
-            return 1.0
-        return float(gammainc(math.floor(x) + 1.0, self.mu))
+        return np.where(x < 0.0, 1.0, gammainc(np.floor(x) + 1.0, self.mu))
 
     def one_minus_re_cf(self, a):
         # E cos(aX) = e^u cos(w), u = mu (cos a - 1) = -2 mu sin^2(a/2), w = mu sin a
@@ -202,6 +204,7 @@ class Distribution:
     discrete = False
     family = "?"
 
+    @lru_cache(maxsize=64)
     def upper_tail_cutoff(self, eps=1e-13):
         """Point with no more than eps upper-tail mass, found by doubling."""
         x = max(self.mean(), 1.0)
@@ -238,36 +241,30 @@ class GeneralizedGamma(Distribution):
             if a * p > 1.0:
                 return 0.0
             return p / (b * math.gamma(a)) if a * p == 1.0 else math.inf
-        return math.exp(
-            (a * p - 1.0) * math.log(x)
-            - pow_or_inf(x / b, p)
-            - math.lgamma(a)
-            - a * p * math.log(b)
-            + math.log(p)
-        )
+        return self.density_of_log(math.log(x)) / x
 
     def density_of_log(self, w):
         """Density of log X at w, x f(x) at x = e^w: p y^a e^-y / Gamma(a)
         with y = (x / b)^p, finite where f(x) overflows near zero."""
-        a, b, p = self.triple()
-        v = p * (w - math.log(b))
+        a, log_b, p, lgamma_a, log_p = self._log_terms
+        v = p * (w - log_b)
         try:
             y = math.exp(v)
         except OverflowError:  # y past the largest double, where e^-y is 0
             return 0.0
-        return math.exp(a * v - y - math.lgamma(a) + math.log(p))
+        return math.exp(a * v - y - lgamma_a + log_p)
+
+    @cached_property
+    def _log_terms(self):
+        """(a, log b, p, log Gamma(a), log p), taken once per law."""
+        a, b, p = self.triple()
+        return a, math.log(b), p, math.lgamma(a), math.log(p)
 
     def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        a, b, p = self.triple()
-        return _regularized_gamma(a, b, p, x, lower=True)
+        return _regularized_gamma(*self.triple(), np.maximum(x, 0.0), lower=True)
 
     def sf(self, x):
-        if x <= 0.0:
-            return 1.0
-        a, b, p = self.triple()
-        return _regularized_gamma(a, b, p, x)
+        return _regularized_gamma(*self.triple(), np.maximum(x, 0.0))
 
     def mean(self):
         a, b, p = self.triple()

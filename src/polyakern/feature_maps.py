@@ -11,10 +11,12 @@ the estimator variance by D. Per-copy variances:
 The Fourier map is provided for exactly two frequency laws: independent
 per-coordinate Cauchy frequencies (pairing with the tensor exponential
 kernel exp(-||x-x'||_1 / sigma)) and isotropic normal frequencies (pairing
-with the Gaussian kernel). The binning map accepts any KernelSpec from the
-catalog: spacings are drawn from the generating law and divided by rho,
-offsets are uniform within each spacing, and two points contribute to the
-same feature column exactly when every coordinate lands in the same bin.
+with the Gaussian kernel), each a product over the coordinates of the
+law's elementwise one-dimensional ``kernel(r)``. The binning map accepts
+any KernelSpec from the catalog: spacings are drawn from the generating
+law and divided by rho, offsets are uniform within each spacing, and two
+points contribute to the same feature column exactly when every
+coordinate lands in the same bin.
 ``rescale_map`` moves a binning map to another scale of the same law
 without drawing again. A point whose bin index would not fit in int64 is
 rejected, and so is every point on a map with a spacing that underflowed
@@ -88,12 +90,9 @@ class TensorCauchy:
         v = np.minimum(u, 1.0 - u)
         return np.copysign(self.scale / np.tan(math.pi * v), 0.5 - u)
 
-    def log_kernel(self, diff):
-        """log k at coordinate differences ``diff``, summed over its last axis."""
-        return -self.scale * np.sum(np.abs(diff), axis=-1)
-
-    def kernel_value(self, x, xp):
-        return math.exp(self.log_kernel(_difference(x, xp)))
+    def kernel(self, r):
+        """The one-dimensional kernel exp(-scale |r|), elementwise."""
+        return np.exp(-self.scale * np.abs(r))
 
 
 @dataclass(frozen=True)
@@ -115,19 +114,12 @@ class IsotropicNormal:
         """Frequency with upper-tail mass u."""
         return -self.stddev * ndtri(u)
 
-    def log_kernel(self, diff):
-        """log k at coordinate differences ``diff``, summed over its last axis."""
-        return -0.5 * self.stddev ** 2 * np.sum(diff * diff, axis=-1)
-
-    def kernel_value(self, x, xp):
-        return math.exp(self.log_kernel(_difference(x, xp)))
+    def kernel(self, r):
+        """The one-dimensional kernel exp(-stddev^2 r^2 / 2), elementwise."""
+        return np.exp(-0.5 * self.stddev ** 2 * np.square(r))
 
 
 FREQUENCY_LAWS = (TensorCauchy, IsotropicNormal)
-
-
-def _difference(x, xp):
-    return np.ravel(np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -36,22 +36,21 @@ both, as (2 / a^2) E[(1 - cos aX) / X] and as twice the cosine integral,
 each on the unit-scale law through FT_b(a) = b FT_1(ab). ``_quad`` imports
 QUADPACK (``scipy.integrate``) at the first quadrature, so commands that never
 integrate, such as binning or Fourier fit, predict and cv, start without it.
+eval_kernel and kernel_to_cdf take arrays (one path with masks for branches,
+one quadrature per distinct value where no closed form exists); eval_ft one t.
 """
 
 import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import exp1, gammaincc
 
 from . import distributions as dists
-from .errors import (
-    InfiniteTiltError,
-    QuadratureError,
-    SpectralMismatchError,
-)
+from .errors import InfiniteTiltError, QuadratureError, SpectralMismatchError
 
 # Agreement demanded between the two independent spectral routes.
 SPECTRAL_AGREEMENT = 1e-6
@@ -88,6 +87,9 @@ class KernelSpec:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         object.__setattr__(self, "rho", rho)
 
+    def kernel(self, r):  # the one-dimensional kernel, as on the frequency laws
+        return eval_kernel(self, r)
+
 
 def _quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200, **weight):
     """Adaptive quadrature with warnings silenced; accuracy is checked by
@@ -101,18 +103,16 @@ def _quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200, **weight):
 
 
 def _unit_floor(r):
-    """Floor that snaps values a hair below an integer up to it, so scaled
-    inputs that should land exactly on a knot take the right branch."""
-    n = math.floor(r)
-    if r - n > 1.0 - 1e-12:
-        n += 1
-    return int(n)
+    """Floor, elementwise, that snaps values a hair below an integer up to it,
+    so scaled inputs that should land exactly on a knot take the right branch."""
+    n = np.floor(r)
+    return n + (r - n > 1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Closed forms from the tilt decomposition. With C and the tilted law G of
-# d.decompose(), the tilted tail T(r) = integral over x > r of f(x)/x dx
-# equals C S_G(r), and for r > 0
+# Closed forms from the tilt decomposition, elementwise on arrays with their
+# branches as masks. With C and the tilted law G of _tilt(d), the tilted tail
+# T(r) = integral over x > r of f(x)/x dx equals C S_G(r), and for r > 0
 #
 #     k(r) = S_F(r) - r T(r),   k'(r) = -T(r),   FT(a) = 2 C (1 - Re phi_G(a)) / a^2.
 #
@@ -136,6 +136,7 @@ def _unit_floor(r):
 _GAMMA_TAIL_MAX_SHAPE = 1.0 - 1e-4
 
 
+@lru_cache(maxsize=64)
 def _tilt(d):
     try:
         return d.decompose()
@@ -149,14 +150,14 @@ def _recurrence_shape(a, p):
 
 
 def _tail_moment(d, r, x):
-    """r T(x) at x > 0 in closed form, or None. Where C is infinite, x = r
+    """r T(x) at x >= 0 in closed form, or None. Where C is infinite, x = r
     and, with y = (r / b)^p, the recurrence gives
 
         r T(r) = (y^a e^-y - y^(1/p) Gamma(a' + 1, y)) / (-a' Gamma(a)),
 
     which is y^(1/p) E1(y) / Gamma(a) at a' = 0. It is finite wherever T(r)
-    overflows; y^a comes from log y = p (log r - log b) where y underflows
-    to 0, and the moment is 0 where y overflows."""
+    overflows; y^a comes from log y = p (log r - log b), which holds where
+    y underflows to 0, and the moment is 0 at r = 0 and where y overflows."""
     t = _tilt(d)
     if t is not None:
         return r * (t.c * t.tilted.sf(x))
@@ -165,22 +166,24 @@ def _tail_moment(d, r, x):
     if not (upper == 1.0 or 0.0 < upper <= _GAMMA_TAIL_MAX_SHAPE):
         return None
     root = r / b  # y^(1/p)
-    y = dists.pow_or_inf(root, p)
-    if y == math.inf:
-        return 0.0
-    if upper == 1.0:
-        return root * float(exp1(y)) / math.gamma(a) if y > 0.0 else 0.0
-    log_y = math.log(y) if y > 0.0 else p * (math.log(r) - math.log(b))
-    lead = math.exp(a * log_y - y - math.lgamma(a))
-    q = root * float(gammaincc(upper, y)) * (math.gamma(upper) / math.gamma(a))
-    return (lead - q) / (1.0 - upper)
+    y = dists.power(root, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if upper == 1.0:
+            moment = root * exp1(y) / math.gamma(a)
+            keep = (y > 0.0) & (y < math.inf)
+        else:
+            lead = np.exp(a * (p * (np.log(r) - math.log(b))) - y - math.lgamma(a))
+            q = root * gammaincc(upper, y) * (math.gamma(upper) / math.gamma(a))
+            moment = (lead - q) / (1.0 - upper)
+            keep = y < math.inf
+    return moment if np.count_nonzero(keep) == np.size(keep) else np.where(keep, moment, 0.0)
 
 
 def _tilt_kernel(d, r):
-    """(k(r), r k'(r)) at r > 0 in closed form, or None. A count law is read
-    at the knot at or below r, so a scaled input a hair below a knot takes
-    the slope of the segment that starts there."""
-    x = float(_unit_floor(r)) if d.discrete else r
+    """(k(r), r k'(r)) at r >= 0 in closed form, or None. A count law is
+    read at the knot at or below r, so a scaled input a hair below a knot
+    takes the slope of the segment that starts there."""
+    x = _unit_floor(r) if d.discrete else r
     moment = _tail_moment(d, r, x)
     if moment is None:
         return None
@@ -262,9 +265,9 @@ def _law_integral(d, g, lo, hi=None, cos=None):
     cos = a it takes QAWO in x instead, on geometric pieces from lo > 0."""
     cutoff = d.upper_tail_cutoff(_TAIL)
     if d.discrete:
-        last = int(cutoff) + 1 if hi is None else min(int(cutoff) + 1, _unit_floor(hi))
+        last = int(cutoff) + 1 if hi is None else min(int(cutoff) + 1, int(_unit_floor(hi)))
         total = 0.0
-        for k in range(_unit_floor(lo) + 1, last + 1):
+        for k in range(int(_unit_floor(lo)) + 1, last + 1):
             x = float(k)
             weight = 1.0 if cos is None else math.cos(cos * x)
             total += g(x) * weight * d.density(x)
@@ -289,7 +292,6 @@ def _kernel_cos_integral(d, a, reach=math.inf, tol=0.0):
     the integral of k'(r) sin(a r) dr, and as k is convex, k' is monotone,
     so the latter is at most 2 |k'(L)| / a^2, which joins the error
     estimate."""
-    spec = KernelSpec(d)
     cutoff = d.upper_tail_cutoff(_TAIL)
     if d.discrete:
         knots = [float(n) for n in range(int(cutoff) + 2)]
@@ -303,7 +305,7 @@ def _kernel_cos_integral(d, a, reach=math.inf, tol=0.0):
             if bound <= tol:
                 knots, rest, rest_err = knots[:i + 1], -k * math.sin(a * last) / a, bound
                 break
-    total, err = _cos_pieces(lambda r: eval_kernel(spec, r), knots, a)
+    total, err = _cos_pieces(lambda r: _kernel(d, r), knots, a)
     return total + rest, err + rest_err
 
 
@@ -356,17 +358,39 @@ def _checked(value, err, tol, what, d, at):
 # Public evaluation API
 
 
+def _scaled(name, v, rho):
+    """rho |v| for the float array v, capped below overflow; non-finite v errs."""
+    a, cap = np.abs(v), 0.5 * sys.float_info.max / rho
+    if np.count_nonzero(a <= cap) < a.size:
+        bad = v[~np.isfinite(v)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {bad.flat[0]}")
+        a = np.minimum(a, cap)
+    return rho * a
+
+
+def _per_distinct(u, f, at_zero):
+    """f(v) once per distinct v > 0 of u, and at_zero where u = 0, elementwise."""
+    values, inverse = np.unique(u, return_inverse=True)
+    table = np.array([f(v) if v > 0.0 else at_zero for v in values.tolist()])
+    return table.reshape((-1,) + np.shape(at_zero))[inverse.reshape(np.shape(u))]
+
+
 def eval_kernel(spec, r):
-    """Kernel value k(rho * |r|); always within [0, 1]."""
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
-    u = spec.rho * abs(r)
-    if u == 0.0:
-        return 1.0
-    closed = _tilt_kernel(spec.dist, u)
-    v = eval_kernel_numeric(spec.dist, u) if closed is None else closed[0]
-    return min(1.0, max(0.0, v))
+    """Kernel value k(rho |r|) within [0, 1], elementwise on a float (a float
+    in gives a float out) or an array; rho |r| is capped as ``_scaled`` says."""
+    r = np.asarray(r, dtype=float)
+    k = _kernel(spec.dist, _scaled("r", r, spec.rho))
+    return float(k) if r.ndim == 0 else k
+
+
+def _kernel(d, u):
+    """k(u) elementwise at u >= 0, within [0, 1]: a closed form is at most
+    S_F(u) <= 1, and only its rounding can take it below 0."""
+    closed = _tilt_kernel(d, u)
+    if closed is None:
+        return np.clip(_per_distinct(u, lambda v: eval_kernel_numeric(d, v), 1.0), 0.0, 1.0)
+    return np.maximum(closed[0], 0.0)
 
 
 def eval_kernel_numeric(d, r):
@@ -495,29 +519,33 @@ def _ft_from_kernel(d, a, b=1.0):
 
 
 def kernel_to_cdf(spec, x):
-    """Recover the generating cdf at x from the kernel alone:
-    F(x) = 1 - k(u) + u k'(u) with u = rho x, using the closed derivative
-    when available and quadrature of the exact derivative otherwise.
+    """Recover the generating cdf at x from the kernel alone, elementwise as in
+    eval_kernel: F(x) = 1 - k(u) + u k'(u) with u = rho x (0 where u <= 0),
+    using the closed derivative if any, else quadrature of the exact one.
 
     The sum is taken in doubles, so its accuracy is absolute, about one ulp
     of 1: a small F keeps few digits, and Gamma(0.1, 1) at u = 1e-300,
     where F = 1.05e-30, reads 0.0."""
-    u = spec.rho * float(x)
-    if u <= 0.0:  # x <= 0, or rho x underflowed to 0
-        return 0.0
-    kv, moment = _kernel_and_moment(spec.dist, u)
-    return min(1.0, max(0.0, 1.0 - kv + moment))
+    x = np.asarray(x, dtype=float)
+    kv, moment = _kernel_and_moment(spec.dist, _scaled("x", x, spec.rho) * (x > 0.0))
+    cdf = np.minimum(1.0, np.maximum(0.0, 1.0 - kv + moment))
+    return float(cdf) if x.ndim == 0 else cdf
 
 
 def _kernel_and_moment(d, u):
-    """(k(u), u k'(u)) at u > 0: closed where available, else by quadrature
-    of the kernel and of the moment u k'(u) = -E[u / X; X > u], which is
-    bounded by one."""
+    """(k(u), u k'(u)) elementwise at u >= 0: closed where available, else,
+    once per distinct u > 0, by quadrature of the kernel and of the moment
+    u k'(u) = -E[u / X; X > u], which is bounded by one."""
     closed = _tilt_kernel(d, u)
     if closed is not None:
         return closed
-    moment, err = _law_integral(d, lambda v: u / v, u)
-    return eval_kernel_numeric(d, u), -_checked(moment, err, 1e-9, "derivative", d, f"u={u}")
+
+    def numeric(v):
+        moment, err = _law_integral(d, lambda w: v / w, v)
+        return eval_kernel_numeric(d, v), -_checked(moment, err, 1e-9, "derivative", d, f"u={v}")
+
+    pairs = _per_distinct(u, numeric, (1.0, 0.0))
+    return pairs[..., 0], pairs[..., 1]
 
 
 def area_under_curve(spec):

@@ -9,6 +9,7 @@ import pytest
 from polyakern import approx
 from polyakern import distributions as dist
 from polyakern import feature_maps as fm
+from polyakern import polya_kernels as kernels
 from polyakern.polya_kernels import KernelSpec
 
 LAPLACE = KernelSpec(dist.Gamma(2.0, 1.0))
@@ -52,8 +53,9 @@ class TestExactGram:
     @pytest.mark.parametrize("double", [False, True])
     @pytest.mark.parametrize("dim,block", [(3, None), (3, 50), (20, None)])
     def test_frequency_law_equals_pairwise_definition(self, law, double, dim, block, monkeypatch):
-        # bit for bit, including across row blocks and at widths where numpy
-        # sums a row in several lanes
+        # bit for bit the product of the law's one-dimensional kernel over
+        # the coordinates, taken in order, including across row blocks (of
+        # one row at BLOCK_CELLS = 50) and at 20 coordinates
         if block is not None:
             monkeypatch.setattr(fm, "BLOCK_CELLS", block)
         X = np.random.default_rng(29).uniform(-2.0, 2.0, size=(60, dim))
@@ -62,9 +64,28 @@ class TestExactGram:
         expected = np.ones((60, 60))
         for i in range(60):
             for j in range(i + 1, 60):
-                expected[i, j] = expected[j, i] = law.kernel_value(factor * X[i], factor * X[j])
+                v = 1.0
+                for c in range(dim):
+                    v *= float(law.kernel(abs(factor * X[i, c] - factor * X[j, c])))
+                expected[i, j] = expected[j, i] = v
         got = approx.exact_gram(law, X, double=double).values
         assert np.array_equal(got, expected)
+
+    def test_numeric_kernel_is_integrated_once_per_distinct_gap(self, monkeypatch):
+        # Weibull(1, 0.4) has no closed kernel: each distinct coordinate gap
+        # |x_ij - x_kj| is one quadrature, whichever pairs and coordinates
+        # share it, and k(0) = 1 takes none
+        calls = []
+        numeric = kernels.eval_kernel_numeric
+        monkeypatch.setattr(kernels, "eval_kernel_numeric",
+                            lambda d, r: calls.append(r) or numeric(d, r))
+        law = dist.Weibull(1.0, 0.4)
+        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.5], [1.5, 1.5], [0.5, 0.0]])
+        K = approx.exact_gram(KernelSpec(law), X).values
+        assert sorted(calls) == [0.5, 1.0, 1.5]
+        k = {g: numeric(law, g) for g in (0.5, 1.0, 1.5)}
+        assert K[0, 3] == k[1.5] * k[1.5] and K[1, 2] == k[0.5] * k[0.5]
+        assert K[0, 4] == k[0.5] * 1.0 and np.array_equal(np.diag(K), np.ones(5))
 
     def test_kernel_matrix_validation(self):
         with pytest.raises(ValueError):

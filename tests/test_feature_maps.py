@@ -63,18 +63,30 @@ class TestConfig:
 
 class TestFrequencyLaws:
     def test_tensor_cauchy_kernel(self):
+        # the one-dimensional kernel, elementwise and even; its product over
+        # the coordinates is the tensor kernel
         law = fm.TensorCauchy(2.0)
         x = np.array([0.0, 1.0])
         xp = np.array([1.0, -0.5])
-        assert law.kernel_value(x, xp) == pytest.approx(math.exp(-2.0 * 2.5), rel=1e-12, abs=0.0)
+        assert np.prod(law.kernel(x - xp)) == pytest.approx(
+            math.exp(-2.0 * 2.5), rel=1e-12, abs=0.0
+        )
+        assert law.kernel(-1.5) == law.kernel(1.5) == pytest.approx(
+            math.exp(-3.0), rel=1e-12, abs=0.0
+        )
+        assert law.kernel(0.0) == 1.0
 
     def test_isotropic_normal_kernel(self):
         law = fm.IsotropicNormal(0.5)
         x = np.array([0.0, 0.0])
         xp = np.array([1.0, 2.0])
-        assert law.kernel_value(x, xp) == pytest.approx(
+        assert np.prod(law.kernel(x - xp)) == pytest.approx(
             math.exp(-0.25 * 5.0 / 2.0), rel=1e-12, abs=0.0
         )
+        assert law.kernel(-2.0) == law.kernel(2.0) == pytest.approx(
+            math.exp(-0.25 * 4.0 / 2.0), rel=1e-12, abs=0.0
+        )
+        assert law.kernel(0.0) == 1.0
 
 
 class TestBuildMap:

@@ -6,6 +6,7 @@ constants were verified with 30-digit arithmetic.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -230,6 +231,93 @@ FROZEN_FT_REFERENCES = {
 }
 
 
+# eval_kernel at PINNED_R as the scalar path gave it before kernels took
+# arrays: gamma shapes s >= 1 and the count law read the same functions
+# elementwise, so these must not move by a bit.
+PINNED_R = [1e-300, 0.37, 1.0, 2.5, 30.0]
+PINNED_KERNEL_REPRS = {
+    dist.Gamma(2.0, 1.0): ["1.0", "0.6907343306373547", "0.3678794411714422",
+                           "0.08208499862389879", "9.357622968840835e-14"],
+    dist.Gamma(3.5, 1.0): ["1.0", "0.852865346003649", "0.6201823542962577",
+                           "0.24408304269877457", "5.100692903695439e-12"],
+    dist.Exponential(1.0): ["1.0", "0.4112210022183629", "0.14849550677592194",
+                            "0.019797703948224457", "2.9296693677372513e-15"],
+    dist.ShiftedPoisson(2.0): ["1.0", "0.8400370273987734", "0.5676676416183065",
+                               "0.18983967051899087", "2.0098932638988193e-26"],
+}
+
+
+class TestArrayKernels:
+    """eval_kernel and kernel_to_cdf take a float or an array of them; a
+    float is the 0-d case of the one elementwise path."""
+
+    @pytest.mark.parametrize("d", list(PINNED_KERNEL_REPRS), ids=repr)
+    def test_pinned_values_as_floats_and_as_one_array(self, d):
+        want = PINNED_KERNEL_REPRS[d]
+        assert [repr(kernels.eval_kernel(spec(d), r)) for r in PINNED_R] == want
+        got = kernels.eval_kernel(spec(d), np.array(PINNED_R))
+        assert [repr(v) for v in got.tolist()] == want
+
+    def test_float_in_float_out_and_shape_kept(self):
+        k = spec(dist.Gamma(2.0, 1.0))
+        assert type(kernels.eval_kernel(k, 0.5)) is float
+        assert type(kernels.kernel_to_cdf(k, 0.5)) is float
+        r = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        for f in (kernels.eval_kernel, kernels.kernel_to_cdf):
+            got = f(k, r)
+            assert isinstance(got, np.ndarray) and got.shape == (3, 4)
+            assert got.tolist() == [[f(k, v) for v in row] for row in r.tolist()]
+            for law in (k, spec(dist.Weibull(1.0, 0.4))):  # closed and numeric
+                assert f(law, np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("d", [
+        dist.Gamma(0.01, 1.0), dist.Gamma(0.5, 1e10), dist.Weibull(1.0, 0.7),
+        dist.HalfNormal(1.0),
+    ], ids=repr)
+    def test_extreme_arrays_warn_nothing_and_equal_scalar_calls(self, d):
+        # zero, subnormal, and overflowing powers of r in one array: every
+        # branch of the closed forms is a mask, and none may warn
+        r = [0.0, 5e-324, 1e-320, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (kernels.eval_kernel, kernels.kernel_to_cdf):
+                assert f(spec(d), np.array(r)).tolist() == [f(spec(d), v) for v in r]
+
+    def test_overflowed_scale_is_capped(self):
+        # rho |r| past the largest double is capped below it: the kernel
+        # there is 0 and the cdf 1, for a closed form, a count law and a
+        # numeric law alike, with no overflow warning
+        for d in (dist.Gamma(2.0, 1.0), dist.ShiftedPoisson(2.0), dist.Weibull(1.0, 0.4)):
+            k = spec(d, rho=1e10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert kernels.eval_kernel(k, np.array([1e300, -1e300])).tolist() == [0.0, 0.0]
+                assert kernels.kernel_to_cdf(k, 1e300) == 1.0
+
+    @pytest.mark.parametrize("values,bad", [
+        ([0.5, math.nan, math.inf], "nan"),
+        ([[0.5, 1.0], [-math.inf, math.nan]], "-inf"),
+        (math.nan, "nan"),
+    ])
+    def test_first_non_finite_entry_is_named(self, values, bad):
+        k = spec(dist.Gamma(2.0, 1.0))
+        with pytest.raises(ValueError, match=f"^r must be finite, got {bad}$"):
+            kernels.eval_kernel(k, values)
+        with pytest.raises(ValueError, match=f"^x must be finite, got {bad}$"):
+            kernels.kernel_to_cdf(k, values)
+
+    def test_numeric_law_integrates_once_per_distinct_value(self, monkeypatch):
+        calls = []
+        numeric = kernels.eval_kernel_numeric
+        monkeypatch.setattr(kernels, "eval_kernel_numeric",
+                            lambda d, r: calls.append(r) or numeric(d, r))
+        d = dist.Weibull(1.0, 0.4)
+        got = kernels.eval_kernel(spec(d, rho=2.0), np.array([[0.5, -0.5, 0.0], [1.5, 0.5, -1.5]]))
+        assert sorted(calls) == [1.0, 3.0]
+        assert got.tolist() == [[numeric(d, 1.0)] * 2 + [1.0], [numeric(d, 3.0), numeric(d, 1.0),
+                                                            numeric(d, 3.0)]]
+
+
 class TestEvalFt:
     def test_log_two_anchor(self):
         # exponential source, theta 1: transform at t = 1 is log 2
@@ -395,6 +483,21 @@ class TestGammaTail:
             assert kernels.eval_kernel(spec(d), r) == pytest.approx(
                 kernels.eval_kernel_numeric(d, r), abs=1e-9
             ), r
+
+    def test_defect_5d_band_is_pinned(self):
+        # ROADMAP defect 5d: near r / theta = 1 the closed tail of shapes
+        # s < 1 cancels and inherits scipy gammaincc's error. Against the
+        # kernel in 40-digit arithmetic (which a 40-digit quadrature of the
+        # mixture integral matches to 1e-40) the worst of this band reads
+        # 2.7e-13 relative (s = 0.5, r = 1.1); it may not get worse
+        for s in (0.3, 0.5, 0.9):
+            for r in (0.5, 1.0, 1.1, 1.5):
+                with mpmath.workdps(40):
+                    x, a = mpmath.mpf(r), mpmath.mpf(s)
+                    ref = mpmath.gammainc(a, x, mpmath.inf, regularized=True) - x * mpmath.gammainc(
+                        a - 1, x) / mpmath.gamma(a)
+                got = kernels.eval_kernel(spec(dist.Gamma(s, 1.0)), r)
+                assert got == pytest.approx(float(ref), rel=5e-13, abs=0.0), (s, r)
 
     def test_overflowing_tail_is_infinite(self):
         # the tail T(r) overflows: its leading power x^(s - 1) does, or
