@@ -116,6 +116,16 @@ def power(y, p):
         return np.power(y, p)
 
 
+def quotient(x, b):
+    """x / b elementwise for x >= 0 and b > 0, inf where it overflows. Only
+    b < 1 can overflow, and one value at most 1e300 b skips numpy's error
+    state."""
+    if b >= 1.0 or (isinstance(x, float) and x <= 1e300 * b):
+        return x / b
+    with np.errstate(over="ignore"):
+        return x / b
+
+
 def _regularized_gamma(a, b, p, x, lower=False):
     """Q(a, z), or P(a, z) if lower, at z = (x / b)^p, elementwise for x >= 0.
 
@@ -126,7 +136,7 @@ def _regularized_gamma(a, b, p, x, lower=False):
     Where z underflows to zero, P(a, z) = z^a / Gamma(a + 1) from
     log z = p (log x - log b), which is not small for tiny shapes a.
     """
-    y = x / b
+    y = quotient(x, b)
     if a == 0.5 and p == 2.0:
         return erf(y) if lower else erfc(y)
     z = power(y, p)

@@ -184,15 +184,17 @@ def _solve_spd(A, b):
         raise NumericalError("linear solve produced non-finite values")
     np.fill_diagonal(A, diag)
     n = A.shape[0]
-    residual = np.linalg.norm(
-        scipy.linalg.blas.dsymm(1.0, A.T, x.reshape(n, -1), lower=1) - b.reshape(n, -1),
-        axis=0,
-    )
-    # written so that a NaN residual fails it
-    if not np.all(residual <= RESIDUAL_TOLERANCE * np.maximum(1.0, np.linalg.norm(b, axis=0))):
-        raise NumericalError(
-            f"linear-system residual {np.max(residual):.3e} exceeds tolerance"
-        )
+    B = b.reshape(n, -1)
+    # ||A x - b|| <= tol max(1, ||b||) per column, both sides divided by
+    # c = max(1, max |b|) so that no norm overflows; c = 1 for |b| <= 1
+    c = np.maximum(np.abs(B).max(axis=0), 1.0)
+    product = scipy.linalg.blas.dsymm(1.0, A.T, x.reshape(n, -1), lower=1)
+    residual = np.linalg.norm((product - B) / c, axis=0)
+    bound = RESIDUAL_TOLERANCE * np.maximum(1.0 / c, np.linalg.norm(B / c, axis=0))
+    if not np.all(residual <= bound):  # written so that a NaN residual fails it
+        with np.errstate(over="ignore"):
+            worst = np.max(residual * c)
+        raise NumericalError(f"linear-system residual {worst:.3e} exceeds tolerance")
     return x
 
 

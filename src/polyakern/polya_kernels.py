@@ -21,23 +21,26 @@ scale b, power p), and C is infinite where a <= 1/p: gamma shapes s <= 1
 alpha <= 1, and the half-normal law (with chi nu = 1 and Nakagami m = 1/2).
 There the tail is one incomplete gamma function,
 T(r) = Gamma(a - 1/p, (r / b)^p) / (b Gamma(a)), whose moment r T(r) is
-finite even where T(r) overflows, and the transform of a
+finite even where T(r) overflows. It is closed where a = 1/p and where
+-1 < a - 1/p <= -1e-4; for Weibull exponents at most 1/2 and gamma shapes
+within 1e-4 below one it is one cumulative Gauss-Legendre quadrature per law,
+``_cumulative_moment``, so k(r) = S_F(r) - r T(r) is the one kernel formula
+of every law. The transform of a
 law with a closed Im phi_F (power 1, or the half-normal law) comes from the
 spectral identity FT(a) = (2 / a^2) * integral_0^a Im phi_F(u) du: one
-quadrature of a smooth, non-oscillating integrand. Quadrature remains for
-the kernels of Weibull exponents at most 1/2 and of shapes with
--1e-4 < a - 1/p < 0 (gamma shapes within 1e-4 below one), for the
-transforms of Weibull exponents other than 1 or 2, and as the oracle of
-every closed form. It is two helpers: ``_law_integral``, the integral of
+quadrature of a smooth, non-oscillating integrand. QUADPACK remains for the
+transforms of Weibull exponents other than 1 or 2, for the area under the
+kernel, and as the kernel's oracle, ``eval_kernel_numeric``. It is two
+helpers: ``_law_integral``, the integral of
 g(x) dF(x) (in w = log x, or by QUADPACK's cosine rule QAWO when weighted
 by cos(ax)), and ``_kernel_cos_integral``, the integral of k(r) cos(ar)
 over r > 0 by QAWO between the kernel's knots. The numeric transform takes
 both, as (2 / a^2) E[(1 - cos aX) / X] and as twice the cosine integral,
 each on the unit-scale law through FT_b(a) = b FT_1(ab). ``_quad`` imports
 QUADPACK (``scipy.integrate``) at the first quadrature, so commands that never
-integrate, such as binning or Fourier fit, predict and cv, start without it.
-eval_kernel and kernel_to_cdf take arrays (one path with masks for branches,
-one quadrature per distinct value where no closed form exists); eval_ft one t.
+integrate, such as binning or Fourier fit, predict and cv, or any kernel
+evaluation, start without it. eval_kernel and kernel_to_cdf take arrays (one
+path with masks for branches); eval_ft one t.
 """
 
 import math
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1, gammaincc
+from scipy.special import exp1, gammaincc, roots_legendre
 
 from . import distributions as dists
 from .errors import InfiniteTiltError, QuadratureError, SpectralMismatchError
@@ -123,7 +126,8 @@ def _unit_floor(r):
 #
 # which is E1(x) / (b Gamma(a)) at a' = 0, and for -1 < a' < 0 follows from
 # the recurrence Gamma(a', x) = (x^a' e^-x - Gamma(a' + 1, x)) / (-a'). The
-# kernel needs only r T(r), which ``_tail_moment`` takes as one expression. The
+# kernel needs only r T(r), which ``_tail_moment`` takes as one expression, or
+# where that has none, ``_cumulative_moment`` as one quadrature. The
 # transforms of these laws follow from the spectral identity
 #
 #     FT(a) = 2 E[(1 - cos aX) / X] / a^2 = (2 / a^2) integral_0^a Im phi_F(u) du,
@@ -131,8 +135,8 @@ def _unit_floor(r):
 # since the derivative of E[(1 - cos aX) / X] in a is E sin(aX).
 
 # Upper shapes a' + 1 of the recurrence in (this, 1) lose the closed tail to
-# cancellation (relative error about 1e-16 / -a') and use quadrature instead,
-# as do shapes a' <= -1 (Weibull exponents 1/2 and below).
+# cancellation (relative error about 1e-16 / -a') and take the cumulative
+# quadrature instead, as do shapes a' <= -1 (Weibull exponents 1/2 and below).
 _GAMMA_TAIL_MAX_SHAPE = 1.0 - 1e-4
 
 
@@ -150,22 +154,23 @@ def _recurrence_shape(a, p):
 
 
 def _tail_moment(d, r, x):
-    """r T(x) at x >= 0 in closed form, or None. Where C is infinite, x = r
-    and, with y = (r / b)^p, the recurrence gives
+    """r T(x) at x >= 0. Where C is infinite, x = r and, with
+    y = (r / b)^p, the recurrence gives
 
         r T(r) = (y^a e^-y - y^(1/p) Gamma(a' + 1, y)) / (-a' Gamma(a)),
 
     which is y^(1/p) E1(y) / Gamma(a) at a' = 0. It is finite wherever T(r)
     overflows; y^a comes from log y = p (log r - log b), which holds where
-    y underflows to 0, and the moment is 0 at r = 0 and where y overflows."""
+    y underflows to 0, and the moment is 0 at r = 0 and where y overflows.
+    Shapes with no closed tail take ``_cumulative_moment``."""
     t = _tilt(d)
     if t is not None:
         return r * (t.c * t.tilted.sf(x))
     a, b, p = d.triple()
     upper = _recurrence_shape(a, p)
     if not (upper == 1.0 or 0.0 < upper <= _GAMMA_TAIL_MAX_SHAPE):
-        return None
-    root = r / b  # y^(1/p)
+        return _cumulative_moment(d, r)
+    root = dists.quotient(r, b)  # y^(1/p)
     y = dists.power(root, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         if upper == 1.0:
@@ -180,14 +185,103 @@ def _tail_moment(d, r, x):
 
 
 def _tilt_kernel(d, r):
-    """(k(r), r k'(r)) at r >= 0 in closed form, or None. A count law is
-    read at the knot at or below r, so a scaled input a hair below a knot
-    takes the slope of the segment that starts there."""
+    """(k(r), r k'(r)) = (S_F(x) - r T(x), -r T(x)) at r >= 0, elementwise,
+    for every law: x = r, except that a count law is read at the knot x at
+    or below r, so a scaled input a hair below a knot takes the slope of
+    the segment that starts there."""
     x = _unit_floor(r) if d.discrete else r
     moment = _tail_moment(d, r, x)
-    if moment is None:
-        return None
     return d.sf(x) - moment, -moment
+
+
+# ---------------------------------------------------------------------------
+# The tail with no closed form. With a' = a - 1/p < 0 and y = (r / b)^p,
+#
+#     r T(r) = (r / b) Gamma(a', y) / Gamma(a),
+#     Gamma(a', y) = integral over s > log y of e^(a' s - e^s) ds,
+#
+# summed on a fixed ladder of knots in s per law, to which each value adds
+# the piece from its own log y to the next knot.
+
+@lru_cache(maxsize=1)
+def _rules():
+    """The 20-point Gauss-Legendre rule on [0, 1] that each piece takes, and
+    the 10-point rule whose relative gap from it is the piece's error
+    estimate, as (nodes, weights), built at the first use: their eigenvalue
+    solve touches LAPACK, which would cost every command 1 MB at import."""
+    return [(0.5 * (x + 1.0), 0.5 * w) for x, w in map(roots_legendre, (20, 10))]
+
+
+#: y at the top of the ladder: past it r T(r) ~ y^(a - 1) e^-y, for the
+#: shapes a <= 1 without a closed tail, is below the least double.
+_LADDER_TOP = 750
+
+#: Values per pass of ``_cumulative_moment``, so that its nodes take a few MB.
+_CHUNK = 2 ** 14
+
+
+def _pieces(a1, lo, hi):
+    """(log I, relative error estimate) of I = integral over lo < s < hi of
+    e^(a1 s - e^s) ds, elementwise, by the two ``_rules``. As a1 < 0 the
+    integrand is largest at lo, and it is summed relative to its value
+    there, so e^(a1 s) may overflow."""
+    lo, width = lo[:, None], (hi - lo)[:, None]
+    top = a1 * lo - np.exp(lo)
+    sums = []
+    for nodes, weights in _rules():
+        s = lo + width * nodes
+        sums.append(np.sum(weights * np.exp(a1 * s - np.exp(s) - top), axis=-1))
+    fine, coarse = sums
+    return top[:, 0] + np.log(width[:, 0] * fine), np.abs(fine - coarse) / fine
+
+
+@lru_cache(maxsize=64)
+def _ladder(d):
+    """(knots, log rest, worst) of the law d: knots in s = log y, the log
+    of the integral from each knot up, and the largest error estimate of
+    the pieces above each knot. The knots are the doublings of x from below
+    the least double, p log 2 apart in s, up to y = max(1, 1 / (p log 2)),
+    where a unit step of y gets narrower in s than a doubling, then unit
+    steps of y up to _LADDER_TOP. Across each piece a' s - e^s then changes
+    by at most (1 - a p) log 2 + 1 < 2, which the 10-point rule already
+    integrates to double precision."""
+    a, b, p = d.triple()
+    step = p * math.log(2.0)
+    doublings = np.arange(-max(0, math.ceil(math.log2(b)) + 1075),
+                          max(0, math.ceil(-math.log(step) / step)) + 1) * step
+    units = np.arange(math.floor(math.exp(doublings[-1])) + 1.0, _LADDER_TOP + 1.0)
+    knots = np.concatenate([doublings, np.log(units)])
+    log_piece, err = _pieces(a - 1.0 / p, knots[:-1], knots[1:])
+    log_rest = np.append(np.logaddexp.accumulate(log_piece[::-1])[::-1], -np.inf)
+    worst = np.append(np.maximum.accumulate(err[::-1])[::-1], 0.0)
+    return knots, log_rest, worst
+
+
+def _cumulative_moment(d, r):
+    """r T(r) at r >= 0, elementwise, for a law with no closed tail: the
+    ladder's sum above the first knot past log y plus the piece up to it,
+    taken in logs, as e^(a' s) overflows at subnormal r for Weibull
+    exponents below 0.05 while r T(r) does not. No value depends on another,
+    so an array gives the bits of its scalar calls. The error is absolute,
+    like the oracle's: k = S_F - r T keeps about 1e-16 S_F(r). A relative
+    error estimate above 1e-9, which bounds r T(r) <= 1 to 1e-9 absolute,
+    raises QuadratureError."""
+    a, b, p = d.triple()
+    knots, log_rest, worst = _ladder(d)
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):  # log 0 at r = 0 and on empty pieces
+        log_ratio = np.log(r) - math.log(b)
+        s = np.clip(p * log_ratio, knots[0], knots[-1]).ravel()
+        j = np.minimum(np.searchsorted(knots, s, side="right"), knots.size - 1)
+        log_tail, err = np.empty_like(s), np.empty_like(s)
+        for i in range(0, s.size, _CHUNK):
+            part = slice(i, i + _CHUNK)
+            log_tail[part], err[part] = _pieces(a - 1.0 / p, s[part], knots[j[part]])
+    if err.size:
+        i = np.argmax(np.maximum(err, worst[j], out=err))  # the first NaN, or the largest
+        _checked(None, err[i], 1e-9, "kernel", d, f"r={float(r.flat[i])!r}")
+    log_tail = np.logaddexp(log_tail, log_rest[j]) - math.lgamma(a)
+    return np.exp(log_ratio + log_tail.reshape(r.shape))
 
 
 #: The w = log(u / u0) past which ``_spectral_identity`` takes Im phi(u) as
@@ -300,7 +394,7 @@ def _kernel_cos_integral(d, a, reach=math.inf, tol=0.0):
     rest = rest_err = 0.0
     for i, last in enumerate(knots[1:], 1):
         if last > reach:
-            k, moment = _kernel_and_moment(d, last)
+            k, moment = _tilt_kernel(d, last)
             bound = 2.0 * abs(moment) / (last * a) / a
             if bound <= tol:
                 knots, rest, rest_err = knots[:i + 1], -k * math.sin(a * last) / a, bound
@@ -369,13 +463,6 @@ def _scaled(name, v, rho):
     return rho * a
 
 
-def _per_distinct(u, f, at_zero):
-    """f(v) once per distinct v > 0 of u, and at_zero where u = 0, elementwise."""
-    values, inverse = np.unique(u, return_inverse=True)
-    table = np.array([f(v) if v > 0.0 else at_zero for v in values.tolist()])
-    return table.reshape((-1,) + np.shape(at_zero))[inverse.reshape(np.shape(u))]
-
-
 def eval_kernel(spec, r):
     """Kernel value k(rho |r|) within [0, 1], elementwise on a float (a float
     in gives a float out) or an array; rho |r| is capped as ``_scaled`` says."""
@@ -385,20 +472,18 @@ def eval_kernel(spec, r):
 
 
 def _kernel(d, u):
-    """k(u) elementwise at u >= 0, within [0, 1]: a closed form is at most
-    S_F(u) <= 1, and only its rounding can take it below 0."""
-    closed = _tilt_kernel(d, u)
-    if closed is None:
-        return np.clip(_per_distinct(u, lambda v: eval_kernel_numeric(d, v), 1.0), 0.0, 1.0)
-    return np.maximum(closed[0], 0.0)
+    """k(u) elementwise at u >= 0, within [0, 1]: k(u) = S_F(u) - u T(u) is
+    at most S_F(u) <= 1, and only its rounding can take it below 0."""
+    return np.maximum(_tilt_kernel(d, u)[0], 0.0)
 
 
 def eval_kernel_numeric(d, r):
     """k(|r|) = E (1 - |r| / X)+ by direct quadrature/summation of the
-    mixture integral.
+    mixture integral, one QUADPACK run per value.
 
-    Independent of every closed form; serves as the oracle they are
-    validated against. Absolute accuracy well below 1e-9.
+    The oracle of ``eval_kernel``: independent of every closed form and of
+    the cumulative tail, and called by no path of the package. Absolute
+    accuracy well below 1e-9.
     """
     r = abs(float(r))
     value, err = _law_integral(d, lambda x: 1.0 - r / x if x else 1.0, r)
@@ -521,31 +606,15 @@ def _ft_from_kernel(d, a, b=1.0):
 def kernel_to_cdf(spec, x):
     """Recover the generating cdf at x from the kernel alone, elementwise as in
     eval_kernel: F(x) = 1 - k(u) + u k'(u) with u = rho x (0 where u <= 0),
-    using the closed derivative if any, else quadrature of the exact one.
+    with k and u k'(u) = -u T(u) from the one kernel formula.
 
     The sum is taken in doubles, so its accuracy is absolute, about one ulp
     of 1: a small F keeps few digits, and Gamma(0.1, 1) at u = 1e-300,
     where F = 1.05e-30, reads 0.0."""
     x = np.asarray(x, dtype=float)
-    kv, moment = _kernel_and_moment(spec.dist, _scaled("x", x, spec.rho) * (x > 0.0))
+    kv, moment = _tilt_kernel(spec.dist, _scaled("x", x, spec.rho) * (x > 0.0))
     cdf = np.minimum(1.0, np.maximum(0.0, 1.0 - kv + moment))
     return float(cdf) if x.ndim == 0 else cdf
-
-
-def _kernel_and_moment(d, u):
-    """(k(u), u k'(u)) elementwise at u >= 0: closed where available, else,
-    once per distinct u > 0, by quadrature of the kernel and of the moment
-    u k'(u) = -E[u / X; X > u], which is bounded by one."""
-    closed = _tilt_kernel(d, u)
-    if closed is not None:
-        return closed
-
-    def numeric(v):
-        moment, err = _law_integral(d, lambda w: v / w, v)
-        return eval_kernel_numeric(d, v), -_checked(moment, err, 1e-9, "derivative", d, f"u={v}")
-
-    pairs = _per_distinct(u, numeric, (1.0, 0.0))
-    return pairs[..., 0], pairs[..., 1]
 
 
 def area_under_curve(spec):

@@ -72,20 +72,26 @@ class TestExactGram:
         assert np.array_equal(got, expected)
 
     def test_numeric_kernel_is_integrated_once_per_distinct_gap(self, monkeypatch):
-        # Weibull(1, 0.4) has no closed kernel: each distinct coordinate gap
-        # |x_ij - x_kj| is one quadrature, whichever pairs and coordinates
-        # share it, and k(0) = 1 takes none
+        # Weibull(1, 0.4) has no closed tail: its coordinate gaps take the
+        # cumulative one, a single ladder for the law and no per-value
+        # quadrature, within 1e-12 of that quadrature; equal gaps get equal
+        # bits, whichever pairs and coordinates share them, and k(0) = 1
         calls = []
         numeric = kernels.eval_kernel_numeric
         monkeypatch.setattr(kernels, "eval_kernel_numeric",
                             lambda d, r: calls.append(r) or numeric(d, r))
+        kernels._ladder.cache_clear()
         law = dist.Weibull(1.0, 0.4)
         X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.5], [1.5, 1.5], [0.5, 0.0]])
         K = approx.exact_gram(KernelSpec(law), X).values
-        assert sorted(calls) == [0.5, 1.0, 1.5]
-        k = {g: numeric(law, g) for g in (0.5, 1.0, 1.5)}
-        assert K[0, 3] == k[1.5] * k[1.5] and K[1, 2] == k[0.5] * k[0.5]
-        assert K[0, 4] == k[0.5] * 1.0 and np.array_equal(np.diag(K), np.ones(5))
+        assert calls == [] and kernels._ladder.cache_info().misses == 1
+        k = {0.0: 1.0, 0.5: numeric(law, 0.5), 1.0: numeric(law, 1.0), 1.5: numeric(law, 1.5)}
+        gaps = np.abs(X[:, None, :] - X[None, :, :])
+        np.testing.assert_allclose(K, np.prod(np.vectorize(k.get)(gaps), axis=-1), rtol=0.0,
+                                   atol=1e-12)
+        half = KernelSpec(law).kernel(0.5)
+        assert K[1, 2] == half * half and K[0, 4] == half * 1.0
+        assert np.array_equal(np.diag(K), np.ones(5))
 
     def test_kernel_matrix_validation(self):
         with pytest.raises(ValueError):

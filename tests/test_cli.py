@@ -17,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import pytest
 
 from polyakern import approx, cli, feature_maps, learn
 from polyakern import polya_kernels as kernels
-from polyakern.distributions import Gamma, format_distribution
+from polyakern.distributions import Gamma, Weibull, format_distribution
 from polyakern.errors import ParseError
 from polyakern.feature_maps import (
     BINNING,
@@ -163,6 +164,18 @@ class TestKernelCommands:
             got_r, got_k = map(float, line.split(","))
             assert got_r == r
             assert got_k == pytest.approx(eval_kernel(spec, r), abs=1e-15)
+
+    @pytest.mark.parametrize("kernel", [
+        "weibull:theta=1e-300,alpha=0.7", "gamma:s=2,theta=1e-300", "gamma:s=0.5,theta=1e-300",
+        "weibull:theta=1e-300,alpha=0.45",
+    ])
+    def test_eval_where_distance_over_scale_overflows(self, capsys, kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["kernel", "eval", "--kernel", kernel, "1e300"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["r,k", "1e+300,0.0"]
+        assert captured.err == ""
 
     def test_ft_spot_value_log_two(self, capsys):
         assert cli.main(["kernel", "ft", "--kernel", "gamma:s=1,theta=1", "1"]) == 0
@@ -626,6 +639,20 @@ class TestFitPredict:
         model = learn.fit(state, batch, ds.targets, lam=0.1)
         expected = learn.predict(model, ds.points)
         np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    def test_regression_on_labels_whose_norm_overflows(self, tmp_path, capsys):
+        # the norm of the labels 1, 1e200, -1e200 overflows; the solve's
+        # residual check still holds, and nothing warns
+        data = tmp_path / "train.txt"
+        write_lines(data, ["1 1:0.1 2:0.5", "1e200 1:0.7 2:-0.2", "-1e200 1:-0.4 2:0.9"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([
+                "fit", str(data), "--task", "regression", "--map", "binning",
+                "--kernel", "gamma:s=2,theta=1", "--copies", "4", "--lambda", "0.1",
+                "--seed", "3", "--out", str(tmp_path / "model.json"),
+            ]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_binary_classification_accuracy(self, tmp_path):
         data = tmp_path / "train.txt"
@@ -1638,12 +1665,16 @@ class TestStartup:
                                "--kernel", "cauchy:scale=1", "--copies", "8",
                                "--lambda", "0.1", "--seed", "3",
                                "--out", f"{out}/fourier.json"]))
+        weibull = io.StringIO()
+        with contextlib.redirect_stdout(weibull):
+            codes.append(cli.main(["kernel", "eval", "--kernel", "weibull:theta=1,alpha=0.4",
+                                   "0.5"]))
         before = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
             codes.append(cli.main(["kernel", "ft", "--kernel", "gamma:s=0.5,theta=1", "1"]))
         print(json.dumps({"codes": codes, "before": before, "ft": text.getvalue(),
-                          "after": "scipy.integrate" in sys.modules}))
+                          "weibull": weibull.getvalue(), "after": "scipy.integrate" in sys.modules}))
     """)
 
     def test_binning_and_fourier_commands_leave_quadpack_unloaded(self, tmp_path):
@@ -1657,7 +1688,12 @@ class TestStartup:
             env=env, capture_output=True, text=True, check=True,
         )
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result["codes"] == [0] * 14
+        assert result["codes"] == [0] * 15
         assert result["before"] == []
         assert result["ft"].splitlines() == ["t,ft", "1.0,0.3947364538712399"]
+        # a law with no closed tail takes the cumulative one, not QUADPACK
+        header, row = result["weibull"].splitlines()
+        assert header == "r,k" and row.startswith("0.5,")
+        oracle = kernels.eval_kernel_numeric(Weibull(1.0, 0.4), 0.5)
+        assert float(row.split(",")[1]) == pytest.approx(oracle, rel=0.0, abs=1e-12)
         assert result["after"]

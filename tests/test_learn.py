@@ -498,6 +498,21 @@ class TestSolveSpd:
         with pytest.raises(NumericalError, match="residual"):
             learn._solve_spd(self.spd(), np.ones((6, 2)))
 
+    def test_residual_check_holds_where_the_norm_of_b_overflows(self, monkeypatch):
+        # ||b|| overflows at |b| = 1e200: the check divides both sides by
+        # max |b| first, so a wrong solution still fails it, with no warning
+        potrs = learn.scipy.linalg.lapack.dpotrs
+        monkeypatch.setattr(learn.scipy.linalg.lapack, "dpotrs",
+                            lambda c, b, **kwargs: (1.5 * potrs(c, b, **kwargs)[0], 0))
+        A = np.array([[2.0, 1.0], [1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^linear-system residual 7.071e\\+199 exceeds"):
+                learn._solve_spd(A.copy(), np.array([1e200, -1e200]))
+            monkeypatch.setattr(learn.scipy.linalg.lapack, "dpotrs", potrs)
+            x = learn._solve_spd(A.copy(), np.array([1e200, -1e200]))
+            assert x.tolist() == pytest.approx([1e200, -1e200], rel=1e-15, abs=0.0)
+
     def test_dual_fit_memory_is_one_system(self, monkeypatch):
         monkeypatch.setattr(feature_maps, "BLOCK_CELLS", 2 ** 16)
         n = 2500

@@ -6,6 +6,7 @@ constants were verified with 30-digit arithmetic.
 """
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -47,8 +48,9 @@ CLOSED_FORM_SETTINGS = [
 
 # Laws with C = E 1/X infinite, whose density does not vanish at zero. Their
 # kernels take the closed tail Gamma(a - 1/p, x) and are checked against the
-# numeric route here; the kernels with no closed form (Weibull alpha <= 1/2)
-# are pinned to mpmath in TestNumericRoutes, as are the numeric transforms.
+# numeric route here; the kernels with no closed tail (Weibull alpha <= 1/2)
+# take the cumulative one, checked in TestCumulativeTail and pinned to mpmath
+# in TestNumericRoutes, as are the numeric transforms.
 NUMERIC_ONLY_SETTINGS = [
     dist.Gamma(0.5, 1.0),
     dist.Weibull(1.0, 0.7),
@@ -60,6 +62,16 @@ R_GRID = [0.0, 0.3, 1.0, 2.5, 7.0]
 
 def spec(d, **kw):
     return kernels.KernelSpec(d, **kw)
+
+
+@pytest.fixture
+def cumulative_calls(monkeypatch):
+    """The law of each call of the cumulative tail, the route of the laws
+    with no closed tail."""
+    calls = []
+    route = kernels._cumulative_moment
+    monkeypatch.setattr(kernels, "_cumulative_moment", lambda d, r: calls.append(d) or route(d, r))
+    return calls
 
 
 class TestKernelSpec:
@@ -150,12 +162,12 @@ class TestEvalKernel:
         dist.Weibull(1.0, 0.7), dist.Weibull(2.0, 0.7), dist.Weibull(1.0, 0.55),
         dist.Weibull(1.0, 0.9),
     ], ids=repr)
-    def test_weibull_below_one_closed_matches_quadrature(self, d):
+    def test_weibull_below_one_closed_matches_quadrature(self, d, cumulative_calls):
         # exponents 1/2 < alpha < 1 have the closed tail Gamma(1 - 1/alpha, x)
-        assert kernels._tail_moment(d, 1.0, 1.0) is not None
         for r in R_GRID + [1e-6, 0.01, 20.0]:
             closed = kernels.eval_kernel(spec(d), r)
             assert closed == pytest.approx(kernels.eval_kernel_numeric(d, r), abs=1e-8), r
+        assert cumulative_calls == []
 
     def test_weibull_below_one_keeps_digits_at_tiny_r(self):
         # the closed tail; TestNumericRoutes pins the numeric route here
@@ -267,21 +279,35 @@ class TestArrayKernels:
             got = f(k, r)
             assert isinstance(got, np.ndarray) and got.shape == (3, 4)
             assert got.tolist() == [[f(k, v) for v in row] for row in r.tolist()]
-            for law in (k, spec(dist.Weibull(1.0, 0.4))):  # closed and numeric
+            for law in (k, spec(dist.Weibull(1.0, 0.4))):  # closed and cumulative tails
                 assert f(law, np.empty((0, 3))).shape == (0, 3)
 
     @pytest.mark.parametrize("d", [
         dist.Gamma(0.01, 1.0), dist.Gamma(0.5, 1e10), dist.Weibull(1.0, 0.7),
-        dist.HalfNormal(1.0),
+        dist.HalfNormal(1.0), dist.Weibull(1.0, 0.4), dist.Weibull(1.0, 0.04),
+        dist.Gamma(0.99995, 1.0), dist.Weibull(1e300, 0.3), dist.Weibull(1e-300, 0.45),
     ], ids=repr)
     def test_extreme_arrays_warn_nothing_and_equal_scalar_calls(self, d):
         # zero, subnormal, and overflowing powers of r in one array: every
-        # branch of the closed forms is a mask, and none may warn
+        # branch of the closed forms is a mask, the cumulative tail takes
+        # each value on its own, and none may warn
         r = [0.0, 5e-324, 1e-320, 1e300]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for f in (kernels.eval_kernel, kernels.kernel_to_cdf):
                 assert f(spec(d), np.array(r)).tolist() == [f(spec(d), v) for v in r]
+
+    @pytest.mark.parametrize("d", [
+        dist.Weibull(1e-300, 0.7), dist.Gamma(2.0, 1e-300), dist.Gamma(0.5, 1e-300),
+        dist.Weibull(1e-300, 0.45),
+    ], ids=repr)
+    def test_overflowing_ratio_to_the_scale_warns_nothing(self, d):
+        # r / b overflows for the closed tail, the tilted law's sf and the
+        # cumulative tail alike: the kernel is 0 and the cdf 1, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernels.eval_kernel(spec(d), 1e300) == 0.0
+            assert kernels.kernel_to_cdf(spec(d), 1e300) == 1.0
 
     def test_overflowed_scale_is_capped(self):
         # rho |r| past the largest double is capped below it: the kernel
@@ -307,15 +333,24 @@ class TestArrayKernels:
             kernels.kernel_to_cdf(k, values)
 
     def test_numeric_law_integrates_once_per_distinct_value(self, monkeypatch):
+        # a law with no closed tail builds one ladder and runs no per-value
+        # quadrature, in the kernel and in the cdf recovery alike; equal
+        # distances get equal bits, and both stay within 1e-12 of the oracle
         calls = []
         numeric = kernels.eval_kernel_numeric
         monkeypatch.setattr(kernels, "eval_kernel_numeric",
                             lambda d, r: calls.append(r) or numeric(d, r))
+        kernels._ladder.cache_clear()
         d = dist.Weibull(1.0, 0.4)
-        got = kernels.eval_kernel(spec(d, rho=2.0), np.array([[0.5, -0.5, 0.0], [1.5, 0.5, -1.5]]))
-        assert sorted(calls) == [1.0, 3.0]
-        assert got.tolist() == [[numeric(d, 1.0)] * 2 + [1.0], [numeric(d, 3.0), numeric(d, 1.0),
-                                                            numeric(d, 3.0)]]
+        r = np.array([[0.5, -0.5, 0.0], [1.5, 0.5, -1.5]])
+        got = kernels.eval_kernel(spec(d, rho=2.0), r)
+        cdf = kernels.kernel_to_cdf(spec(d, rho=2.0), r)
+        assert calls == [] and kernels._ladder.cache_info().misses == 1
+        assert got[0, 0] == got[0, 1] == got[1, 1] and got[1, 0] == got[1, 2] and got[0, 2] == 1.0
+        k = {0.0: 1.0, 1.0: numeric(d, 1.0), 3.0: numeric(d, 3.0)}
+        want = np.vectorize(k.get)(2.0 * np.abs(r))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(cdf, d.cdf(np.maximum(2.0 * r, 0.0)), rtol=0.0, atol=1e-12)
 
 
 class TestEvalFt:
@@ -473,16 +508,18 @@ class TestGammaTail:
         0.3, 0.5, 0.9,
         kernels._GAMMA_TAIL_MAX_SHAPE - 1e-4,  # last closed shapes
         kernels._GAMMA_TAIL_MAX_SHAPE,
-        kernels._GAMMA_TAIL_MAX_SHAPE + 5e-5,  # numeric
+        kernels._GAMMA_TAIL_MAX_SHAPE + 5e-5,  # cumulative
     ])
-    def test_kernel_matches_quadrature(self, s):
+    def test_kernel_matches_quadrature(self, s, cumulative_calls):
         d = dist.Gamma(s, 1.0)
-        closed = s <= kernels._GAMMA_TAIL_MAX_SHAPE
-        assert (kernels._tail_moment(d, 1.0, 1.0) is not None) == closed
-        for r in [1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 20.0]:
+        grid = [1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 20.0]
+        for r in grid:
             assert kernels.eval_kernel(spec(d), r) == pytest.approx(
                 kernels.eval_kernel_numeric(d, r), abs=1e-9
             ), r
+        # the closed tail, or past its last shape the cumulative one
+        closed = s <= kernels._GAMMA_TAIL_MAX_SHAPE
+        assert cumulative_calls == ([] if closed else [d] * len(grid))
 
     def test_defect_5d_band_is_pinned(self):
         # ROADMAP defect 5d: near r / theta = 1 the closed tail of shapes
@@ -545,8 +582,8 @@ NUMERIC_T_GRID = [1e-4, 0.01, 1.2, 300.0, 1e4]
 
 
 class TestNumericRoutes:
-    """The quadrature routes: the kernel in log x, the moment r k'(r), and
-    both transform routes, against mpmath and the closed forms."""
+    """The quadrature routes: the kernel oracle in log x, the cumulative
+    tail, and both transform routes, against mpmath and the closed forms."""
 
     @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.7])
     @pytest.mark.parametrize("r", [1e-12, 1e-9, 3e-8, 1e-3, 5.0])
@@ -576,13 +613,15 @@ class TestNumericRoutes:
             assert kernels.eval_kernel_numeric(d, r) == pytest.approx(expected, abs=1e-9), r
 
     @pytest.mark.parametrize("alpha", [0.4, 0.3])
-    def test_weibull_cdf_recovery(self, alpha):
-        # no closed tail for alpha <= 1/2: both k and u k'(u) are numeric
+    def test_weibull_cdf_recovery(self, alpha, cumulative_calls):
+        # no closed tail for alpha <= 1/2: k and u k'(u) both come from the
+        # cumulative one
         d = dist.Weibull(1.0, alpha)
         k = spec(d)
-        assert kernels._tilt_kernel(d, 1.0) is None
-        for x in [1e-9, 1e-6] + list(np.linspace(0.0, 30.0, 125)):
+        grid = [1e-9, 1e-6] + list(np.linspace(0.0, 30.0, 125))
+        for x in grid:
             assert kernels.kernel_to_cdf(k, x) == pytest.approx(d.cdf(x), abs=1e-9), x
+        assert cumulative_calls == [d] * len(grid)
 
     @pytest.mark.parametrize("d", [
         dist.Gamma(2.0, 1.0), dist.Gamma(0.5, 1.0), dist.HalfNormal(1.0),
@@ -666,6 +705,62 @@ class TestNumericRoutes:
     def test_area_of_numeric_kernel(self):
         for d in (dist.Weibull(1.0, 0.4), dist.Weibull(2.0, 0.3)):
             assert kernels.area_under_curve(spec(d, tau=1.5)) == pytest.approx(1.5, rel=1e-9, abs=0.0)
+
+
+CUMULATIVE_LAWS = [dist.Weibull(theta, alpha) for alpha in (0.5, 0.4, 0.3, 0.1, 0.04)
+                   for theta in (1e-5, 1.0, 1e8)] + [dist.Gamma(s, 1.0) for s in (0.99991, 0.99995)]
+
+
+class TestCumulativeTail:
+    """The laws with no closed tail, Weibull alpha <= 1/2 and gamma shapes
+    within 1e-4 below one, take r T(r) from one cumulative Gauss-Legendre
+    sum per law; the per-value quadrature eval_kernel_numeric is their
+    oracle."""
+
+    @pytest.mark.parametrize("d", CUMULATIVE_LAWS, ids=repr)
+    def test_matches_the_oracle_from_zero_past_the_cutoff(self, d):
+        cutoff = d.upper_tail_cutoff(1e-16)
+        r = np.concatenate([[0.0, 5e-324, 1e-320], np.geomspace(1e-300, 1.5 * cutoff, 60)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = kernels.eval_kernel(spec(d), r)
+            cdf = kernels.kernel_to_cdf(spec(d), r)
+            assert k.tolist() == [kernels.eval_kernel(spec(d), v) for v in r.tolist()]
+            assert cdf.tolist() == [kernels.kernel_to_cdf(spec(d), v) for v in r.tolist()]
+            oracle = [kernels.eval_kernel_numeric(d, v) for v in r.tolist()]
+        np.testing.assert_allclose(k, oracle, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(cdf, d.cdf(r), rtol=0.0, atol=1e-9)
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(
+        st.one_of(
+            st.builds(dist.Weibull, st.floats(-30.0, 30.0).map(math.exp), st.floats(0.04, 0.5)),
+            st.builds(dist.Gamma, st.floats(1.0 - 1e-4, 1.0, exclude_min=True, exclude_max=True),
+                      st.floats(-30.0, 30.0).map(math.exp)),
+        ),
+        st.floats(math.log(1e-300), math.log(1e3)).map(math.exp),
+    )
+    def test_property_against_the_oracle(self, d, r):
+        k = kernels.eval_kernel(spec(d), r)
+        assert 0.0 <= k <= 1.0
+        assert abs(k - kernels.eval_kernel_numeric(d, r)) <= 1e-9
+        assert abs(kernels.kernel_to_cdf(spec(d), r) - float(d.cdf(r))) <= 1e-9
+
+    def test_rule_pair_disagreement_names_the_law(self, monkeypatch):
+        # the 10-point rule made to disagree fails the ladder and the
+        # value's own piece alike; the ladder built with it is dropped after
+        fine, (nodes, weights) = kernels._rules()
+        monkeypatch.setattr(kernels, "_rules", lambda: [fine, (nodes, 2.0 * weights)])
+        d = dist.Weibull(1.0, 0.4)
+        message = r"^kernel quadrature error 1\.00e\+00 too large at r=0\.5 for " + re.escape(repr(d))
+        kernels._ladder.cache_clear()
+        try:
+            with pytest.raises(QuadratureError, match=message + "$"):
+                kernels.eval_kernel(spec(d), 0.5)
+            with pytest.raises(QuadratureError, match=message + "$"):
+                kernels.kernel_to_cdf(spec(d), np.array([0.5]))
+        finally:
+            kernels._ladder.cache_clear()
 
 
 class TestKernelToCdf:
