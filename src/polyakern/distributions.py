@@ -14,8 +14,8 @@ family, ShiftedPoisson, tilts to a plain Poisson law.
 The closed characteristic-function forms are one_minus_re_cf(t) =
 1 - E cos(tX) for powers 1 and 2, written so that it keeps its relative
 accuracy as t -> 0 (expm1 and sin^2 forms, a Kummer series at small
-argument), and im_cf(t) = E sin(tX) for power 1 and for the half-normal
-law (a = 1/2, p = 2), the laws with C = infinity that have one. Any other
+argument), and im_cf(t) = E sin(tX) for the half-normal law (a = 1/2,
+p = 2), the one law with C = infinity whose transform needs it. Any other
 power has neither. Special functions come from ``math`` and
 ``scipy.special``; cdf and sf work elementwise on arrays, the rest on floats.
 
@@ -30,6 +30,7 @@ table of its sf.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
@@ -42,6 +43,7 @@ from .errors import ConvergenceError, InfiniteTiltError, ParseError
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
+_LEAST_NORMAL = sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +135,22 @@ def _regularized_gamma(a, b, p, x, lower=False):
     functions. Other powers take the elementary forms of the two elementary
     shapes, Q(1, z) = e^-z (P = -expm1(-z)) and Q(1/2, y^2) = erfc(y)
     (P = erf(y)); erfc reads y = x / b itself, so y^2 is never rounded.
-    Where z underflows to zero, P(a, z) = z^a / Gamma(a + 1) from
+    Off power 1, where y is below the least normal double and so has lost
+    digits or underflowed, z = e^(p (log x - log b)) instead. Where z
+    underflows to zero, P(a, z) = z^a / Gamma(a + 1) from
     log z = p (log x - log b), which is not small for tiny shapes a.
     """
     y = quotient(x, b)
     if a == 0.5 and p == 2.0:
         return erf(y) if lower else erfc(y)
     z = power(y, p)
-    if a == 1.0 and p != 1.0:
-        return -np.expm1(-z) if lower else np.exp(-z)
+    if p != 1.0:
+        tiny = y < _LEAST_NORMAL
+        if tiny if isinstance(y, float) else np.count_nonzero(tiny):
+            with np.errstate(divide="ignore"):
+                z = np.where(tiny, np.exp(p * (np.log(x) - math.log(b))), z)
+        if a == 1.0:
+            return -np.expm1(-z) if lower else np.exp(-z)
     value = (gammainc if lower else gammaincc)(a, z)
     under = z == 0.0
     if np.count_nonzero(under):
@@ -307,15 +316,11 @@ class GeneralizedGamma(Distribution):
         return None
 
     def im_cf(self, t):
-        """E sin(tX) in closed form for power 1, (1 + x^2)^(-a/2) sin(a atan x)
-        with x = b t, and for the half-normal law, (2 / sqrt(pi)) D(b t / 2)
-        with Dawson's integral D; None otherwise."""
+        """E sin(tX) in closed form for the half-normal law,
+        (2 / sqrt(pi)) D(b t / 2) with Dawson's integral D; None otherwise."""
         a, b, p = self.triple()
-        x = b * t
-        if p == 1.0:
-            return math.exp(-0.5 * a * math.log1p(x * x)) * math.sin(a * math.atan(x))
         if p == 2.0 and a == 0.5:
-            return 2.0 / _SQRT_PI * float(dawsn(0.5 * x))
+            return 2.0 / _SQRT_PI * float(dawsn(0.5 * b * t))
         return None
 
 

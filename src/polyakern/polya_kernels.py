@@ -25,22 +25,24 @@ finite even where T(r) overflows. It is closed where a = 1/p and where
 -1 < a - 1/p <= -1e-4; for Weibull exponents at most 1/2 and gamma shapes
 within 1e-4 below one it is one cumulative Gauss-Legendre quadrature per law,
 ``_cumulative_moment``, so k(r) = S_F(r) - r T(r) is the one kernel formula
-of every law. The transform of a
-law with a closed Im phi_F (power 1, or the half-normal law) comes from the
+of every law. The transform of a power-1 law (gamma s <= 1) is the tilt
+formula continued to the tilted shape s - 1 <= 0,
+FT(a) = 2 (Re (1 - i b a)^(1 - s) - 1) / (b (1 - s) a^2), which is
+log1p((b a)^2) / (b a^2) at s = 1. That of the half-normal law comes from the
 spectral identity FT(a) = (2 / a^2) * integral_0^a Im phi_F(u) du: one
-quadrature of a smooth, non-oscillating integrand. QUADPACK remains for the
-transforms of Weibull exponents other than 1 or 2, for the area under the
-kernel, and as the kernel's oracle, ``eval_kernel_numeric``. It is two
-helpers: ``_law_integral``, the integral of
+quadrature of a smooth, non-oscillating integrand. QUADPACK remains for that
+identity, for the transforms of Weibull exponents other than 1 or 2, for the
+area under the kernel, and as the kernel's oracle, ``eval_kernel_numeric``.
+It is two helpers: ``_law_integral``, the integral of
 g(x) dF(x) (in w = log x, or by QUADPACK's cosine rule QAWO when weighted
 by cos(ax)), and ``_kernel_cos_integral``, the integral of k(r) cos(ar)
 over r > 0 by QAWO between the kernel's knots. The numeric transform takes
 both, as (2 / a^2) E[(1 - cos aX) / X] and as twice the cosine integral,
 each on the unit-scale law through FT_b(a) = b FT_1(ab). ``_quad`` imports
 QUADPACK (``scipy.integrate``) at the first quadrature, so commands that never
-integrate, such as binning or Fourier fit, predict and cv, or any kernel
-evaluation, start without it. eval_kernel and kernel_to_cdf take arrays (one
-path with masks for branches); eval_ft one t.
+integrate, such as binning or Fourier fit, predict and cv, any kernel
+evaluation, or the transform of a gamma law, start without it. eval_kernel
+and kernel_to_cdf take arrays (one path with masks for branches); eval_ft one t.
 """
 
 import math
@@ -127,8 +129,10 @@ def _unit_floor(r):
 # which is E1(x) / (b Gamma(a)) at a' = 0, and for -1 < a' < 0 follows from
 # the recurrence Gamma(a', x) = (x^a' e^-x - Gamma(a' + 1, x)) / (-a'). The
 # kernel needs only r T(r), which ``_tail_moment`` takes as one expression, or
-# where that has none, ``_cumulative_moment`` as one quadrature. The
-# transforms of these laws follow from the spectral identity
+# where that has none, ``_cumulative_moment`` as one quadrature. The transform
+# of a power-1 law continues the tilt formula to its tilted shape s - 1 <= 0
+# (``_continued_tilt_ft``); that of the half-normal law follows from the
+# spectral identity
 #
 #     FT(a) = 2 E[(1 - cos aX) / X] / a^2 = (2 / a^2) integral_0^a Im phi_F(u) du,
 #
@@ -284,22 +288,59 @@ def _cumulative_moment(d, r):
     return np.exp(log_ratio + log_tail.reshape(r.shape))
 
 
+def _continued_tilt_ft(s, b, a):
+    """Transform at a > 0 of the power-1 law of shape s <= 1 and scale b: the
+    tilt formula continued to the tilted shape s - 1 <= 0,
+
+        FT(a) = 2 V / (b eps a^2),   V = Re (1 - ix)^eps - 1,   x = b a,  eps = 1 - s,
+
+    which is log1p(x^2) / (b a^2) at s = 1. With L = log |1 - ix| and
+    psi = atan x, V = e^(eps L) cos(eps psi) - 1 is taken in one of two forms
+    whose terms do not cancel as s -> 0 or s -> 1: for s < 1/2,
+    V = x Im phi - (1 - Re phi) with phi = (1 - ix)^-s, both terms O(s); for
+    s >= 1/2, V = expm1(eps L) - 2 e^(eps L) sin^2(eps psi / 2), whose
+    e^(eps L) <= (1 + x^2)^(1/4) stays finite. FT is 2 (V / x) / (eps a),
+    and L is log x past x = 1e150, from log b + log a where x overflows, so
+    neither x^2 nor x need be finite. Below x = 2^-27 the transform is the
+    mean b s to double precision (the next term of its series is
+    -(1 + s)(2 + s) x^2 / 12 of it), where the forms would meet subnormals."""
+    x = b * a
+    if x < 2.0 ** -27:
+        return b * s
+    if x < 1e150:
+        L = 0.5 * math.log1p(x * x)
+    else:
+        L = math.log(x) if x < math.inf else math.log(b) + math.log(a)
+    psi, eps = math.atan(x), 1.0 - s
+    if s < 0.5:
+        # |phi| = e^(-s L), arg phi = s psi,
+        # 1 - Re phi = -expm1(-s L) + 2 |phi| sin^2(s psi / 2)
+        m, h = math.exp(-s * L), math.sin(0.5 * s * psi)
+        ratio = (m * math.sin(s * psi) - (2.0 * m * h * h - math.expm1(-s * L)) / x) / eps
+    else:
+        h = math.sin(0.5 * eps * psi)
+        v = L if eps == 0.0 else (math.expm1(eps * L) - 2.0 * math.exp(eps * L) * h * h) / eps
+        ratio = v / x if x < math.inf else math.exp(math.log(v) - L)
+    return 2.0 * ratio / a
+
+
 #: The w = log(u / u0) past which ``_spectral_identity`` takes Im phi(u) as
-#: its power law: there b u > e^300 / E[X / b], where the relative error of
-#: the power law is below 1e-100 and b u squared is still a finite double.
+#: c / u: there b u > e^300 / E[X / b], where the relative error of c / u is
+#: below 1e-100 and b u squared is still a finite double.
 _SPECTRAL_HEAD = 300.0
 
 
 def _spectral_identity(law, a):
-    """(2 / a^2) integral_0^a Im phi(u) du for a law with closed im_cf.
+    """(2 / a^2) integral_0^a Im phi(u) du for the half-normal law, whose
+    Im phi(u) is Dawson's integral.
 
     Up to u0 = min(a, 1 / mean) the integrand is about u E X, so the
     integral runs over [0, 1] in v = u / u0 and keeps its relative accuracy
-    as a -> 0. Beyond u0 it decays like a power of u, which is smooth in
-    w = log(u / u0). Past w = _SPECTRAL_HEAD, Im phi(u) is c u^-q with
-    q = shape * power <= 1 (the laws with C infinite) to double precision,
-    so the rest of the integral is exact in closed form; it is summed in
-    logs, as e^w and a / u0 can overflow where the transform does not."""
+    as a -> 0. Beyond u0 it decays like 1 / u, which is smooth in
+    w = log(u / u0). Past w = _SPECTRAL_HEAD, Im phi(u) is c / u to double
+    precision, so the rest of the integral is its value there times the
+    length of the rest in w; it is summed in logs, as e^w and a / u0 can
+    overflow where the transform does not."""
     u0 = min(a, 1.0 / law.mean())
     total, err = _quad(lambda v: law.im_cf(u0 * v), 0.0, 1.0, epsrel=1e-12)
 
@@ -318,26 +359,22 @@ def _spectral_identity(law, a):
         )
     if span <= _SPECTRAL_HEAD:
         return 2.0 * u0 * total / a / a
-    # f(w) = f(head) e^((1 - q)(w - head)) from the head to log(a / u0)
-    shape, _, power = law.triple()
-    q = shape * power
     rest = math.log(a) - math.log(u0) - _SPECTRAL_HEAD
-    growth = (1.0 - q) * rest
-    log_tail = math.log(f(_SPECTRAL_HEAD)) + (
-        math.log(rest) if growth == 0.0
-        else growth + math.log(-math.expm1(-growth) / (1.0 - q))
-    )
-    log_total = float(np.logaddexp(log_tail, math.log(total)))
+    log_total = float(np.logaddexp(math.log(f(_SPECTRAL_HEAD)) + math.log(rest), math.log(total)))
     return math.exp(math.log(2.0 * u0) - 2.0 * math.log(a) + log_total)
 
 
 def _tilt_ft(d, a):
-    """Transform at frequency a > 0 for the unscaled law in closed form (by
-    the spectral identity where C is infinite), or None."""
+    """Transform at frequency a > 0 for the unscaled law in closed form, or
+    None. Where C is infinite, a power-1 law takes the continued tilt
+    formula and the half-normal law the spectral identity."""
     t = _tilt(d)
     if t is not None:
         gap = t.tilted.one_minus_re_cf(a)
         return None if gap is None else 2.0 * t.c * gap / (a * a)
+    shape, b, power = d.triple()
+    if power == 1.0:
+        return _continued_tilt_ft(shape, b, a)
     return None if d.im_cf(a) is None else _spectral_identity(d, a)
 
 

@@ -72,8 +72,9 @@ FAMILY_SETTINGS = [
 
 # Laws with C = E 1/X infinite, whose density does not vanish at zero. Their
 # kernels take the closed tail Gamma(a - 1/p, x) of the generalized gamma
-# law; gamma s = 0.5 and chi-square nu = 1 take the spectral identity, and
-# the Weibull alpha = 0.7 transform is numeric. The kernels with no closed
+# law; gamma s = 0.5 and chi-square nu = 1 take the tilt formula continued
+# to the tilted shape s - 1 < 0, and the Weibull alpha = 0.7 transform is
+# numeric. The kernels with no closed
 # form (Weibull alpha <= 1/2) are pinned to mpmath in test_polya_kernels.
 NUMERIC_ONLY_SETTINGS = [
     Gamma(s=0.5, theta=1.0), Weibull(theta=1.0, alpha=0.7), ChiSquare(nu=1),

@@ -25,7 +25,7 @@ import pytest
 
 from polyakern import approx, cli, feature_maps, learn
 from polyakern import polya_kernels as kernels
-from polyakern.distributions import Gamma, Weibull, format_distribution
+from polyakern.distributions import Gamma, HalfNormal, Weibull, format_distribution
 from polyakern.errors import ParseError
 from polyakern.feature_maps import (
     BINNING,
@@ -1665,15 +1665,23 @@ class TestStartup:
                                "--kernel", "cauchy:scale=1", "--copies", "8",
                                "--lambda", "0.1", "--seed", "3",
                                "--out", f"{out}/fourier.json"]))
-        weibull = io.StringIO()
+        weibull, gamma_ft, half_normal_ft = io.StringIO(), io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(weibull):
             codes.append(cli.main(["kernel", "eval", "--kernel", "weibull:theta=1,alpha=0.4",
                                    "0.5"]))
-        before = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text):
+        # a gamma transform, then the kernel commands of the fourier benchmark's warm-up
+        with contextlib.redirect_stdout(gamma_ft):
             codes.append(cli.main(["kernel", "ft", "--kernel", "gamma:s=0.5,theta=1", "1"]))
-        print(json.dumps({"codes": codes, "before": before, "ft": text.getvalue(),
+        codes.append(cli.main(["approx-error", data, "--kernel", "gamma:s=2.5,theta=1",
+                               "--map", "fourier_complex,fourier_real", "--copies", "1,2",
+                               "--trials", "2", "--seed", "3", "--out", f"{out}/approx.csv"]))
+        codes.append(cli.main(["kernel", "table", "--kernel", "gamma:s=0.5,theta=1",
+                               "--max", "0.5", "--points", "2", "--out", f"{out}/table.csv"]))
+        before = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+        with contextlib.redirect_stdout(half_normal_ft):
+            codes.append(cli.main(["kernel", "ft", "--kernel", "half_normal:sigma=1", "1"]))
+        print(json.dumps({"codes": codes, "before": before, "ft": gamma_ft.getvalue(),
+                          "half_normal_ft": half_normal_ft.getvalue(),
                           "weibull": weibull.getvalue(), "after": "scipy.integrate" in sys.modules}))
     """)
 
@@ -1688,12 +1696,18 @@ class TestStartup:
             env=env, capture_output=True, text=True, check=True,
         )
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result["codes"] == [0] * 15
+        assert result["codes"] == [0] * 18
         assert result["before"] == []
+        # a gamma law of shape s <= 1 takes the continued tilt formula, not QUADPACK
         assert result["ft"].splitlines() == ["t,ft", "1.0,0.3947364538712399"]
         # a law with no closed tail takes the cumulative one, not QUADPACK
         header, row = result["weibull"].splitlines()
         assert header == "r,k" and row.startswith("0.5,")
         oracle = kernels.eval_kernel_numeric(Weibull(1.0, 0.4), 0.5)
         assert float(row.split(",")[1]) == pytest.approx(oracle, rel=0.0, abs=1e-12)
+        # the half-normal transform is the spectral identity, the one that loads it
+        header, row = result["half_normal_ft"].splitlines()
+        assert header == "t,ft" and row.startswith("1.0,")
+        assert float(row.split(",")[1]) == pytest.approx(
+            eval_ft(KernelSpec(HalfNormal(1.0)), 1.0), rel=1e-15, abs=0.0)
         assert result["after"]

@@ -8,6 +8,7 @@ and of the tilted law's cosine transform.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -228,6 +229,21 @@ class TestSurvival:
             ref = mpmath.gammainc(a, 0, z, regularized=True)
         assert d.cdf(x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
         assert d.sf(x) == pytest.approx(float(1 - ref), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x", [1e-320, 1e-310])
+    def test_subnormal_ratio_off_power_one_keeps_its_digits(self, x):
+        # x / b is zero or subnormal while z = (x / b)^p is a normal double,
+        # so z comes from p (log x - log b): the ratio itself would give
+        # cdf 0.0 at 1e-320 and lose 5e-8 of it at 1e-310
+        d = dist.Weibull(1e8, 0.04)
+        with mpmath.workdps(40):
+            z = (mpmath.mpf(x) / mpmath.mpf(1e8)) ** mpmath.mpf(0.04)
+            cdf, sf = float(-mpmath.expm1(-z)), float(mpmath.exp(-z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.cdf(x) == pytest.approx(cdf, rel=1e-13, abs=0.0)
+            assert d.sf(x) == pytest.approx(sf, rel=1e-15, abs=0.0)
+            np.testing.assert_allclose(d.cdf(np.array([0.0, x])), [0.0, cdf], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("d", [dist.Gamma(2.0, 1.0), dist.Weibull(1.0, 0.4),
                                    dist.ShiftedPoisson(2.0)], ids=repr)

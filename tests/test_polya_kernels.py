@@ -211,25 +211,27 @@ FT_SETTINGS = [
 T_GRID = [0.3, 1.0, 2.6]
 
 
-def infinite_tilt_ft_reference(d, t):
-    """The transform at t with 30 digits, from formulas independent of the
-    spectral identity's quadrature: E X 2F2(1, 1; 3/2, 2; -(t sigma)^2 / 2)
-    for a half-normal law, and for a gamma law with shape s < 1 the tilt
-    formula continued to the tilted shape s - 1 < 0,
-    2 (Re (1 - i theta t)^(1 - s) - 1) / (theta (1 - s) t^2)."""
-    with mpmath.workdps(40):
+def infinite_tilt_ft_reference(d, t, digits=40):
+    """The transform at t to double precision, in mpmath arithmetic of the
+    given digits: E X 2F2(1, 1; 3/2, 2; -(t sigma)^2 / 2) for a half-normal
+    law, and for a power-1 law of shape s <= 1 and scale theta the tilt
+    formula continued to the tilted shape s - 1 <= 0,
+    2 (Re (1 - i theta t)^(1 - s) - 1) / (theta (1 - s) t^2), which is
+    log1p((theta t)^2) / (theta t^2) at s = 1."""
+    with mpmath.workdps(digits):
         t = mpmath.mpf(t)
         if isinstance(d, (dist.HalfNormal, dist.Chi, dist.Nakagami)):
             sigma = {dist.HalfNormal: lambda: d.sigma, dist.Chi: lambda: 1.0,
                      dist.Nakagami: lambda: mpmath.sqrt(d.omega)}[type(d)]()
             mean = sigma * mpmath.sqrt(2 / mpmath.pi)
             return float(mean * mpmath.hyp2f2(1, 1, 1.5, 2, -(t * sigma) ** 2 / 2))
-        if isinstance(d, dist.Exponential):
-            x = d.theta * t
-            return float(mpmath.log1p(x * x) / (d.theta * t * t))
-        s, theta = (0.5, 2.0) if isinstance(d, dist.ChiSquare) else (d.s, d.theta)
-        z = (1 - 1j * theta * t) ** (1 - mpmath.mpf(s))
-        return float(2 * (mpmath.re(z) - 1) / (theta * (1 - mpmath.mpf(s)) * t * t))
+        s, theta, power = map(mpmath.mpf, d.triple())
+        assert power == 1 and s <= 1
+        x = theta * t
+        if s == 1:
+            return float(mpmath.log1p(x * x) / (theta * t * t))
+        z = (1 - 1j * x) ** (1 - s)
+        return float(2 * (mpmath.re(z) - 1) / (theta * (1 - s) * t * t))
 
 
 # infinite_tilt_ft_reference at 40 digits (mpmath 1.3.0), i.e.
@@ -455,8 +457,9 @@ class TestEvalFt:
         dist.Exponential(1.0), dist.Exponential(2.0),
     ], ids=repr)
     def test_infinite_tilt_laws_keep_digits(self, d):
-        # C = E 1/X is infinite for these laws; the spectral identity must
-        # hold its relative accuracy from tiny to large frequencies
+        # C = E 1/X is infinite for these laws; the continued tilt formula and
+        # the spectral identity must hold their relative accuracy from tiny to
+        # large frequencies
         for t in [1e-9, 1e-6, 1e-4, 1e-3, 1.0, 20.0, 1e3, 1e6]:
             expected = infinite_tilt_ft_reference(d, t)
             assert kernels.eval_ft(spec(d), t) == pytest.approx(expected, rel=1e-12, abs=0.0), t
@@ -468,7 +471,8 @@ class TestEvalFt:
     ], ids=repr)
     def test_infinite_tilt_laws_at_extreme_scale(self, d, t):
         # log(t E X) is past 300, where the spectral identity takes Im phi as
-        # its power law, and for some also past 709.8, where t E X overflows
+        # c / u and the continued tilt formula takes L = log x, and for some
+        # also past 709.8, where t E X overflows
         expected = FROZEN_FT_REFERENCES.get((d, t))
         if expected is None:
             expected = infinite_tilt_ft_reference(d, t)
@@ -488,6 +492,71 @@ class TestEvalFt:
         got = kernels.eval_ft_numeric(dist.ShiftedPoisson(1.0), math.pi)
         expected = (2.0 - 2.0 * math.exp(-2.0)) / math.pi ** 2
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+CONTINUED_TILT_SHAPES = [1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 0.9999, 0.99995,
+                         0.9999999, 1.0]
+
+
+class TestContinuedTilt:
+    """Power-1 laws with C infinite, gamma s <= 1 with the exponential,
+    chi-square nu <= 2 and Weibull alpha = 1, take the tilt formula
+    continued to the tilted shape s - 1 <= 0 in closed form."""
+
+    @pytest.mark.parametrize("s", CONTINUED_TILT_SHAPES)
+    def test_matches_mpmath_on_a_grid(self, s):
+        # 60 digits: at 50 the reference itself is off by 2e-11 at s = 1e-6
+        # and by 1.5e-10 at s = 0.9999999
+        for theta in (1e-5, 1.0, 1e5):
+            d = dist.Gamma(s, theta)
+            for k in range(-12, 13):
+                t = 10.0 ** k
+                expected = infinite_tilt_ft_reference(d, t, digits=60)
+                got = kernels.eval_ft(spec(d), t)
+                assert got == pytest.approx(expected, rel=2e-14, abs=0.0), (theta, t)
+
+    @pytest.mark.parametrize("s", [1e-6, 0.3, 0.9999999, 1.0])
+    def test_tiny_frequency_is_the_mean(self, s):
+        # below x = 2^-27, E X (1 - (1 + s)(2 + s) x^2 / 12) is E X to double
+        # precision; the forms would lose 3e-12 of it to subnormals at x = 1e-153
+        for t in [1e-153, 1e-100, 1e-9]:
+            got = kernels.eval_ft(spec(dist.Gamma(s, 1.0)), t)
+            assert got == pytest.approx(s, rel=1e-15, abs=0.0), t
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(
+        st.one_of(
+            st.builds(dist.Gamma, st.floats(1e-6, 1.0), st.floats(-30.0, 30.0).map(math.exp)),
+            st.builds(dist.Exponential, st.floats(-30.0, 30.0).map(math.exp)),
+            st.builds(dist.Weibull, st.floats(-30.0, 30.0).map(math.exp), st.just(1.0)),
+            st.sampled_from([dist.ChiSquare(1), dist.ChiSquare(2)]),
+        ),
+        st.floats(-25.0, 25.0).map(math.exp),
+    )
+    def test_property_scale_covariance_and_numeric_route(self, d, x):
+        # t is log-uniform given the scale b, through x = b t
+        s, b, _ = d.triple()
+        t = x / b
+        unit = dist.Gamma(s, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.eval_ft(spec(d), t)
+            at_unit = kernels.eval_ft(spec(unit), b * t)
+        assert got >= 0.0
+        assert got == pytest.approx(b * at_unit, rel=1e-13, abs=0.0)
+        if 1e-2 <= x <= 1e2:
+            assert at_unit == pytest.approx(kernels.eval_ft_numeric(unit, x), rel=1e-9, abs=0.0)
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        def quadpack(*args, **kwargs):
+            raise AssertionError("QUADPACK was called")
+
+        monkeypatch.setattr(kernels, "_quad", quadpack)
+        for d in [dist.Gamma(0.3, 1.0), dist.ChiSquare(1), dist.Exponential(2.0),
+                  dist.Weibull(1.0, 1.0)]:
+            for t in [1e-3, 1.0, 3.0, 1e6]:
+                expected = infinite_tilt_ft_reference(d, t)
+                assert kernels.eval_ft(spec(d), t) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestGammaTail:
@@ -745,6 +814,18 @@ class TestCumulativeTail:
         assert 0.0 <= k <= 1.0
         assert abs(k - kernels.eval_kernel_numeric(d, r)) <= 1e-9
         assert abs(kernels.kernel_to_cdf(spec(d), r) - float(d.cdf(r))) <= 1e-9
+
+    def test_subnormal_ratio_to_the_scale_keeps_the_sf(self):
+        # r / b is zero while (r / b)^alpha is 7.6e-14: S_F takes it from logs
+        d, r = dist.Weibull(1e8, 0.04), 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = kernels.eval_kernel(spec(d), r)
+        with mpmath.workdps(40):
+            q, p = mpmath.mpf(r) / mpmath.mpf(1e8), mpmath.mpf(0.04)
+            y = q ** p
+            ref = mpmath.exp(-y) - q * mpmath.gammainc(1 - 1 / p, y)
+            assert abs(mpmath.mpf(k) - ref) <= 1e-16
 
     def test_rule_pair_disagreement_names_the_law(self, monkeypatch):
         # the 10-point rule made to disagree fails the ladder and the
